@@ -439,51 +439,76 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     return doc
 
 
-def schedule_from_json(doc: dict) -> ScheduleTree:
-    if doc.get("format") != FORMAT:
-        raise ValueError("not a schedule document")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported schedule version {doc.get('version')!r}")
-    clock = None
-    if doc["clock"] is not None:
-        c = doc["clock"]
-        clock = Clock(tuple(c["graduations"]), c["rate"], c["span"])
-    mapping = None
-    if doc["mapping"] is not None:
-        m = doc["mapping"]
-        mapping = GradMapping(
-            slots=tuple(
-                tuple(
-                    LoopSpec(
-                        name=l["name"],
-                        step=l["step"],
-                        count=l["count"],
-                        contributes=tuple((n, w) for n, w in l["contributes"]),
-                        synthetic=l["synthetic"],
-                    )
-                    for l in slot
+def _mapping_from_json(m: dict) -> GradMapping:
+    return GradMapping(
+        slots=tuple(
+            tuple(
+                LoopSpec(
+                    name=l["name"],
+                    step=l["step"],
+                    count=l["count"],
+                    contributes=tuple((n, w) for n, w in l["contributes"]),
+                    synthetic=l["synthetic"],
                 )
-                for slot in m["slots"]
-            ),
-            span=m["span"],
-        )
-    p = doc["plan"]
-    plan = TempPlan(
+                for l in slot
+            )
+            for slot in m["slots"]
+        ),
+        span=m["span"],
+    )
+
+
+def _plan_from_json(p: dict) -> TempPlan:
+    locs = tuple((n, tuple(loc)) for n, loc in p["snapshot_locs"])
+    if not all(isinstance(n, str) and all(type(v) is int for v in loc) for n, loc in locs):
+        raise TypeError("snapshot cells need an array name and integer subscripts")
+    return TempPlan(
         kind=p["kind"],
         locations=p["locations"],
         width=p["width"],
         array=p["array"],
-        snapshot_locs=tuple((n, tuple(loc)) for n, loc in p["snapshot_locs"]),
+        snapshot_locs=locs,
         slots=tuple(p["slots"]),
         minimal=p["minimal"],
     )
-    return ScheduleTree(
-        roots=tuple(_node_from_json(r) for r in doc["roots"]),
-        clock=clock,
-        spec=None if doc["spec"] is None else parse_spec(doc["spec"]),
-        source=doc["source"],
-        mapping=mapping,
-        plan=plan,
-        guards=tuple(Guard(l, r) for l, r in doc["guards"]),
-        epilogue=tuple(_formula_from_json(f) for f in doc["epilogue"]),
-    )
+
+
+def _text(value: str | None) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected text, got {type(value).__name__}")
+    return value
+
+
+# ScheduleTree field -> parser of its JSON value
+_TREE_FIELDS = {
+    "roots": lambda roots: tuple(_node_from_json(r) for r in roots),
+    "clock": lambda c: None if c is None else Clock(
+        tuple(c["graduations"]), c["rate"], c["span"]
+    ),
+    "spec": lambda text: None if _text(text) is None else parse_spec(text),
+    "source": _text,
+    "mapping": lambda m: None if m is None else _mapping_from_json(m),
+    "plan": _plan_from_json,
+    "guards": lambda guards: tuple(Guard(l, r) for l, r in guards),
+    "epilogue": lambda formulas: tuple(_formula_from_json(f) for f in formulas),
+}
+
+
+def schedule_from_json(doc: dict) -> ScheduleTree:
+    """Rebuild a tree from a schedule document.  A malformed document
+    raises ValueError naming the field at fault."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise ValueError("not a schedule document")
+    if doc.get("version") != VERSION:
+        raise ValueError(f"unsupported schedule version {doc.get('version')!r}")
+    fields = {}
+    for key, parse in _TREE_FIELDS.items():
+        if key not in doc:
+            raise ValueError(f"schedule document has no {key!r} field")
+        try:
+            fields[key] = parse(doc[key])
+        except KeyError as exc:
+            raise ValueError(f"schedule field {key!r} lacks key {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"schedule field {key!r} is malformed: {exc}") from None
+    return ScheduleTree(**fields)

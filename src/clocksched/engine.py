@@ -292,20 +292,29 @@ def enumerate_sparse(
     for u in adj:
         adj[u].sort()
 
+    # explicit stacks, so a long chain cannot hit the recursion limit;
+    # a vertex without children is finished without a stack entry
     state: dict[int, int] = {}  # 1 = on stack, 2 = done
-
-    def find_cycle(v: int) -> None:
-        state[v] = 1
-        for w in adj.get(v, ()):
-            if state.get(w) == 1:
-                raise ValueError(f"graph has a cycle through edge {v} -> {w}")
-            if state.get(w, 0) == 0:
-                find_cycle(w)
-        state[v] = 2
-
-    for v in range(graph.count):
-        if state.get(v, 0) == 0:
-            find_cycle(v)
+    for root in range(graph.count):
+        if root in state:
+            continue
+        state[root] = 1
+        path, stack = [root], [iter(adj.get(root, ()))]
+        while stack:
+            for w in stack[-1]:
+                s = state.get(w)
+                if s == 1:
+                    raise ValueError(f"graph has a cycle through edge {path[-1]} -> {w}")
+                if s is None:
+                    if w in adj:
+                        state[w] = 1
+                        path.append(w)
+                        stack.append(iter(adj[w]))
+                        break
+                    state[w] = 2
+            else:
+                state[path.pop()] = 2
+                stack.pop()
 
     order: list[int] = []
     seen = {graph.origin}
@@ -319,15 +328,18 @@ def enumerate_sparse(
                     seen.add(w)
                     queue.append(w)
     else:
-
-        def dfs(v: int) -> None:
-            order.append(v)
-            for w in adj.get(v, ()):
+        order.append(graph.origin)
+        stack = [iter(adj.get(graph.origin, ()))]
+        while stack:
+            for w in stack[-1]:
                 if w not in seen:
                     seen.add(w)
-                    dfs(w)
-
-        dfs(graph.origin)
+                    order.append(w)
+                    if w in adj:
+                        stack.append(iter(adj[w]))
+                        break
+            else:
+                stack.pop()
     missing = [v for v in range(graph.count) if v not in seen]
     if missing:
         raise ValueError(

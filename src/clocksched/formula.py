@@ -608,26 +608,3 @@ def domain_points(spec: ComputationSpec) -> list[tuple[int, ...]]:
             points.append(tuple(env[n] for n in names))
     return points
 
-
-def applicable_formulas(spec: ComputationSpec, point: Mapping[str, int]) -> list[int]:
-    """Formula positions whose when-clauses accept the point."""
-    picked = []
-    for i, f in enumerate(spec.formulas):
-        if all(point[n] == v for n, v in f.when):
-            picked.append(i)
-    return picked
-
-
-def access_location(access: ArrayAccess, point: Mapping[str, int]) -> tuple[int, ...]:
-    """Concrete subscript tuple of an access at an index point."""
-    out = []
-    for factor in access.args:
-        if factor.index is None:
-            out.append(factor.displacement)
-        else:
-            out.append(point[factor.index] + factor.displacement)
-    return tuple(out)
-
-
-def in_bounds(loc: tuple[int, ...], shape: tuple[int, ...]) -> bool:
-    return all(0 <= v < s for v, s in zip(loc, shape))

@@ -15,8 +15,9 @@ anti-dependence overlaps get a snapshot plan sized by liveness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .clock import Clock, is_power_of_two, log2_exact, make_clock
 from .formula import (
@@ -29,12 +30,9 @@ from .formula import (
     IndexDecl,
     LessThan,
     Term,
-    access_location,
-    applicable_formulas,
     check_legality,
     domain_points,
     extract_dependencies,
-    in_bounds,
     infer_shapes,
     parse_spec,
 )
@@ -852,7 +850,7 @@ def allocate_temporaries(
     spec: ComputationSpec,
     deps: Sequence[DepEdge],
     budget: int | None = None,
-    points: Sequence[Mapping[str, int]] | None = None,
+    visit_order: Callable[[], Iterable[tuple[int, ...]]] | None = None,
 ) -> TempPlan:
     """Size the constant scratch space a visit order needs.
 
@@ -861,48 +859,33 @@ def allocate_temporaries(
     overwrite until its last such read; the plan's size is the peak
     number of banked cells plus one working cell for the in-flight
     update.  A budget below that is refused and the minimum reported.
+    ``visit_order`` returns the index points in visit order; it is only
+    called when some dependence overlaps, so a snapshot plan is possible.
     """
     if spec.temp_arrays:
         shapes = infer_shapes(spec)
-        cells = 0
-        for t in spec.temp_arrays:
-            n = 1
-            for d in shapes.get(t, ()):
-                n *= d
-            cells += n
+        cells = sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
         if budget is not None and budget < cells:
-            raise TempBudgetError(1, budget)
+            raise TempBudgetError(cells, budget)
         return TempPlan(kind="swap", locations=cells, width=cells, array=spec.temp_arrays[0], minimal=1)
     overlapping = [
         e for e in deps if e.vector is not None and any(d > 0 for d in e.vector)
     ]
-    if not overlapping or points is None:
+    if not overlapping or visit_order is None:
         return NO_PLAN
-    shapes = infer_shapes(spec)
-    written = {f.result.name for f in spec.formulas}
-    first_write: dict[tuple[str, tuple[int, ...]], int] = {}
-    last_read: dict[tuple[str, tuple[int, ...]], int] = {}
-    for pos, point in enumerate(points):
-        local: set[tuple[str, tuple[int, ...]]] = set()
-        for fi in applicable_formulas(spec, point):
-            f = spec.formulas[fi]
-            wloc = (f.result.name, access_location(f.result, point))
-            for term in f.terms:
-                for access in term.accesses:
-                    if access.name not in written:
-                        continue
-                    loc = (access.name, access_location(access, point))
-                    if not in_bounds(loc[1], shapes[access.name]):
-                        continue
-                    if loc in local or (f.op == "+=" and loc == wloc):
-                        continue
-                    if loc in first_write and first_write[loc] < pos:
-                        last_read[loc] = pos
-            if in_bounds(wloc[1], shapes[f.result.name]):
-                first_write.setdefault(wloc, pos)
-                local.add(wloc)
+    from .lower import lower
+
+    stream = lower(spec, visit_order())
+    first_write: dict[int, int] = {}
+    last_read: dict[int, int] = {}
+    for pos, fi, cell, reads in stream.applications():
+        add = spec.formulas[fi].op == "+="
+        for r in reads:
+            if first_write.get(r, pos) < pos and not (add and r == cell):
+                last_read[r] = pos
+        first_write.setdefault(cell, pos)
     intervals = [
-        (first_write[loc], end, loc) for loc, end in last_read.items()
+        (first_write[cell], end, cell) for cell, end in last_read.items()
     ]
     if not intervals:
         return NO_PLAN
@@ -921,7 +904,7 @@ def allocate_temporaries(
     free: list[int] = []
     busy: list[tuple[int, int]] = []  # (end, slot)
     assigned = []
-    for start, end, loc in sorted(intervals):
+    for start, end, cell in sorted(intervals):
         still = []
         for e, s in busy:
             if e < start:
@@ -933,11 +916,11 @@ def allocate_temporaries(
         if slot == len(slots):
             slots.append(slot)
         busy.append((end, slot))
-        assigned.append((loc, slot))
+        assigned.append((cell, slot))
     return TempPlan(
         kind="snapshot",
         locations=minimal,
-        snapshot_locs=tuple(loc for loc, _ in sorted(assigned)),
+        snapshot_locs=tuple(stream.layout.location(c) for c, _ in sorted(assigned)),
         slots=tuple(slot for _, slot in sorted(assigned)),
         minimal=minimal,
     )
@@ -957,11 +940,6 @@ def _check(spec: ComputationSpec) -> None:
     problems = check_legality(spec)
     if problems:
         raise BuildError("; ".join(problems))
-
-
-def _point_envs(spec: ComputationSpec) -> list[dict[str, int]]:
-    names = spec.index_names()
-    return [dict(zip(names, pt)) for pt in domain_points(spec)]
 
 
 def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
@@ -992,7 +970,7 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
     )
     if plan.kind == "none":
         deps = extract_dependencies(spec1)
-        plan = allocate_temporaries(spec1, deps, None, _point_envs(spec1))
+        plan = allocate_temporaries(spec1, deps, None, lambda: domain_points(spec1))
     return ScheduleTree(
         roots=(root,), spec=spec1, source=text, guards=guards, plan=plan
     )
@@ -1029,11 +1007,12 @@ def build_schedule(
     if plan.kind == "none":
         from .engine import enumerate_schedule
 
-        trace = enumerate_schedule(tree)
-        names = spec1.index_names()
-        envs = [dict(zip(names, r.lattice_point)) for r in trace.records]
-        deps = extract_dependencies(spec1)
-        plan = allocate_temporaries(spec1, deps, budget, envs)
+        plan = allocate_temporaries(
+            spec1,
+            extract_dependencies(spec1),
+            budget,
+            lambda: [r.lattice_point for r in enumerate_schedule(tree).records],
+        )
     tree = replace(tree, plan=plan)
     if unfold_over is not None:
         tree = unfold(tree, unfold_over[0], unfold_over[1])

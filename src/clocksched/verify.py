@@ -2,126 +2,119 @@
 
 Everything here trusts nothing about the builder.  Coverage compares
 the visited index points against the spec's domain one by one.  The
-dependency check replays the visit order while tagging every memory
-cell with its provenance, so a value consumed after its pre-pass
-original was overwritten is caught and named.  Equivalence runs the
-schedule and the reference order on identical random stores and
-compares the results cell for cell.
+other checks run on a trace lowered once to a flat access stream
+(``lower.py``): integer cell ids, formula applications in visit order,
+and explicit banking of the snapshot plan's cells.  The dependency
+check replays that stream while tagging every cell with its
+provenance, so a value consumed after its pre-pass original was
+overwritten is caught and named.  Equivalence lowers the schedule and
+the reference order once each, then runs every trial on the two
+streams over identical random flat stores and compares the results
+cell for cell.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
-from .formula import (
-    ComputationSpec,
-    access_location,
-    applicable_formulas,
-    domain_points,
-    in_bounds,
-    infer_shapes,
-)
+from .formula import ComputationSpec, domain_points
 from .schedule import ScheduleTree, TempPlan
+
+if TYPE_CHECKING:
+    from .lower import Stream
 
 DEFAULT_SEED = 0x5EED
 
 Store = dict[str, dict[tuple[int, ...], int]]
-Location = tuple[str, tuple[int, ...]]
+
+
+def _locations(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Subscripts of an array's cells in row-major order, the order of
+    the lowered stream's cell ids."""
+    return itertools.product(*map(range, shape))
 
 
 def zeros(shapes: Mapping[str, tuple[int, ...]]) -> Store:
-    store: Store = {}
-    for name, shape in shapes.items():
-        cells: dict[tuple[int, ...], int] = {}
-        def fill(prefix: tuple[int, ...], dims: tuple[int, ...]) -> None:
-            if not dims:
-                cells[prefix] = 0
-                return
-            for v in range(dims[0]):
-                fill(prefix + (v,), dims[1:])
-        fill((), shape)
-        store[name] = cells
-    return store
+    return {
+        name: dict.fromkeys(_locations(shape), 0)
+        for name, shape in shapes.items()
+    }
+
+
+def _random_cells(
+    shapes: Mapping[str, tuple[int, ...]], seed: int
+) -> dict[str, list[int]]:
+    """Cells in [-99, 99] per array, drawn in sorted-name, row-major order."""
+    randint = random.Random(seed).randint
+    return {
+        name: [randint(-99, 99) for _ in range(math.prod(shapes[name]))]
+        for name in sorted(shapes)
+    }
+
+
+def _as_store(
+    shapes: Mapping[str, tuple[int, ...]], values: Mapping[str, list[int]]
+) -> Store:
+    return {
+        name: dict(zip(_locations(shape), values[name]))
+        for name, shape in shapes.items()
+    }
 
 
 def random_store(
     shapes: Mapping[str, tuple[int, ...]], seed: int = DEFAULT_SEED
 ) -> Store:
     """Independent integer cells in [-99, 99], reproducible by seed."""
-    rng = random.Random(seed)
-    store = zeros(shapes)
-    for name in sorted(store):
-        for loc in sorted(store[name]):
-            store[name][loc] = rng.randint(-99, 99)
-    return store
+    return _as_store(shapes, _random_cells(shapes, seed))
 
 
 def copy_store(store: Store) -> Store:
     return {name: dict(cells) for name, cells in store.items()}
 
 
-def _term_value(
-    term, point: Mapping[str, int], read, shapes: Mapping[str, tuple[int, ...]]
-) -> int | None:
-    """Coefficient times the product of operand cells, or None when an
-    operand falls off its array (the term contributes nothing)."""
-    value = term.coefficient
-    for access in term.accesses:
-        loc = access_location(access, point)
-        if not in_bounds(loc, shapes[access.name]):
-            return None
-        value *= read(access, loc)
-    return value
+def _lower_trace(trace: VisitTrace, plan: TempPlan | None = None) -> Stream:
+    """The trace's visits and epilogue, banking the plan's snapshot
+    cells (the tree's own plan by default)."""
+    # imported on first use, so commands that check nothing never load it
+    from .lower import lower
+
+    spec = trace.spec
+    if spec is None:
+        raise ValueError("this trace enumerates bare time, not a spec")
+    if plan is None:
+        plan = trace.tree.plan
+    return lower(
+        spec,
+        [r.lattice_point for r in trace.records if not r.epilogue],
+        trace.tree.epilogue,
+        plan.snapshot_locs if plan.kind == "snapshot" else (),
+    )
 
 
-def _apply_formula(
-    f, point: Mapping[str, int], read, store: Store, shapes
-) -> Location | None:
-    values = [_term_value(t, point, read, shapes) for t in f.terms]
-    kept = [v for v in values if v is not None]
-    if not kept:
-        return None
-    wloc = access_location(f.result, point)
-    if not in_bounds(wloc, shapes[f.result.name]):
-        return None
-    total = sum(kept)
-    if f.op == "+=":
-        store[f.result.name][wloc] += total
-    else:
-        store[f.result.name][wloc] = total
-    return (f.result.name, wloc)
+def _run_on_store(stream: Stream, store: Store) -> Store:
+    layout = stream.layout
+    mem = stream.memory(
+        {name: [store[name][loc] for loc in _locations(shape)]
+         for name, shape in layout.shapes.items()}
+    )
+    stream.run(mem)
+    ran = {name: mem[layout.cells(name)] for name in layout.shapes}
+    return {**copy_store(store), **_as_store(layout.shapes, ran)}
 
 
 def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
     """Declaration-order enumeration, formulas in listed order, reads
     from current memory.  This is the meaning a spec is held to."""
-    shapes = infer_shapes(spec)
-    out = copy_store(store)
-    names = spec.index_names()
+    from .lower import lower
 
-    def read(access, loc):
-        return out[access.name][loc]
-
-    for pt in domain_points(spec):
-        point = dict(zip(names, pt))
-        for fi in applicable_formulas(spec, point):
-            _apply_formula(spec.formulas[fi], point, read, out, shapes)
-    return out
-
-
-def _trace_shapes(trace: VisitTrace) -> dict[str, tuple[int, ...]]:
-    """Array shapes for a trace, including epilogue-only arrays."""
-    spec = trace.spec
-    if spec is None:
-        raise ValueError("this trace enumerates bare time, not a spec")
-    if trace.tree.epilogue:
-        spec = replace(spec, formulas=spec.formulas + tuple(trace.tree.epilogue))
-    return infer_shapes(spec)
+    return _run_on_store(lower(spec, domain_points(spec)), store)
 
 
 def interpret(trace: VisitTrace, store: Store) -> Store:
@@ -132,40 +125,7 @@ def interpret(trace: VisitTrace, store: Store) -> Store:
     original, which is exactly the value the reference order would have
     seen.
     """
-    spec = trace.spec
-    if spec is None:
-        raise ValueError("this trace enumerates bare time, not a spec")
-    shapes = _trace_shapes(trace)
-    out = copy_store(store)
-    plan = trace.tree.plan
-    marked = set(plan.snapshot_locs) if plan.kind == "snapshot" else set()
-    bank: dict[Location, int] = {}
-
-    def run(formulas, point):
-        for f in formulas:
-            wname = f.result.name
-            wloc = access_location(f.result, point)
-
-            def read(access, loc, _wloc=wloc, _wname=wname, _op=f.op):
-                if _op == "+=" and access.name == _wname and loc == _wloc:
-                    return out[access.name][loc]
-                return bank.get((access.name, loc), out[access.name][loc])
-
-            if (wname, wloc) in marked and (wname, wloc) not in bank:
-                if in_bounds(wloc, shapes[wname]):
-                    bank[(wname, wloc)] = out[wname][wloc]
-            _apply_formula(f, point, read, out, shapes)
-
-    for r in trace.records:
-        if r.epilogue:
-            run(trace.tree.epilogue, {})
-            continue
-        point = dict(zip(trace.names, r.lattice_point))
-        run(
-            [spec.formulas[i] for i in applicable_formulas(spec, point)],
-            point,
-        )
-    return out
+    return _run_on_store(_lower_trace(trace), store)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +193,6 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
-def _loc_text(loc: Location) -> str:
-    return f"{loc[0]}({','.join(str(v) for v in loc[1])})"
-
-
-_INIT = ("init",)
-
-
 def check_dependencies(
     trace: VisitTrace, plan: TempPlan | None = None
 ) -> DependencyReport:
@@ -251,109 +204,74 @@ def check_dependencies(
     must end up with exactly the reference set of contributions; a
     permuted arrival order is reported as commuting, not failing.
     """
+    from .lower import lower
+
+    stream = _lower_trace(trace, plan)
     spec = trace.spec
-    if spec is None:
-        raise ValueError("dependence checking needs a spec-driven trace")
-    if plan is None:
-        plan = trace.tree.plan
-    shapes = infer_shapes(spec)
-    written = {f.result.name for f in spec.formulas}
-    names = trace.names
+    layout = stream.layout
+    adds = [f.op == "+=" for f in stream.formulas]
 
-    acc_full: dict[Location, set] = {}
-    acc_order: dict[Location, list] = {}
-    final_def: dict[Location, tuple] = {}
-    for pt in domain_points(spec):
-        point = dict(zip(names, pt))
-        for fi in applicable_formulas(spec, point):
-            f = spec.formulas[fi]
-            wloc = (f.result.name, access_location(f.result, point))
-            if not in_bounds(wloc[1], shapes[f.result.name]):
-                continue
-            event = (pt, fi)
-            if f.op == "+=":
-                acc_full.setdefault(wloc, set()).add(event)
-                acc_order.setdefault(wloc, []).append(event)
-            else:
-                final_def[wloc] = event
-
-    marked = set(plan.snapshot_locs) if plan.kind == "snapshot" else set()
-    tags: dict[Location, tuple] = {}
-    arrivals: dict[Location, list] = {}
-    banked: set[Location] = set()
-    violations: list[str] = []
-    commutes = False
-    events = 0
-
-    def check_reads(f, point, pt, wloc, local):
-        for term in f.terms:
-            for access in term.accesses:
-                if access.name not in written:
-                    continue
-                loc = (access.name, access_location(access, point))
-                if not in_bounds(loc[1], shapes[access.name]):
-                    continue
-                if loc in local:
-                    continue  # produced by an earlier formula at this point
-                if f.op == "+=" and loc == wloc:
-                    if tags.get(loc, _INIT)[0] == "def":
-                        violations.append(
-                            f"accumulator {_loc_text(loc)} clobbered before point {pt}"
-                        )
-                    continue
-                if tags.get(loc, _INIT)[0] == "init" or loc in banked:
-                    continue
-                violations.append(
-                    f"{_loc_text(loc)} overwritten before its pre-pass read at point {pt}"
-                )
-
-    def do_write(f, event, wloc):
-        nonlocal events
-        events += 1
-        if wloc in marked:
-            banked.add(wloc)
-        current = tags.get(wloc, _INIT)
-        if f.op == "=":
-            tags[wloc] = ("def", event)
+    reference = domain_points(spec)
+    acc_full: dict[int, set] = {}
+    acc_order: dict[int, list] = {}
+    final_def: dict[int, tuple] = {}
+    epilogue = trace.tree.epilogue
+    for visit, fi, cell, _ in lower(spec, reference, epilogue).applications():
+        if visit == len(reference):
+            break
+        event = (reference[visit], fi)
+        if adds[fi]:
+            acc_full.setdefault(cell, set()).add(event)
+            acc_order.setdefault(cell, []).append(event)
         else:
-            contributions = current[1] if current[0] == "acc" else frozenset()
-            tags[wloc] = ("acc", contributions | {event})
-            arrivals.setdefault(wloc, []).append(event)
+            final_def[cell] = event
 
-    for r in trace.records:
-        if r.epilogue:
-            # the epilogue runs after every visit and wants final values,
-            # so its reads are covered by the completeness checks below
-            continue
-        point = dict(zip(names, r.lattice_point))
-        pt = r.lattice_point
-        local: set[Location] = set()
-        for fi in applicable_formulas(spec, point):
-            f = spec.formulas[fi]
-            wloc = (f.result.name, access_location(f.result, point))
-            if not in_bounds(wloc[1], shapes[f.result.name]):
-                continue
-            check_reads(f, point, pt, wloc, local)
-            do_write(f, (pt, fi), wloc)
-            local.add(wloc)
+    # the epilogue runs after every visit and wants final values, so its
+    # reads are covered by the completeness checks below
+    points = [r.lattice_point for r in trace.records if not r.epilogue]
+    defined: dict[int, tuple] = {}  # cells whose last write assigned
+    gathered: dict[int, set] = {}  # cells whose last write accumulated
+    arrivals: dict[int, list] = {}
+    violations: list[str] = []
+    events = 0
+    for visit, fi, cell, reads in stream.applications():
+        if visit == len(points):
+            break
+        pt = points[visit]
+        for r in reads:
+            if adds[fi] and r == cell:
+                if r in defined:
+                    violations.append(
+                        f"accumulator {layout.text(r)} clobbered before point {pt}"
+                    )
+            elif r in defined or r in gathered:
+                violations.append(
+                    f"{layout.text(r)} overwritten before its pre-pass read at point {pt}"
+                )
+        events += 1
+        event = (pt, fi)
+        if adds[fi]:
+            defined.pop(cell, None)
+            gathered.setdefault(cell, set()).add(event)
+            arrivals.setdefault(cell, []).append(event)
+        else:
+            defined[cell] = event
+            gathered.pop(cell, None)
 
-    for loc, expected in acc_full.items():
-        tag = tags.get(loc, _INIT)
-        got = tag[1] if tag[0] == "acc" else frozenset()
-        if set(got) != expected:
+    commutes = False
+    for cell, expected in acc_full.items():
+        got = gathered.get(cell, set())
+        if got != expected:
             violations.append(
-                f"accumulation at {_loc_text(loc)} gathered {len(got)} of "
-                f"{len(expected)} contributions"
+                f"accumulation at {layout.text(cell)} gathered "
+                f"{len(got)} of {len(expected)} contributions"
             )
-        elif arrivals.get(loc, []) != acc_order[loc]:
+        elif arrivals.get(cell, []) != acc_order[cell]:
             commutes = True
-    for loc, event in final_def.items():
-        if loc[0] in spec.temp_arrays:
-            continue
-        tag = tags.get(loc, _INIT)
-        if tag[0] != "def" or tag[1] != event:
+    for cell, event in final_def.items():
+        if layout.location(cell)[0] not in spec.temp_arrays and defined.get(cell) != event:
             violations.append(
-                f"final value of {_loc_text(loc)} does not come from its last write"
+                f"final value of {layout.text(cell)} does not come from its last write"
             )
 
     return DependencyReport(
@@ -384,8 +302,8 @@ class EquivalenceReport:
         )
 
 
-def _shared_arrays(a: VisitTrace, b: VisitTrace) -> dict[str, tuple[int, ...]]:
-    sa, sb = _trace_shapes(a), _trace_shapes(b)
+def _shared_arrays(a: Stream, b: Stream) -> dict[str, tuple[int, ...]]:
+    sa, sb = a.layout.shapes, b.layout.shapes
     temps = set(a.spec.temp_arrays) | set(b.spec.temp_arrays)
     shared = {}
     for name in sorted(set(sa) & set(sb)):
@@ -410,29 +328,26 @@ def equivalent(
         reference = enumerate_schedule(reference)
     if candidate.spec is None or reference.spec is None:
         raise ValueError("equivalence needs spec-driven traces")
-    shared = _shared_arrays(candidate, reference)
+    ours, theirs = _lower_trace(candidate), _lower_trace(reference)
+    shared = _shared_arrays(ours, theirs)
     for trial in range(trials):
-        inputs = random_store(shared, seed + trial)
-        store_a = zeros(_trace_shapes(candidate))
-        store_b = zeros(_trace_shapes(reference))
-        for name, cells in inputs.items():
-            store_a[name] = dict(cells)
-            store_b[name] = dict(cells)
-        got = interpret(candidate, store_a)
-        want = interpret(reference, store_b)
+        inputs = _random_cells(shared, seed + trial)
+        got, want = ours.memory(inputs), theirs.memory(inputs)
+        ours.run(got)
+        theirs.run(want)
         for name in shared:
-            if got[name] != want[name]:
-                bad = sorted(
-                    loc for loc in got[name] if got[name][loc] != want[name][loc]
-                )[0]
+            a = got[ours.layout.cells(name)]
+            b = want[theirs.layout.cells(name)]
+            if a != b:
+                i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
                 return EquivalenceReport(
                     ok=False,
                     trials=trial + 1,
                     counterexample={
                         "trial": trial,
-                        "location": _loc_text((name, bad)),
-                        "got": got[name][bad],
-                        "want": want[name][bad],
+                        "location": ours.layout.text(ours.layout.offsets[name] + i),
+                        "got": a[i],
+                        "want": b[i],
                     },
                 )
     return EquivalenceReport(ok=True, trials=trials)

@@ -127,6 +127,47 @@ def test_transform_rejects_infeasible_budget(tmp_path, capsys):
     assert "error:" in err and "1" in err
 
 
+def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
+    spec = tmp_path / "t.spec"
+    spec.write_text("space I[4];\ntemp t;\nt(I) = a(I);\n")
+    code, _, err = run(capsys, "transform", str(spec), "--temp-budget", "2")
+    assert code == 2
+    assert "below the minimal 4 cells" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: {"format": doc["format"], "version": 1}, "no 'roots' field"),
+        (lambda doc: [1, 2], "not a schedule document"),
+        (lambda doc: {**doc, "plan": {"kind": "none"}}, "field 'plan' lacks key"),
+        (lambda doc: {**doc, "roots": 5}, "field 'roots' is malformed"),
+        (lambda doc: {**doc, "source": 7}, "field 'source' is malformed"),
+        (
+            lambda doc: {**doc, "plan": {**doc["plan"], "snapshot_locs": [["a", ["x"]]]}},
+            "field 'plan' is malformed",
+        ),
+    ],
+    ids=[
+        "bare-header",
+        "not-an-object",
+        "plan-lacks-a-key",
+        "roots-not-a-list",
+        "source-not-text",
+        "snapshot-cell-not-integer",
+    ],
+)
+def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
+    path = transform(tmp_path, capsys, cases.MATMUL)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(open(path).read()))))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.STENCIL, "--clock", "4x2x2",

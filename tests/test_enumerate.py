@@ -161,3 +161,13 @@ def test_sparse_rejects_unreachable_vertexes():
     graph = SparseGraph(count=4, edges=((0, 1), (2, 3)))
     with pytest.raises(ValueError, match=r"reach vertexes \[2, 3\]"):
         enumerate_sparse(graph, make_clock(1))
+
+
+def test_sparse_walks_a_long_path_without_recursion():
+    n = 3000  # deeper than the interpreter's default recursion limit
+    path = tuple((v, v + 1) for v in range(n - 1))
+    records = enumerate_sparse(SparseGraph(count=n, edges=path), make_clock(2))
+    assert [r.vertex for r in records] == list(range(n))
+    looped = SparseGraph(count=n, edges=path + ((n - 1, 0),))
+    with pytest.raises(ValueError, match=f"cycle through edge {n - 1} -> 0"):
+        enumerate_sparse(looped, make_clock(2))

@@ -14,17 +14,15 @@ from clocksched.formula import (
     LessThan,
     SpecSyntaxError,
     Term,
-    access_location,
-    applicable_formulas,
     check_legality,
     domain_points,
     extract_dependencies,
-    in_bounds,
     infer_shapes,
     parse_spec,
     permutation_cycles,
     print_spec,
 )
+from clocksched.lower import lower
 
 import oracles
 
@@ -80,8 +78,8 @@ def test_parse_when_and_initial():
     (f,) = spec.formulas
     assert f.initial_reads
     assert f.when == (("I", 1), ("J", 0))
-    assert applicable_formulas(spec, {"I": 1, "J": 0}) == [0]
-    assert applicable_formulas(spec, {"I": 0, "J": 0}) == []
+    fired = [visit for visit, *_ in lower(spec, [(1, 0), (0, 0)]).applications()]
+    assert fired == [0]  # the formula fires at I=1, J=0 only
 
 
 def test_print_parse_round_trip():
@@ -150,14 +148,6 @@ def test_domain_points_block_bound():
     )
     points = domain_points(spec)
     assert points == [(0, 0), (0, 1), (1, 2), (1, 3)]
-
-
-def test_access_location_and_bounds():
-    point = {"I": 2, "J": 1}
-    assert access_location(ArrayAccess("a", (Factor("I", 1), Factor("J"))), point) == (3, 1)
-    assert access_location(ArrayAccess("s", (Factor(None, 1),)), point) == (1,)
-    assert in_bounds((3, 1), (4, 4))
-    assert not in_bounds((4, 0), (4, 4))
 
 
 def test_dependencies_matmul_self_accumulation():

@@ -1,0 +1,47 @@
+"""The lowered access stream: cell numbering, dropped terms, banking."""
+
+from __future__ import annotations
+
+from clocksched.formula import parse_spec
+from clocksched.lower import ASSIGN, SAVE, SKIP, VISIT, lower
+
+
+def test_lowered_cells_and_bounds():
+    spec = parse_spec("space I[4], J[4];\nb(I,J) = a(I+1,J) + 2*s(1);\n")
+    stream = lower(spec, [(2, 1), (3, 1)])
+    layout = stream.layout
+    assert layout.offsets == {"a": 0, "b": 16, "s": 32}
+    assert layout.location(13) == ("a", (3, 1))
+    assert layout.cell("a", (3, 1)) == 13
+    assert layout.cell("a", (4, 0)) is None
+    one, two = stream.coefficients.index(1), stream.coefficients.index(2)
+    assert list(stream.codes) == [
+        VISIT, ASSIGN, 25, 2, one, 1, 13, two, 1, 33,
+        # a(4,1) is off its array: that term keeps no read and adds nothing
+        VISIT, ASSIGN, 29, 2, 0, 0, two, 1, 33,
+    ]
+
+
+def test_a_formula_with_every_term_off_its_arrays_stores_nothing():
+    stream = lower(parse_spec("space I[2];\nb(I) = a(I+1);\n"), [(1,)])
+    assert list(stream.codes) == [VISIT, SKIP, 3, 1, 0, 0]
+    mem = stream.memory({"a": [1, 2], "b": [5, 6]})
+    stream.run(mem)
+    assert mem == [1, 2, 5, 6]
+
+
+def test_snapshot_cells_are_banked_at_their_first_overwrite():
+    spec = parse_spec("space I[2];\na(I) = a(I+1);\n")
+    stream = lower(spec, [(1,), (0,)], marked=[("a", (1,))])
+    one = stream.coefficients.index(1)
+    assert list(stream.codes) == [
+        VISIT, SAVE, 2, 1, SKIP, 1, 1, 0, 0,
+        VISIT, ASSIGN, 0, 1, one, 1, 2,  # a(1) is read from its bank slot
+    ]
+    mem = stream.memory({"a": [5, 7]})
+    stream.run(mem)
+    assert mem == [7, 7, 7]
+    # a banked read is safe; unbanked, the same read wants a(1)'s old value
+    assert [reads for *_, reads in stream.applications()] == [[], []]
+    plain = lower(spec, [(1,), (0,)])
+    assert [reads for *_, reads in plain.applications()] == [[], [1]]

@@ -35,6 +35,7 @@ from clocksched.formula import (
     Term,
     check_legality,
     domain_points,
+    infer_shapes,
     parse_spec,
     print_spec,
 )
@@ -45,7 +46,14 @@ from clocksched.schedule import (
     sequential_schedule,
     time_skeleton,
 )
-from clocksched.verify import check_coverage, check_dependencies, equivalent
+from clocksched.verify import (
+    check_coverage,
+    check_dependencies,
+    equivalent,
+    interpret,
+    random_store,
+    reference_interpret,
+)
 
 import oracles
 
@@ -226,6 +234,16 @@ def test_domain_points_unique_and_guarded(spec):
     assert len(points) == expected
     for pt in points:
         assert all(0 <= v < s for v, s in zip(pt, sizes))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rich_specs(), st.integers(0, 2**16))
+def test_sequential_trace_interprets_like_the_reference(spec, seed):
+    assume(not check_legality(spec))
+    tree = sequential_schedule(spec)
+    store = random_store(infer_shapes(tree.spec), seed)
+    got = interpret(enumerate_schedule(tree), store)
+    assert got == reference_interpret(tree.spec, store)
 
 
 # -- random schedules against the verifier -----------------------------------

@@ -176,7 +176,9 @@ def test_dependencies_catch_unbanked_overlap():
     assert not report.ok
     assert "overwritten before its pre-pass read" in report.violations[0]
     assert report.violations[0].startswith("a(")
-    assert "FAIL" in report.summary()
+    assert report.summary() == (
+        "dependencies: FAIL, a(0,2) overwritten before its pre-pass read at point (0, 1)"
+    )
 
 
 def test_dependencies_flag_commuting_reorder():
@@ -226,7 +228,8 @@ def test_equivalence_counterexample():
     assert c["location"].startswith("a(")
     assert c["got"] != c["want"]
     assert report.trials == c["trial"] + 1  # stops at the first bad store
-    assert "FAIL" in report.summary()
+    # the seeded stores, and so the counterexample, are part of the contract
+    assert report.summary() == "equivalence: FAIL on trial 0 at a(0,1): 176 != 136"
 
 
 def test_equivalence_rejects_mismatched_shapes():
