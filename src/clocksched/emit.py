@@ -2,18 +2,22 @@
 
 Three text notations: ``for`` is a C-like nest, ``form`` flattens the
 nest into one bracketed header over a shared body, ``enum`` prints the
-loop chain as interval terms.  Bodies contain the original formulas
-with every index replaced by the expression recovering its value from
-the loop variables; the divisors are the mapped powers of two, so a
+loop chain as interval terms.  Bodies contain every formula of the spec
+with each index replaced by the expression recovering its value from
+the loop variables.  That expression renders ``schedule.recovery``, the
+table the enumerator evaluates, so the emitted text computes the points
+the checks ran on.  The divisors are the mapped powers of two, so a
 backend may implement them as shifts.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .clock import Clock
 from .formula import (
     ArrayAccess,
-    BlockBind,
+    ComputationSpec,
     Factor,
     Formula,
     Term,
@@ -33,6 +37,9 @@ from .schedule import (
     ScheduleTree,
     TempPlan,
     UnfoldCopy,
+    nest,
+    nest_loops,
+    recovery,
 )
 
 INDENT = "  "
@@ -67,78 +74,36 @@ def _digit_text(node: EnumNode) -> str:
     return off
 
 
-def _loops_of(nodes: tuple[Node, ...]) -> list[EnumNode]:
-    found: list[EnumNode] = []
-    for node in nodes:
-        if isinstance(node, EnumNode):
-            found.append(node)
-            found.extend(_loops_of(node.body))
-        elif isinstance(node, FormGroup):
-            found.extend(node.members)
-            found.extend(_loops_of(node.body))
-    return found
-
-
-def value_texts(
-    tree: ScheduleTree,
-    roots: tuple[Node, ...],
-    fixed: tuple[tuple[str, int], ...] = (),
-) -> dict[str, str]:
-    """Expression recovering each spec index from the loop variables.
-
-    Contributions stack as positional digits; ascending weight keeps
-    the unit digit first, matching how the loops nest.  Indexes bound
-    to a source through a block divide the source's expression; an
-    index an unfold copy holds fixed is just its value.
-    """
-    spec = tree.spec
+def value_texts(spec: ComputationSpec | None, loops: Sequence[EnumNode]) -> dict[str, str]:
+    """Expression recovering each spec index from the loop variables:
+    the root's ``recovery`` table, rendered.  Digits stack by ascending
+    weight, so the unit digit comes first; a block-bound index divides
+    its source's expression."""
     if spec is None:
         return {}
-    pinned = dict(fixed)
-    terms: dict[str, list[tuple[int, str]]] = {}
-    for node in _loops_of(roots):
-        for target, weight in node.contributes:
-            terms.setdefault(target, []).append((weight, _digit_text(node)))
-    out: dict[str, str] = {n: str(v) for n, v in pinned.items()}
-    for name, parts in terms.items():
-        if name in out:
-            continue
-        parts.sort(key=lambda p: p[0])
-        if all(part.isdigit() for _, part in parts):
-            out[name] = str(sum(w * int(part) for w, part in parts))
-            continue
-        rendered = []
-        for weight, part in parts:
-            if weight == 1:
-                rendered.append(part)
-            elif _is_plain(part):
-                rendered.append(f"{weight}*{part}")
-            else:
-                rendered.append(f"{weight}*({part})")
-        out[name] = "+".join(rendered)
-    binds = {g.index: g for g in spec.domain if isinstance(g, BlockBind)}
-    sizes = dict(spec.index_sizes())
-    for decl in spec.indexes:
-        if decl.name in out:
-            continue
-        if sizes.get(decl.name) == 1 and decl.name not in binds:
-            out[decl.name] = "0"
-    progress = True
-    while progress:
-        progress = False
-        for name, bind in binds.items():
-            if name in out or bind.source not in out:
-                continue
-            src = out[bind.source]
-            if bind.block == 1:
-                out[name] = src
-            elif src.isdigit():
-                out[name] = str(int(src) // bind.block)
+    out: dict[str, str] = {}
+    for step in recovery(spec, loops):
+        if step.const is not None:
+            out[step.index] = str(step.const)
+        elif step.source is not None:
+            src = out[step.source]
+            if step.block == 1:
+                out[step.index] = src
             elif _is_plain(src):
-                out[name] = f"{src}/{bind.block}"
+                out[step.index] = f"{src}/{step.block}"
             else:
-                out[name] = f"({src})/{bind.block}"
-            progress = True
+                out[step.index] = f"({src})/{step.block}"
+        else:
+            rendered = []
+            for weight, p in step.digits:
+                part = _digit_text(loops[p])
+                if weight == 1:
+                    rendered.append(part)
+                elif _is_plain(part):
+                    rendered.append(f"{weight}*{part}")
+                else:
+                    rendered.append(f"{weight}*({part})")
+            out[step.index] = "+".join(rendered)
     return out
 
 
@@ -151,17 +116,16 @@ def _guard_lines(tree: ScheduleTree, subst: dict[str, str]) -> list[str]:
     return lines
 
 
-def _body_lines(
-    tree: ScheduleTree, leaf: FormulaBlock, subst: dict[str, str], offsets: list[str]
-) -> list[str]:
-    if leaf.formulas is None:
+def _body_lines(tree: ScheduleTree, subst: dict[str, str], offsets: list[str]) -> list[str]:
+    """The leaf: every spec formula under the guards, as the checks run
+    them, or the offset tuple of a bare time skeleton."""
+    if tree.spec is None:
         return ["(" + ",".join(offsets) + ")"]
-    assert tree.spec is not None
     guards = _guard_lines(tree, subst)
     lines = [INDENT * i + g for i, g in enumerate(guards)]
     pad = INDENT * len(guards)
-    for i in leaf.formulas:
-        lines.append(pad + render_formula(tree.spec.formulas[i], subst))
+    for formula in tree.spec.formulas:
+        lines.append(pad + render_formula(formula, subst))
     return lines
 
 
@@ -175,71 +139,44 @@ def _loop_header(node: EnumNode) -> str:
     return f"({v}={lo};{v}<{up};{v}+={node.step})"
 
 
+def _bracket(head: str, loops: Sequence[EnumNode]) -> list[str]:
+    """``head`` then one loop header per line, aligned, closed by ``]``."""
+    lines = []
+    for i, loop in enumerate(loops):
+        line = (head if i == 0 else " " * len(head)) + _loop_header(loop)
+        if i == len(loops) - 1:
+            line += "]"
+        lines.append(line)
+    return lines
+
+
 def _render_for(
-    tree: ScheduleTree,
-    nodes: tuple[Node, ...],
-    subst: dict[str, str],
-    offsets: list[str],
-    depth: int,
+    tree: ScheduleTree, chain: list[EnumNode | FormGroup], subst: dict[str, str]
 ) -> list[str]:
     lines: list[str] = []
-    for node in nodes:
-        if isinstance(node, FormulaBlock):
-            lines.extend(
-                INDENT * depth + l
-                for l in _body_lines(tree, node, subst, offsets)
-            )
-        elif isinstance(node, EnumNode):
+    offsets: list[str] = []
+    for depth, node in enumerate(chain):
+        if isinstance(node, EnumNode):
             lines.append(INDENT * depth + "for " + _loop_header(node))
-            lines.extend(
-                _render_for(
-                    tree, node.body, subst, offsets + [_offset_text(node)], depth + 1
-                )
-            )
+            offsets.append(_offset_text(node))
         else:
-            head = INDENT * depth + "form ["
-            for i, m in enumerate(node.members):
-                text = _loop_header(m)
-                if i == 0:
-                    line = head + text
-                else:
-                    line = " " * len(head) + text
-                if i == len(node.members) - 1:
-                    line += "]"
-                lines.append(line)
-            offs = offsets + [_offset_text(m) for m in node.members]
-            lines.extend(_render_for(tree, node.body, subst, offs, depth + 1))
+            lines.extend(_bracket(INDENT * depth + "form [", node.members))
+            offsets.extend(_offset_text(m) for m in node.members)
+    pad = INDENT * len(chain)
+    lines.extend(pad + l for l in _body_lines(tree, subst, offsets))
     return lines
 
 
 def _render_form(
-    tree: ScheduleTree, nodes: tuple[Node, ...], subst: dict[str, str]
+    tree: ScheduleTree, loops: list[EnumNode], subst: dict[str, str]
 ) -> list[str]:
-    loops = _loops_of(nodes)
-    leaf: FormulaBlock | None = None
-    walk = list(nodes)
-    while walk:
-        node = walk.pop(0)
-        if isinstance(node, FormulaBlock):
-            leaf = node
-        else:
-            walk.extend(node.body)
-    lines = []
-    head = "form ["
-    for i, loop in enumerate(loops):
-        text = _loop_header(loop)
-        line = head + text if i == 0 else " " * len(head) + text
-        if i == len(loops) - 1:
-            line += "]"
-        lines.append(line)
-    if leaf is not None:
-        offsets = [_offset_text(l) for l in loops]
-        lines.extend(INDENT + l for l in _body_lines(tree, leaf, subst, offsets))
+    offsets = [_offset_text(l) for l in loops]
+    lines = _bracket("form [", loops)
+    lines.extend(INDENT + l for l in _body_lines(tree, subst, offsets))
     return lines
 
 
-def _render_enum(nodes: tuple[Node, ...]) -> str:
-    loops = _loops_of(nodes)
+def _render_enum(loops: list[EnumNode]) -> str:
     parts = []
     for node in loops:
         lo = node.lower.render()
@@ -254,17 +191,15 @@ def emit(tree: ScheduleTree, notation: str = "for") -> str:
         raise ValueError(f"unknown notation {notation!r}")
     blocks: list[str] = []
     for root in tree.roots:
-        if isinstance(root, UnfoldCopy):
-            nodes, fixed = root.body, root.fixed
-        else:
-            nodes, fixed = (root,), ()
-        subst = value_texts(tree, nodes, fixed)
+        chain = nest(root)
+        loops = nest_loops(chain)
+        subst = value_texts(tree.spec, loops)
         if notation == "for":
-            blocks.append("\n".join(_render_for(tree, nodes, subst, [], 0)))
+            blocks.append("\n".join(_render_for(tree, chain, subst)))
         elif notation == "form":
-            blocks.append("\n".join(_render_form(tree, nodes, subst)))
+            blocks.append("\n".join(_render_form(tree, loops, subst)))
         else:
-            blocks.append(_render_enum(nodes))
+            blocks.append(_render_enum(loops))
     for f in tree.epilogue:
         blocks.append(render_formula(f))
     return "\n\n".join(blocks) + "\n"
@@ -287,10 +222,7 @@ def _affine_from_json(doc: dict) -> Affine:
 
 def _node_to_json(node: Node | UnfoldCopy) -> dict:
     if isinstance(node, FormulaBlock):
-        return {
-            "kind": "block",
-            "formulas": None if node.formulas is None else list(node.formulas),
-        }
+        return {"kind": "block"}
     if isinstance(node, FormGroup):
         return {
             "kind": "group",
@@ -299,12 +231,7 @@ def _node_to_json(node: Node | UnfoldCopy) -> dict:
             "body": [_node_to_json(b) for b in node.body],
         }
     if isinstance(node, UnfoldCopy):
-        return {
-            "kind": "copy",
-            "fixed": [[n, v] for n, v in node.fixed],
-            "body": [_node_to_json(b) for b in node.body],
-            "independent": node.independent,
-        }
+        return {"kind": "copy", "body": [_node_to_json(b) for b in node.body]}
     return {
         "kind": "loop",
         "index": node.index,
@@ -322,8 +249,7 @@ def _node_to_json(node: Node | UnfoldCopy) -> dict:
 def _node_from_json(doc: dict) -> Node | UnfoldCopy:
     kind = doc["kind"]
     if kind == "block":
-        f = doc["formulas"]
-        return FormulaBlock(None if f is None else tuple(f))
+        return FormulaBlock()
     if kind == "group":
         return FormGroup(
             members=tuple(_node_from_json(m) for m in doc["members"]),
@@ -331,11 +257,7 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
             body=tuple(_node_from_json(b) for b in doc["body"]),
         )
     if kind == "copy":
-        return UnfoldCopy(
-            fixed=tuple((n, v) for n, v in doc["fixed"]),
-            body=tuple(_node_from_json(b) for b in doc["body"]),
-            independent=doc["independent"],
-        )
+        return UnfoldCopy(body=tuple(_node_from_json(b) for b in doc["body"]))
     if kind != "loop":
         raise ValueError(f"unknown node kind {kind!r}")
     return EnumNode(
@@ -366,7 +288,6 @@ def _formula_to_json(f: Formula) -> dict:
             for t in f.terms
         ],
         "when": [[n, v] for n, v in f.when],
-        "initial_reads": f.initial_reads,
     }
 
 
@@ -384,7 +305,6 @@ def _formula_from_json(doc: dict) -> Formula:
             for t in doc["terms"]
         ),
         when=tuple((n, v) for n, v in doc["when"]),
-        initial_reads=doc["initial_reads"],
     )
 
 

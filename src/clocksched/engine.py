@@ -3,22 +3,31 @@
 A trace is the ground truth the verifier works from: one record per
 enumerated point, carrying the loop offsets (the time decomposition),
 the recovered index point, and the 2-adic color of the time value.
+
+Each root of a schedule tree is one chain of loops, and each loop runs
+through a fixed count of digits whatever its lower bound, so the nest
+is a mixed-radix counter: one ``itertools.product`` over the digit
+ranges.  Index points come from ``schedule.recovery``, the same table
+``emit`` renders as text, so what is verified is what is emitted.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
+from operator import add, mul
 
 from .clock import Clock, clock_points, color_of, log2_exact
-from .formula import BlockBind, ComputationSpec
+from .formula import ComputationSpec
 from .schedule import (
     BuildError,
+    EnumNode,
     FormGroup,
-    FormulaBlock,
-    Node,
     ScheduleTree,
-    UnfoldCopy,
+    nest,
+    nest_loops,
+    recovery,
 )
 
 
@@ -53,183 +62,119 @@ class VisitTrace:
         ]
 
 
-def _static_contributions(node: Node, acc: dict[str, list[tuple[int, str]]]) -> None:
-    if isinstance(node, FormulaBlock):
-        return
-    if isinstance(node, FormGroup):
-        for m in node.members:
-            _static_contributions(m, acc)
-        for b in node.body:
-            _static_contributions(b, acc)
-        return
-    for target, weight in node.contributes:
-        acc.setdefault(target, []).append((weight, node.index))
-    for b in node.body:
-        _static_contributions(b, acc)
+def _table(spec: ComputationSpec, loops: list[EnumNode], where: dict[str, int]):
+    """The root's recovery table as rows of (point position, constant,
+    (weight, loop position) pairs, source position or -1, block)."""
+    rows = []
+    for step in recovery(spec, loops):
+        if step.const is not None:
+            rows.append((where[step.index], step.const, (), -1, 1))
+        elif step.source is not None:
+            rows.append((where[step.index], 0, (), where[step.source], step.block))
+        else:
+            base = sum(w * loops[p].digit_base for w, p in step.digits)
+            rows.append((where[step.index], base, step.digits, -1, 1))
+    return rows
 
 
-def _lattice(
-    spec: ComputationSpec,
-    contributions: dict[str, list[tuple[int, str]]],
-    digits: dict[str, int],
-) -> dict[str, int] | None:
-    point: dict[str, int] = {}
-    for name, pairs in contributions.items():
-        point[name] = sum(w * digits[var] for w, var in pairs)
-    binds = [g for g in spec.domain if isinstance(g, BlockBind)]
-    pending = [b for b in binds if b.index not in point]
-    for _ in range(len(pending) + 1):
-        rest = []
-        for b in pending:
-            if b.source in point:
-                point[b.index] = point[b.source] // b.block
-            else:
-                rest.append(b)
-        pending = rest
-    if pending:
-        return None
-    return point
+def _time_digits(chain: list[EnumNode | FormGroup]):
+    """Per loop of the chain, the time one unit of its digit adds (a
+    group's members count its slot in mixed radix); per node, the span
+    of loops whose sum is its offset; and the converted loops, whose
+    nonzero digits raise a visit's level."""
+    scales: list[int] = []
+    spans: list[tuple[int, int]] = []
+    converted: list[int] = []
+    for n in chain:
+        if isinstance(n, FormGroup):
+            scale, member = n.slot_step, []
+            for m in reversed(n.members):
+                member.append(scale)
+                scale *= m.count
+            spans.append((len(scales), len(scales) + len(member)))
+            scales.extend(reversed(member))
+        else:
+            if n.converted:
+                converted.append(len(scales))
+            spans.append((len(scales), len(scales) + 1))
+            scales.append(n.step)
+    return scales, spans, converted
 
 
 def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
-    """Depth-first walk of the nest in loop order.
+    """Count through each root's loop digits as one mixed-radix number.
 
-    Skips points the tree's guards exclude; appends one final record
-    for the reduction epilogue if the tree carries one.
+    A root is a single chain of loops.  ``itertools.product`` runs over
+    its digit ranges, outermost first and form-group members side by
+    side, so the innermost loop turns fastest.  Each combination is one
+    visit: the recovery table gives its index point, the tree's guards
+    may skip it, and the loops' offsets from their lower bounds give its
+    time point.  A reduction epilogue adds one final record.
     """
     spec = tree.spec
     names = spec.index_names() if spec else ()
-    records: list[VisitRecord] = []
-    max_tau = 0
+    where = {n: i for i, n in enumerate(names)}
+    guards = []
+    for g in tree.guards if spec else ():
+        if g.left not in where or not (isinstance(g.right, int) or g.right in where):
+            raise BuildError(f"guard {g.left} < {g.right} names an unknown index")
+        guards.append((where[g.left], where.get(g.right, -1), g.right))
+    rows = []
+    for copy, root in enumerate(tree.roots):
+        chain = nest(root)
+        loops = nest_loops(chain)
+        base = sum(n.lower.const for n in chain if isinstance(n, EnumNode))
+        scales, spans, converted = _time_digits(chain)
+        flat = len(spans) == len(scales)
+        table = _table(spec, loops, where) if spec else None
+        bases = tuple(l.digit_base for l in loops)
+        for ds in product(*(range(l.count) for l in loops)):
+            if table is None:
+                lattice = tuple(map(add, ds, bases))
+            else:
+                point = [0] * len(names)
+                for pos, value, pairs, source, block in table:
+                    if source >= 0:
+                        value = point[source] // block
+                    for w, p in pairs:
+                        value += w * ds[p]
+                    point[pos] = value
+                if guards and any(
+                    point[left] >= (point[right] if right >= 0 else bound)
+                    for left, right, bound in guards
+                ):
+                    continue
+                lattice = tuple(point)
+            scaled = tuple(map(mul, ds, scales))
+            offsets = scaled if flat else tuple(sum(scaled[a:b]) for a, b in spans)
+            level = sum(1 for p in converted if ds[p])
+            rows.append((offsets, lattice, sum(scaled) + base, level, copy))
 
-    def emit(
-        digits: dict[str, int],
-        offsets: list[int],
-        const_base: int,
-        levels: int,
-        copy: int,
-        contributions: dict[str, list[tuple[int, str]]],
-    ) -> None:
-        nonlocal max_tau
-        tau = sum(offsets) + const_base
-        if spec is not None:
-            point = _lattice(spec, contributions, digits)
-            if point is None:
-                raise BuildError("a block bind has no enumerated source")
-            for g in tree.guards:
-                if not g.holds(point):
-                    return
-            lattice = tuple(point[n] for n in names)
-        else:
-            lattice = tuple(digits[k] for k in digits)
-        max_tau = max(max_tau, tau)
-        records.append(
-            VisitRecord(
-                seq=len(records),
-                time_point=tuple(offsets),
-                lattice_point=lattice,
-                time_value=tau,
-                color=0,
-                level=levels,
-                copy=copy,
-            )
-        )
-
-    def walk(
-        node: Node,
-        env: dict[str, int],
-        digits: dict[str, int],
-        offsets: list[int],
-        const_base: int,
-        levels: int,
-        copy: int,
-        contributions: dict[str, list[tuple[int, str]]],
-    ) -> None:
-        if isinstance(node, FormulaBlock):
-            emit(digits, offsets, const_base, levels, copy, contributions)
-            return
-        if isinstance(node, FormGroup):
-            step = node.slot_step
-            members = node.members
-
-            def member(i: int, mixed: int) -> None:
-                if i == len(members):
-                    offsets.append(mixed * step)
-                    for b in node.body:
-                        walk(b, env, digits, offsets, const_base, levels, copy, contributions)
-                    offsets.pop()
-                    return
-                m = members[i]
-                lo = m.lower.evaluate(env)
-                for d in range(m.count):
-                    env[m.index] = lo + d * m.step
-                    digits[m.index] = d
-                    member(i + 1, mixed * m.count + d)
-                del env[m.index], digits[m.index]
-
-            member(0, 0)
-            return
-        lo = node.lower.evaluate(env)
-        base = const_base + node.lower.const
-        for var in range(lo, lo + node.extent, node.step):
-            env[node.index] = var
-            digits[node.index] = (var - lo) // node.step + node.digit_base
-            offsets.append(var - lo)
-            deeper = levels + (1 if node.converted and var != lo else 0)
-            for b in node.body:
-                walk(b, env, digits, offsets, base, deeper, copy, contributions)
-            offsets.pop()
-        del env[node.index], digits[node.index]
-
-    for ci, entry in enumerate(tree.roots):
-        if isinstance(entry, UnfoldCopy):
-            body = entry.body
-            copy = ci
-        else:
-            body = (entry,)
-            copy = ci
-        contributions: dict[str, list[tuple[int, str]]] = {}
-        for n in body:
-            _static_contributions(n, contributions)
-        for n in body:
-            walk(n, {}, {}, [], 0, 0, copy, contributions)
-
+    last = max((row[2] for row in rows), default=0)
     if tree.clock is not None:
         bits = log2_exact(tree.clock.states)
         unit = tree.clock.unit_scale
     else:
-        span = 1
-        while span <= max_tau:
-            span *= 2
-        bits = log2_exact(span) if span > 1 else 1
+        bits = max(last.bit_length(), 1)
         unit = 1
-    colored = [
-        VisitRecord(
-            seq=r.seq,
-            time_point=r.time_point,
-            lattice_point=r.lattice_point,
-            time_value=r.time_value,
-            color=color_of(r.time_value // unit, bits),
-            level=r.level,
-            copy=r.copy,
-        )
-        for r in records
+    records = [
+        VisitRecord(seq, offsets, lattice, tau, color_of(tau // unit, bits), level, copy)
+        for seq, (offsets, lattice, tau, level, copy) in enumerate(rows)
     ]
     if tree.epilogue:
-        colored.append(
+        records.append(
             VisitRecord(
-                seq=len(colored),
+                seq=len(records),
                 time_point=(),
                 lattice_point=(),
-                time_value=max_tau + unit,
+                time_value=last + unit,
                 color=0,
                 level=0,
-                copy=0,
                 epilogue=True,
             )
         )
     return VisitTrace(
-        records=tuple(colored), tree=tree, names=tuple(names), color_bits=bits
+        records=tuple(records), tree=tree, names=tuple(names), color_bits=bits
     )
 
 

@@ -18,8 +18,6 @@ Statements:
 * ``domain A < B;``  restrict the index space to points with A < B.
 * ``domain A = B / n;``  bind A to the n-sized block number of B.
 * ``temp name, ...;``  mark arrays as scratch storage.
-* ``initial`` before a formula: reads of the written array refer to
-  the values held before the whole pass started.
 * ``when A=v, ...`` after the operands: the formula only fires at
   points where the named indexes hold the given values.
 """
@@ -72,7 +70,6 @@ class Formula:
     op: str  # "=" or "+="
     terms: tuple[Term, ...]
     when: tuple[tuple[str, int], ...] = ()
-    initial_reads: bool = False
 
     def arrays_read(self) -> set[str]:
         return {a.name for t in self.terms for a in t.accesses}
@@ -124,7 +121,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<COMMENT>#[^\n]*)|(?P<WS>\s+)"
 )
 
-_KEYWORDS = {"space", "domain", "temp", "initial", "when"}
+_KEYWORDS = {"space", "domain", "temp", "when"}
 
 
 @dataclass(frozen=True)
@@ -267,10 +264,6 @@ class _Parser:
     # formulas --------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        initial = False
-        if self.at("initial"):
-            self.next()
-            initial = True
         result = self.parse_access()
         tok = self.next()
         if tok.text not in ("=", "+="):
@@ -293,7 +286,6 @@ class _Parser:
             op=op,
             terms=tuple(terms),
             when=tuple(when),
-            initial_reads=initial,
         )
 
     def parse_when_pair(self) -> tuple[str, int]:
@@ -384,8 +376,7 @@ def render_term(term: Term, subst: Mapping[str, str] | None = None) -> str:
 
 
 def render_formula(formula: Formula, subst: Mapping[str, str] | None = None) -> str:
-    text = "initial " if formula.initial_reads else ""
-    text += f"{render_access(formula.result, subst)} {formula.op} "
+    text = f"{render_access(formula.result, subst)} {formula.op} "
     text += " + ".join(render_term(t, subst) for t in formula.terms)
     if formula.when:
         text += " when " + ", ".join(f"{n}={v}" for n, v in formula.when)

@@ -15,7 +15,8 @@ order.  The stream is one ``array('q')`` of records:
   ``ASSIGN``, ``ADD``, or ``SKIP`` when no term stays on its arrays.
 
 A read names the bank slot once its cell is banked, except an
-accumulation's read of its own target.  A term with an operand off its
+accumulation's read of its own target and a read of a cell an earlier
+formula at the same visit wrote.  A term with an operand off its
 array adds nothing; it keeps its other reads under coefficient 0, so
 the checks still see every read the spec names.
 """
@@ -188,6 +189,7 @@ def lower(
 
     def visit(point: tuple[int, ...], formulas, first: int) -> None:
         codes.append(VISIT)
+        local = set()  # cells this visit has written: read live, not banked
         for fi, (when, add, result, terms) in enumerate(formulas, first):
             if when and any(point[p] != v for p, v in when):
                 continue
@@ -204,10 +206,12 @@ def lower(
                 else:
                     kind = ADD if add else ASSIGN
                 if bank:
-                    reads = [r if add and r == write else bank.get(r, r) for r in reads]
+                    reads = [r if add and r == write or r in local else bank.get(r, r)
+                             for r in reads]
                 record += (cid, len(reads), *reads)
             record[0] = fi << 2 | kind
             codes.extend(record)
+            local.add(write)
 
     body = compiled(spec.formulas, spec.index_names())
     for point in points:

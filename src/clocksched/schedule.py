@@ -4,8 +4,9 @@ The builder turns a spec plus a clock and a graduation mapping into a
 nest of counting loops.  Each loop advances a power-of-two step inside
 the bounds set by its parent, so the innermost variable sweeps the
 whole time span while outer variables mark coarser graduations.  Loop
-variables are divided back by their steps to recover index values, and
-guards cut the enumeration down to the spec's domain.
+variables are divided back by their steps to recover index values (one
+``recovery`` table per root, shared by the enumerator and the emitter),
+and guards cut the enumeration down to the spec's domain.
 
 Rewrites that make reordering safe live here too: permutation cycles
 get a block-bound scratch index and a save/swap/restore triple,
@@ -127,10 +128,8 @@ class Guard:
 
 @dataclass(frozen=True)
 class FormulaBlock:
-    """Leaf: formula indexes into the tree's spec, or None for a bare
-    time skeleton whose body is the offset tuple itself."""
-
-    formulas: tuple[int, ...] | None = None
+    """Leaf: every formula of the tree's spec, or for a bare time
+    skeleton (no spec) the offset tuple itself."""
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,10 @@ Node = EnumNode | FormGroup | FormulaBlock
 
 @dataclass(frozen=True)
 class UnfoldCopy:
-    fixed: tuple[tuple[str, int], ...]
+    """One side-by-side copy; its loops recover every index, the
+    unfolded one included, like any other root's."""
+
     body: tuple[Node, ...]
-    independent: bool = True
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def time_skeleton(clock: Clock, prefix: str = "T") -> ScheduleTree:
     so the time value of a visit is the plain sum of the variables.
     """
     names = _level_names(clock.k, prefix)
-    node: Node = FormulaBlock(None)
+    node: Node = FormulaBlock()
     step = clock.unit_scale
     for name in reversed(names):
         node = EnumNode(
@@ -258,25 +258,99 @@ def time_skeleton(clock: Clock, prefix: str = "T") -> ScheduleTree:
     return ScheduleTree(roots=(node,), clock=clock)
 
 
-def _chain(nodes: Sequence[EnumNode], leaf: Node) -> Node:
+def _chain(nodes: Sequence[EnumNode | FormGroup], leaf: Node) -> Node:
     built = leaf
     for n in reversed(nodes):
         built = replace(n, body=(built,))
     return built
 
 
-def _walk_chain(root: Node) -> list[Node]:
-    """Nest as a list, outermost first, ending with the leaf."""
-    out: list[Node] = []
-    node: Node = root
+def nest(root: Node | UnfoldCopy) -> list[EnumNode | FormGroup]:
+    """A root's loops and groups, outermost first.  Every schedule is a
+    single chain down to one leaf; any other shape is refused, naming
+    the loop where it branches or stops."""
+    chain: list[EnumNode | FormGroup] = []
+    body = root.body if isinstance(root, UnfoldCopy) else (root,)
+    owner = "an unfold copy"
     while True:
-        out.append(node)
-        if isinstance(node, FormulaBlock):
-            return out
-        body = node.body
         if len(body) != 1:
-            raise BuildError("convolution only applies to a simple nest")
+            raise BuildError(f"{owner} holds {len(body)} nodes; a nest is one chain of loops")
         node = body[0]
+        if isinstance(node, FormulaBlock):
+            return chain
+        chain.append(node)
+        body = node.body
+        if isinstance(node, FormGroup):
+            owner = "group [" + ",".join(m.index for m in node.members) + "]"
+        else:
+            owner = f"loop {node.index}"
+
+
+def nest_loops(chain: Sequence[EnumNode | FormGroup]) -> list[EnumNode]:
+    """The chain's loops, outermost first, group members in order."""
+    return [m for n in chain for m in (n.members if isinstance(n, FormGroup) else (n,))]
+
+
+@dataclass(frozen=True)
+class Recovered:
+    """How one spec index is read back within a root: ``const``, or the
+    earlier index ``source`` divided by ``block``, or else the sum of
+    ``weight * digit`` over ``digits``, (weight, loop position) pairs in
+    ascending weight.  A loop's digit is its offset from its lower bound
+    over its step, plus its ``digit_base``."""
+
+    index: str
+    digits: tuple[tuple[int, int], ...] = ()
+    source: str | None = None
+    block: int = 1
+    const: int | None = None
+
+
+def recovery(spec: ComputationSpec, loops: Sequence[EnumNode]) -> tuple[Recovered, ...]:
+    """The one table that recovers index values from a root's loops
+    (``nest_loops`` of its chain); each step reads only earlier steps.
+
+    Contributed digits stack positionally; an index without digits
+    divides its block bind's source.  An index that takes one value over
+    the root's digit ranges is that constant: digits of loops that each
+    count once, a division whose source's least and greatest values fall
+    in one block, and an unmapped index of extent 1 (0).
+    """
+    contributions: dict[str, list[tuple[int, int]]] = {}
+    for p, loop in enumerate(loops):
+        for target, weight in loop.contributes:
+            contributions.setdefault(target, []).append((weight, p))
+    binds = _bound_sources(spec)
+    sizes = dict(spec.index_sizes())
+    steps: list[Recovered] = []
+    ranges: dict[str, tuple[int, int]] = {}  # least and greatest value
+
+    def add(name: str, lo: int, hi: int, step: Recovered) -> None:
+        ranges[name] = (lo, hi)
+        steps.append(Recovered(name, const=lo) if lo == hi else step)
+
+    for name in spec.index_names():
+        if name in contributions:
+            pairs = tuple(sorted(contributions[name]))
+            lo = sum(w * loops[p].digit_base for w, p in pairs)
+            hi = lo + sum(w * (loops[p].count - 1) for w, p in pairs)
+            add(name, lo, hi, Recovered(name, digits=pairs))
+        elif name not in binds and sizes[name] == 1:
+            add(name, 0, 0, Recovered(name, const=0))
+    pending = [b for b in binds.values() if b.index not in ranges]
+    while pending:
+        ready = [b for b in pending if b.source in ranges]
+        if not ready:
+            b = pending[0]
+            raise BuildError(f"index {b.index} divides {b.source}, which no loop recovers")
+        for b in ready:
+            lo, hi = ranges[b.source]
+            add(b.index, lo // b.block, hi // b.block, Recovered(b.index, source=b.source, block=b.block))
+        pending = [b for b in pending if b.index not in ranges]
+    for name in spec.index_names():
+        if name not in ranges:
+            raise BuildError(f"index {name} is not recovered by any loop")
+    return tuple(steps)
 
 
 def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
@@ -290,28 +364,25 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
     """
     if len(tree.roots) != 1 or isinstance(tree.roots[0], UnfoldCopy):
         raise BuildError("convolutions apply before unfolding")
-    chain = _walk_chain(tree.roots[0])
-    depth = len(chain) - 1
+    chain = nest(tree.roots[0])
+    depth = len(chain)
     if not 0 <= levels <= depth - 1:
         raise BuildError(f"cannot convert {levels} levels in a nest of depth {depth}")
-    leaf = chain[-1]
     rebuilt: list[EnumNode] = []
     parent_name: str | None = None
-    renames: dict[str, str] = {}
-    for i, node in enumerate(chain[:-1]):
-        assert isinstance(node, EnumNode)
+    for i, node in enumerate(chain):
+        if not isinstance(node, EnumNode):
+            raise BuildError("convolutions apply to a nest without form groups")
         convert = 1 <= i <= levels
         name = node.index
         if convert and node.synthetic and not name.endswith("N"):
             name = name + "N"
-        if name != node.index:
-            renames[node.index] = name
         lower = Affine.var(parent_name) if convert and parent_name else Affine()
         rebuilt.append(
             replace(node, index=name, lower=lower, converted=convert, body=())
         )
         parent_name = name
-    root = _chain(rebuilt, leaf)
+    root = _chain(rebuilt, FormulaBlock())
     return replace(tree, roots=(root,))
 
 
@@ -354,7 +425,7 @@ def compose_skeleton(factors: Sequence[Clock]) -> ScheduleTree:
             )
             step //= clock.rate
         prev_inner = nodes[-1].index
-    root = _chain(nodes, FormulaBlock(None))
+    root = _chain(nodes, FormulaBlock())
     return ScheduleTree(roots=(root,), clock=factors[0] if factors else None)
 
 
@@ -630,10 +701,7 @@ def map_indexes(
             parent = slot[0].name
     if isinstance(nodes[0], EnumNode) and nodes[0].extent != clock.span:
         raise BuildError("outermost loop does not sweep the clock span")
-    leaf = FormulaBlock(tuple(range(len(spec.formulas))))
-    built: Node = leaf
-    for n in reversed(nodes):
-        built = replace(n, body=(built,))
+    built = _chain(nodes, FormulaBlock())
     guards = tuple(
         Guard(g.left, g.right) for g in spec.domain if isinstance(g, LessThan)
     )
@@ -732,22 +800,6 @@ def _scalar_accumulator(spec: ComputationSpec) -> int | None:
     return None
 
 
-def _substitute_node(node: Node, bindings: Mapping[str, int]) -> Node:
-    if isinstance(node, FormulaBlock):
-        return node
-    if isinstance(node, FormGroup):
-        return replace(
-            node,
-            members=tuple(_substitute_node(m, bindings) for m in node.members),
-            body=tuple(_substitute_node(b, bindings) for b in node.body),
-        )
-    return replace(
-        node,
-        lower=node.lower.substitute(bindings),
-        body=tuple(_substitute_node(b, bindings) for b in node.body),
-    )
-
-
 def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
     spec = tree.spec
     assert spec is not None
@@ -839,7 +891,7 @@ def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
             digit_base=b * group,
             body=root.body,
         )
-        out.append(UnfoldCopy(fixed=((name, b),), body=(narrowed,)))
+        out.append(UnfoldCopy(body=(narrowed,)))
     return replace(tree, roots=tuple(out))
 
 
@@ -963,8 +1015,7 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
         for d in spec1.indexes
         if d.name not in bound
     ]
-    leaf = FormulaBlock(tuple(range(len(spec1.formulas))))
-    root = _chain(nodes, leaf)
+    root = _chain(nodes, FormulaBlock())
     guards = tuple(
         Guard(g.left, g.right) for g in spec1.domain if isinstance(g, LessThan)
     )

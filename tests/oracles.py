@@ -98,3 +98,56 @@ def plain_bfs(edges: list[tuple[int, int]], start: int = 0) -> list[int]:
 
 def lex_points(sizes: list[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(s) for s in sizes)))
+
+
+def document_visits(doc: dict):
+    """Every visit a schedule document's nests make, by brute force:
+    ``(root position, time point, loop variables)`` in loop order.
+
+    Works on the JSON form (``schedule_to_json``), walking each node as
+    written.  A loop evaluates its lower bound from the enclosing loop
+    variables and steps its variable up to lower + extent; its time
+    offset is the variable's distance from that bound.  A group runs
+    the product of its members, first member outermost, and its offset
+    is the position in that product times the slot step.  Guards are
+    not applied.
+    """
+    for position, root in enumerate(doc["roots"]):
+        nodes = root["body"] if root["kind"] == "copy" else [root]
+        for offsets, env in _visits(nodes, {}, ()):
+            yield position, offsets, env
+
+
+def _lower(node: dict, env: dict[str, int]) -> int:
+    bound = node["lower"]
+    return sum(c * env[n] for n, c in bound["terms"]) + bound["const"]
+
+
+def _visits(nodes: list[dict], env: dict[str, int], offsets: tuple[int, ...]):
+    for node in nodes:
+        if node["kind"] == "block":
+            yield offsets, dict(env)
+        elif node["kind"] == "loop":
+            lo = _lower(node, env)
+            for var in range(lo, lo + node["extent"], node["step"]):
+                env[node["index"]] = var
+                yield from _visits(node["body"], env, offsets + (var - lo,))
+            del env[node["index"]]
+        else:
+            members = node["members"]
+            ranges = []
+            for m in members:
+                lo = _lower(m, env)
+                ranges.append(range(lo, lo + m["extent"], m["step"]))
+            for slot, values in enumerate(itertools.product(*ranges)):
+                env.update((m["index"], v) for m, v in zip(members, values))
+                offset = slot * node["slot_step"]
+                yield from _visits(node["body"], env, offsets + (offset,))
+            for m in members:
+                del env[m["index"]]
+
+
+def evaluate(text: str, env: dict[str, int]) -> int:
+    """An emitted index expression at the given loop variables, reading
+    ``/`` as floor division."""
+    return eval(text.replace("/", "//"), {"__builtins__": {}}, dict(env))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_parse_syntax_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "parse", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_parse_refuses_the_removed_initial_keyword(capsys, tmp_path):
+    bad = tmp_path / "initial.spec"
+    bad.write_text("space I[2]; initial b(I) = a(I);\n")
+    code, out, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -116,6 +127,18 @@ def test_transform_convolutions_flag(tmp_path, capsys):
     assert "for (N=M;" in out
 
 
+def test_transform_refuses_to_convolve_a_form_group(tmp_path, capsys):
+    spec = tmp_path / "matmul.spec"
+    spec.write_text(cases.MATMUL)
+    code, out, err = run(
+        capsys, "transform", str(spec), "--clock", "3x2",
+        "--map", "K=8,I=4,J=4", "--convolutions", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: convolutions apply to a nest without form groups\n"
+
+
 def test_transform_rejects_infeasible_budget(tmp_path, capsys):
     spec = tmp_path / "t.spec"
     spec.write_text(cases.TRANSPOSE)
@@ -135,6 +158,12 @@ def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
     assert "below the minimal 4 cells" in err
 
 
+def _with_root_body(doc: dict, copies: int) -> dict:
+    """The document with its root loop's one child repeated ``copies`` times."""
+    root = doc["roots"][0]
+    return {**doc, "roots": [{**root, "body": root["body"] * copies}]}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -147,6 +176,8 @@ def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
             lambda doc: {**doc, "plan": {**doc["plan"], "snapshot_locs": [["a", ["x"]]]}},
             "field 'plan' is malformed",
         ),
+        (lambda doc: _with_root_body(doc, 2), "loop I holds 2 nodes"),
+        (lambda doc: _with_root_body(doc, 0), "loop I holds 0 nodes"),
     ],
     ids=[
         "bare-header",
@@ -155,6 +186,8 @@ def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
         "roots-not-a-list",
         "source-not-text",
         "snapshot-cell-not-integer",
+        "loop-branches",
+        "loop-without-body",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -166,6 +199,69 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
     assert out == ""
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_emit_refuses_a_branching_nest(tmp_path, capsys):
+    path = transform(tmp_path, capsys, cases.MATMUL)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_root_body(json.loads(open(path).read()), 2)))
+    code, out, err = run(capsys, "emit", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "loop I holds 2 nodes" in err
+
+
+def test_emit_prints_every_formula_the_checks_run(tmp_path, capsys):
+    path = transform(
+        tmp_path, capsys,
+        "space I[2], J[2], K[2];\na(I,J) += b(I,K)*c(K,J);\nd(I,J) = b(I,J);\n",
+    )
+    doc = json.loads(open(path).read())
+    leaf = doc["roots"][0]
+    while leaf["kind"] != "block":
+        (leaf,) = leaf["body"]
+    leaf["formulas"] = [0]  # what older documents stored; no longer read
+    open(path, "w").write(json.dumps(doc))
+    code, out, _ = run(capsys, "emit", path)
+    assert code == 0
+    assert out.endswith(
+        "      a(I/4,(J-I)/2) += b(I/4,K-J)*c(K-J,(J-I)/2)\n"
+        "      d(I/4,(J-I)/2) = b(I/4,(J-I)/2)\n"
+    )
+
+
+def test_unfolded_transpose_emits_the_scratch_cells_it_verifies(tmp_path, capsys):
+    path = transform(
+        tmp_path, capsys, "space I[64], J[64];\na(I,J) = a(J,I);\n",
+        "--clock", "12x2", "--map", "I=4096,J=64", "--temp-budget", "2", "--unfold", "T=4",
+    )
+    code, out, _ = run(capsys, "emit", path)
+    assert code == 0
+    copies = out.split("\n\n")
+    # two scratch cells, each shared by the two copies whose rows it blocks
+    assert [sorted(set(re.findall(r"tmp\(\w+\)", c))) for c in copies] == [
+        ["tmp(0)"], ["tmp(0)"], ["tmp(1)"], ["tmp(1)"],
+    ]
+    code, out, _ = run(capsys, "verify", path, "--trials", "1")
+    assert code == 0 and "verdict: pass" in out
+
+
+def test_unfold_over_the_root_index_keeps_every_row(tmp_path, capsys):
+    path = transform(
+        tmp_path, capsys, "space I[4], J[2];\nr(I,J) += b(I,J);\n",
+        "--order", "I,J", "--unfold", "I=2",
+    )
+    code, out, _ = run(capsys, "emit", path)
+    assert code == 0
+    assert out == (
+        "for (I=0;I<4;I+=2)\n"
+        "  for (J=I;J<I+2;J+=1)\n"
+        "    r(I/2,J-I) += b(I/2,J-I)\n"
+        "\n"
+        "for (I=4;I<8;I+=2)\n"
+        "  for (J=I;J<I+2;J+=1)\n"
+        "    r(((I-4)/2+2),J-I) += b(((I-4)/2+2),J-I)\n"
+    )
 
 
 def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_guard_lines_indent_progressively():
 
 
 def test_count_one_loop_folds_to_a_constant():
-    # each unfolded copy pins its half of the outer digit range
+    # within each unfolded copy TMP, and so s(TMP), is one constant
     text = emit(cases.accumulator_tree())
     assert "s(0)" in text and "s(1)" in text
     assert "a(0," in text and "a(1," in text

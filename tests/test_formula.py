@@ -73,10 +73,9 @@ def test_parse_int_bound_guard():
 def test_parse_when_and_initial():
     spec = parse_spec(
         "space I[2], J[2];\n"
-        "initial b(I,J) = a(I,J) when I=1, J=0;\n"
+        "b(I,J) = a(I,J) when I=1, J=0;\n"
     )
     (f,) = spec.formulas
-    assert f.initial_reads
     assert f.when == (("I", 1), ("J", 0))
     fired = [visit for visit, *_ in lower(spec, [(1, 0), (0, 0)]).applications()]
     assert fired == [0]  # the formula fires at I=1, J=0 only
@@ -89,7 +88,7 @@ def test_print_parse_round_trip():
         "space I[4], J[4], T[2];\ndomain J < I;\ndomain T = I / 2;\n"
         "temp tmp;\ntmp(T) = a(I,J);\na(I,J) = a(J,I);\na(J,I) = tmp(T);\n",
         "space I[8];\ndomain I < 5;\nb(I) = 2*a(I+1) + 1;\n",
-        "space I[2];\ninitial b(I) = a(I) when I=1;\n",
+        "space I[2];\nb(I) = a(I) when I=1;\n",
     ]
     for source in sources:
         spec = parse_spec(source)

@@ -9,6 +9,9 @@ any counterexample to a minimal spec and mapping.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clocksched.clock import (
@@ -22,7 +25,7 @@ from clocksched.clock import (
     log2_exact,
     make_clock,
 )
-from clocksched.emit import emit, schedule_from_json, schedule_to_json
+from clocksched.emit import emit, schedule_from_json, schedule_to_json, value_texts
 from clocksched.engine import enumerate_schedule
 from clocksched.formula import (
     ArrayAccess,
@@ -42,6 +45,8 @@ from clocksched.formula import (
 from clocksched.schedule import (
     apply_convolutions,
     build_schedule,
+    nest,
+    nest_loops,
     next_power_of_two,
     sequential_schedule,
     time_skeleton,
@@ -190,13 +195,7 @@ def rich_specs(draw):
     when = ()
     if draw(st.booleans()):
         when = ((names[0], draw(st.integers(0, 1))),)
-    formulas[0] = Formula(
-        result=f.result,
-        op=f.op,
-        terms=tuple(terms),
-        when=when,
-        initial_reads=draw(st.booleans()),
-    )
+    formulas[0] = Formula(result=f.result, op=f.op, terms=tuple(terms), when=when)
     if draw(st.booleans()):
         domain = domain + (BlockBind("T", names[0], draw(st.sampled_from([1, 2, 4]))),)
         return ComputationSpec(
@@ -250,26 +249,54 @@ def test_sequential_trace_interprets_like_the_reference(spec, seed):
 
 @st.composite
 def built_schedules(draw):
-    spec = draw(builder_specs())
-    sizes = dict(spec.index_sizes())
-    order = list(draw(st.permutations([d.name for d in spec.indexes])))
-    padded = [next_power_of_two(sizes[nm]) for nm in order]
-    convolutions = draw(st.sampled_from([None] + list(range(len(order)))))
-    if draw(st.booleans()) and all(p >= 2 for p in padded):
-        total = 1
-        for p in padded:
-            total *= p
-        clock = make_clock(log2_exact(total))
-        extents = {}
-        running = clock.span
-        for nm, p in zip(order, padded):
-            extents[nm] = running
-            running //= p
-        tree = build_schedule(
-            spec, clock=clock, assignment=extents, convolutions=convolutions
+    """A random spec on a random mapping, perhaps with a form group,
+    sometimes unfolded: over the root's own index, over a scalar
+    accumulator's TMP, or for an in-place transpose over its scratch
+    index T, with as many copies as the scratch is wide, fewer or more."""
+    kind = draw(st.sampled_from(["plain", "transpose", "accumulator"]))
+    if kind == "transpose":
+        n = draw(st.sampled_from([2, 4, 8]))
+        spec = parse_spec(f"space I[{n}], J[{n}];\na(I,J) = a(J,I);\n")
+        options = dict(
+            clock=make_clock(log2_exact(n * n)),
+            assignment={"I": n * n, "J": n},
+            budget=draw(st.sampled_from([None, 1, 2, 4])),
+            convolutions=draw(st.sampled_from([None, 0, 1])),
         )
+        over = ["T"]
     else:
-        tree = build_schedule(spec, order=order, convolutions=convolutions)
+        spec = draw(builder_specs())
+        if kind == "accumulator":
+            f = spec.formulas[0]
+            spec = replace(spec, formulas=(replace(f, result=ArrayAccess("S", ()), op="+="),))
+        sizes = dict(spec.index_sizes())
+        order = list(draw(st.permutations([d.name for d in spec.indexes])))
+        padded = [next_power_of_two(sizes[nm]) for nm in order]
+        options = dict(convolutions=draw(st.sampled_from([None] + list(range(len(order))))))
+        if draw(st.booleans()) and all(p >= 2 for p in padded):
+            total = 1
+            for p in padded:
+                total *= p
+            options["clock"] = make_clock(log2_exact(total))
+            extents = {}
+            running = options["clock"].span
+            for nm, p in zip(order, padded):
+                extents[nm] = running
+                running //= p
+            if len(order) == 3 and draw(st.booleans()):
+                # the inner two share one graduation: a form group
+                extents[order[2]] = extents[order[1]]
+                options["convolutions"] = None
+            options["assignment"] = extents
+        else:
+            options["order"] = order
+        over = [order[0]] + (["TMP"] if kind == "accumulator" else [])
+    tree = build_schedule(spec, **options)
+    widths = [c for c in (2, 4, 8) if tree.roots[0].count % c == 0]
+    name = draw(st.one_of(st.none(), st.sampled_from(over)))
+    if name is not None and widths:
+        copies = draw(st.sampled_from(widths))
+        tree = build_schedule(spec, unfold_over=(name, copies), **options)
     return spec, tree
 
 
@@ -296,3 +323,51 @@ def test_random_schedules_emit_and_serialize(spec_tree):
     assert text.startswith("for (")
     assert text.endswith("\n")
     assert schedule_from_json(schedule_to_json(tree)) == tree
+
+
+# -- one recovery, checked against a brute-force walk ------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(built_schedules())
+def test_enumeration_visits_in_the_oracle_order(spec_tree):
+    _, tree = spec_tree
+    tree = replace(tree, guards=())
+    visits = oracles.document_visits(schedule_to_json(tree))
+    records = [r for r in enumerate_schedule(tree).records if not r.epilogue]
+    assert [(r.copy, r.time_point) for r in records] == [
+        (root, offsets) for root, offsets, _ in visits
+    ]
+
+
+def assert_texts_give_the_trace(tree):
+    """Run the oracle's walk, evaluate each emitted index text at every
+    visit, apply the guards, and demand exactly the trace's records."""
+    trace = enumerate_schedule(tree)
+    texts = [value_texts(tree.spec, nest_loops(nest(root))) for root in tree.roots]
+    visited = []
+    for root, offsets, env in oracles.document_visits(schedule_to_json(tree)):
+        point = {n: oracles.evaluate(text, env) for n, text in texts[root].items()}
+        if all(g.holds(point) for g in tree.guards):
+            visited.append((root, offsets, tuple(point[n] for n in trace.names)))
+    records = [r for r in trace.records if not r.epilogue]
+    assert [(r.copy, r.time_point, r.lattice_point) for r in records] == visited
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(built_schedules())
+def test_emitted_index_texts_give_the_traced_points(spec_tree):
+    assert_texts_give_the_trace(spec_tree[1])
+
+
+@pytest.mark.parametrize("copies", [2, 4, 8], ids=["below", "equal", "above"])
+def test_transpose_unfold_around_the_scratch_width(copies):
+    src = "space I[8], J[8];\na(I,J) = a(J,I);\n"
+    tree = build_schedule(
+        src, clock=make_clock(6), assignment={"I": 64, "J": 8}, budget=4,
+        unfold_over=("T", copies),
+    )
+    assert tree.plan.width == 4 and len(tree.roots) == copies
+    assert_texts_give_the_trace(tree)
+    trace = enumerate_schedule(tree)
+    assert check_coverage(trace).ok and check_dependencies(trace).ok
+    assert equivalent(tree, sequential_schedule(src), trials=2).ok

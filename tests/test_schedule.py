@@ -13,6 +13,7 @@ from clocksched.schedule import (
     FormGroup,
     FormulaBlock,
     Guard,
+    Recovered,
     TempBudgetError,
     UnfoldCopy,
     UnsupportedRewriteError,
@@ -21,8 +22,11 @@ from clocksched.schedule import (
     mapping_from_assignment,
     mapping_from_order,
     map_indexes,
+    nest as root_chain,
+    nest_loops,
     next_power_of_two,
     pad_and_guard,
+    recovery,
     sequential_schedule,
     time_skeleton,
     unfold,
@@ -325,12 +329,17 @@ def test_accumulating_permutation_is_refused():
 
 # -- unfolding ---------------------------------------------------------------
 
+def _recovered(tree, root):
+    return {step.index: step for step in recovery(tree.spec, nest_loops(root_chain(root)))}
+
+
 def test_unfold_narrows_outer_loop():
     tree = cases.transpose_unfold_tree()
     assert len(tree.roots) == 2
     for b, copy in enumerate(tree.roots):
         assert isinstance(copy, UnfoldCopy)
-        assert copy.fixed == (("T", b),)
+        # rows 2b and 2b+1 share scratch block b, so T reads as a constant
+        assert _recovered(tree, copy)["T"] == Recovered("T", const=b)
         (outer,) = copy.body
         assert outer.lower == Affine.of(8 * b)
         assert outer.extent == 8
@@ -364,7 +373,10 @@ def test_unfold_scalar_accumulator():
     assert f.result.name == "s" and f.op == "+="
     (ep,) = tree.epilogue
     assert ep.op == "+=" and ep.result.name == "S"
-    assert [c.fixed for c in tree.roots] == [(("TMP", 0),), (("TMP", 1),)]
+    assert [_recovered(tree, c)["TMP"] for c in tree.roots] == [
+        Recovered("TMP", const=0),
+        Recovered("TMP", const=1),
+    ]
 
 
 def test_unfold_accumulator_needs_scalar_target():
