@@ -16,8 +16,8 @@ from .clock import make_clock
 from .emit import emit, schedule_from_json, schedule_to_json
 from .engine import enumerate_schedule, enumerate_sparse, parse_edge_list
 from .formula import SpecSyntaxError, check_legality, parse_spec, print_spec
-from .schedule import BuildError, build_schedule, sequential_schedule
-from .verify import DEFAULT_SEED, analyze, check_coverage, check_dependencies, equivalent
+from .schedule import BuildError, build_schedule
+from .verify import DEFAULT_SEED, analyze, verify_report
 
 
 def _read_text(path: str) -> str:
@@ -151,25 +151,10 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tree = _load_tree(args.schedule)
-    trace = enumerate_schedule(tree)
-    coverage = check_coverage(trace)
-    print(coverage.summary())
-    dependencies = check_dependencies(trace)
-    print(dependencies.summary())
-    ok = coverage.ok and dependencies.ok
-    if tree.source is not None or tree.spec is not None:
-        reference = sequential_schedule(
-            tree.source if tree.source is not None else tree.spec
-        )
-        eq = equivalent(trace, reference, trials=args.trials, seed=args.seed)
-        print(eq.summary())
-        ok = ok and eq.ok
-    profile = analyze(trace)
-    print(f"widths: {list(profile.widths)}")
-    print(f"colors: {dict(sorted(profile.colors.items()))}")
-    print("verdict:", "pass" if ok else "FAIL")
-    return 0 if ok else 1
+    trace = enumerate_schedule(_load_tree(args.schedule))
+    report = verify_report(trace, trials=args.trials, seed=args.seed)
+    print("\n".join(report["lines"]))
+    return 0 if report["ok"] else 1
 
 
 def _cmd_analyze(args) -> int:

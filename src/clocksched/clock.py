@@ -7,17 +7,11 @@ decreasing chain of powers of two in which every entry is ``rate`` times
 the next one.  The span is the number of time units after which the
 whole clock returns to zero.
 
-Two graduation conventions are supported by the same dataclass:
-
-* half-step clocks, built by :func:`make_clock`, whose innermost
-  graduation is ``scale * rate // 2`` (so a rate-4 clock reads
-  ``(32, 8, 2)``), and
-* positional clocks, built by :func:`cube_to_clock`, whose graduations
-  are the digit place values ``side ** i`` of a cube address.
-
-Both satisfy ``span == unit_scale * rate ** k`` and the uniform ratio
-``span // graduations[0]``, which is all the rest of the package relies
-on.
+Clocks are half-step clocks, built by :func:`make_clock`, whose
+innermost graduation is ``scale * rate // 2`` (so a rate-4 clock reads
+``(32, 8, 2)``).  They satisfy ``span == unit_scale * rate ** k`` and
+the uniform ratio ``span // graduations[0]``, which is all the rest of
+the package relies on.
 """
 
 from __future__ import annotations
@@ -109,45 +103,6 @@ def make_clock(k: int, rate: int = 2, scale: int = 1) -> Clock:
     half = rate // 2
     grads = tuple(scale * half * rate**i for i in range(k - 1, -1, -1))
     return Clock(graduations=grads, rate=rate, span=scale * rate**k)
-
-
-@dataclass(frozen=True)
-class Cube:
-    """A ``dims``-dimensional grid with power-of-two side length."""
-
-    side: int
-    dims: int
-
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.side) or self.side < 2:
-            raise ValueError(f"side must be a power of two >= 2, got {self.side}")
-        if self.dims < 1:
-            raise ValueError("dims must be at least 1")
-
-    @property
-    def points(self) -> int:
-        return self.side**self.dims
-
-
-def cube_to_clock(cube: Cube) -> Clock:
-    """Positional clock whose states address the cube row-major.
-
-    Graduations are the place values ``side**i``, so decoding a time
-    value with :func:`decode_cube_point` is a bijection onto the cube.
-    """
-    grads = tuple(cube.side**i for i in range(cube.dims - 1, -1, -1))
-    return Clock(graduations=grads, rate=cube.side, span=cube.side**cube.dims)
-
-
-def decode_cube_point(cube: Cube, value: int) -> tuple[int, ...]:
-    """Base-``side`` digits of ``value``, most significant first."""
-    if not 0 <= value < cube.points:
-        raise ValueError(f"value {value} outside cube of {cube.points} points")
-    digits = []
-    for _ in range(cube.dims):
-        value, d = divmod(value, cube.side)
-        digits.append(d)
-    return tuple(reversed(digits))
 
 
 def as_clock(clock: Clock | Iterable[int]) -> Clock:

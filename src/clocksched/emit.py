@@ -217,7 +217,10 @@ def _affine_to_json(a: Affine) -> dict:
 
 
 def _affine_from_json(doc: dict) -> Affine:
-    return Affine(tuple((n, c) for n, c in doc["terms"]), doc["const"])
+    terms = tuple(
+        (_typed(n, str, "lower term"), _typed(c, int, "lower term")) for n, c in doc["terms"]
+    )
+    return Affine(terms, _typed(doc["const"], int, "lower const"))
 
 
 def _node_to_json(node: Node | UnfoldCopy) -> dict:
@@ -253,7 +256,7 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
     if kind == "group":
         return FormGroup(
             members=tuple(_node_from_json(m) for m in doc["members"]),
-            slot_step=doc["slot_step"],
+            slot_step=_typed(doc["slot_step"], int, "slot_step"),
             body=tuple(_node_from_json(b) for b in doc["body"]),
         )
     if kind == "copy":
@@ -261,14 +264,17 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
     if kind != "loop":
         raise ValueError(f"unknown node kind {kind!r}")
     return EnumNode(
-        index=doc["index"],
-        step=doc["step"],
-        extent=doc["extent"],
+        index=_typed(doc["index"], str, "loop index"),
+        step=_typed(doc["step"], int, "step"),
+        extent=_typed(doc["extent"], int, "extent"),
         lower=_affine_from_json(doc["lower"]),
         converted=doc["converted"],
         synthetic=doc["synthetic"],
-        contributes=tuple((n, w) for n, w in doc["contributes"]),
-        digit_base=doc["digit_base"],
+        contributes=tuple(
+            (_typed(n, str, "contributes index"), _typed(w, int, "contributes weight"))
+            for n, w in doc["contributes"]
+        ),
+        digit_base=_typed(doc["digit_base"], int, "digit_base"),
         body=tuple(_node_from_json(b) for b in doc["body"]),
     )
 
@@ -277,7 +283,7 @@ def _formula_to_json(f: Formula) -> dict:
     def access(a: ArrayAccess) -> dict:
         return {
             "name": a.name,
-            "args": [[x.index, x.displacement, x.exponent] for x in a.args],
+            "args": [[x.index, x.displacement] for x in a.args],
         }
 
     return {
@@ -293,9 +299,8 @@ def _formula_to_json(f: Formula) -> dict:
 
 def _formula_from_json(doc: dict) -> Formula:
     def access(d: dict) -> ArrayAccess:
-        return ArrayAccess(
-            d["name"], tuple(Factor(i, disp, e) for i, disp, e in d["args"])
-        )
+        # older documents carry a third, always-1 exponent entry per subscript
+        return ArrayAccess(d["name"], tuple(Factor(i, disp) for i, disp, *_ in d["args"]))
 
     return Formula(
         result=access(doc["result"]),
@@ -350,8 +355,6 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     doc["plan"] = {
         "kind": tree.plan.kind,
         "locations": tree.plan.locations,
-        "width": tree.plan.width,
-        "array": tree.plan.array,
         "snapshot_locs": [[n, list(loc)] for n, loc in tree.plan.snapshot_locs],
         "slots": list(tree.plan.slots),
         "minimal": tree.plan.minimal,
@@ -385,18 +388,23 @@ def _plan_from_json(p: dict) -> TempPlan:
     return TempPlan(
         kind=p["kind"],
         locations=p["locations"],
-        width=p["width"],
-        array=p["array"],
         snapshot_locs=locs,
         slots=tuple(p["slots"]),
         minimal=p["minimal"],
     )
 
 
-def _text(value: str | None) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"expected text, got {type(value).__name__}")
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (a bool is no integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {'an integer' if kind is int else 'text'}, got {value!r}")
     return value
+
+
+def _guard_from_json(left, right) -> Guard:
+    if type(right) is not int:
+        _typed(right, str, "guard right side")
+    return Guard(_typed(left, str, "guard left side"), right)
 
 
 # ScheduleTree field -> parser of its JSON value
@@ -405,11 +413,11 @@ _TREE_FIELDS = {
     "clock": lambda c: None if c is None else Clock(
         tuple(c["graduations"]), c["rate"], c["span"]
     ),
-    "spec": lambda text: None if _text(text) is None else parse_spec(text),
-    "source": _text,
+    "spec": lambda text: None if text is None else parse_spec(_typed(text, str, "spec")),
+    "source": lambda text: None if text is None else _typed(text, str, "source"),
     "mapping": lambda m: None if m is None else _mapping_from_json(m),
     "plan": _plan_from_json,
-    "guards": lambda guards: tuple(Guard(l, r) for l, r in guards),
+    "guards": lambda guards: tuple(_guard_from_json(l, r) for l, r in guards),
     "epilogue": lambda formulas: tuple(_formula_from_json(f) for f in formulas),
 }
 

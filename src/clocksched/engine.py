@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .clock import Clock, clock_points, color_of, log2_exact
 from .formula import ComputationSpec
@@ -29,6 +31,9 @@ from .schedule import (
     nest_loops,
     recovery,
 )
+
+if TYPE_CHECKING:
+    from .lower import Stream
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,23 @@ class VisitTrace:
     @property
     def spec(self) -> ComputationSpec | None:
         return self.tree.spec
+
+    @cached_property
+    def stream(self) -> Stream:
+        """The visits and epilogue lowered once, banking the tree's
+        snapshot cells; every check and ``interpret`` read this one."""
+        # imported on first use, so commands that check nothing never load it
+        from .lower import lower
+
+        if self.spec is None:
+            raise ValueError("this trace enumerates bare time, not a spec")
+        plan = self.tree.plan
+        return lower(
+            self.spec,
+            [r.lattice_point for r in self.records if not r.epilogue],
+            self.tree.epilogue,
+            plan.snapshot_locs if plan.kind == "snapshot" else (),
+        )
 
     def points(self) -> list[dict[str, int]]:
         return [

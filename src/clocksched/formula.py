@@ -49,7 +49,6 @@ class Factor:
 
     index: str | None
     displacement: int = 0
-    exponent: int = 1
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class ComputationSpec:
 # tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"(?P<NAME>[A-Za-z_]\w*)|(?P<INT>\d+)|(?P<OP>\+=|[][(),;+\-*=^</])"
+    r"(?P<NAME>[A-Za-z_]\w*)|(?P<INT>\d+)|(?P<OP>\+=|[][(),;+\-*=</])"
     r"|(?P<COMMENT>#[^\n]*)|(?P<WS>\s+)"
 )
 
@@ -179,6 +178,10 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.text == text
 
+    def at_kind(self, kind: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == kind
+
     def name(self) -> str:
         tok = self.next()
         if tok.kind != "NAME":
@@ -198,9 +201,7 @@ class _Parser:
         formulas: list[Formula] = []
         domain: list[DomainGuard] = []
         temps: list[str] = []
-        while self.peek() is not None:
-            tok = self.peek()
-            assert tok is not None
+        while (tok := self.peek()) is not None:
             if tok.text == "space":
                 self.next()
                 indexes.extend(self.parse_decls())
@@ -252,9 +253,8 @@ class _Parser:
         raise SpecSyntaxError(f"expected '<' or '=', got {tok.text!r}", tok.line, tok.col)
 
     def right_then_semi(self) -> str | int:
-        tok = self.peek()
         right: str | int
-        if tok is not None and tok.kind == "INT":
+        if self.at_kind("INT"):
             right = self.integer()
         else:
             right = self.name()
@@ -297,9 +297,7 @@ class _Parser:
         coefficient = 1
         accesses: list[ArrayAccess] = []
         while True:
-            tok = self.peek()
-            assert tok is not None
-            if tok.kind == "INT":
+            if self.at_kind("INT"):
                 coefficient *= self.integer()
             else:
                 accesses.append(self.parse_access())
@@ -325,20 +323,14 @@ class _Parser:
         return ArrayAccess(name, tuple(args))
 
     def parse_arg(self) -> Factor:
-        tok = self.peek()
-        assert tok is not None
-        if tok.kind == "INT":
+        if self.at_kind("INT"):
             return Factor(index=None, displacement=self.integer())
         index = self.name()
         displacement = 0
         if self.at("+") or self.at("-"):
             sign = -1 if self.next().text == "-" else 1
             displacement = sign * self.integer()
-        exponent = 1
-        if self.at("^"):
-            self.next()
-            exponent = self.integer()
-        return Factor(index=index, displacement=displacement, exponent=exponent)
+        return Factor(index=index, displacement=displacement)
 
 
 def parse_spec(text: str) -> ComputationSpec:
@@ -356,8 +348,6 @@ def render_factor(factor: Factor, subst: Mapping[str, str] | None = None) -> str
         text += f"+{factor.displacement}"
     elif factor.displacement < 0:
         text += str(factor.displacement)
-    if factor.exponent != 1:
-        text += f"^{factor.exponent}"
     return text
 
 
@@ -431,8 +421,6 @@ def check_legality(spec: ComputationSpec) -> list[str]:
         for a in access.args:
             if a.index is not None and a.index not in sizes:
                 problems.append(f"undeclared index {a.index} in {where}")
-            if a.exponent != 1:
-                problems.append(f"exponent {a.exponent} on {a.index} in {where}")
             if a.displacement < 0:
                 problems.append(f"negative displacement in {where}")
             elif is_result and a.index is not None and a.displacement != 0:
@@ -534,7 +522,7 @@ def _classify_read(write: ArrayAccess, read: ArrayAccess):
     if len(read.args) == len(write.args):
         write_names = [a.index for a in write.args]
         if all(
-            r.index is not None and r.index == w and r.exponent == 1
+            r.index is not None and r.index == w
             for r, w in zip(read.args, write_names)
         ):
             vector = tuple(r.displacement for r in read.args)

@@ -78,19 +78,6 @@ class Affine:
     def plus(self, value: int) -> Affine:
         return Affine(self.terms, self.const + value)
 
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        return sum(c * env[n] for n, c in self.terms) + self.const
-
-    def substitute(self, bindings: Mapping[str, int]) -> Affine:
-        terms = []
-        const = self.const
-        for name, coef in self.terms:
-            if name in bindings:
-                const += coef * bindings[name]
-            else:
-                terms.append((name, coef))
-        return Affine(tuple(terms), const)
-
     def render(self) -> str:
         parts = []
         for name, coef in self.terms:
@@ -191,19 +178,11 @@ class GradMapping:
     slots: tuple[tuple[LoopSpec, ...], ...]
     span: int
 
-    def representatives(self) -> tuple[str, ...]:
-        return tuple(slot[0].name for slot in self.slots)
-
-    def assignments(self) -> dict[str, int]:
-        return {l.name: l.step for slot in self.slots for l in slot}
-
 
 @dataclass(frozen=True)
 class TempPlan:
     kind: str  # "none" | "swap" | "snapshot"
     locations: int = 0
-    width: int = 1  # achievable unfold width
-    array: str | None = None
     snapshot_locs: tuple[tuple[str, tuple[int, ...]], ...] = ()
     slots: tuple[int, ...] = ()
     minimal: int = 0
@@ -789,7 +768,7 @@ def normalize_spec(
         temp_arrays=spec.temp_arrays + (scratch,),
         formulas=(save, formula, restore),
     )
-    plan = TempPlan(kind="swap", locations=width, width=width, array=scratch, minimal=1)
+    plan = TempPlan(kind="swap", locations=width, minimal=1)
     return rewritten, plan
 
 
@@ -839,9 +818,7 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
             rewritten if i == target else f for i, f in enumerate(spec.formulas)
         ),
     )
-    plan = TempPlan(
-        kind="swap", locations=copies, width=copies, array=scratch, minimal=1
-    )
+    plan = TempPlan(kind="swap", locations=copies, minimal=1)
     return replace(tree, spec=spec2, plan=plan, epilogue=tree.epilogue + (reduction,))
 
 
@@ -919,7 +896,7 @@ def allocate_temporaries(
         cells = sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
         if budget is not None and budget < cells:
             raise TempBudgetError(cells, budget)
-        return TempPlan(kind="swap", locations=cells, width=cells, array=spec.temp_arrays[0], minimal=1)
+        return TempPlan(kind="swap", locations=cells, minimal=1)
     overlapping = [
         e for e in deps if e.vector is not None and any(d > 0 for d in e.vector)
     ]
@@ -1040,15 +1017,25 @@ def build_schedule(
     spec0, text = _as_spec(source)
     _check(spec0)
     spec1, plan = normalize_spec(pad_and_guard(spec0), budget)
+    sizes = spec1.index_sizes()
+    total = math.prod(sizes[n] for n in _free_names(spec1))
+    if total == 1:
+        # one point fills no clock: pad with a fresh two-value index
+        # guarded back to 0, which no array is subscripted by
+        pad = _fresh_name("P", sizes)
+        spec1 = replace(
+            spec1,
+            indexes=spec1.indexes + (IndexDecl(pad, 2),),
+            domain=spec1.domain + (LessThan(pad, 1),),
+        )
+        order = None if order is None else [*order, pad]
+        total = 2
     if clock is None:
         if assignment is not None:
             raise BuildError("a graduation assignment needs an explicit clock")
-        total = 1
-        for name in _free_names(spec1):
-            total *= dict(spec1.index_sizes())[name]
         if not is_power_of_two(total):
             raise BuildError(f"domain of {total} points has no power-of-two clock")
-        clock = make_clock(max(log2_exact(total), 1))
+        clock = make_clock(log2_exact(total))
     if assignment is not None:
         mapping = mapping_from_assignment(spec1, clock, assignment)
     else:

@@ -2,15 +2,15 @@
 
 Everything here trusts nothing about the builder.  Coverage compares
 the visited index points against the spec's domain one by one.  The
-other checks run on a trace lowered once to a flat access stream
-(``lower.py``): integer cell ids, formula applications in visit order,
-and explicit banking of the snapshot plan's cells.  The dependency
-check replays that stream while tagging every cell with its
-provenance, so a value consumed after its pre-pass original was
-overwritten is caught and named.  Equivalence lowers the schedule and
-the reference order once each, then runs every trial on the two
-streams over identical random flat stores and compares the results
-cell for cell.
+other checks read the trace's one flat access stream
+(``VisitTrace.stream``, built by ``lower.py`` on first use): integer
+cell ids, formula applications in visit order, and explicit banking of
+the snapshot plan's cells.  The dependency check replays that stream
+while tagging every cell with its provenance, so a value consumed after
+its pre-pass original was overwritten is caught and named.
+Equivalence runs every trial on the schedule's stream and the
+reference's over identical random flat stores and compares the results
+cell for cell.  ``verify_report`` runs them all, in that order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
 from .formula import ComputationSpec, domain_points
-from .schedule import ScheduleTree, TempPlan
+from .schedule import ScheduleTree, sequential_schedule
 
 if TYPE_CHECKING:
     from .lower import Stream
@@ -79,25 +79,6 @@ def copy_store(store: Store) -> Store:
     return {name: dict(cells) for name, cells in store.items()}
 
 
-def _lower_trace(trace: VisitTrace, plan: TempPlan | None = None) -> Stream:
-    """The trace's visits and epilogue, banking the plan's snapshot
-    cells (the tree's own plan by default)."""
-    # imported on first use, so commands that check nothing never load it
-    from .lower import lower
-
-    spec = trace.spec
-    if spec is None:
-        raise ValueError("this trace enumerates bare time, not a spec")
-    if plan is None:
-        plan = trace.tree.plan
-    return lower(
-        spec,
-        [r.lattice_point for r in trace.records if not r.epilogue],
-        trace.tree.epilogue,
-        plan.snapshot_locs if plan.kind == "snapshot" else (),
-    )
-
-
 def _run_on_store(stream: Stream, store: Store) -> Store:
     layout = stream.layout
     mem = stream.memory(
@@ -125,7 +106,7 @@ def interpret(trace: VisitTrace, store: Store) -> Store:
     original, which is exactly the value the reference order would have
     seen.
     """
-    return _run_on_store(_lower_trace(trace), store)
+    return _run_on_store(trace.stream, store)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +174,7 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
-def check_dependencies(
-    trace: VisitTrace, plan: TempPlan | None = None
-) -> DependencyReport:
+def check_dependencies(trace: VisitTrace) -> DependencyReport:
     """Replay the trace tagging each cell with its provenance.
 
     A read outside an accumulation chain wants the value the cell held
@@ -206,17 +185,18 @@ def check_dependencies(
     """
     from .lower import lower
 
-    stream = _lower_trace(trace, plan)
     spec = trace.spec
-    layout = stream.layout
-    adds = [f.op == "+=" for f in stream.formulas]
+    if spec is None:
+        raise ValueError("this trace enumerates bare time, not a spec")
+    adds = [f.op == "+=" for f in spec.formulas + trace.tree.epilogue]
 
+    # the reference order is lowered and read before the trace's stream,
+    # so the two are never held at once
     reference = domain_points(spec)
     acc_full: dict[int, set] = {}
     acc_order: dict[int, list] = {}
     final_def: dict[int, tuple] = {}
-    epilogue = trace.tree.epilogue
-    for visit, fi, cell, _ in lower(spec, reference, epilogue).applications():
+    for visit, fi, cell, _ in lower(spec, reference, trace.tree.epilogue).applications():
         if visit == len(reference):
             break
         event = (reference[visit], fi)
@@ -226,6 +206,8 @@ def check_dependencies(
         else:
             final_def[cell] = event
 
+    stream = trace.stream
+    layout = stream.layout
     # the epilogue runs after every visit and wants final values, so its
     # reads are covered by the completeness checks below
     points = [r.lattice_point for r in trace.records if not r.epilogue]
@@ -328,7 +310,7 @@ def equivalent(
         reference = enumerate_schedule(reference)
     if candidate.spec is None or reference.spec is None:
         raise ValueError("equivalence needs spec-driven traces")
-    ours, theirs = _lower_trace(candidate), _lower_trace(reference)
+    ours, theirs = candidate.stream, reference.stream
     shared = _shared_arrays(ours, theirs)
     for trial in range(trials):
         inputs = _random_cells(shared, seed + trial)
@@ -415,16 +397,21 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
 
 
 def verify_report(
-    trace: VisitTrace,
-    reference: VisitTrace | None = None,
-    trials: int = 10,
-    seed: int = DEFAULT_SEED,
+    trace: VisitTrace, trials: int = 10, seed: int = DEFAULT_SEED
 ) -> dict:
-    """Bundle of every check on one schedule, JSON-ready."""
+    """Every check on one schedule, JSON-ready: coverage, dependencies,
+    equivalence with the sequential schedule of the same source, and
+    the profile.  ``lines`` is the text ``clocksched verify`` prints."""
     coverage = check_coverage(trace)
+    tree = trace.tree
+    # built before the trace is lowered, so the baseline's temp planning
+    # never holds memory alongside the trace's stream
+    baseline = sequential_schedule(tree.source if tree.source is not None else tree.spec)
     dependencies = check_dependencies(trace)
+    eq = equivalent(trace, baseline, trials=trials, seed=seed)
     profile = analyze(trace)
-    report = {
+    ok = coverage.ok and dependencies.ok and eq.ok
+    return {
         "coverage": {
             "ok": coverage.ok,
             "expected": coverage.expected,
@@ -436,14 +423,18 @@ def verify_report(
         "colors": {str(c): n for c, n in sorted(profile.colors.items())},
         "measure": {str(c): str(m) for c, m in sorted(profile.measure.items())},
         "locality": profile.locality,
-        "ok": coverage.ok and dependencies.ok,
-    }
-    if reference is not None:
-        eq = equivalent(trace, reference, trials=trials, seed=seed)
-        report["equivalence"] = {
+        "ok": ok,
+        "equivalence": {
             "ok": eq.ok,
             "trials": eq.trials,
             "counterexample": eq.counterexample,
-        }
-        report["ok"] = report["ok"] and eq.ok
-    return report
+        },
+        "lines": [
+            coverage.summary(),
+            dependencies.summary(),
+            eq.summary(),
+            f"widths: {list(profile.widths)}",
+            f"colors: {dict(sorted(profile.colors.items()))}",
+            "verdict: " + ("pass" if ok else "FAIL"),
+        ],
+    }

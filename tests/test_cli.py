@@ -61,6 +61,25 @@ def test_parse_syntax_error_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("space I[2];\na(I) = b(I)*", "unexpected end of input"),
+        ("space I[2];\na(", "unexpected end of input"),
+        ("space I[2];\na(I) = b(I^2);\n", "unexpected character '^'"),
+    ],
+    ids=["after-a-product-sign", "inside-a-subscript", "removed-exponent"],
+)
+def test_parse_cut_short_exits_2(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(text)
+    code, out, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_parse_refuses_the_removed_initial_keyword(capsys, tmp_path):
     bad = tmp_path / "initial.spec"
     bad.write_text("space I[2]; initial b(I) = a(I);\n")
@@ -139,6 +158,24 @@ def test_transform_refuses_to_convolve_a_form_group(tmp_path, capsys):
     assert err == "error: convolutions apply to a nest without form groups\n"
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("space I[1];\nb(I) = a(I);\n", ()),
+        ("space I[1];\nb(I) = a(I);\n", ("--clock", "1x2")),
+        ("space T[1], TX[1], TY[1];\nS += a(T,TX,TY);\n", ()),
+    ],
+    ids=["default-clock", "clock-1x2", "accumulator"],
+)
+def test_transform_and_verify_a_one_point_domain(tmp_path, capsys, text, flags):
+    path = transform(tmp_path, capsys, text, *flags)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "coverage: ok (1 points, each exactly once)"
+    assert lines[-1] == "verdict: pass"
+
+
 def test_transform_rejects_infeasible_budget(tmp_path, capsys):
     spec = tmp_path / "t.spec"
     spec.write_text(cases.TRANSPOSE)
@@ -158,10 +195,14 @@ def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
     assert "below the minimal 4 cells" in err
 
 
+def _with_root(doc: dict, **fields) -> dict:
+    """The document with some fields of its root loop replaced."""
+    return {**doc, "roots": [{**doc["roots"][0], **fields}]}
+
+
 def _with_root_body(doc: dict, copies: int) -> dict:
     """The document with its root loop's one child repeated ``copies`` times."""
-    root = doc["roots"][0]
-    return {**doc, "roots": [{**root, "body": root["body"] * copies}]}
+    return _with_root(doc, body=doc["roots"][0]["body"] * copies)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +219,18 @@ def _with_root_body(doc: dict, copies: int) -> dict:
         ),
         (lambda doc: _with_root_body(doc, 2), "loop I holds 2 nodes"),
         (lambda doc: _with_root_body(doc, 0), "loop I holds 0 nodes"),
+        (
+            lambda doc: _with_root(doc, contributes=[["I", "I"]]),
+            "field 'roots' is malformed: contributes weight must be an integer, got 'I'",
+        ),
+        (
+            lambda doc: _with_root(doc, digit_base=None),
+            "field 'roots' is malformed: digit_base must be an integer, got None",
+        ),
+        (
+            lambda doc: {**doc, "guards": [[["I"], 2]]},
+            "field 'guards' is malformed: guard left side must be text, got ['I']",
+        ),
     ],
     ids=[
         "bare-header",
@@ -188,6 +241,9 @@ def _with_root_body(doc: dict, copies: int) -> dict:
         "snapshot-cell-not-integer",
         "loop-branches",
         "loop-without-body",
+        "weight-not-integer",
+        "digit-base-null",
+        "guard-side-not-text",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):

@@ -1,0 +1,109 @@
+"""Fuzzing the command line: mutated spec text through ``parse`` and
+``transform``, mutated schedule documents through ``verify``, ``emit``
+and ``analyze``.  Every call must end in exit 0, 1 or 2 and raise
+nothing, however malformed its input.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clocksched.cli import main
+from clocksched.emit import schedule_to_json
+
+import cases
+
+SPECS = (cases.MATMUL, cases.STENCIL, cases.TRANSPOSE, cases.ACCUM, cases.MNPQ)
+
+# characters the grammar uses, plus a few it does not
+ALPHABET = "IJKabS0123 \n[](),;+-*=</#^~"
+
+# small values only, so no mutation asks for a large enumeration
+VALUES = (None, True, -1, 0, 1, 3, 2.5, "", "I", "x", [], ["I"], [["I", 1]], {})
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """A matmul, a snapshot-banked stencil, an unfolded transpose and an
+    unfolded accumulator, each as a schedule document."""
+    return [
+        schedule_to_json(t)
+        for t in (
+            cases.matmul_tree(),
+            cases.stencil_tree(),
+            cases.transpose_unfold_tree(),
+            cases.accumulator_tree(),
+        )
+    ]
+
+
+def run(*argv: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+def mutate_text(data, text: str) -> str:
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(("insert", "delete", "replace", "cut")))
+        char = data.draw(st.sampled_from(ALPHABET))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        elif edit == "replace":
+            text = text[:at] + char + text[at + 1:]
+        else:
+            text = text[:at]
+    return text
+
+
+def mutate_document(data, doc):
+    """The document with one value somewhere inside it replaced, or one
+    key or list item dropped."""
+    doc = json.loads(json.dumps(doc))
+    holder, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        holder, key = node, data.draw(st.sampled_from(keys))
+        node = holder[key]
+        if data.draw(st.booleans()):
+            break
+    if holder is None:
+        return doc
+    if data.draw(st.integers(0, 4)) == 0:
+        del holder[key]
+    else:
+        holder[key] = data.draw(st.sampled_from(VALUES))
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_specs_exit_cleanly(scratch, data):
+    path = scratch / "fuzz.spec"
+    path.write_text(mutate_text(data, data.draw(st.sampled_from(SPECS))))
+    assert run("parse", str(path)) in (0, 1, 2)
+    assert run("transform", str(path), "-o", str(scratch / "fuzz.json")) in (0, 2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_documents_exit_cleanly(scratch, documents, data):
+    doc = mutate_document(data, data.draw(st.sampled_from(documents)))
+    path = scratch / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path), "--trials", "1") in (0, 1, 2)
+    assert run("emit", str(path)) in (0, 2)
+    assert run("analyze", str(path), "-o", str(scratch / "profile.json")) in (0, 2)

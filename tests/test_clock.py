@@ -6,14 +6,11 @@ import pytest
 
 from clocksched.clock import (
     Clock,
-    Cube,
     clock_point_tuples,
     clock_points,
     color_histogram,
     color_of,
     compose_clocks,
-    cube_to_clock,
-    decode_cube_point,
     factorize,
     full_points,
     is_power_of_two,
@@ -87,19 +84,6 @@ def test_point_tuples_stated_order():
 def test_full_points_spacing():
     assert list(full_points(make_clock(3))) == list(range(8))
     assert list(full_points(make_clock(4, 2, 2))) == list(range(0, 32, 2))
-
-
-def test_cube_round_trip():
-    cube = Cube(side=4, dims=3)
-    clock = cube_to_clock(cube)
-    assert clock.graduations == (16, 4, 1)
-    assert clock.span == 64
-    seen = set()
-    for value in full_points(clock):
-        point = decode_cube_point(cube, value)
-        assert all(0 <= d < 4 for d in point)
-        seen.add(point)
-    assert len(seen) == cube.points == 64
 
 
 def test_color_of_matches_valuation():

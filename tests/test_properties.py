@@ -15,12 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clocksched.clock import (
-    Cube,
     clock_points,
     color_histogram,
     compose_clocks,
-    cube_to_clock,
-    decode_cube_point,
     factorize,
     log2_exact,
     make_clock,
@@ -85,15 +82,6 @@ def test_clock_points_count_in_binary(k, scale):
     points = clock_points(clock)
     assert points == list(range(0, clock.span, scale))
     assert points == oracles.subset_sum_points(list(clock.graduations))
-
-
-@settings(deadline=None, derandomize=True)
-@given(st.sampled_from([2, 4, 8]), st.integers(1, 3))
-def test_cube_decode_is_a_bijection(side, dims):
-    cube = Cube(side, dims)
-    decoded = [decode_cube_point(cube, v) for v in range(cube.points)]
-    assert sorted(decoded) == oracles.lex_points([side] * dims)
-    assert cube_to_clock(cube).states == cube.points
 
 
 @settings(deadline=None, derandomize=True)
@@ -366,7 +354,7 @@ def test_transpose_unfold_around_the_scratch_width(copies):
         src, clock=make_clock(6), assignment={"I": 64, "J": 8}, budget=4,
         unfold_over=("T", copies),
     )
-    assert tree.plan.width == 4 and len(tree.roots) == copies
+    assert tree.plan.locations == 4 and len(tree.roots) == copies
     assert_texts_give_the_trace(tree)
     trace = enumerate_schedule(tree)
     assert check_coverage(trace).ok and check_dependencies(trace).ok

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from clocksched.cli import main
 from clocksched.clock import make_clock
+from clocksched.emit import schedule_to_json
 from clocksched.engine import enumerate_schedule
 from clocksched.formula import parse_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
@@ -300,25 +303,54 @@ def test_profile_to_json_is_plain_data():
 
 
 def test_verify_report_bundle():
-    report = verify_report(
-        enumerate_schedule(cases.matmul_tree()),
-        enumerate_schedule(sequential_schedule(cases.MATMUL)),
-        trials=3,
-    )
+    report = verify_report(enumerate_schedule(cases.matmul_tree()), trials=3)
     assert report["ok"]
     assert report["coverage"]["ok"]
     assert report["violations"] == []
     assert report["equivalence"]["ok"]
     assert report["widths"] == [1, 2, 4]
+    assert report["lines"] == [
+        "coverage: ok (8 points, each exactly once)",
+        "dependencies: ok (8 writes checked)",
+        "equivalence: ok (3 random stores)",
+        "widths: [1, 2, 4]",
+        "colors: {0: 4, 1: 2, 2: 1, 3: 1}",
+        "verdict: pass",
+    ]
 
 
 def test_verify_report_fails_closed():
     broken = replace(cases.stencil_tree(), plan=NO_PLAN)
-    report = verify_report(
-        enumerate_schedule(broken),
-        enumerate_schedule(sequential_schedule(cases.STENCIL)),
-        trials=3,
-    )
+    report = verify_report(enumerate_schedule(broken), trials=3)
     assert not report["ok"]
     assert report["violations"]
     assert not report["equivalence"]["ok"]
+    assert report["lines"][-1] == "verdict: FAIL"
+
+
+@pytest.mark.parametrize(
+    "tree, lowerings", [(cases.matmul_tree, 3), (cases.stencil_tree, 4)],
+    ids=["matmul", "stencil"],
+)
+def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree, lowerings):
+    """`clocksched verify` lowers the schedule's trace once for every
+    check; the other streams are the dependence check's reference order,
+    the baseline's trace and, for the stencil, the baseline's temp plan."""
+    import clocksched.lower
+
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule_to_json(tree())))
+    calls = []
+    real = clocksched.lower.lower
+    monkeypatch.setattr(
+        clocksched.lower, "lower", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    assert main(["verify", str(path), "--trials", "2"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert len(calls) == lowerings
+
+    trace = enumerate_schedule(tree())
+    calls.clear()
+    check_dependencies(trace)
+    interpret(trace, random_store(trace.stream.layout.shapes))
+    assert len(calls) == 2  # the reference order, then the trace once
