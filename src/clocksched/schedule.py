@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .clock import Clock, is_power_of_two, log2_exact, make_clock
 from .formula import (
@@ -36,7 +36,11 @@ from .formula import (
     extract_dependencies,
     infer_shapes,
     parse_spec,
+    print_spec,
 )
+
+if TYPE_CHECKING:
+    from .lower import Stream
 
 
 class BuildError(ValueError):
@@ -875,11 +879,31 @@ def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
 # ---------------------------------------------------------------------------
 # temporary space
 
+def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """(cell, slot) per ``(start, end, cell)`` interval and the peak live, in one
+    sweep by start; ended slots are freed in the order they were handed out."""
+    import heapq  # on first use, like lower: only banking plans need it
+
+    free: list[int] = []
+    busy: list[tuple[int, int, int]] = []  # heap of (end, order handed out, slot)
+    assigned, peak = [], 0
+    for order, (start, end, cell) in enumerate(sorted(intervals)):
+        ended = []
+        while busy and busy[0][0] < start:
+            ended.append(heapq.heappop(busy)[1:])
+        free += (slot for _, slot in sorted(ended))
+        slot = free.pop() if free else len(busy)  # every slot made is busy
+        heapq.heappush(busy, (end, order, slot))
+        peak = max(peak, len(busy))
+        assigned.append((cell, slot))
+    return assigned, peak
+
+
 def allocate_temporaries(
     spec: ComputationSpec,
     deps: Sequence[DepEdge],
     budget: int | None = None,
-    visit_order: Callable[[], Iterable[tuple[int, ...]]] | None = None,
+    visit_order: Callable[[], Stream] | None = None,
 ) -> TempPlan:
     """Size the constant scratch space a visit order needs.
 
@@ -888,8 +912,8 @@ def allocate_temporaries(
     overwrite until its last such read; the plan's size is the peak
     number of banked cells plus one working cell for the in-flight
     update.  A budget below that is refused and the minimum reported.
-    ``visit_order`` returns the index points in visit order; it is only
-    called when some dependence overlaps, so a snapshot plan is possible.
+    ``visit_order`` returns the visit order's stream, lowered unmarked;
+    it is only called when some dependence overlaps.
     """
     if spec.temp_arrays:
         shapes = infer_shapes(spec)
@@ -902,9 +926,7 @@ def allocate_temporaries(
     ]
     if not overlapping or visit_order is None:
         return NO_PLAN
-    from .lower import lower
-
-    stream = lower(spec, visit_order())
+    stream = visit_order()
     first_write: dict[int, int] = {}
     last_read: dict[int, int] = {}
     for pos, fi, cell, reads in stream.applications():
@@ -918,34 +940,10 @@ def allocate_temporaries(
     ]
     if not intervals:
         return NO_PLAN
-    events: list[tuple[int, int]] = []
-    for start, end, _ in intervals:
-        events.append((start, 1))
-        events.append((end + 1, -1))
-    live = peak = 0
-    for _, delta in sorted(events):
-        live += delta
-        peak = max(peak, live)
+    assigned, peak = assign_slots(intervals)
     minimal = peak + 1
     if budget is not None and budget < minimal:
         raise TempBudgetError(minimal, budget)
-    slots: list[int] = []
-    free: list[int] = []
-    busy: list[tuple[int, int]] = []  # (end, slot)
-    assigned = []
-    for start, end, cell in sorted(intervals):
-        still = []
-        for e, s in busy:
-            if e < start:
-                free.append(s)
-            else:
-                still.append((e, s))
-        busy = still
-        slot = free.pop() if free else len(slots)
-        if slot == len(slots):
-            slots.append(slot)
-        busy.append((end, slot))
-        assigned.append((cell, slot))
     return TempPlan(
         kind="snapshot",
         locations=minimal,
@@ -958,11 +956,12 @@ def allocate_temporaries(
 # ---------------------------------------------------------------------------
 # whole pipelines
 
-def _as_spec(source: str | ComputationSpec) -> tuple[ComputationSpec, str | None]:
+def _as_spec(source: str | ComputationSpec) -> tuple[ComputationSpec, str]:
+    """The spec and its text; a tree keeps the text as its source, so its
+    baseline is rebuilt from the spec as given, not from its rewrite."""
     if isinstance(source, ComputationSpec):
-        return source, None
-    spec = parse_spec(source)
-    return spec, source
+        return source, print_spec(source)
+    return parse_spec(source), source
 
 
 def _check(spec: ComputationSpec) -> None:
@@ -978,6 +977,13 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
     narrowest scratch (one cell), exactly what an elementwise swap loop
     needs.
     """
+    return sequential_and_stream(source)[0]
+
+
+def sequential_and_stream(source: str | ComputationSpec) -> tuple[ScheduleTree, Stream | None]:
+    """``sequential_schedule`` and, when its temp planning lowered
+    ``domain_points`` and banked nothing, that stream, which is what the
+    tree's trace lowers to: the nest visits them in order, no epilogue."""
     spec0, text = _as_spec(source)
     _check(spec0)
     spec1, plan = normalize_spec(pad_and_guard(spec0), budget=1)
@@ -996,12 +1002,18 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
     guards = tuple(
         Guard(g.left, g.right) for g in spec1.domain if isinstance(g, LessThan)
     )
+    stream = None
     if plan.kind == "none":
-        deps = extract_dependencies(spec1)
-        plan = allocate_temporaries(spec1, deps, None, lambda: domain_points(spec1))
-    return ScheduleTree(
-        roots=(root,), spec=spec1, source=text, guards=guards, plan=plan
-    )
+        from .lower import lower
+
+        def declaration_order() -> Stream:
+            nonlocal stream
+            stream = lower(spec1, domain_points(spec1))
+            return stream
+
+        plan = allocate_temporaries(spec1, extract_dependencies(spec1), None, declaration_order)
+    tree = ScheduleTree(roots=(root,), spec=spec1, source=text, guards=guards, plan=plan)
+    return tree, None if plan.snapshot_locs else stream
 
 
 def build_schedule(
@@ -1044,12 +1056,13 @@ def build_schedule(
     tree = replace(tree, source=text)
     if plan.kind == "none":
         from .engine import enumerate_schedule
+        from .lower import lower
 
         plan = allocate_temporaries(
             spec1,
             extract_dependencies(spec1),
             budget,
-            lambda: [r.lattice_point for r in enumerate_schedule(tree).records],
+            lambda: lower(spec1, [r.lattice_point for r in enumerate_schedule(tree).records]),
         )
     tree = replace(tree, plan=plan)
     if unfold_over is not None:

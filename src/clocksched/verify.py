@@ -10,7 +10,9 @@ while tagging every cell with its provenance, so a value consumed after
 its pre-pass original was overwritten is caught and named.
 Equivalence runs every trial on the schedule's stream and the
 reference's over identical random flat stores and compares the results
-cell for cell.  ``verify_report`` runs them all, in that order.
+cell for cell.  ``verify_report`` runs them all, in that order, against
+the sequential schedule of the tree's source, run as its stream over
+``domain_points`` and never enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
 from .formula import ComputationSpec, domain_points
-from .schedule import ScheduleTree, sequential_schedule
+from .schedule import ScheduleTree, sequential_and_stream
 
 if TYPE_CHECKING:
     from .lower import Stream
@@ -297,20 +299,21 @@ def _shared_arrays(a: Stream, b: Stream) -> dict[str, tuple[int, ...]]:
     return shared
 
 
+def _stream(run: VisitTrace | ScheduleTree | Stream) -> Stream:
+    if isinstance(run, ScheduleTree):
+        run = enumerate_schedule(run)
+    return run.stream if isinstance(run, VisitTrace) else run
+
+
 def equivalent(
-    candidate: VisitTrace | ScheduleTree,
-    reference: VisitTrace | ScheduleTree,
+    candidate: VisitTrace | ScheduleTree | Stream,
+    reference: VisitTrace | ScheduleTree | Stream,
     trials: int = 10,
     seed: int = DEFAULT_SEED,
 ) -> EquivalenceReport:
-    """Same final arrays as the reference on seeded random stores."""
-    if isinstance(candidate, ScheduleTree):
-        candidate = enumerate_schedule(candidate)
-    if isinstance(reference, ScheduleTree):
-        reference = enumerate_schedule(reference)
-    if candidate.spec is None or reference.spec is None:
-        raise ValueError("equivalence needs spec-driven traces")
-    ours, theirs = candidate.stream, reference.stream
+    """Same final arrays as the reference on seeded random stores.
+    Either side may be given as a tree, its trace, or a lowered stream."""
+    ours, theirs = _stream(candidate), _stream(reference)
     shared = _shared_arrays(ours, theirs)
     for trial in range(trials):
         inputs = _random_cells(shared, seed + trial)
@@ -402,13 +405,17 @@ def verify_report(
     """Every check on one schedule, JSON-ready: coverage, dependencies,
     equivalence with the sequential schedule of the same source, and
     the profile.  ``lines`` is the text ``clocksched verify`` prints."""
+    from .lower import lower
+
     coverage = check_coverage(trace)
-    tree = trace.tree
-    # built before the trace is lowered, so the baseline's temp planning
-    # never holds memory alongside the trace's stream
-    baseline = sequential_schedule(tree.source if tree.source is not None else tree.spec)
     dependencies = check_dependencies(trace)
-    eq = equivalent(trace, baseline, trials=trials, seed=seed)
+    # built once the dependence check has dropped its reference stream;
+    # its temp planning's stream is reused unless it lowered none or banks
+    source = trace.tree.source if trace.tree.source is not None else trace.tree.spec
+    baseline, stream = sequential_and_stream(source)
+    if stream is None:
+        stream = lower(baseline.spec, domain_points(baseline.spec), (), baseline.plan.snapshot_locs)
+    eq = equivalent(trace, stream, trials=trials, seed=seed)
     profile = analyze(trace)
     ok = coverage.ok and dependencies.ok and eq.ok
     return {

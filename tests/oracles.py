@@ -151,3 +151,34 @@ def evaluate(text: str, env: dict[str, int]) -> int:
     """An emitted index expression at the given loop variables, reading
     ``/`` as floor division."""
     return eval(text.replace("/", "//"), {"__builtins__": {}}, dict(env))
+
+
+def interval_slots(intervals: list[tuple[int, int, int]]):
+    """Scratch slots for ``(start, end, cell)`` live intervals, handed
+    out in start order by rescanning every busy slot: slots whose
+    interval ended before the next start are freed in the order they
+    were handed out, and the last freed is reused first.  Returns
+    ``{cell: slot}`` and the peak number of intervals live at once,
+    counted from sorted +1/-1 events."""
+    slots = {}
+    made = 0
+    free: list[int] = []
+    busy: list[tuple[int, int]] = []  # (end, slot), in the order handed out
+    for start, end, cell in sorted(intervals):
+        free += [s for e, s in busy if e < start]
+        busy = [(e, s) for e, s in busy if e >= start]
+        if free:
+            slot = free.pop()
+        else:
+            slot, made = made, made + 1
+        busy.append((end, slot))
+        slots[cell] = slot
+    events = sorted(
+        [(start, 1) for start, _, _ in intervals]
+        + [(end + 1, -1) for _, end, _ in intervals]
+    )
+    live = peak = 0
+    for _, delta in events:
+        live += delta
+        peak = max(peak, live)
+    return slots, peak

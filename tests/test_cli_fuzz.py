@@ -1,7 +1,9 @@
 """Fuzzing the command line: mutated spec text through ``parse`` and
 ``transform``, mutated schedule documents through ``verify``, ``emit``
 and ``analyze``.  Every call must end in exit 0, 1 or 2 and raise
-nothing, however malformed its input.
+nothing, however malformed its input.  A document whose loop step or
+extent was changed may pass ``verify`` only if it still visits every
+domain point exactly once.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocksched.cli import main
-from clocksched.emit import schedule_to_json
+from clocksched.emit import schedule_from_json, schedule_to_json, value_texts
+from clocksched.formula import domain_points
+from clocksched.schedule import nest, nest_loops
 
 import cases
+import oracles
 
 SPECS = (cases.MATMUL, cases.STENCIL, cases.TRANSPOSE, cases.ACCUM, cases.MNPQ)
 
@@ -107,3 +112,55 @@ def test_mutated_documents_exit_cleanly(scratch, documents, data):
     assert run("verify", str(path), "--trials", "1") in (0, 1, 2)
     assert run("emit", str(path)) in (0, 2)
     assert run("analyze", str(path), "-o", str(scratch / "profile.json")) in (0, 2)
+
+
+CASE_TREES = (
+    cases.mnpq_tree,
+    cases.matmul_tree,
+    cases.matmul_form_tree,
+    cases.stencil_tree,
+    cases.transpose_tree,
+    cases.transpose_unfold_tree,
+    cases.transpose_sequential_tree,
+    cases.accumulator_tree,
+)
+
+
+def loops_of(node):
+    """Every loop of a document's nest, group members included."""
+    for child in node.get("body", []) + node.get("members", []):
+        if child["kind"] == "loop":
+            yield child
+        yield from loops_of(child)
+
+
+def visits_the_domain_once(doc) -> bool:
+    """The emitted index texts, evaluated at every visit the oracle's
+    walk of the document makes and filtered by its guards, give each
+    domain point exactly once."""
+    tree = schedule_from_json(doc)
+    texts = [value_texts(tree.spec, nest_loops(nest(root))) for root in tree.roots]
+    names = tree.spec.index_names()
+    points = []
+    for root, _, env in oracles.document_visits(doc):
+        point = {n: oracles.evaluate(text, env) for n, text in texts[root].items()}
+        if all(g.holds(point) for g in tree.guards):
+            points.append(tuple(point[n] for n in names))
+    return sorted(points) == sorted(domain_points(tree.spec))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_changed_step_or_extent_passes_only_if_the_domain_is_still_covered(scratch, data):
+    doc = schedule_to_json(data.draw(st.sampled_from(CASE_TREES))())
+    loops = [loop for root in doc["roots"] for loop in [root, *loops_of(root)]
+             if loop["kind"] == "loop"]
+    loop = data.draw(st.sampled_from(loops))
+    field = data.draw(st.sampled_from(("step", "extent")))
+    loop[field] = data.draw(st.sampled_from([v for v in (1, 2, 4, 8, 16, 32) if v != loop[field]]))
+    path = scratch / "changed.json"
+    path.write_text(json.dumps(doc))
+    code = run("verify", str(path), "--trials", "1")
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert visits_the_domain_once(doc)

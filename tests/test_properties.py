@@ -9,7 +9,9 @@ any counterexample to a minimal spec and mapping.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,12 +41,16 @@ from clocksched.formula import (
     parse_spec,
     print_spec,
 )
+from clocksched import schedule
+from clocksched.lower import Layout
 from clocksched.schedule import (
     apply_convolutions,
+    assign_slots,
     build_schedule,
     nest,
     nest_loops,
     next_power_of_two,
+    sequential_and_stream,
     sequential_schedule,
     time_skeleton,
 )
@@ -231,6 +237,79 @@ def test_sequential_trace_interprets_like_the_reference(spec, seed):
     store = random_store(infer_shapes(tree.spec), seed)
     got = interpret(enumerate_schedule(tree), store)
     assert got == reference_interpret(tree.spec, store)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(builder_specs(), rich_specs()))
+def test_sequential_trace_visits_the_domain_in_declaration_order(spec):
+    """What lets ``verify_report`` run its trials on the stream the
+    baseline's temp planning lowered, without enumerating the baseline."""
+    assume(not check_legality(spec))
+    tree, planned = sequential_and_stream(spec)
+    trace = enumerate_schedule(tree)
+    assert not tree.epilogue
+    assert [r.lattice_point for r in trace.records] == domain_points(tree.spec)
+    if planned is not None:
+        assert planned.codes == trace.stream.codes
+
+
+# -- snapshot slots, checked against the quadratic rescan --------------------
+
+@st.composite
+def live_intervals(draw):
+    """``(start, end, cell)`` intervals with distinct cells, many of
+    them starting or ending together."""
+    spans = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 8)), min_size=1, max_size=40))
+    cells = draw(st.permutations(range(len(spans))))
+    return [(start, start + length, cell) for (start, length), cell in zip(spans, cells)]
+
+
+def assert_slots_fit(intervals, slots: dict[int, int], minimal: int):
+    want, peak = oracles.interval_slots(intervals)
+    assert slots == want
+    by_cell = {cell: (start, end) for start, end, cell in intervals}
+    for a, b in itertools.combinations(by_cell, 2):
+        (s1, e1), (s2, e2) = by_cell[a], by_cell[b]
+        if s1 <= e2 and s2 <= e1:
+            assert slots[a] != slots[b]
+    assert max(slots.values()) + 1 == minimal - 1 == peak
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(live_intervals())
+def test_slot_sweep_matches_the_rescan(intervals):
+    assigned, peak = assign_slots(intervals)
+    assert_slots_fit(intervals, dict(assigned), peak + 1)
+
+
+@st.composite
+def snapshot_schedules(draw):
+    """A stencil reading forward neighbours of the cell it overwrites,
+    on the blocked graduation of the ``stencil-blocked`` benchmark job,
+    rows or columns outermost."""
+    p = draw(st.sampled_from([2, 3]))
+    n = 2**p
+    reads = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3))
+    text = f"space I[{n}], J[{n}];\na(I,J) = a(I,J)" + "".join(
+        f" + a(I+{di},J+{dj})" for di, dj in reads
+    ) + ";\n"
+    outer, inner = draw(st.permutations(["I", "J"]))
+    span = 2 ** (2 * p + 1)
+    assignment = {"S": span, outer: span // 2, "T": 2 * n, inner: n}
+    return text, make_clock(2 * p, 2, 2), assignment
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(snapshot_schedules())
+def test_built_snapshot_slots_match_the_rescan(case):
+    text, clock, assignment = case
+    with mock.patch.object(schedule, "assign_slots", wraps=assign_slots) as sweep:
+        tree = build_schedule(text, clock=clock, assignment=assignment)
+    plan = tree.plan
+    assume(plan.kind == "snapshot")
+    layout = Layout(infer_shapes(tree.spec))
+    slots = {layout.cell(name, loc): slot for (name, loc), slot in zip(plan.snapshot_locs, plan.slots)}
+    assert_slots_fit(sweep.call_args.args[0], slots, plan.minimal)
 
 
 # -- random schedules against the verifier -----------------------------------

@@ -328,26 +328,68 @@ def test_verify_report_fails_closed():
     assert report["lines"][-1] == "verdict: FAIL"
 
 
-@pytest.mark.parametrize(
-    "tree, lowerings", [(cases.matmul_tree, 3), (cases.stencil_tree, 4)],
-    ids=["matmul", "stencil"],
-)
-def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree, lowerings):
-    """`clocksched verify` lowers the schedule's trace once for every
-    check; the other streams are the dependence check's reference order,
-    the baseline's trace and, for the stencil, the baseline's temp plan."""
-    import clocksched.lower
+def test_verify_report_runs_a_banking_baseline_with_its_bank():
+    """Here the sequential schedule's own plan banks 3 cells, so its
+    trials cannot reuse the unbanked stream its planning lowered: on
+    trial 0 that stream gives b(2,0) = 96, the schedule and the banked
+    baseline 65."""
+    src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
+    assert len(sequential_schedule(src).plan.snapshot_locs) == 3
+    trace = enumerate_schedule(build_schedule(src, order=["J", "I"]))
+    report = verify_report(trace, trials=3)
+    assert report["lines"][2] == "equivalence: ok (3 random stores)"
+    assert report["ok"]
 
+
+def test_verify_report_on_a_tree_built_from_a_spec_that_permutes_in_place(tmp_path):
+    """The tree keeps the printed spec as its source, so the baseline
+    is built from the spec as given, not from the save/swap/restore
+    rewrite the tree carries, which ``normalize_spec`` refuses."""
+    spec = parse_spec(cases.TRANSPOSE)
+    tree = build_schedule(
+        spec, clock=make_clock(3), assignment={"T": 8, "I": 4, "J": 2}, budget=2
+    )
+    assert parse_spec(tree.source) == spec
+    assert verify_report(enumerate_schedule(tree), trials=2)["ok"]
     path = tmp_path / "schedule.json"
-    path.write_text(json.dumps(schedule_to_json(tree())))
+    path.write_text(json.dumps(schedule_to_json(tree)))
+    assert main(["verify", str(path), "--trials", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "tree", [cases.matmul_tree, cases.stencil_tree], ids=["matmul", "stencil"]
+)
+def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
+    """`clocksched verify` lowers three streams: the schedule's trace,
+    once for every check; the dependence check's declaration-order
+    reference; and the sequential baseline, whose trials reuse the
+    stream its temp planning lowered (the stencil's) or lower it once
+    (the matmul's, which plans nothing).  Only the document's own tree
+    is enumerated."""
+    import clocksched.cli
+    import clocksched.engine
+    import clocksched.lower
+    import clocksched.verify
+
+    document = tree()
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule_to_json(document)))
     calls = []
     real = clocksched.lower.lower
     monkeypatch.setattr(
         clocksched.lower, "lower", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
+    enumerated = []
+    real_enumerate = clocksched.engine.enumerate_schedule
+    for module in (clocksched.engine, clocksched.cli, clocksched.verify):
+        monkeypatch.setattr(
+            module, "enumerate_schedule",
+            lambda t: enumerated.append(t) or real_enumerate(t),
+        )
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
-    assert len(calls) == lowerings
+    assert len(calls) == 3
+    assert enumerated == [document]
 
     trace = enumerate_schedule(tree())
     calls.clear()
