@@ -487,10 +487,6 @@ class DepEdge:
     vector: tuple[int, ...] | None = None
     permutation: tuple[int, ...] | None = None
 
-    @property
-    def same_formula(self) -> bool:
-        return self.writer == self.reader
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         if self.permutation is None:
             return ()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import ArrayAccess, ComputationSpec, Formula, infer_shapes
 
@@ -93,9 +93,9 @@ def _cell(access, point: tuple[int, ...]) -> int:
 class Stream:
     """One lowered visit order; the module docstring gives its records."""
 
-    def __init__(self, spec, epilogue, layout, codes, coefficients, banked):
+    def __init__(self, spec, points, layout, codes, coefficients, banked):
         self.spec: ComputationSpec = spec
-        self.formulas: tuple[Formula, ...] = spec.formulas + epilogue
+        self.points: Sequence[tuple[int, ...]] = points  # visit i's index point
         self.layout: Layout = layout
         self.codes: array = codes
         self.coefficients: list[int] = coefficients
@@ -160,7 +160,7 @@ class Stream:
 
 def lower(
     spec: ComputationSpec,
-    points: Iterable[tuple[int, ...]],
+    points: Sequence[tuple[int, ...]],
     epilogue: tuple[Formula, ...] = (),
     marked: Iterable[tuple[str, tuple[int, ...]]] = (),
 ) -> Stream:
@@ -219,4 +219,4 @@ def lower(
     if epilogue:
         visit((), compiled(epilogue, ()), len(body))
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    return Stream(spec, epilogue, layout, codes, coefficients, len(bank))
+    return Stream(spec, points, layout, codes, coefficients, len(bank))

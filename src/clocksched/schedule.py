@@ -733,6 +733,8 @@ def normalize_spec(
     formula = spec.formulas[0]
     if formula.op != "=":
         raise UnsupportedRewriteError("permutation cycle under accumulation")
+    if formula.when or [(t.coefficient, len(t.accesses)) for t in formula.terms] != [(1, 1)]:
+        raise UnsupportedRewriteError("only a bare permuted copy is unraveled")
     cycles = edge.cycles()
     if len(cycles) != 1 or len(cycles[0]) != 2:
         order = max(len(c) for c in cycles)
@@ -744,8 +746,11 @@ def normalize_spec(
     left = formula.result.args[pos_a].index
     right = formula.result.args[pos_b].index
     assert left is not None and right is not None
-    if sizes[left] != sizes[right]:
-        raise UnsupportedRewriteError("cycle over indexes of different extents")
+    swap = {left: right, right: left}
+    guards = {(g.left, g.right) for g in spec.domain if isinstance(g, LessThan)}
+    mirrored = {(swap.get(a, a), swap.get(b, b)) for a, b in guards}
+    if sizes[left] != sizes[right] or guards != mirrored:
+        raise UnsupportedRewriteError("cycle over a domain its swap does not map onto itself")
     rows = sizes[left]
     if budget is not None and budget < 1:
         raise TempBudgetError(1, budget)
@@ -907,13 +912,14 @@ def allocate_temporaries(
 ) -> TempPlan:
     """Size the constant scratch space a visit order needs.
 
-    Overlapping-window reads want the value a cell held before the pass
-    started.  Walking the visit order, a cell must be banked from its
-    overwrite until its last such read; the plan's size is the peak
-    number of banked cells plus one working cell for the in-flight
-    update.  A budget below that is refused and the minimum reported.
-    ``visit_order`` returns the visit order's stream, lowered unmarked;
-    it is only called when some dependence overlaps.
+    Reads of written arrays, but an accumulation's read of its own cell,
+    want the value a cell held before the pass started.  Walking the
+    visit order, a cell must be banked from its overwrite until its last
+    such read; the plan's size is the peak number of banked cells plus
+    one working cell for the in-flight update.  A budget below that is
+    refused and the minimum reported.  ``visit_order`` returns the visit
+    order's stream, lowered unmarked; it is not called when every
+    dependence is an accumulation's read of its own cell.
     """
     if spec.temp_arrays:
         shapes = infer_shapes(spec)
@@ -921,10 +927,10 @@ def allocate_temporaries(
         if budget is not None and budget < cells:
             raise TempBudgetError(cells, budget)
         return TempPlan(kind="swap", locations=cells, minimal=1)
-    overlapping = [
-        e for e in deps if e.vector is not None and any(d > 0 for d in e.vector)
-    ]
-    if not overlapping or visit_order is None:
+    if visit_order is None or all(
+        e.writer == e.reader and spec.formulas[e.reader].op == "+="
+        and e.vector is not None and not any(e.vector) for e in deps
+    ):
         return NO_PLAN
     stream = visit_order()
     first_write: dict[int, int] = {}
@@ -957,17 +963,15 @@ def allocate_temporaries(
 # whole pipelines
 
 def _as_spec(source: str | ComputationSpec) -> tuple[ComputationSpec, str]:
-    """The spec and its text; a tree keeps the text as its source, so its
-    baseline is rebuilt from the spec as given, not from its rewrite."""
-    if isinstance(source, ComputationSpec):
-        return source, print_spec(source)
-    return parse_spec(source), source
-
-
-def _check(spec: ComputationSpec) -> None:
+    """The spec, refused if illegal, and its text; a tree keeps the text
+    as its source, so it is verified against the spec as given, not
+    against its rewrite."""
+    given = isinstance(source, ComputationSpec)
+    spec = source if given else parse_spec(source)
     problems = check_legality(spec)
     if problems:
         raise BuildError("; ".join(problems))
+    return spec, print_spec(spec) if given else source
 
 
 def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
@@ -977,15 +981,7 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
     narrowest scratch (one cell), exactly what an elementwise swap loop
     needs.
     """
-    return sequential_and_stream(source)[0]
-
-
-def sequential_and_stream(source: str | ComputationSpec) -> tuple[ScheduleTree, Stream | None]:
-    """``sequential_schedule`` and, when its temp planning lowered
-    ``domain_points`` and banked nothing, that stream, which is what the
-    tree's trace lowers to: the nest visits them in order, no epilogue."""
     spec0, text = _as_spec(source)
-    _check(spec0)
     spec1, plan = normalize_spec(pad_and_guard(spec0), budget=1)
     bound = _bound_sources(spec1)
     nodes = [
@@ -1002,18 +998,14 @@ def sequential_and_stream(source: str | ComputationSpec) -> tuple[ScheduleTree, 
     guards = tuple(
         Guard(g.left, g.right) for g in spec1.domain if isinstance(g, LessThan)
     )
-    stream = None
     if plan.kind == "none":
         from .lower import lower
 
-        def declaration_order() -> Stream:
-            nonlocal stream
-            stream = lower(spec1, domain_points(spec1))
-            return stream
-
-        plan = allocate_temporaries(spec1, extract_dependencies(spec1), None, declaration_order)
-    tree = ScheduleTree(roots=(root,), spec=spec1, source=text, guards=guards, plan=plan)
-    return tree, None if plan.snapshot_locs else stream
+        # the nest visits domain_points in order
+        plan = allocate_temporaries(
+            spec1, extract_dependencies(spec1), None, lambda: lower(spec1, domain_points(spec1))
+        )
+    return ScheduleTree(roots=(root,), spec=spec1, source=text, guards=guards, plan=plan)
 
 
 def build_schedule(
@@ -1027,7 +1019,6 @@ def build_schedule(
 ) -> ScheduleTree:
     """Parse, pad, rewrite, map onto a clock, plan scratch, unfold."""
     spec0, text = _as_spec(source)
-    _check(spec0)
     spec1, plan = normalize_spec(pad_and_guard(spec0), budget)
     sizes = spec1.index_sizes()
     total = math.prod(sizes[n] for n in _free_names(spec1))
@@ -1056,13 +1047,10 @@ def build_schedule(
     tree = replace(tree, source=text)
     if plan.kind == "none":
         from .engine import enumerate_schedule
-        from .lower import lower
 
+        # the tree has no plan yet, so its trace lowers unmarked
         plan = allocate_temporaries(
-            spec1,
-            extract_dependencies(spec1),
-            budget,
-            lambda: lower(spec1, [r.lattice_point for r in enumerate_schedule(tree).records]),
+            spec1, extract_dependencies(spec1), budget, lambda: enumerate_schedule(tree).stream
         )
     tree = replace(tree, plan=plan)
     if unfold_over is not None:

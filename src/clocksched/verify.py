@@ -1,8 +1,12 @@
 """Brute-force checking of schedules against their specs.
 
-Everything here trusts nothing about the builder.  Coverage compares
-the visited index points against the spec's domain one by one.  The
-other checks read the trace's one flat access stream
+Everything here trusts nothing about the builder.  A schedule is held
+to one meaning, ``reference_stream`` of its source: each domain point
+in declaration order runs its formulas in listed order, and a read
+sees the value an earlier formula at the same point wrote, or its
+accumulator's running value, and otherwise the pre-pass value.
+Coverage compares the visited index points against the spec's domain
+one by one.  The other checks read the trace's one flat access stream
 (``VisitTrace.stream``, built by ``lower.py`` on first use): integer
 cell ids, formula applications in visit order, and explicit banking of
 the snapshot plan's cells.  The dependency check replays that stream
@@ -10,9 +14,7 @@ while tagging every cell with its provenance, so a value consumed after
 its pre-pass original was overwritten is caught and named.
 Equivalence runs every trial on the schedule's stream and the
 reference's over identical random flat stores and compares the results
-cell for cell.  ``verify_report`` runs them all, in that order, against
-the sequential schedule of the tree's source, run as its stream over
-``domain_points`` and never enumerated.
+cell for cell.  ``verify_report`` runs them all, in that order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
-from .formula import ComputationSpec, domain_points
-from .schedule import ScheduleTree, sequential_and_stream
+from .formula import ComputationSpec, check_legality, domain_points, infer_shapes, parse_spec
+from .schedule import ScheduleTree, pad_and_guard
 
 if TYPE_CHECKING:
     from .lower import Stream
@@ -92,12 +94,33 @@ def _run_on_store(stream: Stream, store: Store) -> Store:
     return {**copy_store(store), **_as_store(layout.shapes, ran)}
 
 
-def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
-    """Declaration-order enumeration, formulas in listed order, reads
-    from current memory.  This is the meaning a spec is held to."""
+def _reference_spec(source: str | ComputationSpec) -> ComputationSpec:
+    """The source spec, refused if illegal, padded like its schedules."""
+    spec = parse_spec(source) if isinstance(source, str) else source
+    problems = check_legality(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return pad_and_guard(spec)
+
+
+def reference_stream(source: str | ComputationSpec) -> Stream:
+    """The meaning every schedule of ``source`` is held to, lowered
+    without the builder: the padded spec over its ``domain_points``,
+    with every cell of every written array banked at its first
+    overwrite.  An illegal source raises ``ValueError``."""
     from .lower import lower
 
-    return _run_on_store(lower(spec, domain_points(spec)), store)
+    spec = _reference_spec(source)
+    shapes = infer_shapes(spec)
+    written = sorted({f.result.name for f in spec.formulas})
+    marked = ((n, loc) for n in written for loc in _locations(shapes[n]))
+    return lower(spec, domain_points(spec), (), marked)
+
+
+def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
+    """Run ``reference_stream(spec)``, the meaning a spec is held to, on
+    a store shaped like the padded spec."""
+    return _run_on_store(reference_stream(spec), store)
 
 
 def interpret(trace: VisitTrace, store: Store) -> Store:
@@ -105,8 +128,8 @@ def interpret(trace: VisitTrace, store: Store) -> Store:
 
     Cells named by a snapshot plan are banked at their first overwrite;
     reads other than an accumulator's own cell prefer the banked
-    original, which is exactly the value the reference order would have
-    seen.
+    original.  ``verify`` holds the result to ``reference_interpret``
+    of the tree's source.
     """
     return _run_on_store(trace.stream, store)
 
@@ -138,12 +161,13 @@ class CoverageReport:
         return "coverage: FAIL, " + ", ".join(parts)
 
 
-def check_coverage(trace: VisitTrace) -> CoverageReport:
-    """Every domain point exactly once, nothing outside the domain."""
+def check_coverage(trace: VisitTrace, points: list | None = None) -> CoverageReport:
+    """Every domain point exactly once, nothing outside the domain.
+    ``points`` are the trace spec's ``domain_points``, if already made."""
     spec = trace.spec
     if spec is None:
         raise ValueError("coverage needs a spec-driven trace")
-    wanted = Counter(domain_points(spec))
+    wanted = Counter(domain_points(spec) if points is None else points)
     got = Counter(r.lattice_point for r in trace.records if not r.epilogue)
     missing = tuple(sorted(p for p in wanted if p not in got))
     duplicated = tuple(sorted(p for p, n in got.items() if p in wanted and n > 1))
@@ -176,7 +200,7 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
-def check_dependencies(trace: VisitTrace) -> DependencyReport:
+def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> DependencyReport:
     """Replay the trace tagging each cell with its provenance.
 
     A read outside an accumulation chain wants the value the cell held
@@ -184,6 +208,8 @@ def check_dependencies(trace: VisitTrace) -> DependencyReport:
     the snapshot plan, and is a violation otherwise.  Accumulator cells
     must end up with exactly the reference set of contributions; a
     permuted arrival order is reported as commuting, not failing.
+    ``reference`` is a stream of the spec's ``domain_points`` on the
+    trace's cell layout, if already lowered.
     """
     from .lower import lower
 
@@ -192,16 +218,15 @@ def check_dependencies(trace: VisitTrace) -> DependencyReport:
         raise ValueError("this trace enumerates bare time, not a spec")
     adds = [f.op == "+=" for f in spec.formulas + trace.tree.epilogue]
 
-    # the reference order is lowered and read before the trace's stream,
-    # so the two are never held at once
-    reference = domain_points(spec)
+    if reference is None:
+        reference = lower(spec, domain_points(spec), trace.tree.epilogue)
     acc_full: dict[int, set] = {}
     acc_order: dict[int, list] = {}
     final_def: dict[int, tuple] = {}
-    for visit, fi, cell, _ in lower(spec, reference, trace.tree.epilogue).applications():
-        if visit == len(reference):
+    for visit, fi, cell, _ in reference.applications():
+        if visit == len(reference.points):
             break
-        event = (reference[visit], fi)
+        event = (reference.points[visit], fi)
         if adds[fi]:
             acc_full.setdefault(cell, set()).add(event)
             acc_order.setdefault(cell, []).append(event)
@@ -212,16 +237,15 @@ def check_dependencies(trace: VisitTrace) -> DependencyReport:
     layout = stream.layout
     # the epilogue runs after every visit and wants final values, so its
     # reads are covered by the completeness checks below
-    points = [r.lattice_point for r in trace.records if not r.epilogue]
     defined: dict[int, tuple] = {}  # cells whose last write assigned
     gathered: dict[int, set] = {}  # cells whose last write accumulated
     arrivals: dict[int, list] = {}
     violations: list[str] = []
     events = 0
     for visit, fi, cell, reads in stream.applications():
-        if visit == len(points):
+        if visit == len(stream.points):
             break
-        pt = points[visit]
+        pt = stream.points[visit]
         for r in reads:
             if adds[fi] and r == cell:
                 if r in defined:
@@ -403,27 +427,23 @@ def verify_report(
     trace: VisitTrace, trials: int = 10, seed: int = DEFAULT_SEED
 ) -> dict:
     """Every check on one schedule, JSON-ready: coverage, dependencies,
-    equivalence with the sequential schedule of the same source, and
-    the profile.  ``lines`` is the text ``clocksched verify`` prints."""
-    from .lower import lower
-
-    coverage = check_coverage(trace)
-    dependencies = check_dependencies(trace)
-    # built once the dependence check has dropped its reference stream;
-    # its temp planning's stream is reused unless it lowered none or banks
-    source = trace.tree.source if trace.tree.source is not None else trace.tree.spec
-    baseline, stream = sequential_and_stream(source)
-    if stream is None:
-        stream = lower(baseline.spec, domain_points(baseline.spec), (), baseline.plan.snapshot_locs)
-    eq = equivalent(trace, stream, trials=trials, seed=seed)
+    equivalence with ``reference_stream`` of the tree's source, and the
+    profile.  ``lines`` is the text ``clocksched verify`` prints."""
+    tree = trace.tree
+    spec = _reference_spec(tree.source if tree.source is not None else tree.spec)
+    # without a rewrite or an epilogue the trace runs the reference's spec on
+    # its cell layout, so every check shares the reference's points and
+    # stream; otherwise the reference is lowered once the dependence check
+    # has dropped its own
+    own = trace.spec == spec and not tree.epilogue
+    reference = reference_stream(spec) if own else None
+    coverage = check_coverage(trace, reference.points if own else None)
+    dependencies = check_dependencies(trace, reference)
+    eq = equivalent(trace, reference or reference_stream(spec), trials=trials, seed=seed)
     profile = analyze(trace)
     ok = coverage.ok and dependencies.ok and eq.ok
     return {
-        "coverage": {
-            "ok": coverage.ok,
-            "expected": coverage.expected,
-            "visited": coverage.visited,
-        },
+        "coverage": {"ok": coverage.ok, "expected": coverage.expected, "visited": coverage.visited},
         "violations": list(dependencies.violations),
         "commutes": dependencies.commutes,
         "widths": list(profile.widths),
@@ -431,11 +451,7 @@ def verify_report(
         "measure": {str(c): str(m) for c, m in sorted(profile.measure.items())},
         "locality": profile.locality,
         "ok": ok,
-        "equivalence": {
-            "ok": eq.ok,
-            "trials": eq.trials,
-            "counterexample": eq.counterexample,
-        },
+        "equivalence": {"ok": eq.ok, "trials": eq.trials, "counterexample": eq.counterexample},
         "lines": [
             coverage.summary(),
             dependencies.summary(),

@@ -334,6 +334,22 @@ def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):
     assert "verdict: FAIL" in out
 
 
+def test_verify_refuses_an_illegal_source(tmp_path, capsys):
+    """The reference is lowered from the document's source, which must
+    still pass the legality check the builder runs."""
+    path = transform(
+        tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"
+    )
+    doc = json.loads(open(path).read())
+    assert "b(I,K)" in doc["source"]
+    doc["source"] = doc["source"].replace("b(I,K)", "b(I-1,K)")
+    open(path, "w").write(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path, "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: negative displacement")
+
+
 def test_emit_notation_flag(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"

@@ -154,7 +154,7 @@ def test_dependencies_matmul_self_accumulation():
     edges = extract_dependencies(spec)
     (edge,) = edges
     assert edge.array == "a"
-    assert edge.same_formula
+    assert edge.writer == edge.reader == 0
     assert edge.vector == (0, 0)
 
 

@@ -329,6 +329,26 @@ def test_accumulating_permutation_is_refused():
         sequential_schedule(src)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("space I[3], J[4];\na(I,J) = a(J,I);\n", "does not map onto itself"),
+        ("space I[4], J[4];\ndomain J < I;\na(I,J) = a(J,I);\n", "does not map onto itself"),
+        ("space I[4], J[4];\na(I,J) = 2*a(J,I);\n", "bare permuted copy"),
+        ("space I[4], J[4];\na(I,J) = a(J,I) + b(I,J);\n", "bare permuted copy"),
+    ],
+    ids=["padded-rows", "triangle", "scaled", "extra-term"],
+)
+def test_a_swap_that_computes_something_else_is_refused(src, message):
+    """Swapping pairs transposes a bare copy over a square domain only;
+    elsewhere cells the swap touches differ from the pre-pass reads the
+    spec asks for, so the rewrite is refused, not built wrong."""
+    with pytest.raises(UnsupportedRewriteError, match=message):
+        sequential_schedule(src)
+    with pytest.raises(UnsupportedRewriteError, match=message):
+        build_schedule(src)
+
+
 # -- unfolding ---------------------------------------------------------------
 
 def _recovered(tree, root):

@@ -12,7 +12,7 @@ from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_to_json
 from clocksched.engine import enumerate_schedule
-from clocksched.formula import parse_spec
+from clocksched.formula import infer_shapes, parse_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
     DEFAULT_SEED,
@@ -329,16 +329,74 @@ def test_verify_report_fails_closed():
 
 
 def test_verify_report_runs_a_banking_baseline_with_its_bank():
-    """Here the sequential schedule's own plan banks 3 cells, so its
-    trials cannot reuse the unbanked stream its planning lowered: on
-    trial 0 that stream gives b(2,0) = 96, the schedule and the banked
-    baseline 65."""
+    """The schedule's snapshot plan and the reference stream both bank
+    the a-cells that b reads after their overwrite: on trial 0 a stream
+    that banks nothing gives b(2,0) = 96, the schedule and the
+    reference 65."""
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
     assert len(sequential_schedule(src).plan.snapshot_locs) == 3
     trace = enumerate_schedule(build_schedule(src, order=["J", "I"]))
     report = verify_report(trace, trials=3)
     assert report["lines"][2] == "equivalence: ok (3 random stores)"
     assert report["ok"]
+
+
+READS_ITS_TRANSPOSE = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
+
+
+def test_the_reference_nest_interprets_like_the_reference():
+    """b(2,0) reads a(1,2) after the nest overwrote it: the nest's
+    snapshot plan and the reference both serve the pre-pass value."""
+    tree = sequential_schedule(READS_ITS_TRANSPOSE)
+    store = random_store(infer_shapes(tree.spec), 3)
+    got = interpret(enumerate_schedule(tree), store)
+    assert got == reference_interpret(parse_spec(READS_ITS_TRANSPOSE), store)
+    assert got["b"][(2, 0)] == 22
+
+
+def test_an_unbanked_reference_nest_fails_both_checks():
+    trace = enumerate_schedule(replace(sequential_schedule(READS_ITS_TRANSPOSE), plan=NO_PLAN))
+    report = verify_report(trace, trials=3)
+    assert report["lines"][1:3] == [
+        "dependencies: FAIL, a(1,2) overwritten before its pre-pass read at point (2, 0)",
+        "equivalence: FAIL on trial 0 at b(2,0): 96 != 65",
+    ]
+    store = random_store(infer_shapes(trace.spec), 3)
+    assert interpret(trace, store) != reference_interpret(parse_spec(READS_ITS_TRANSPOSE), store)
+
+
+@pytest.mark.parametrize(
+    "src, order",
+    [
+        ("space I[4], J[4];\na(I,J) = a(I,J) + a(I,J);\nb(I,J) = a(J+1,I);\n", ["I", "J"]),
+        ("space I[4], J[4];\na(I,J) = a(I,J) + a(I,J);\nb(I,J) = a(J+1,I);\n", ["J", "I"]),
+        ("space I[4], J[4];\na(I,J) = a(I,J) + a(I,J);\nb(I,J) = a(J+1,I);\n", None),
+        ("space I[2], J[2];\nr(I) = r(I) + b(I,J);\n", None),
+        ("space I[2], J[2];\nb(I) += a(I);\na(I) += x(I,J);\n", None),
+    ],
+    ids=["transposed-rows", "transposed-columns", "transposed-sequential",
+         "rewritten-each-column", "read-before-accumulating"],
+)
+def test_every_read_that_follows_an_overwrite_is_banked(src, order):
+    """Reads through swapped subscripts, and reads of a cell already
+    written at an earlier point, are planned like displaced ones; only
+    an accumulation's read of its own cell is not."""
+    tree = sequential_schedule(src) if order is None else build_schedule(src, order=order)
+    assert tree.plan.kind == "snapshot"
+    report = verify_report(enumerate_schedule(tree), trials=3)
+    assert report["ok"], report["lines"]
+
+
+def test_verify_binds_no_builder_path():
+    """The reference is lowered from the source: ``verify`` takes only
+    the tree type and the padding from the builder."""
+    import clocksched.verify
+
+    names = vars(clocksched.verify)
+    assert not {"build_schedule", "sequential_schedule", "normalize_spec",
+                "allocate_temporaries"} & set(names)
+    assert {n for n, v in names.items()
+            if getattr(v, "__module__", None) == "clocksched.schedule"} == {"ScheduleTree", "pad_and_guard"}
 
 
 def test_verify_report_on_a_tree_built_from_a_spec_that_permutes_in_place(tmp_path):
@@ -360,15 +418,16 @@ def test_verify_report_on_a_tree_built_from_a_spec_that_permutes_in_place(tmp_pa
     "tree", [cases.matmul_tree, cases.stencil_tree], ids=["matmul", "stencil"]
 )
 def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
-    """`clocksched verify` lowers three streams: the schedule's trace,
-    once for every check; the dependence check's declaration-order
-    reference; and the sequential baseline, whose trials reuse the
-    stream its temp planning lowered (the stencil's) or lower it once
-    (the matmul's, which plans nothing).  Only the document's own tree
-    is enumerated."""
+    """`clocksched verify` lowers two streams: the schedule's trace, once
+    for every check, and the reference stream of its source, which is
+    also the dependence check's declaration order.  It makes the
+    domain's points once, for coverage and both references, and only
+    the document's own tree is enumerated."""
     import clocksched.cli
     import clocksched.engine
+    import clocksched.formula
     import clocksched.lower
+    import clocksched.schedule
     import clocksched.verify
 
     document = tree()
@@ -386,9 +445,16 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
             module, "enumerate_schedule",
             lambda t: enumerated.append(t) or real_enumerate(t),
         )
+    domains = []
+    real_domain = clocksched.formula.domain_points
+    for module in (clocksched.formula, clocksched.schedule, clocksched.verify):
+        monkeypatch.setattr(
+            module, "domain_points", lambda s: domains.append(s) or real_domain(s)
+        )
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
-    assert len(calls) == 3
+    assert len(calls) == 2
+    assert len(domains) == 1
     assert enumerated == [document]
 
     trace = enumerate_schedule(tree())
