@@ -99,8 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="coverage, dependence, and equivalence checks")
     p.add_argument("schedule", help="schedule JSON file, or - for stdin")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=10,
+                   help="random stores, used only past the exact budget")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of those stores, used only past the exact budget")
 
     p = sub.add_parser("analyze", help="parallelism and coloring profile")
     p.add_argument("schedule", help="schedule JSON file, or - for stdin")

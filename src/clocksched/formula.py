@@ -571,6 +571,8 @@ def domain_points(spec: ComputationSpec) -> list[tuple[int, ...]]:
     binds = {g.index: g for g in spec.domain if isinstance(g, BlockBind)}
     filters = [g for g in spec.domain if isinstance(g, LessThan)]
     free = [n for n in names if n not in binds]
+    if not binds and not filters:
+        return list(itertools.product(*(range(sizes[n]) for n in names)))
     points = []
     for combo in itertools.product(*(range(sizes[n]) for n in free)):
         env = dict(zip(free, combo))

@@ -12,9 +12,11 @@ cell ids, formula applications in visit order, and explicit banking of
 the snapshot plan's cells.  The dependency check replays that stream
 while tagging every cell with its provenance, so a value consumed after
 its pre-pass original was overwritten is caught and named.
-Equivalence runs every trial on the schedule's stream and the
-reference's over identical random flat stores and compares the results
-cell for cell.  ``verify_report`` runs them all, in that order.
+Equivalence is exact: it runs both streams on polynomials over the
+input cells (``Stream.polynomials``) and compares every shared cell's
+final polynomial.  Past ``EXACT_BUDGET`` live monomials it falls back
+to seeded random stores instead.  ``verify_report`` runs them all, in
+that order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
-from .formula import ComputationSpec, check_legality, domain_points, infer_shapes, parse_spec
+from .formula import ComputationSpec, check_legality, domain_points, parse_spec
 from .schedule import ScheduleTree, pad_and_guard
 
 if TYPE_CHECKING:
@@ -111,10 +113,7 @@ def reference_stream(source: str | ComputationSpec) -> Stream:
     from .lower import lower
 
     spec = _reference_spec(source)
-    shapes = infer_shapes(spec)
-    written = sorted({f.result.name for f in spec.formulas})
-    marked = ((n, loc) for n in written for loc in _locations(shapes[n]))
-    return lower(spec, domain_points(spec), (), marked)
+    return lower(spec, domain_points(spec), (), {f.result.name for f in spec.formulas})
 
 
 def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
@@ -293,17 +292,33 @@ def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> De
 # ---------------------------------------------------------------------------
 # equivalence
 
+# Live monomials a stream's polynomials may reach, and steps a single
+# product may take, before ``equivalent`` falls back to random stores.
+EXACT_BUDGET = 1 << 16
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     ok: bool
-    trials: int
+    trials: int  # random stores run: 0 when the check was exact
     counterexample: dict | None = None
+    exact: bool = False
+    cells: int = 0  # shared cells compared as polynomials
 
     def summary(self) -> str:
-        if self.ok:
-            return f"equivalence: ok ({self.trials} random stores)"
-        assert self.counterexample is not None
         c = self.counterexample
+        if self.exact:
+            if self.ok:
+                return f"equivalence: ok (exact, {self.cells} cells)"
+            return (
+                f"equivalence: FAIL at {c['location']}: {c['monomial']} has "
+                f"{c['got']}, the reference {c['want']}"
+            )
+        if self.ok:
+            return (
+                f"equivalence: ok ({self.trials} random stores, "
+                f"past the exact budget of {EXACT_BUDGET} monomials)"
+            )
         return (
             f"equivalence: FAIL on trial {c['trial']} at {c['location']}: "
             f"{c['got']} != {c['want']}"
@@ -329,16 +344,45 @@ def _stream(run: VisitTrace | ScheduleTree | Stream) -> Stream:
     return run.stream if isinstance(run, VisitTrace) else run
 
 
+def _exact(ours: Stream, theirs: Stream, shared) -> EquivalenceReport | None:
+    """Compare every shared cell as a polynomial over the input cells;
+    None when either stream grows past ``EXACT_BUDGET``."""
+    from .lower import PastBudget, first_difference
+
+    try:
+        difference = first_difference(ours, theirs, shared, EXACT_BUDGET)
+    except PastBudget:
+        return None
+    cells = sum(math.prod(shape) for shape in shared.values())
+    if difference is None:
+        return EquivalenceReport(ok=True, trials=0, exact=True, cells=cells)
+    return EquivalenceReport(
+        ok=False,
+        trials=0,
+        exact=True,
+        cells=cells,
+        counterexample=dict(zip(("location", "monomial", "got", "want"), difference)),
+    )
+
+
 def equivalent(
     candidate: VisitTrace | ScheduleTree | Stream,
     reference: VisitTrace | ScheduleTree | Stream,
     trials: int = 10,
     seed: int = DEFAULT_SEED,
 ) -> EquivalenceReport:
-    """Same final arrays as the reference on seeded random stores.
-    Either side may be given as a tree, its trace, or a lowered stream."""
+    """Same final arrays as the reference on every integer store.
+
+    Every cell the two share, temporaries aside, is compared as a
+    polynomial over the input cells, which decides equality exactly.
+    Past ``EXACT_BUDGET`` live monomials on either side, the check
+    falls back to ``trials`` seeded random stores instead.  Either side
+    may be given as a tree, its trace, or a lowered stream."""
     ours, theirs = _stream(candidate), _stream(reference)
     shared = _shared_arrays(ours, theirs)
+    report = _exact(ours, theirs, shared)
+    if report is not None:
+        return report
     for trial in range(trials):
         inputs = _random_cells(shared, seed + trial)
         got, want = ours.memory(inputs), theirs.memory(inputs)
@@ -451,7 +495,9 @@ def verify_report(
         "measure": {str(c): str(m) for c, m in sorted(profile.measure.items())},
         "locality": profile.locality,
         "ok": ok,
-        "equivalence": {"ok": eq.ok, "trials": eq.trials, "counterexample": eq.counterexample},
+        "equivalence": {
+            "ok": eq.ok, "exact": eq.exact, "trials": eq.trials, "counterexample": eq.counterexample
+        },
         "lines": [
             coverage.summary(),
             dependencies.summary(),

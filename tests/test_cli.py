@@ -350,6 +350,28 @@ def test_verify_refuses_an_illegal_source(tmp_path, capsys):
     assert err.startswith("error: negative displacement")
 
 
+def test_verify_holds_a_rewritten_document_to_its_source(tmp_path, capsys):
+    """The dependence check reads a rewritten trace against its own
+    rewrite, so a source that computes something else passes it; the
+    exact equivalence check fails it, whatever the seed."""
+    path = transform(
+        tmp_path, capsys, cases.TRANSPOSE, "--clock", "3x2", "--map", "T=8,I=4,J=2",
+        "--temp-budget", "2",
+    )
+    doc = json.loads(open(path).read())
+    doc["source"] = doc["source"].replace("a(I,J) = a(J,I);", "a(I,J) = a(J,I) + a(J,I);")
+    open(path, "w").write(json.dumps(doc))
+    outputs = set()
+    for seed in range(5):
+        code, out, _ = run(capsys, "verify", path, "--seed", str(seed))
+        assert code == 1
+        outputs.add(out)
+    (out,) = outputs
+    lines = out.splitlines()
+    assert lines[1].startswith("dependencies: ok")
+    assert lines[2] == "equivalence: FAIL at a(0,0): a(0,0) has 1, the reference 2"
+
+
 def test_emit_notation_flag(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
+import pytest
+
 from clocksched.formula import parse_spec
-from clocksched.lower import ASSIGN, SAVE, SKIP, VISIT, lower
+from clocksched.lower import ASSIGN, SAVE, SKIP, VISIT, PastBudget, lower
 
 
 def test_lowered_cells_and_bounds():
@@ -45,3 +50,40 @@ def test_snapshot_cells_are_banked_at_their_first_overwrite():
     assert [reads for *_, reads in stream.applications()] == [[], []]
     plain = lower(spec, [(1,), (0,)])
     assert [reads for *_, reads in plain.applications()] == [[], [1]]
+
+
+def test_marking_an_array_by_name_banks_every_cell_of_it():
+    spec = parse_spec(
+        "space I[4], J[4];\na(I,J) = a(I+1,J) + b(J,I);\nb(I,J) += a(J,I)*b(I,J+1);\n"
+    )
+    points = list(itertools.product(range(4), repeat=2))
+    pairs = [(name, loc) for name in "ab" for loc in itertools.product(range(4), repeat=2)]
+    by_name = lower(spec, points, (), ["a", "b"])
+    assert by_name.codes == lower(spec, points, (), pairs).codes
+    assert by_name.banked == 32
+
+
+def test_polynomials_multiply_out_and_drop_what_cancels():
+    spec = parse_spec(
+        "space I[1];\nc(I) = a(I) + b(I);\nd(I) = c(I)*c(I) + 3;\n"
+        "e(I) = a(I) + a(I);\nc(I) += a(I);\n"
+    )
+    # the grammar has no minus sign; a spec built in code may hold one
+    c, d, e, f = spec.formulas
+    e = replace(e, terms=(e.terms[0], replace(e.terms[1], coefficient=-1)))
+    f = replace(f, terms=(replace(f.terms[0], coefficient=-1),))
+    spec = replace(spec, formulas=(c, d, e, f))
+    stream = lower(spec, [(0,)])
+    a, b, c, d, e = (stream.layout.offsets[n] for n in "abcde")
+    mem = stream.polynomials(["a", "b"], 100)
+
+    def polynomial(entry):
+        pairs = iter(entry)
+        return dict(zip(pairs, pairs))
+
+    assert (mem[a], mem[b]) == (a, b)  # read, never written: their own variables
+    assert mem[c] == b  # a + b, less a
+    assert polynomial(mem[d]) == {(a, a): 1, (a, b): 2, (b, b): 1, (): 3}
+    assert mem[e] == []
+    with pytest.raises(PastBudget):
+        stream.polynomials(["a", "b"], 3)  # d holds 4 monomials

@@ -10,6 +10,8 @@ any counterexample to a minimal spec and mapping.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -41,9 +43,11 @@ from clocksched.formula import (
     parse_spec,
     print_spec,
 )
+import clocksched.verify
 from clocksched import schedule
 from clocksched.lower import Layout
 from clocksched.schedule import (
+    NO_PLAN,
     BuildError,
     apply_convolutions,
     assign_slots,
@@ -61,6 +65,7 @@ from clocksched.verify import (
     interpret,
     random_store,
     reference_interpret,
+    reference_stream,
     verify_report,
 )
 
@@ -472,6 +477,76 @@ def assert_texts_give_the_trace(tree):
 @given(built_schedules())
 def test_emitted_index_texts_give_the_traced_points(spec_tree):
     assert_texts_give_the_trace(spec_tree[1])
+
+
+# -- exact equivalence: each cell a polynomial over the inputs ---------------
+
+@st.composite
+def checked_trees(draw):
+    """A built schedule or the sequential schedule of a self-reading
+    spec, and half the time the same tree with its snapshot plan
+    dropped, which often reads overwritten cells."""
+    if draw(st.booleans()):
+        tree = draw(built_schedules())[1]
+    else:
+        try:
+            tree = sequential_schedule(draw(self_reading_specs()))
+        except BuildError:
+            reject()
+    return replace(tree, plan=NO_PLAN) if draw(st.booleans()) else tree
+
+
+def evaluate(polynomial, values: list[int]) -> int:
+    """A ``Stream.polynomials`` entry at the given cell values."""
+    if type(polynomial) is int:
+        return values[polynomial]
+    pairs = iter(polynomial)
+    return sum(
+        k * math.prod(values[v] for v in ((m,) if type(m) is int else m))
+        for m, k in zip(pairs, pairs)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checked_trees(), st.integers(0, 2**16))
+def test_polynomials_evaluate_to_what_the_stream_computes(tree, seed):
+    """Evaluated at a random store, every cell's and slot's polynomial
+    is the value ``Stream.run`` leaves there."""
+    stream = enumerate_schedule(tree).stream
+    rng = random.Random(seed)
+    mem = stream.memory({
+        name: [rng.randint(-9, 9) for _ in range(math.prod(shape))]
+        for name, shape in stream.layout.shapes.items()
+    })
+    start = list(mem)
+    polynomials = stream.polynomials(stream.layout.shapes, 1 << 20)
+    stream.run(mem)
+    assert [start[i] if p is None else evaluate(p, start)
+            for i, p in enumerate(polynomials)] == mem
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checked_trees(), st.booleans(), st.integers(0, 2**16))
+def test_exact_equivalence_fails_whatever_the_trials_fail(tree, bump, seed):
+    """A FAIL on random stores is a FAIL of the exact check, so an exact
+    ok implies the trials' ok; an exact FAIL names a monomial whose
+    coefficients really differ.  Half the references differ from the
+    schedule's source in one coefficient."""
+    spec = tree.source if tree.source is not None else tree.spec
+    spec = parse_spec(spec) if isinstance(spec, str) else spec
+    if bump:
+        f = spec.formulas[0]
+        t = replace(f.terms[0], coefficient=f.terms[0].coefficient + 1)
+        f = replace(f, terms=(t,) + f.terms[1:])
+        spec = replace(spec, formulas=(f,) + spec.formulas[1:])
+    reference = reference_stream(spec)
+    exact = equivalent(tree, reference)
+    with mock.patch.object(clocksched.verify, "_exact", lambda *args: None):
+        trials = equivalent(tree, reference, trials=3, seed=seed)
+    assert exact.exact and not trials.exact
+    assert not exact.ok or trials.ok, (exact.summary(), trials.summary())
+    if not exact.ok:
+        assert exact.counterexample["got"] != exact.counterexample["want"]
 
 
 @pytest.mark.parametrize("copies", [2, 4, 8], ids=["below", "equal", "above"])

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import clocksched.verify
 from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_to_json
@@ -220,16 +222,29 @@ def test_equivalence_on_worked_trees():
     for candidate, reference in pairs:
         report = equivalent(candidate, reference, trials=3)
         assert report.ok, report.summary()
-        assert report.trials == 3
+        assert report.exact and report.trials == 0  # no random store was drawn
 
 
 def test_equivalence_counterexample():
+    """Unbanked, the blocked stencil reads a(0,2) after its overwrite,
+    so a(0,1) picks up a(0,2)'s right neighbour a(0,3).  The first
+    monomial in graded order whose coefficients differ is named."""
     broken = replace(cases.stencil_tree(), plan=NO_PLAN)
     report = equivalent(broken, sequential_schedule(cases.STENCIL), trials=5)
     assert not report.ok
+    assert report.exact and report.trials == 0
+    assert report.counterexample == {
+        "location": "a(0,1)", "monomial": "a(0,3)", "got": 1, "want": 0,
+    }
+    assert report.summary() == "equivalence: FAIL at a(0,1): a(0,3) has 1, the reference 0"
+
+
+def test_equivalence_counterexample_past_the_budget(monkeypatch):
+    monkeypatch.setattr(clocksched.verify, "EXACT_BUDGET", 0)
+    broken = replace(cases.stencil_tree(), plan=NO_PLAN)
+    report = equivalent(broken, sequential_schedule(cases.STENCIL), trials=5)
+    assert not report.ok and not report.exact
     c = report.counterexample
-    assert c["location"].startswith("a(")
-    assert c["got"] != c["want"]
     assert report.trials == c["trial"] + 1  # stops at the first bad store
     # the seeded stores, and so the counterexample, are part of the contract
     assert report.summary() == "equivalence: FAIL on trial 0 at a(0,1): 176 != 136"
@@ -250,7 +265,23 @@ def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
     trace = enumerate_schedule(tree)
     assert check_dependencies(trace).summary() == "dependencies: ok (32 writes checked)"
     report = equivalent(tree, sequential_schedule(src), trials=3)
-    assert report.summary() == "equivalence: ok (3 random stores)"
+    assert report.summary() == "equivalence: ok (exact, 32 cells)"
+
+
+def test_equivalence_past_the_budget_runs_the_trials():
+    """r(I) gathers a factor (1 + b(I,J)) per J, 2**16 monomials per
+    cell: past ``EXACT_BUDGET``, the check runs the random stores."""
+    src = "space I[2], J[16];\nr(I) += r(I)*b(I,J);\n"
+    start = time.perf_counter()
+    report = verify_report(enumerate_schedule(sequential_schedule(src)), trials=4)
+    assert time.perf_counter() - start < 2
+    assert report["ok"]
+    assert report["equivalence"] == {
+        "ok": True, "exact": False, "trials": 4, "counterexample": None,
+    }
+    assert report["lines"][2] == (
+        "equivalence: ok (4 random stores, past the exact budget of 65536 monomials)"
+    )
 
 
 def test_equivalence_rejects_mismatched_shapes():
@@ -312,7 +343,7 @@ def test_verify_report_bundle():
     assert report["lines"] == [
         "coverage: ok (8 points, each exactly once)",
         "dependencies: ok (8 writes checked)",
-        "equivalence: ok (3 random stores)",
+        "equivalence: ok (exact, 12 cells)",
         "widths: [1, 2, 4]",
         "colors: {0: 4, 1: 2, 2: 1, 3: 1}",
         "verdict: pass",
@@ -330,14 +361,14 @@ def test_verify_report_fails_closed():
 
 def test_verify_report_runs_a_banking_baseline_with_its_bank():
     """The schedule's snapshot plan and the reference stream both bank
-    the a-cells that b reads after their overwrite: on trial 0 a stream
-    that banks nothing gives b(2,0) = 96, the schedule and the
-    reference 65."""
+    the a-cells that b reads after their overwrite: in declaration
+    order a stream that banks nothing gives b(2,0) = a(2,2), the
+    schedule and the reference a(1,2)."""
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
     assert len(sequential_schedule(src).plan.snapshot_locs) == 3
     trace = enumerate_schedule(build_schedule(src, order=["J", "I"]))
     report = verify_report(trace, trials=3)
-    assert report["lines"][2] == "equivalence: ok (3 random stores)"
+    assert report["lines"][2] == "equivalence: ok (exact, 32 cells)"
     assert report["ok"]
 
 
@@ -359,7 +390,7 @@ def test_an_unbanked_reference_nest_fails_both_checks():
     report = verify_report(trace, trials=3)
     assert report["lines"][1:3] == [
         "dependencies: FAIL, a(1,2) overwritten before its pre-pass read at point (2, 0)",
-        "equivalence: FAIL on trial 0 at b(2,0): 96 != 65",
+        "equivalence: FAIL at b(2,0): a(1,2) has 0, the reference 1",
     ]
     store = random_store(infer_shapes(trace.spec), 3)
     assert interpret(trace, store) != reference_interpret(parse_spec(READS_ITS_TRANSPOSE), store)
@@ -421,8 +452,8 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     """`clocksched verify` lowers two streams: the schedule's trace, once
     for every check, and the reference stream of its source, which is
     also the dependence check's declaration order.  It makes the
-    domain's points once, for coverage and both references, and only
-    the document's own tree is enumerated."""
+    domain's points once, for coverage and both references, only the
+    document's own tree is enumerated, and no stream runs on a store."""
     import clocksched.cli
     import clocksched.engine
     import clocksched.formula
@@ -451,11 +482,17 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
         monkeypatch.setattr(
             module, "domain_points", lambda s: domains.append(s) or real_domain(s)
         )
+    runs = []
+    real_run = clocksched.lower.Stream.run
+    monkeypatch.setattr(
+        clocksched.lower.Stream, "run", lambda *a: runs.append(1) or real_run(*a)
+    )
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
     assert len(calls) == 2
     assert len(domains) == 1
     assert enumerated == [document]
+    assert runs == []  # equivalence is exact: no random store is run
 
     trace = enumerate_schedule(tree())
     calls.clear()
