@@ -21,6 +21,7 @@ from .formula import (
     Factor,
     Formula,
     Term,
+    infer_shapes,
     parse_spec,
     print_spec,
     render_formula,
@@ -385,11 +386,14 @@ def _plan_from_json(p: dict) -> TempPlan:
     locs = tuple((n, tuple(loc)) for n, loc in p["snapshot_locs"])
     if not all(isinstance(n, str) and all(type(v) is int for v in loc) for n, loc in locs):
         raise TypeError("snapshot cells need an array name and integer subscripts")
+    slots = tuple(p["slots"])
+    if len(slots) != len(locs) or not all(type(s) is int and 0 <= s < len(locs) for s in slots):
+        raise ValueError("slots must pair one-to-one with snapshot cells, each below their count")
     return TempPlan(
         kind=p["kind"],
         locations=p["locations"],
         snapshot_locs=locs,
-        slots=tuple(p["slots"]),
+        slots=slots,
         minimal=p["minimal"],
     )
 
@@ -439,4 +443,10 @@ def schedule_from_json(doc: dict) -> ScheduleTree:
             raise ValueError(f"schedule field {key!r} lacks key {exc}") from None
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"schedule field {key!r} is malformed: {exc}") from None
-    return ScheduleTree(**fields)
+    tree = ScheduleTree(**fields)
+    shapes = infer_shapes(tree.spec) if tree.spec is not None and tree.plan.snapshot_locs else {}
+    for name, at in tree.plan.snapshot_locs:
+        shape = shapes.get(name)
+        if shape is None or len(at) != len(shape) or not all(0 <= v < n for v, n in zip(at, shape)):
+            raise ValueError(f"schedule field 'plan' banks {name}{list(at)}, no cell of the spec")
+    return tree

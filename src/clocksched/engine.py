@@ -61,8 +61,8 @@ class VisitTrace:
 
     @cached_property
     def stream(self) -> Stream:
-        """The visits and epilogue lowered once, banking the tree's
-        snapshot cells; every check and ``interpret`` read this one."""
+        """The visits and epilogue lowered once, banking each snapshot
+        cell into its plan slot; every check and ``interpret`` read this."""
         # imported on first use, so commands that check nothing never load it
         from .lower import lower
 
@@ -73,7 +73,7 @@ class VisitTrace:
             self.spec,
             [r.lattice_point for r in self.records if not r.epilogue],
             self.tree.epilogue,
-            plan.snapshot_locs if plan.kind == "snapshot" else (),
+            zip(plan.snapshot_locs, plan.slots) if plan.kind == "snapshot" else (),
         )
 
     def points(self) -> list[dict[str, int]]:

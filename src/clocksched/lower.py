@@ -7,8 +7,8 @@ Cells are numbered row-major within each array, arrays in sorted-name
 order.  The stream is one ``array('q')`` of records:
 
 * ``VISIT``: the next visit begins (one per point, then the epilogue).
-* ``SAVE, slot, cell``: bank a snapshot-plan cell at its first
-  overwrite.  Slots follow the last cell, so one memory holds both.
+* ``SAVE, slot, cell``: bank a marked cell at its first overwrite into
+  its slot.  Slots follow the last cell, so one memory holds both.
 * ``code, write, terms``, then per term ``coefficient id, reads,
   read...``: one formula application.  ``code >> 2`` is the formula's
   position (the epilogue's follow the spec's) and ``code & 3`` is
@@ -18,7 +18,8 @@ A read names the bank slot once its cell is banked, except an
 accumulation's read of its own target and a read of a cell an earlier
 formula at the same visit wrote.  A term with an operand off its
 array adds nothing; it keeps its other reads under coefficient 0, so
-the checks still see every read the spec names.
+the checks still see every read the spec names.  A ``SKIP`` record
+writes nothing: it banks nothing and no read sees it.
 
 ``Stream.run`` applies the records to integers, ``Stream.polynomials``
 to polynomials over the input cells, and ``first_difference`` compares
@@ -210,13 +211,10 @@ class Stream:
         take = it.__next__
         for code in it:
             if code < 0:
-                if code == SAVE:
+                if code == SAVE:  # at the cell's first write, so the slot takes its input
                     slot, cell = take(), take()
-                    p = mem[cell]
-                    if p is None:  # a slot is filled at its cell's first overwrite
-                        p = cell if variable[cell] else []
-                    mem[slot] = dict(p) if type(p) is dict else p
-                    live += _size(p)
+                    live += variable[cell] - _size(mem[slot])  # a slot may be reused
+                    mem[slot] = cell if variable[cell] else []
                 continue
             write, total = take(), {}
             for _ in range(take()):
@@ -285,30 +283,39 @@ class Stream:
                 mem[i] = _shared(_flat(p), i, like)
         return mem
 
-    def applications(self) -> Iterator[tuple[int, int, int, list[int]]]:
-        """(visit, formula, write, reads) per formula application.  The
-        reads are those that may want a pre-pass value: cells the spec
-        writes, not banked and not written earlier in the same visit."""
-        written = bytearray(self.layout.size + self.banked)
-        for name in {f.result.name for f in self.spec.formulas}:
-            span = self.layout.cells(name)
-            written[span] = b"\x01" * (span.stop - span.start)
+    def replay(self) -> Iterator[tuple[int, int, int, list]]:
+        """``(visit, code, write, seen)`` per application before the
+        epilogue; ``seen`` holds per read the ``(visit, code, write)`` it
+        sees: the cell's last write, for an accumulation's read of its own
+        cell the last assignment, or None for a slot's or unwritten cell's
+        pre-pass value.  No read sees a SKIP."""
+        # per cell, visit * stride + code of its last write and of its last
+        # assignment, or -1 (no slot is written); tuples would outweigh the stream
+        stride = 4 * len(self.spec.formulas)  # past every code before the epilogue
+        last = array("q", [-1]) * (self.layout.size + self.banked)
+        assigned = array("q", last)
         it = iter(self.codes)
         take = it.__next__
         visit = -1
         for code in it:
-            if code == VISIT:
-                visit, local = visit + 1, set()
-            elif code == SAVE:
-                take(), take()
-            else:
-                write, reads = take(), []
+            if code < 0:
+                if code == SAVE:
+                    take(), take()
+                elif (visit := visit + 1) == len(self.points):
+                    return
+                continue
+            write, seen, kind = take(), [], code & 3
+            for _ in range(take()):
+                take()
                 for _ in range(take()):
-                    take()
-                    reads += (r for r in [take() for _ in range(take())]
-                              if written[r] and r not in local)
-                local.add(write)
-                yield visit, code >> 2, write, reads
+                    r = take()
+                    at = assigned[r] if r == write and kind == ADD else last[r]
+                    seen.append(None if at < 0 else (*divmod(at, stride), r))
+            yield visit, code, write, seen
+            if kind != SKIP:
+                last[write] = visit * stride + code
+                if kind == ASSIGN:
+                    assigned[write] = last[write]
 
 
 class PastBudget(Exception):
@@ -379,21 +386,22 @@ def lower(
     spec: ComputationSpec,
     points: Sequence[tuple[int, ...]],
     epilogue: tuple[Formula, ...] = (),
-    marked: Iterable[str | tuple[str, tuple[int, ...]]] = (),
+    marked: Iterable[str | tuple[tuple[str, tuple[int, ...]], int]] = (),
 ) -> Stream:
     """The stream of visiting ``points`` (index tuples in declaration
     order), then running the epilogue, banking the ``marked`` cells:
-    ``(name, loc)`` pairs, or every cell of an array given by name."""
+    ``((name, loc), slot)`` pairs, where cells may share a slot, or an
+    array's name, which banks every cell of it into a slot of its own."""
     layout = Layout(infer_shapes(replace(spec, formulas=spec.formulas + epilogue)))
     coefficient_ids = {0: 0}
-    marks = bytearray(layout.size)  # cells still to bank at their first overwrite
+    bank = array("q", [-1]) * layout.size  # each banked cell's slot id, past the last cell
     for item in marked:
-        if isinstance(item, str):
+        if isinstance(item, str):  # cell c banks into slot id layout.size + c
             span = layout.cells(item)
-            marks[span] = b"\x01" * (span.stop - span.start)
-        elif (cell := layout.cell(item[0], tuple(item[1]))) is not None:
-            marks[cell] = 1
-    bank: dict[int, int] = {}
+            bank[span] = array("q", range(layout.size + span.start, layout.size + span.stop))
+        else:  # ((name, loc), slot)
+            bank[layout.cell(*item[0])] = layout.size + item[1]
+    marks = bytearray(slot >= 0 for slot in bank)  # cells still to bank at their first overwrite
     # the cell id a read names: its bank slot once banked, except while
     # the current visit has written it or accumulates into it
     served = list(range(layout.size)) if any(marks) else []
@@ -424,10 +432,6 @@ def lower(
                 continue
             if (write := _cell(result, point)) < 0:
                 continue
-            if marks[write]:
-                marks[write] = 0
-                served[write] = bank[write] = layout.size + len(bank)
-                codes.extend((SAVE, bank[write], write))
             if add and served and served[write] != write:
                 served[write] = write
                 live.append(write)
@@ -438,8 +442,12 @@ def lower(
                     reads, cid = [r for r in reads if r >= 0], 0
                 else:
                     kind = ADD if add else ASSIGN
-                record += (cid, len(reads), *(map(serve, reads) if bank else reads))
+                record += (cid, len(reads), *(map(serve, reads) if served else reads))
             record[0] = fi << 2 | kind
+            if kind != SKIP and marks[write]:  # the cell is still pre-pass
+                marks[write] = 0
+                served[write] = bank[write]
+                codes.extend((SAVE, bank[write], write))
             codes.extend(record)
             if fi < last and served and served[write] != write:
                 served[write] = write
@@ -453,4 +461,5 @@ def lower(
     if epilogue:
         visit((), compiled(epilogue, ()), len(body))
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    return Stream(spec, points, layout, codes, coefficients, len(bank))
+    banked = max(bank) + 1 - layout.size if served else 0
+    return Stream(spec, points, layout, codes, coefficients, banked)

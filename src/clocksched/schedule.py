@@ -912,11 +912,11 @@ def allocate_temporaries(
 ) -> TempPlan:
     """Size the constant scratch space a visit order needs.
 
-    Reads of written arrays, but an accumulation's read of its own cell,
-    want the value a cell held before the pass started.  Walking the
-    visit order, a cell must be banked from its overwrite until its last
-    such read; the plan's size is the peak number of banked cells plus
-    one working cell for the in-flight update.  A budget below that is
+    A cell whose read, replayed along the visit order, sees a write from
+    an earlier visit is banked from its first overwrite until its last
+    such read; ``lower`` never banks an accumulation's read of its own
+    cell.  The plan's size is the peak number of banked cells plus one
+    working cell for the in-flight update.  A budget below that is
     refused and the minimum reported.  ``visit_order`` returns the visit
     order's stream, lowered unmarked; it is not called when every
     dependence is an accumulation's read of its own cell.
@@ -932,15 +932,18 @@ def allocate_temporaries(
         and e.vector is not None and not any(e.vector) for e in deps
     ):
         return NO_PLAN
+    from .lower import SKIP
+
     stream = visit_order()
     first_write: dict[int, int] = {}
     last_read: dict[int, int] = {}
-    for pos, fi, cell, reads in stream.applications():
-        add = spec.formulas[fi].op == "+="
-        for r in reads:
-            if first_write.get(r, pos) < pos and not (add and r == cell):
-                last_read[r] = pos
-        first_write.setdefault(cell, pos)
+    for pos, code, cell, seen in stream.replay():
+        add = spec.formulas[code >> 2].op == "+="
+        for visit, _, read in filter(None, seen):
+            if visit < pos and not (add and read == cell):
+                last_read[read] = pos
+        if code & 3 != SKIP:
+            first_write.setdefault(cell, pos)
     intervals = [
         (first_write[cell], end, cell) for cell, end in last_read.items()
     ]

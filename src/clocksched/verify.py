@@ -9,9 +9,10 @@ Coverage compares the visited index points against the spec's domain
 one by one.  The other checks read the trace's one flat access stream
 (``VisitTrace.stream``, built by ``lower.py`` on first use): integer
 cell ids, formula applications in visit order, and explicit banking of
-the snapshot plan's cells.  The dependency check replays that stream
-while tagging every cell with its provenance, so a value consumed after
-its pre-pass original was overwritten is caught and named.
+the plan's cells into their slots.  The dependency check replays it and
+the reference (``Stream.replay``): a read sees the cell's last write,
+an accumulation's own cell its last assignment, a slot or unwritten
+cell the pre-pass value; a read or final cell that differs fails.
 Equivalence is exact: it runs both streams on polynomials over the
 input cells (``Stream.polynomials``) and compares every shared cell's
 final polynomial.  Past ``EXACT_BUDGET`` live monomials it falls back
@@ -123,13 +124,8 @@ def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
 
 
 def interpret(trace: VisitTrace, store: Store) -> Store:
-    """Run the schedule's visit order on a store.
-
-    Cells named by a snapshot plan are banked at their first overwrite;
-    reads other than an accumulator's own cell prefer the banked
-    original.  ``verify`` holds the result to ``reference_interpret``
-    of the tree's source.
-    """
+    """Run the schedule's visit order, ``VisitTrace.stream``, on a store;
+    ``verify`` holds it to ``reference_interpret`` of the tree's source."""
     return _run_on_store(trace.stream, store)
 
 
@@ -199,87 +195,75 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
+def _replayed(stream: Stream, finals: list) -> Iterator[tuple]:
+    """``Stream.replay`` with points for visits, as ``((point, code),
+    write, seen)``.  Sets ``finals[cell]`` to its last assignment, or once
+    accumulated to a list of that (or None) and the contributions since."""
+    from .lower import ADD, ASSIGN
+
+    for visit, code, write, seen in stream.replay():
+        app = (stream.points[visit], code)
+        if code & 3 == ASSIGN:
+            finals[write] = app
+        elif code & 3 == ADD:
+            if type(state := finals[write]) is not list:
+                finals[write] = state = [state]
+            state.append(app)
+        yield app, write, [None if s is None else (stream.points[s[0]], *s[1:]) for s in seen]
+
+
 def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> DependencyReport:
-    """Replay the trace tagging each cell with its provenance.
-
-    A read outside an accumulation chain wants the value the cell held
-    before the pass; it passes if the cell is untouched or banked by
-    the snapshot plan, and is a violation otherwise.  Accumulator cells
-    must end up with exactly the reference set of contributions; a
-    permuted arrival order is reported as commuting, not failing.
-    ``reference`` is a stream of the spec's ``domain_points`` on the
-    trace's cell layout, if already lowered.
+    """Replay the trace and the reference and compare which write each
+    read sees (``Stream.replay``): the cell's last write, or for an
+    accumulation's read of its own cell its last assignment, or the
+    pre-pass value of a bank slot or an unwritten cell.  The check fails
+    exactly where a read, or a written cell's final (last assignment,
+    set of contributions since), differs; a reordered sum commutes, and
+    a temporary's last assignment is free.  ``reference`` is the trace
+    spec's ``domain_points`` lowered with the tree's epilogue and every
+    written array banked by name, if already lowered.
     """
-    from .lower import lower
+    from .lower import ADD, lower
 
+    stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
-    if spec is None:
-        raise ValueError("this trace enumerates bare time, not a spec")
-    adds = [f.op == "+=" for f in spec.formulas + trace.tree.epilogue]
-
     if reference is None:
-        reference = lower(spec, domain_points(spec), trace.tree.epilogue)
-    acc_full: dict[int, set] = {}
-    acc_order: dict[int, list] = {}
-    final_def: dict[int, tuple] = {}
-    for visit, fi, cell, _ in reference.applications():
-        if visit == len(reference.points):
-            break
-        event = (reference.points[visit], fi)
-        if adds[fi]:
-            acc_full.setdefault(cell, set()).add(event)
-            acc_order.setdefault(cell, []).append(event)
-        else:
-            final_def[cell] = event
-
-    stream = trace.stream
+        written = {f.result.name for f in spec.formulas}
+        reference = lower(spec, domain_points(spec), trace.tree.epilogue, written)
     layout = stream.layout
-    # the epilogue runs after every visit and wants final values, so its
-    # reads are covered by the completeness checks below
-    defined: dict[int, tuple] = {}  # cells whose last write assigned
-    gathered: dict[int, set] = {}  # cells whose last write accumulated
-    arrivals: dict[int, list] = {}
+    # by cell id in lists: dicts would double the check's memory
+    got_finals, want_finals = [None] * layout.size, [None] * layout.size
+    # most reads see the pre-pass value, so only the others are kept
+    want_reads = {app: seen for app, _, seen in _replayed(reference, want_finals) if any(seen)}
+
     violations: list[str] = []
     events = 0
-    for visit, fi, cell, reads in stream.applications():
-        if visit == len(stream.points):
-            break
-        pt = stream.points[visit]
-        for r in reads:
-            if adds[fi] and r == cell:
-                if r in defined:
-                    violations.append(
-                        f"accumulator {layout.text(r)} clobbered before point {pt}"
-                    )
-            elif r in defined or r in gathered:
-                violations.append(
-                    f"{layout.text(r)} overwritten before its pre-pass read at point {pt}"
-                )
+    for (pt, code), cell, got in _replayed(stream, got_finals):
         events += 1
-        event = (pt, fi)
-        if adds[fi]:
-            defined.pop(cell, None)
-            gathered.setdefault(cell, set()).add(event)
-            arrivals.setdefault(cell, []).append(event)
-        else:
-            defined[cell] = event
-            gathered.pop(cell, None)
-
+        for seen, wanted in zip(got, want_reads.get((pt, code)) or itertools.repeat(None)):
+            if seen != wanted:
+                read = (seen or wanted)[2]
+                violations.append(
+                    f"accumulator {layout.text(read)} clobbered before point {pt}"
+                    if code & 3 == ADD and read == cell else
+                    f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
+                )
     commutes = False
-    for cell, expected in acc_full.items():
-        got = gathered.get(cell, set())
-        if got != expected:
-            violations.append(
-                f"accumulation at {layout.text(cell)} gathered "
-                f"{len(got)} of {len(expected)} contributions"
-            )
-        elif arrivals.get(cell, []) != acc_order[cell]:
-            commutes = True
-    for cell, event in final_def.items():
-        if layout.location(cell)[0] not in spec.temp_arrays and defined.get(cell) != event:
+    for cell, (got, want) in enumerate(zip(got_finals, want_finals)):
+        if got == want:
+            continue
+        got, want = (s if type(s) is list else [s] for s in (got, want))
+        if got[0] != want[0] and layout.location(cell)[0] not in spec.temp_arrays:
             violations.append(
                 f"final value of {layout.text(cell)} does not come from its last write"
             )
+        if set(got[1:]) != set(want[1:]):
+            violations.append(
+                f"accumulation at {layout.text(cell)} gathered "
+                f"{len(got) - 1} of {len(want) - 1} contributions"
+            )
+        elif got[1:] != want[1:]:
+            commutes = True
 
     return DependencyReport(
         ok=not violations,

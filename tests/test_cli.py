@@ -257,6 +257,24 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
     assert "Traceback" not in err
 
 
+def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
+    """b(2,0) reads a(1,2) and b(3,0) reads a(1,3) after their
+    overwrites, and the plan banks both at once: given one slot for all
+    three banked cells, b(2,0) no longer sees a(1,2)'s pre-pass value."""
+    src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
+    path = transform(tmp_path, capsys, src)
+    doc = json.loads(open(path).read())
+    assert (doc["plan"]["slots"], doc["plan"]["minimal"]) == ([0, 1, 0], 3)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and out.endswith("verdict: pass\n")
+    doc["plan"].update(slots=[0, 0, 0], minimal=1, locations=1)
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(shared))
+    assert code == 1
+    assert "equivalence: FAIL at b(2,0)" in out and out.endswith("verdict: FAIL\n")
+
+
 def test_emit_refuses_a_branching_nest(tmp_path, capsys):
     path = transform(tmp_path, capsys, cases.MATMUL)
     bad = tmp_path / "bad.json"

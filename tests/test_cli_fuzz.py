@@ -164,3 +164,32 @@ def test_a_changed_step_or_extent_passes_only_if_the_domain_is_still_covered(scr
     assert code in (0, 1, 2)
     if code == 0:
         assert visits_the_domain_once(doc)
+
+
+@pytest.mark.parametrize(
+    "field, at, value",
+    [
+        ("snapshot_locs", 0, ["zz", []]),
+        ("snapshot_locs", 0, ["a", [9, 9]]),
+        ("snapshot_locs", 0, ["a", [0]]),
+        ("slots", 0, 10**12),
+        ("slots", 0, -1),
+        ("slots", 0, True),
+        ("slots", None, 0),
+    ],
+    ids=["array-the-spec-lacks", "cell-off-the-array", "too-few-subscripts",
+         "slot-past-the-cells", "negative-slot", "slot-not-integer", "slot-without-a-cell"],
+)
+def test_a_plan_banking_no_cell_of_the_spec_or_past_its_slots_exits_2(scratch, field, at, value):
+    doc = schedule_to_json(cases.stencil_tree())
+    plan = doc["plan"]
+    if at is None:
+        plan[field].append(value)
+    else:
+        plan[field][at] = value
+    # refused before any memory is sized from the slots
+    with pytest.raises(ValueError, match="schedule field 'plan'"):
+        schedule_from_json(doc)
+    path = scratch / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path), "--trials", "1") == 2

@@ -77,7 +77,7 @@ def test_parse_when_and_initial():
     )
     (f,) = spec.formulas
     assert f.when == (("I", 1), ("J", 0))
-    fired = [visit for visit, *_ in lower(spec, [(1, 0), (0, 0)]).applications()]
+    fired = [visit for visit, *_ in lower(spec, [(1, 0), (0, 0)]).replay()]
     assert fired == [0]  # the formula fires at I=1, J=0 only
 
 

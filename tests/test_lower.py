@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from clocksched.formula import parse_spec
-from clocksched.lower import ASSIGN, SAVE, SKIP, VISIT, PastBudget, lower
+from clocksched.lower import ADD, ASSIGN, SAVE, SKIP, VISIT, PastBudget, lower
 
 
 def test_lowered_cells_and_bounds():
@@ -36,20 +36,34 @@ def test_a_formula_with_every_term_off_its_arrays_stores_nothing():
 
 
 def test_snapshot_cells_are_banked_at_their_first_overwrite():
-    spec = parse_spec("space I[2];\na(I) = a(I+1);\n")
-    stream = lower(spec, [(1,), (0,)], marked=[("a", (1,))])
+    spec = parse_spec("space I[3];\na(I) = a(I+1);\n")
+    # a(2)'s only write drops its term, so it is never banked and its
+    # slot is free for a(1)
+    stream = lower(spec, [(2,), (1,), (0,)], marked=[(("a", (2,)), 0), (("a", (1,)), 0)])
     one = stream.coefficients.index(1)
     assert list(stream.codes) == [
-        VISIT, SAVE, 2, 1, SKIP, 1, 1, 0, 0,
-        VISIT, ASSIGN, 0, 1, one, 1, 2,  # a(1) is read from its bank slot
+        VISIT, SKIP, 2, 1, 0, 0,
+        VISIT, SAVE, 3, 1, ASSIGN, 1, 1, one, 1, 2,
+        VISIT, ASSIGN, 0, 1, one, 1, 3,  # a(1) is read from its bank slot
     ]
-    mem = stream.memory({"a": [5, 7]})
+    mem = stream.memory({"a": [5, 7, 9]})
     stream.run(mem)
-    assert mem == [7, 7, 7]
-    # a banked read is safe; unbanked, the same read wants a(1)'s old value
-    assert [reads for *_, reads in stream.applications()] == [[], []]
-    plain = lower(spec, [(1,), (0,)])
-    assert [reads for *_, reads in plain.applications()] == [[], [1]]
+    assert mem == [7, 9, 9, 7]
+    # a banked read sees the pre-pass value; unbanked, the same read sees
+    # formula 0's write of a(1) at visit 1
+    skip = (0, SKIP, 2, [])
+    assert list(stream.replay()) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [None])]
+    plain = lower(spec, [(2,), (1,), (0,)])
+    assert list(plain.replay()) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [(1, 0, 1)])]
+
+
+def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
+    spec = parse_spec("space I[1];\na(I) = b(I);\na(I) += a(I);\na(I) += a(I);\nc(I) = a(I);\n")
+    stream = lower(spec, [(0,)])
+    # the second accumulation's own read of a(0) sees the assignment, not
+    # the first accumulation; c's read sees the last write
+    seen = [seen for *_, seen in stream.replay()]
+    assert seen == [[None], [(0, 0, 0)], [(0, 0, 0)], [(0, 2 << 2 | ADD, 0)]]
 
 
 def test_marking_an_array_by_name_banks_every_cell_of_it():
@@ -57,9 +71,9 @@ def test_marking_an_array_by_name_banks_every_cell_of_it():
         "space I[4], J[4];\na(I,J) = a(I+1,J) + b(J,I);\nb(I,J) += a(J,I)*b(I,J+1);\n"
     )
     points = list(itertools.product(range(4), repeat=2))
-    pairs = [(name, loc) for name in "ab" for loc in itertools.product(range(4), repeat=2)]
+    cells = [(name, loc) for name in "ab" for loc in itertools.product(range(4), repeat=2)]
     by_name = lower(spec, points, (), ["a", "b"])
-    assert by_name.codes == lower(spec, points, (), pairs).codes
+    assert by_name.codes == lower(spec, points, (), zip(cells, itertools.count())).codes
     assert by_name.banked == 32
 
 

@@ -248,10 +248,14 @@ def test_sequential_trace_interprets_like_the_reference(spec, seed):
 @st.composite
 def self_reading_specs(draw):
     """Specs whose formulas read the arrays they write, through
-    permuted subscripts displaced by 0 or 1, under ``=`` and ``+=``."""
+    permuted subscripts displaced by 0 or 1, under ``=`` and ``+=``.
+    An array may be written by two formulas, so one cell can be
+    assigned and accumulated in either order."""
     names = _NAMES[: draw(st.integers(1, 2))]
     indexes = tuple(IndexDecl(nm, draw(st.integers(1, 4))) for nm in names)
-    targets = ("a", "b")[: draw(st.integers(1, 2))]
+    written = ("a", "b")[: draw(st.integers(1, 2))]
+    twice = (draw(st.sampled_from(written)),) * draw(st.integers(0, 1))
+    targets = draw(st.permutations(written + twice))
 
     def access(array: str, displaced: bool) -> ArrayAccess:
         order = draw(st.permutations(names))
@@ -263,7 +267,7 @@ def self_reading_specs(draw):
             op=draw(st.sampled_from(["=", "+="])),
             terms=tuple(
                 Term(draw(st.integers(1, 3)), tuple(
-                    access(draw(st.sampled_from(targets + ("c",))), True)
+                    access(draw(st.sampled_from(written + ("c",))), True)
                     for _ in range(draw(st.integers(1, 2)))
                 ))
                 for _ in range(draw(st.integers(1, 2)))

@@ -499,3 +499,31 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     check_dependencies(trace)
     interpret(trace, random_store(trace.stream.layout.shapes))
     assert len(calls) == 2  # the reference order, then the trace once
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "space I[4];\na(I) = b(I);\na(I) += c(I);\n",
+        "space I[4];\na(I) += b(I);\na(I) = c(I);\na(I) += d(I);\n",
+        "space I[4], J[4];\ns(I) = b(I,J);\ns(I) += c(I,J);\n",
+        "space I[4], J[4];\ns(I) += b(I,J);\ns(I) = c(I,J);\n",
+    ],
+    ids=["assign-then-accumulate", "accumulate-assign-accumulate",
+         "reassigned-each-column", "accumulated-then-reassigned"],
+)
+def test_the_reference_order_keeps_its_own_dependences(src):
+    """A cell's final value is its last assignment plus the
+    contributions since, in the sequential order as in the reference."""
+    report = verify_report(enumerate_schedule(sequential_schedule(src)), trials=2)
+    assert report["ok"], report["lines"]
+
+
+def test_a_write_whose_every_term_drops_is_no_overwrite():
+    """a(I,J) = c(I+3,J) writes only a(0,J), so b's reads of a(1..3,I)
+    see pre-pass values with nothing banked."""
+    src = "space I[4], J[4];\na(I,J) = c(I+3,J);\nb(I,J) = a(J+1,I);\n"
+    tree = sequential_schedule(src)
+    assert tree.plan == NO_PLAN
+    report = verify_report(enumerate_schedule(tree), trials=2)
+    assert report["ok"], report["lines"]
