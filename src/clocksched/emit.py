@@ -4,10 +4,18 @@ Three text notations: ``for`` is a C-like nest, ``form`` flattens the
 nest into one bracketed header over a shared body, ``enum`` prints the
 loop chain as interval terms.  Bodies contain every formula of the spec
 with each index replaced by the expression recovering its value from
-the loop variables.  That expression renders ``schedule.recovery``, the
-table the enumerator evaluates, so the emitted text computes the points
-the checks ran on.  The divisors are the mapped powers of two, so a
-backend may implement them as shifts.
+the loop variables, under one ``if`` per guard of the spec, its
+``domain A < B`` lines.  That expression renders ``schedule.recovery``,
+the table the enumerator evaluates, so the emitted text computes the
+points the checks ran on.  The divisors are the mapped powers of two,
+so a backend may implement them as shifts.
+
+A schedule document holds the tree's roots, clock, spec text, source,
+plan and epilogue, and nothing derived from them: the guards are the
+spec's, a loop is converted when its lower bound names a variable, and
+a group steps by its first member's step.  The reader ignores the
+``guards``, ``mapping``, ``converted`` and ``slot_step`` keys that older
+documents carry.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from .formula import (
     ComputationSpec,
     Factor,
     Formula,
+    LessThan,
     Term,
     infer_shapes,
-    parse_spec,
+    legal_spec,
     print_spec,
     render_formula,
 )
@@ -31,9 +40,6 @@ from .schedule import (
     EnumNode,
     FormGroup,
     FormulaBlock,
-    GradMapping,
-    Guard,
-    LoopSpec,
     Node,
     ScheduleTree,
     TempPlan,
@@ -41,6 +47,7 @@ from .schedule import (
     nest,
     nest_loops,
     recovery,
+    temp_cells,
 )
 
 INDENT = "  "
@@ -108,12 +115,12 @@ def value_texts(spec: ComputationSpec | None, loops: Sequence[EnumNode]) -> dict
     return out
 
 
-def _guard_lines(tree: ScheduleTree, subst: dict[str, str]) -> list[str]:
+def _guard_lines(spec: ComputationSpec, subst: dict[str, str]) -> list[str]:
     lines = []
-    for g in tree.guards:
-        left = subst.get(g.left, g.left)
-        right = g.right if isinstance(g.right, int) else subst.get(g.right, g.right)
-        lines.append(f"if ({left}<{right})")
+    for g in spec.domain:
+        if isinstance(g, LessThan):
+            right = g.right if isinstance(g.right, int) else subst.get(g.right, g.right)
+            lines.append(f"if ({subst.get(g.left, g.left)}<{right})")
     return lines
 
 
@@ -122,7 +129,7 @@ def _body_lines(tree: ScheduleTree, subst: dict[str, str], offsets: list[str]) -
     them, or the offset tuple of a bare time skeleton."""
     if tree.spec is None:
         return ["(" + ",".join(offsets) + ")"]
-    guards = _guard_lines(tree, subst)
+    guards = _guard_lines(tree.spec, subst)
     lines = [INDENT * i + g for i, g in enumerate(guards)]
     pad = INDENT * len(guards)
     for formula in tree.spec.formulas:
@@ -231,7 +238,6 @@ def _node_to_json(node: Node | UnfoldCopy) -> dict:
         return {
             "kind": "group",
             "members": [_node_to_json(m) for m in node.members],
-            "slot_step": node.slot_step,
             "body": [_node_to_json(b) for b in node.body],
         }
     if isinstance(node, UnfoldCopy):
@@ -242,7 +248,6 @@ def _node_to_json(node: Node | UnfoldCopy) -> dict:
         "step": node.step,
         "extent": node.extent,
         "lower": _affine_to_json(node.lower),
-        "converted": node.converted,
         "synthetic": node.synthetic,
         "contributes": [[n, w] for n, w in node.contributes],
         "digit_base": node.digit_base,
@@ -257,7 +262,6 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
     if kind == "group":
         return FormGroup(
             members=tuple(_node_from_json(m) for m in doc["members"]),
-            slot_step=_typed(doc["slot_step"], int, "slot_step"),
             body=tuple(_node_from_json(b) for b in doc["body"]),
         )
     if kind == "copy":
@@ -269,7 +273,6 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
         step=_typed(doc["step"], int, "step"),
         extent=_typed(doc["extent"], int, "extent"),
         lower=_affine_from_json(doc["lower"]),
-        converted=doc["converted"],
         synthetic=doc["synthetic"],
         contributes=tuple(
             (_typed(n, str, "contributes index"), _typed(w, int, "contributes weight"))
@@ -298,19 +301,30 @@ def _formula_to_json(f: Formula) -> dict:
     }
 
 
-def _formula_from_json(doc: dict) -> Formula:
-    def access(d: dict) -> ArrayAccess:
-        # older documents carry a third, always-1 exponent entry per subscript
-        return ArrayAccess(d["name"], tuple(Factor(i, disp) for i, disp, *_ in d["args"]))
+def _epilogue_formula_from_json(doc: dict) -> Formula:
+    """A reduction formula as the builder writes one: ``=`` or ``+=``
+    over integer coefficients and constant subscripts, with no ``when``."""
 
+    def access(d: dict) -> ArrayAccess:
+        args = []
+        # older documents carry a third, always-1 exponent entry per subscript
+        for index, disp, *_ in d["args"]:
+            if index is not None:
+                raise ValueError(f"subscript {index!r} of {d['name']!r} is not a constant")
+            args.append(Factor(None, _typed(disp, int, "constant subscript")))
+        return ArrayAccess(_typed(d["name"], str, "array name"), tuple(args))
+
+    if doc["op"] not in ("=", "+="):
+        raise ValueError(f"op {doc['op']!r} is neither = nor +=")
+    if doc["when"]:
+        raise ValueError("a reduction formula takes no when")
     return Formula(
         result=access(doc["result"]),
         op=doc["op"],
         terms=tuple(
-            Term(t["coefficient"], tuple(access(a) for a in t["accesses"]))
+            Term(_typed(t["coefficient"], int, "coefficient"), tuple(access(a) for a in t["accesses"]))
             for t in doc["terms"]
         ),
-        when=tuple((n, v) for n, v in doc["when"]),
     )
 
 
@@ -319,7 +333,6 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
         "format": FORMAT,
         "version": VERSION,
         "roots": [_node_to_json(r) for r in tree.roots],
-        "guards": [[g.left, g.right] for g in tree.guards],
         "epilogue": [_formula_to_json(f) for f in tree.epilogue],
     }
     doc["clock"] = (
@@ -333,26 +346,6 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     )
     doc["spec"] = None if tree.spec is None else print_spec(tree.spec)
     doc["source"] = tree.source
-    doc["mapping"] = (
-        None
-        if tree.mapping is None
-        else {
-            "span": tree.mapping.span,
-            "slots": [
-                [
-                    {
-                        "name": l.name,
-                        "step": l.step,
-                        "count": l.count,
-                        "contributes": [[n, w] for n, w in l.contributes],
-                        "synthetic": l.synthetic,
-                    }
-                    for l in slot
-                ]
-                for slot in tree.mapping.slots
-            ],
-        }
-    )
     doc["plan"] = {
         "kind": tree.plan.kind,
         "locations": tree.plan.locations,
@@ -363,25 +356,6 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     return doc
 
 
-def _mapping_from_json(m: dict) -> GradMapping:
-    return GradMapping(
-        slots=tuple(
-            tuple(
-                LoopSpec(
-                    name=l["name"],
-                    step=l["step"],
-                    count=l["count"],
-                    contributes=tuple((n, w) for n, w in l["contributes"]),
-                    synthetic=l["synthetic"],
-                )
-                for l in slot
-            )
-            for slot in m["slots"]
-        ),
-        span=m["span"],
-    )
-
-
 def _plan_from_json(p: dict) -> TempPlan:
     locs = tuple((n, tuple(loc)) for n, loc in p["snapshot_locs"])
     if not all(isinstance(n, str) and all(type(v) is int for v in loc) for n, loc in locs):
@@ -389,13 +363,42 @@ def _plan_from_json(p: dict) -> TempPlan:
     slots = tuple(p["slots"])
     if len(slots) != len(locs) or not all(type(s) is int and 0 <= s < len(locs) for s in slots):
         raise ValueError("slots must pair one-to-one with snapshot cells, each below their count")
+    if p["kind"] not in ("none", "swap", "snapshot"):
+        raise ValueError(f"unknown plan kind {p['kind']!r}")
     return TempPlan(
         kind=p["kind"],
-        locations=p["locations"],
+        locations=_typed(p["locations"], int, "locations"),
         snapshot_locs=locs,
         slots=slots,
-        minimal=p["minimal"],
+        minimal=_typed(p["minimal"], int, "minimal"),
     )
+
+
+def _check_plan(plan: TempPlan, spec: ComputationSpec | None) -> None:
+    """Refuse a plan whose numbers differ from what the builder's rules
+    give from the document's own spec and banked cells: a snapshot needs
+    one working cell past its busiest slot, a swap holds every temp cell
+    and needs one, and no plan means no temp arrays."""
+    temps = temp_cells(spec) if spec is not None else 0
+    cells = len(plan.snapshot_locs)
+    if plan.kind == "snapshot":
+        if not cells:
+            raise ValueError("schedule field 'plan' is a snapshot that banks no cell")
+        want = (max(plan.slots) + 2,) * 2
+    else:
+        if cells:
+            raise ValueError(f"schedule field 'plan' of kind {plan.kind} banks {cells} cells")
+        if plan.kind == "swap":
+            want = (1, temps)
+        elif temps:
+            raise ValueError("schedule field 'plan' has kind none, but the spec has temp arrays")
+        else:
+            want = (0, 0)
+    if (plan.minimal, plan.locations) != want:
+        raise ValueError(
+            f"schedule field 'plan' of kind {plan.kind} needs minimal {want[0]} and "
+            f"locations {want[1]}, not {plan.minimal} and {plan.locations}"
+        )
 
 
 def _typed(value, kind: type, what: str):
@@ -405,24 +408,16 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _guard_from_json(left, right) -> Guard:
-    if type(right) is not int:
-        _typed(right, str, "guard right side")
-    return Guard(_typed(left, str, "guard left side"), right)
-
-
 # ScheduleTree field -> parser of its JSON value
 _TREE_FIELDS = {
     "roots": lambda roots: tuple(_node_from_json(r) for r in roots),
     "clock": lambda c: None if c is None else Clock(
         tuple(c["graduations"]), c["rate"], c["span"]
     ),
-    "spec": lambda text: None if text is None else parse_spec(_typed(text, str, "spec")),
+    "spec": lambda text: None if text is None else legal_spec(_typed(text, str, "spec")),
     "source": lambda text: None if text is None else _typed(text, str, "source"),
-    "mapping": lambda m: None if m is None else _mapping_from_json(m),
     "plan": _plan_from_json,
-    "guards": lambda guards: tuple(_guard_from_json(l, r) for l, r in guards),
-    "epilogue": lambda formulas: tuple(_formula_from_json(f) for f in formulas),
+    "epilogue": lambda formulas: tuple(_epilogue_formula_from_json(f) for f in formulas),
 }
 
 
@@ -449,4 +444,5 @@ def schedule_from_json(doc: dict) -> ScheduleTree:
         shape = shapes.get(name)
         if shape is None or len(at) != len(shape) or not all(0 <= v < n for v, n in zip(at, shape)):
             raise ValueError(f"schedule field 'plan' banks {name}{list(at)}, no cell of the spec")
+    _check_plan(tree.plan, tree.spec)
     return tree

@@ -21,9 +21,8 @@ from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .clock import Clock, clock_points, color_of, log2_exact
-from .formula import ComputationSpec
+from .formula import ComputationSpec, LessThan
 from .schedule import (
-    BuildError,
     EnumNode,
     FormGroup,
     ScheduleTree,
@@ -129,18 +128,18 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
     A root is a single chain of loops.  ``itertools.product`` runs over
     its digit ranges, outermost first and form-group members side by
     side, so the innermost loop turns fastest.  Each combination is one
-    visit: the recovery table gives its index point, the tree's guards
-    may skip it, and the loops' offsets from their lower bounds give its
-    time point.  A reduction epilogue adds one final record.
+    visit: the recovery table gives its index point, the spec's guards
+    (its ``domain A < B`` lines) may skip it, and the loops' offsets
+    from their lower bounds give its time point.  A reduction epilogue
+    adds one final record.
     """
     spec = tree.spec
     names = spec.index_names() if spec else ()
     where = {n: i for i, n in enumerate(names)}
-    guards = []
-    for g in tree.guards if spec else ():
-        if g.left not in where or not (isinstance(g.right, int) or g.right in where):
-            raise BuildError(f"guard {g.left} < {g.right} names an unknown index")
-        guards.append((where[g.left], where.get(g.right, -1), g.right))
+    guards = [
+        (where[g.left], where.get(g.right, -1), g.right)
+        for g in (spec.domain if spec else ()) if isinstance(g, LessThan)
+    ]
     rows = []
     for copy, root in enumerate(tree.roots):
         chain = nest(root)

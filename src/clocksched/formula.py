@@ -440,6 +440,16 @@ def check_legality(spec: ComputationSpec) -> list[str]:
     return problems
 
 
+def legal_spec(source: str | ComputationSpec) -> ComputationSpec:
+    """The spec, parsed if given as text; an illegal one raises
+    ``ValueError`` listing its problems."""
+    spec = parse_spec(source) if isinstance(source, str) else source
+    problems = check_legality(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return spec
+
+
 def infer_shapes(spec: ComputationSpec) -> dict[str, tuple[int, ...]]:
     """Array shapes from declared extents.
 

@@ -6,7 +6,10 @@ the bounds set by its parent, so the innermost variable sweeps the
 whole time span while outer variables mark coarser graduations.  Loop
 variables are divided back by their steps to recover index values (one
 ``recovery`` table per root, shared by the enumerator and the emitter),
-and guards cut the enumeration down to the spec's domain.
+and the spec's guards, its ``domain A < B`` lines, cut the enumeration
+down to its domain.  A tree states each fact once: whether a loop is
+converted is whether its lower bound names a variable, and a form
+group's step is its first member's.
 
 Rewrites that make reordering safe live here too: permutation cycles
 get a block-bound scratch index and a save/swap/restore triple,
@@ -102,18 +105,6 @@ class Affine:
         return text
 
 
-@dataclass(frozen=True)
-class Guard:
-    """Predicate over recovered index values: ``left < right``."""
-
-    left: str
-    right: str | int
-
-    def holds(self, point: Mapping[str, int]) -> bool:
-        bound = self.right if isinstance(self.right, int) else point[self.right]
-        return point[self.left] < bound
-
-
 # ---------------------------------------------------------------------------
 # tree nodes
 
@@ -129,7 +120,6 @@ class EnumNode:
     step: int
     extent: int
     lower: Affine = Affine()
-    converted: bool = False  # lower bound rides on the parent variable
     synthetic: bool = False  # invented time loop, not a spec index
     contributes: tuple[tuple[str, int], ...] = ()  # (spec index, weight)
     digit_base: int = 0  # first digit; nonzero after an unfold narrows the range
@@ -143,6 +133,11 @@ class EnumNode:
     def count(self) -> int:
         return self.extent // self.step
 
+    @property
+    def converted(self) -> bool:
+        """The lower bound rides on an enclosing loop's variable."""
+        return bool(self.lower.terms)
+
 
 @dataclass(frozen=True)
 class FormGroup:
@@ -150,8 +145,16 @@ class FormGroup:
     their product."""
 
     members: tuple[EnumNode, ...]
-    slot_step: int
     body: tuple["Node", ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise BuildError("a form group needs at least one member")
+
+    @property
+    def slot_step(self) -> int:
+        """The shared slot's step; the builder gives every member this step."""
+        return self.members[0].step
 
 
 Node = EnumNode | FormGroup | FormulaBlock
@@ -201,9 +204,7 @@ class ScheduleTree:
     clock: Clock | None = None
     spec: ComputationSpec | None = None
     source: str | None = None
-    mapping: GradMapping | None = None
     plan: TempPlan = NO_PLAN
-    guards: tuple[Guard, ...] = ()
     epilogue: tuple[Formula, ...] = ()
 
 
@@ -362,7 +363,7 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
             name = name + "N"
         lower = Affine.var(parent_name) if convert and parent_name else Affine()
         rebuilt.append(
-            replace(node, index=name, lower=lower, converted=convert, body=())
+            replace(node, index=name, lower=lower, body=())
         )
         parent_name = name
     root = _chain(rebuilt, FormulaBlock())
@@ -382,32 +383,23 @@ def compose_skeleton(factors: Sequence[Clock]) -> ScheduleTree:
         prefixes.append("TG" if i == 1 else f"TG{i}")
     prefixes.reverse()
     nodes: list[EnumNode] = []
-    prev_inner: str | None = None
     for clock, prefix in zip(factors, prefixes):
         names = _level_names(clock.k, prefix)
         step = clock.span // clock.rate
         for j, name in enumerate(names):
             if j > 0 and not name.endswith("N"):
                 name = name + "N"
-            converted = j > 0 or prev_inner is not None
-            if j > 0:
-                lower = Affine.var(nodes[-1].index)
-            elif prev_inner is not None:
-                lower = Affine.var(prev_inner)
-            else:
-                lower = Affine()
             nodes.append(
                 EnumNode(
                     index=name,
                     step=step,
                     extent=step * clock.rate,
-                    lower=lower,
-                    converted=converted,
+                    # each loop rides on the one before, across factors too
+                    lower=Affine.var(nodes[-1].index) if nodes else Affine(),
                     synthetic=True,
                 )
             )
             step //= clock.rate
-        prev_inner = nodes[-1].index
     root = _chain(nodes, FormulaBlock())
     return ScheduleTree(roots=(root,), clock=factors[0] if factors else None)
 
@@ -650,47 +642,24 @@ def map_indexes(
     if mapping.span != clock.span:
         raise BuildError("mapping span does not match the clock span")
     nodes: list[EnumNode | FormGroup] = []
-    parent: str | None = None
+    lower = Affine()
     for slot in mapping.slots:
-        lower = Affine.var(parent) if parent else Affine()
-        if len(slot) == 1:
-            loop = slot[0]
-            nodes.append(
-                EnumNode(
-                    index=loop.name,
-                    step=loop.step,
-                    extent=loop.count * loop.step,
-                    lower=lower,
-                    converted=parent is not None,
-                    synthetic=loop.synthetic,
-                    contributes=loop.contributes,
-                )
+        loops = tuple(
+            EnumNode(
+                index=loop.name,
+                step=loop.step,
+                extent=loop.count * loop.step,
+                lower=lower,
+                synthetic=loop.synthetic,
+                contributes=loop.contributes,
             )
-            parent = loop.name
-        else:
-            members = tuple(
-                EnumNode(
-                    index=loop.name,
-                    step=loop.step,
-                    extent=loop.count * loop.step,
-                    lower=lower,
-                    converted=parent is not None,
-                    synthetic=loop.synthetic,
-                    contributes=loop.contributes,
-                )
-                for loop in slot
-            )
-            nodes.append(FormGroup(members=members, slot_step=slot[0].step))
-            parent = slot[0].name
+            for loop in slot
+        )
+        nodes.append(loops[0] if len(loops) == 1 else FormGroup(members=loops))
+        lower = Affine.var(slot[0].name)
     if isinstance(nodes[0], EnumNode) and nodes[0].extent != clock.span:
         raise BuildError("outermost loop does not sweep the clock span")
-    built = _chain(nodes, FormulaBlock())
-    guards = tuple(
-        Guard(g.left, g.right) for g in spec.domain if isinstance(g, LessThan)
-    )
-    tree = ScheduleTree(
-        roots=(built,), clock=clock, spec=spec, mapping=mapping, guards=guards
-    )
+    tree = ScheduleTree(roots=(_chain(nodes, FormulaBlock()),), clock=clock, spec=spec)
     if convolutions is not None:
         tree = apply_convolutions(tree, convolutions)
     return tree
@@ -904,6 +873,12 @@ def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> tuple[list[tuple[
     return assigned, peak
 
 
+def temp_cells(spec: ComputationSpec) -> int:
+    """The cells of the spec's temp arrays, all of which a swap plan holds."""
+    shapes = infer_shapes(spec)
+    return sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
+
+
 def allocate_temporaries(
     spec: ComputationSpec,
     deps: Sequence[DepEdge],
@@ -922,8 +897,7 @@ def allocate_temporaries(
     dependence is an accumulation's read of its own cell.
     """
     if spec.temp_arrays:
-        shapes = infer_shapes(spec)
-        cells = sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
+        cells = temp_cells(spec)
         if budget is not None and budget < cells:
             raise TempBudgetError(cells, budget)
         return TempPlan(kind="swap", locations=cells, minimal=1)
@@ -998,9 +972,6 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
         if d.name not in bound
     ]
     root = _chain(nodes, FormulaBlock())
-    guards = tuple(
-        Guard(g.left, g.right) for g in spec1.domain if isinstance(g, LessThan)
-    )
     if plan.kind == "none":
         from .lower import lower
 
@@ -1008,7 +979,7 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
         plan = allocate_temporaries(
             spec1, extract_dependencies(spec1), None, lambda: lower(spec1, domain_points(spec1))
         )
-    return ScheduleTree(roots=(root,), spec=spec1, source=text, guards=guards, plan=plan)
+    return ScheduleTree(roots=(root,), spec=spec1, source=text, plan=plan)
 
 
 def build_schedule(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .engine import VisitTrace, enumerate_schedule
-from .formula import ComputationSpec, check_legality, domain_points, parse_spec
+from .formula import ComputationSpec, domain_points, legal_spec
 from .schedule import ScheduleTree, pad_and_guard
 
 if TYPE_CHECKING:
@@ -97,15 +97,6 @@ def _run_on_store(stream: Stream, store: Store) -> Store:
     return {**copy_store(store), **_as_store(layout.shapes, ran)}
 
 
-def _reference_spec(source: str | ComputationSpec) -> ComputationSpec:
-    """The source spec, refused if illegal, padded like its schedules."""
-    spec = parse_spec(source) if isinstance(source, str) else source
-    problems = check_legality(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return pad_and_guard(spec)
-
-
 def reference_stream(source: str | ComputationSpec) -> Stream:
     """The meaning every schedule of ``source`` is held to, lowered
     without the builder: the padded spec over its ``domain_points``,
@@ -113,7 +104,7 @@ def reference_stream(source: str | ComputationSpec) -> Stream:
     overwrite.  An illegal source raises ``ValueError``."""
     from .lower import lower
 
-    spec = _reference_spec(source)
+    spec = pad_and_guard(legal_spec(source))
     return lower(spec, domain_points(spec), (), {f.result.name for f in spec.formulas})
 
 
@@ -186,7 +177,7 @@ class DependencyReport:
     ok: bool
     violations: tuple[str, ...]
     commutes: bool  # order differed from the reference but only inside sums
-    events: int
+    events: int  # formula applications that write a cell
 
     def summary(self) -> str:
         if self.ok:
@@ -223,7 +214,7 @@ def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> De
     spec's ``domain_points`` lowered with the tree's epilogue and every
     written array banked by name, if already lowered.
     """
-    from .lower import ADD, lower
+    from .lower import ADD, SKIP, lower
 
     stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
@@ -239,7 +230,7 @@ def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> De
     violations: list[str] = []
     events = 0
     for (pt, code), cell, got in _replayed(stream, got_finals):
-        events += 1
+        events += code & 3 != SKIP  # a point whose every term drops writes nothing
         for seen, wanted in zip(got, want_reads.get((pt, code)) or itertools.repeat(None)):
             if seen != wanted:
                 read = (seen or wanted)[2]
@@ -458,7 +449,7 @@ def verify_report(
     equivalence with ``reference_stream`` of the tree's source, and the
     profile.  ``lines`` is the text ``clocksched verify`` prints."""
     tree = trace.tree
-    spec = _reference_spec(tree.source if tree.source is not None else tree.spec)
+    spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
     # without a rewrite or an epilogue the trace runs the reference's spec on
     # its cell layout, so every check shares the reference's points and
     # stream; otherwise the reference is lowered once the dependence check

@@ -109,8 +109,8 @@ def document_visits(doc: dict):
     variables and steps its variable up to lower + extent; its time
     offset is the variable's distance from that bound.  A group runs
     the product of its members, first member outermost, and its offset
-    is the position in that product times the slot step.  Guards are
-    not applied.
+    is the position in that product times the first member's step.
+    Guards are not applied (``keeps_guards`` does that).
     """
     for position, root in enumerate(doc["roots"]):
         nodes = root["body"] if root["kind"] == "copy" else [root]
@@ -141,10 +141,21 @@ def _visits(nodes: list[dict], env: dict[str, int], offsets: tuple[int, ...]):
                 ranges.append(range(lo, lo + m["extent"], m["step"]))
             for slot, values in enumerate(itertools.product(*ranges)):
                 env.update((m["index"], v) for m, v in zip(members, values))
-                offset = slot * node["slot_step"]
+                offset = slot * members[0]["step"]
                 yield from _visits(node["body"], env, offsets + (offset,))
             for m in members:
                 del env[m["index"]]
+
+
+def keeps_guards(domain, point: dict[str, int]) -> bool:
+    """Whether ``point`` keeps every ``left < right`` guard of a spec's
+    domain; a right side that names an index reads it from the point.
+    Block binds, the domain's other lines, have no right side."""
+    return all(
+        point[g.left] < (g.right if isinstance(g.right, int) else point[g.right])
+        for g in domain
+        if hasattr(g, "right")
+    )
 
 
 def evaluate(text: str, env: dict[str, int]) -> int:

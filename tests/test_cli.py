@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from clocksched import schedule_to_json
 from clocksched.cli import main
 
 import cases
@@ -205,6 +206,19 @@ def _with_root_body(doc: dict, copies: int) -> dict:
     return _with_root(doc, body=doc["roots"][0]["body"] * copies)
 
 
+def _with_spec(doc: dict, old: str, new: str) -> dict:
+    """The document with its spec text's first ``old`` replaced by ``new``."""
+    return {**doc, "spec": doc["spec"].replace(old, new, 1)}
+
+
+def _accumulator_with_epilogue(edit) -> dict:
+    """The accumulator tree's document after ``edit`` changes its one
+    reduction formula, ``S += s(0) + s(1)``, in place."""
+    doc = schedule_to_json(cases.accumulator_tree())
+    edit(doc["epilogue"][0])
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -228,8 +242,68 @@ def _with_root_body(doc: dict, copies: int) -> dict:
             "field 'roots' is malformed: digit_base must be an integer, got None",
         ),
         (
-            lambda doc: {**doc, "guards": [[["I"], 2]]},
-            "field 'guards' is malformed: guard left side must be text, got ['I']",
+            lambda doc: {**doc, "roots": [{"kind": "group", "members": [], "body": doc["roots"][0]["body"]}]},
+            "field 'roots' is malformed: a form group needs at least one member",
+        ),
+        (
+            lambda doc: _with_spec(doc, ";\n", ";\ndomain Z < 1;\n"),
+            "field 'spec' is malformed: domain guard names undeclared index Z",
+        ),
+        (
+            lambda doc: _with_spec(doc, "c(K,J)", "c(K,Q)"),
+            "field 'spec' is malformed: undeclared index Q in",
+        ),
+        (
+            lambda doc: _with_spec(doc, "c(K,J);", "c(K,J) when Q=1;"),
+            "field 'spec' is malformed: when-clause names undeclared index Q",
+        ),
+        (
+            lambda doc: _accumulator_with_epilogue(
+                lambda f: f["terms"][0]["accesses"][0].update(args=[["I", 0]])
+            ),
+            "field 'epilogue' is malformed: subscript 'I' of 's' is not a constant",
+        ),
+        (
+            lambda doc: _accumulator_with_epilogue(lambda f: f["terms"][0].update(coefficient="x")),
+            "field 'epilogue' is malformed: coefficient must be an integer, got 'x'",
+        ),
+        (
+            lambda doc: _accumulator_with_epilogue(lambda f: f["terms"][0].update(coefficient=2.5)),
+            "field 'epilogue' is malformed: coefficient must be an integer, got 2.5",
+        ),
+        (
+            lambda doc: _accumulator_with_epilogue(lambda f: f.update(op="*=")),
+            "field 'epilogue' is malformed: op '*=' is neither = nor +=",
+        ),
+        (
+            lambda doc: _accumulator_with_epilogue(lambda f: f.update(when=[["TMP", 0]])),
+            "field 'epilogue' is malformed: a reduction formula takes no when",
+        ),
+        (
+            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "bogus"}},
+            "field 'plan' is malformed: unknown plan kind 'bogus'",
+        ),
+        (
+            lambda doc: {**doc, "plan": {**doc["plan"], "minimal": "x"}},
+            "field 'plan' is malformed: minimal must be an integer, got 'x'",
+        ),
+        (
+            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "swap"}},
+            "field 'plan' of kind swap needs minimal 1 and locations 0, not 0 and 0",
+        ),
+        (
+            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "snapshot"}},
+            "field 'plan' is a snapshot that banks no cell",
+        ),
+        (
+            lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
+                         "plan": {**d["plan"], "kind": "none", "minimal": 0, "locations": 0}},
+            "field 'plan' has kind none, but the spec has temp arrays",
+        ),
+        (
+            lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
+                         "plan": {**d["plan"], "locations": 3}},
+            "field 'plan' of kind swap needs minimal 1 and locations 2, not 1 and 3",
         ),
     ],
     ids=[
@@ -243,7 +317,21 @@ def _with_root_body(doc: dict, copies: int) -> dict:
         "loop-without-body",
         "weight-not-integer",
         "digit-base-null",
-        "guard-side-not-text",
+        "group-without-members",
+        "spec-guard-names-no-index",
+        "spec-reads-an-undeclared-index",
+        "spec-when-names-no-index",
+        "epilogue-subscript-not-constant",
+        "epilogue-coefficient-not-integer",
+        "epilogue-coefficient-fractional",
+        "epilogue-op-unknown",
+        "epilogue-with-when",
+        "plan-kind-unknown",
+        "plan-minimal-not-integer",
+        "swap-plan-without-temps",
+        "snapshot-plan-banking-nothing",
+        "no-plan-beside-temps",
+        "swap-plan-miscounting-temps",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -267,12 +355,95 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     assert (doc["plan"]["slots"], doc["plan"]["minimal"]) == ([0, 1, 0], 3)
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out.endswith("verdict: pass\n")
-    doc["plan"].update(slots=[0, 0, 0], minimal=1, locations=1)
+    doc["plan"].update(slots=[0, 0, 0], minimal=2, locations=2)
     shared = tmp_path / "shared.json"
     shared.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(shared))
     assert code == 1
     assert "equivalence: FAIL at b(2,0)" in out and out.endswith("verdict: FAIL\n")
+    # one slot plus the working cell is two, not one
+    doc["plan"].update(minimal=1, locations=1)
+    shared.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(shared))
+    assert code == 2 and out == ""
+    assert "field 'plan' of kind snapshot needs minimal 2 and locations 2, not 1 and 1" in err
+
+
+CHAINED = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
+DERIVED_KEYS = {"guards", "mapping", "converted", "slot_step"}
+
+
+def _keys(value) -> set[str]:
+    """Every object key anywhere in a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+def _with_derived_keys(doc: dict) -> dict:
+    """A copy of a document with the derived keys older documents wrote,
+    each contradicting the tree: the domain guarded by I < 2, a mapping
+    of nothing, every loop unconverted and every group stepping by 99."""
+    stale = json.loads(json.dumps(doc))
+    stale.update(guards=[["I", 2]], mapping={"span": 1, "slots": []})
+    nodes = list(stale["roots"])
+    while nodes:
+        node = nodes.pop()
+        if node["kind"] == "loop":
+            node["converted"] = False
+        elif node["kind"] == "group":
+            node["slot_step"] = 99
+        nodes += node.get("members", []) + node.get("body", [])
+    return stale
+
+
+def test_a_transform_document_states_no_derived_fact(tmp_path, capsys):
+    chained = json.loads(open(transform(tmp_path, capsys, CHAINED)).read())
+    grouped = json.loads(open(transform(
+        tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=4"
+    )).read())
+    assert chained["roots"][0]["body"][0]["lower"]["terms"] == [["I", 1]]
+    assert grouped["roots"][0]["body"][0]["kind"] == "group"
+    for doc in (chained, grouped):
+        assert not _keys(doc) & DERIVED_KEYS
+
+
+@pytest.mark.parametrize(
+    "build",
+    [cases.stencil_tree, cases.matmul_form_tree, cases.transpose_unfold_tree, cases.accumulator_tree],
+    ids=["stencil", "form-group", "unfolded-transpose", "accumulator"],
+)
+def test_an_older_document_reads_as_its_tree_whatever_its_derived_keys_say(tmp_path, capsys, build):
+    clean = schedule_to_json(build())
+    stale = _with_derived_keys(clean)
+    assert {"guards", "mapping", "converted"} <= _keys(stale)
+    outputs = []
+    for name, doc in (("clean", clean), ("stale", stale)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        outputs.append(
+            [run(capsys, "emit", str(path), "--notation", n) for n in ("for", "form", "enum")]
+            + [run(capsys, "verify", str(path)), run(capsys, "analyze", str(path))]
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][3][0] == 0 and outputs[0][3][1].endswith("verdict: pass\n")
+
+
+def test_an_older_document_keeps_its_loops_chained(tmp_path, capsys):
+    """The chained inner loop of an older document still verifies with
+    widths [1, 4], though the document says it is not converted."""
+    path = transform(tmp_path, capsys, CHAINED)
+    doc = json.loads(open(path).read())
+    _, clean, _ = run(capsys, "verify", path)
+    stale = _with_derived_keys(doc)
+    inner = stale["roots"][0]["body"][0]
+    assert inner["lower"]["terms"] and inner["converted"] is False
+    open(path, "w").write(json.dumps(stale))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and out == clean
+    assert "widths: [1, 4]\n" in out and out.endswith("verdict: pass\n")
 
 
 def test_emit_refuses_a_branching_nest(tmp_path, capsys):

@@ -12,7 +12,6 @@ from clocksched.schedule import (
     EnumNode,
     FormGroup,
     FormulaBlock,
-    Guard,
     Recovered,
     TempBudgetError,
     UnfoldCopy,
@@ -55,14 +54,6 @@ def test_affine_arithmetic():
     assert a.render() == "T+4"
     assert Affine().render() == "0"
     assert Affine.var("X").render() == "X"
-
-
-def test_guard_holds():
-    g = Guard("J", "I")
-    assert g.holds({"J": 0, "I": 1})
-    assert not g.holds({"J": 1, "I": 1})
-    assert Guard("I", 3).holds({"I": 2})
-    assert not Guard("I", 3).holds({"I": 3})
 
 
 def test_enum_node_rejects_ragged_step():
@@ -301,7 +292,6 @@ def test_transpose_rewrite_shape():
     assert [f.result.name for f in spec.formulas] == ["tmp", "a", "a"]
     assert tree.plan.kind == "swap"
     assert tree.plan.locations == 2
-    assert tree.guards == (Guard("J", "I"),)
 
 
 def test_transpose_default_budget_uses_full_rows():
@@ -445,7 +435,7 @@ def test_sequential_schedule_shape():
         ("J", 1, 2),
         ("K", 1, 2),
     ]
-    assert tree.guards == ()
+    assert not any(isinstance(g, LessThan) for g in tree.spec.domain)
     assert tree.source == cases.MATMUL
 
 
@@ -469,7 +459,7 @@ def test_build_requires_clock_for_assignment():
 def test_build_pads_ragged_extent():
     tree = build_schedule("space I[2], J[3];\nb(I,J) = a(I,J);\n")
     assert tree.clock == make_clock(3)  # padded domain holds 2*4 points
-    assert tree.guards == (Guard("J", 3),)
+    assert LessThan("J", 3) in tree.spec.domain
 
 
 def test_build_rejects_illegal_spec():

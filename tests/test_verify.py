@@ -150,15 +150,11 @@ def test_coverage_reports_duplicates():
 
 
 def test_coverage_reports_points_outside_the_domain():
-    tree = build_schedule(
-        "space I[8];\ndomain I < 5;\nb(I) = a(I);\n",
-        clock=make_clock(3),
-        order=["I"],
-    )
-    bare = replace(tree, guards=())
-    report = check_coverage(enumerate_schedule(bare))
+    tree = build_schedule("space I[8];\nb(I) = a(I);\n", clock=make_clock(3), order=["I"])
+    wide = replace(tree, roots=(replace(tree.roots[0], extent=11),))
+    report = check_coverage(enumerate_schedule(wide))
     assert not report.ok
-    assert report.extra == ((5,), (6,), (7,))
+    assert report.extra == ((8,), (9,), (10,))
 
 
 # -- dependence --------------------------------------------------------------
@@ -201,6 +197,13 @@ def test_dependencies_in_order_accumulation_does_not_commute():
     report = check_dependencies(enumerate_schedule(cases.matmul_tree()))
     assert report.ok and not report.commutes
     assert report.events == 8
+
+
+def test_writes_checked_counts_only_points_that_write():
+    # only I=0 reads b(3), the one b cell left on its array
+    report = check_dependencies(enumerate_schedule(sequential_schedule("space I[4];\na(I) = b(I+3);\n")))
+    assert report.ok and report.events == 1
+    assert report.summary() == "dependencies: ok (1 writes checked)"
 
 
 def test_dependencies_catch_lost_contributions():
