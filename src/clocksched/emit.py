@@ -15,7 +15,8 @@ plan and epilogue, and nothing derived from them: the guards are the
 spec's, a loop is converted when its lower bound names a variable, and
 a group steps by its first member's step.  The reader ignores the
 ``guards``, ``mapping``, ``converted`` and ``slot_step`` keys that older
-documents carry.
+documents carry.  A plan's sizes are written out but must equal what
+``schedule.temp_plan``, the builder's own rule, gives on load.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .schedule import (
     nest,
     nest_loops,
     recovery,
-    temp_cells,
+    temp_plan,
 )
 
 INDENT = "  "
@@ -363,42 +364,13 @@ def _plan_from_json(p: dict) -> TempPlan:
     slots = tuple(p["slots"])
     if len(slots) != len(locs) or not all(type(s) is int and 0 <= s < len(locs) for s in slots):
         raise ValueError("slots must pair one-to-one with snapshot cells, each below their count")
-    if p["kind"] not in ("none", "swap", "snapshot"):
-        raise ValueError(f"unknown plan kind {p['kind']!r}")
     return TempPlan(
-        kind=p["kind"],
+        kind=_typed(p["kind"], str, "kind"),
         locations=_typed(p["locations"], int, "locations"),
         snapshot_locs=locs,
         slots=slots,
         minimal=_typed(p["minimal"], int, "minimal"),
     )
-
-
-def _check_plan(plan: TempPlan, spec: ComputationSpec | None) -> None:
-    """Refuse a plan whose numbers differ from what the builder's rules
-    give from the document's own spec and banked cells: a snapshot needs
-    one working cell past its busiest slot, a swap holds every temp cell
-    and needs one, and no plan means no temp arrays."""
-    temps = temp_cells(spec) if spec is not None else 0
-    cells = len(plan.snapshot_locs)
-    if plan.kind == "snapshot":
-        if not cells:
-            raise ValueError("schedule field 'plan' is a snapshot that banks no cell")
-        want = (max(plan.slots) + 2,) * 2
-    else:
-        if cells:
-            raise ValueError(f"schedule field 'plan' of kind {plan.kind} banks {cells} cells")
-        if plan.kind == "swap":
-            want = (1, temps)
-        elif temps:
-            raise ValueError("schedule field 'plan' has kind none, but the spec has temp arrays")
-        else:
-            want = (0, 0)
-    if (plan.minimal, plan.locations) != want:
-        raise ValueError(
-            f"schedule field 'plan' of kind {plan.kind} needs minimal {want[0]} and "
-            f"locations {want[1]}, not {plan.minimal} and {plan.locations}"
-        )
 
 
 def _typed(value, kind: type, what: str):
@@ -444,5 +416,14 @@ def schedule_from_json(doc: dict) -> ScheduleTree:
         shape = shapes.get(name)
         if shape is None or len(at) != len(shape) or not all(0 <= v < n for v, n in zip(at, shape)):
             raise ValueError(f"schedule field 'plan' banks {name}{list(at)}, no cell of the spec")
-    _check_plan(tree.plan, tree.spec)
+    plan = tree.plan
+    try:
+        want = temp_plan(plan.kind, tree.spec, plan.snapshot_locs, plan.slots)
+    except ValueError as exc:
+        raise ValueError(f"schedule field 'plan' is malformed: {exc}") from None
+    if want != plan:
+        raise ValueError(
+            f"schedule field 'plan' of kind {plan.kind} needs minimal {want.minimal} and "
+            f"locations {want.locations}, not {plan.minimal} and {plan.locations}"
+        )
     return tree

@@ -34,10 +34,10 @@ from .formula import (
     IndexDecl,
     LessThan,
     Term,
-    check_legality,
     domain_points,
     extract_dependencies,
     infer_shapes,
+    legal_spec,
     parse_spec,
     print_spec,
 )
@@ -746,8 +746,7 @@ def normalize_spec(
         temp_arrays=spec.temp_arrays + (scratch,),
         formulas=(save, formula, restore),
     )
-    plan = TempPlan(kind="swap", locations=width, minimal=1)
-    return rewritten, plan
+    return rewritten, temp_plan("swap", rewritten)
 
 
 def _scalar_accumulator(spec: ComputationSpec) -> int | None:
@@ -763,6 +762,9 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
     target = _scalar_accumulator(spec)
     if target is None:
         raise UnsupportedRewriteError(f"no scalar accumulation to unfold over {name}")
+    if tree.plan.kind == "snapshot":
+        # the copies' swap plan would take the place of the banked cells
+        raise UnsupportedRewriteError("accumulator unfolding of a schedule that banks cells")
     root = tree.roots[0]
     if not isinstance(root, EnumNode) or len(root.contributes) != 1:
         raise UnsupportedRewriteError("accumulator unfolding needs a plainly mapped outer loop")
@@ -796,8 +798,9 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
             rewritten if i == target else f for i, f in enumerate(spec.formulas)
         ),
     )
-    plan = TempPlan(kind="swap", locations=copies, minimal=1)
-    return replace(tree, spec=spec2, plan=plan, epilogue=tree.epilogue + (reduction,))
+    return replace(
+        tree, spec=spec2, plan=temp_plan("swap", spec2), epilogue=tree.epilogue + (reduction,)
+    )
 
 
 def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
@@ -853,14 +856,16 @@ def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
 # ---------------------------------------------------------------------------
 # temporary space
 
-def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> tuple[list[tuple[int, int]], int]:
-    """(cell, slot) per ``(start, end, cell)`` interval and the peak live, in one
-    sweep by start; ended slots are freed in the order they were handed out."""
+def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """(cell, slot) per ``(start, end, cell)`` interval, in one sweep by
+    start; ended slots are freed in the order they were handed out, and a
+    new slot is made only when every slot is busy, so the slots made are
+    the peak number of intervals live at once."""
     import heapq  # on first use, like lower: only banking plans need it
 
     free: list[int] = []
     busy: list[tuple[int, int, int]] = []  # heap of (end, order handed out, slot)
-    assigned, peak = [], 0
+    assigned = []
     for order, (start, end, cell) in enumerate(sorted(intervals)):
         ended = []
         while busy and busy[0][0] < start:
@@ -868,15 +873,36 @@ def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> tuple[list[tuple[
         free += (slot for _, slot in sorted(ended))
         slot = free.pop() if free else len(busy)  # every slot made is busy
         heapq.heappush(busy, (end, order, slot))
-        peak = max(peak, len(busy))
         assigned.append((cell, slot))
-    return assigned, peak
+    return assigned
 
 
-def temp_cells(spec: ComputationSpec) -> int:
-    """The cells of the spec's temp arrays, all of which a swap plan holds."""
+def temp_plan(
+    kind: str,
+    spec: ComputationSpec | None,
+    snapshot_locs: tuple[tuple[str, tuple[int, ...]], ...] = (),
+    slots: tuple[int, ...] = (),
+) -> TempPlan:
+    """The plan of ``kind`` sized by the one rule the builder and the
+    document reader share.  A spec with temp arrays has a swap plan,
+    which holds every cell of them and needs one working cell.  Otherwise
+    a plan that banks cells is a snapshot, needing one working cell past
+    its busiest slot, and one that banks none is no plan at all.  Any
+    other plan raises ValueError."""
+    temps = spec is not None and bool(spec.temp_arrays)
+    if kind not in ("none", "swap", "snapshot"):
+        raise ValueError(f"unknown plan kind {kind!r}")
+    if (kind == "swap") != temps:
+        raise ValueError("a swap plan goes with the spec's temp arrays, and only with them")
+    if (kind == "snapshot") != bool(snapshot_locs):
+        raise ValueError("a snapshot plan banks some cell, and only a snapshot plan banks one")
+    if kind == "snapshot":
+        size = max(slots) + 2
+        return TempPlan(kind, size, snapshot_locs, slots, size)
+    if kind == "none":
+        return NO_PLAN
     shapes = infer_shapes(spec)
-    return sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
+    return TempPlan(kind, sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays), minimal=1)
 
 
 def allocate_temporaries(
@@ -891,16 +917,16 @@ def allocate_temporaries(
     an earlier visit is banked from its first overwrite until its last
     such read; ``lower`` never banks an accumulation's read of its own
     cell.  The plan's size is the peak number of banked cells plus one
-    working cell for the in-flight update.  A budget below that is
-    refused and the minimum reported.  ``visit_order`` returns the visit
+    working cell for the in-flight update, as ``temp_plan`` counts it.  A
+    budget below that is refused and the minimum reported.  ``visit_order`` returns the visit
     order's stream, lowered unmarked; it is not called when every
     dependence is an accumulation's read of its own cell.
     """
     if spec.temp_arrays:
-        cells = temp_cells(spec)
-        if budget is not None and budget < cells:
-            raise TempBudgetError(cells, budget)
-        return TempPlan(kind="swap", locations=cells, minimal=1)
+        plan = temp_plan("swap", spec)
+        if budget is not None and budget < plan.locations:
+            raise TempBudgetError(plan.locations, budget)
+        return plan
     if visit_order is None or all(
         e.writer == e.reader and spec.formulas[e.reader].op == "+="
         and e.vector is not None and not any(e.vector) for e in deps
@@ -923,17 +949,16 @@ def allocate_temporaries(
     ]
     if not intervals:
         return NO_PLAN
-    assigned, peak = assign_slots(intervals)
-    minimal = peak + 1
-    if budget is not None and budget < minimal:
-        raise TempBudgetError(minimal, budget)
-    return TempPlan(
-        kind="snapshot",
-        locations=minimal,
-        snapshot_locs=tuple(stream.layout.location(c) for c, _ in sorted(assigned)),
-        slots=tuple(slot for _, slot in sorted(assigned)),
-        minimal=minimal,
+    assigned = assign_slots(intervals)
+    plan = temp_plan(
+        "snapshot",
+        spec,
+        tuple(stream.layout.location(c) for c, _ in sorted(assigned)),
+        tuple(slot for _, slot in sorted(assigned)),
     )
+    if budget is not None and budget < plan.minimal:
+        raise TempBudgetError(plan.minimal, budget)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +970,10 @@ def _as_spec(source: str | ComputationSpec) -> tuple[ComputationSpec, str]:
     against its rewrite."""
     given = isinstance(source, ComputationSpec)
     spec = source if given else parse_spec(source)
-    problems = check_legality(spec)
-    if problems:
-        raise BuildError("; ".join(problems))
+    try:
+        legal_spec(spec)
+    except ValueError as exc:
+        raise BuildError(str(exc)) from None
     return spec, print_spec(spec) if given else source
 
 

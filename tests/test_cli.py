@@ -289,16 +289,16 @@ def _accumulator_with_epilogue(edit) -> dict:
         ),
         (
             lambda doc: {**doc, "plan": {**doc["plan"], "kind": "swap"}},
-            "field 'plan' of kind swap needs minimal 1 and locations 0, not 0 and 0",
+            "field 'plan' is malformed: a swap plan goes with the spec's temp arrays, and only",
         ),
         (
             lambda doc: {**doc, "plan": {**doc["plan"], "kind": "snapshot"}},
-            "field 'plan' is a snapshot that banks no cell",
+            "field 'plan' is malformed: a snapshot plan banks some cell, and only",
         ),
         (
             lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
                          "plan": {**d["plan"], "kind": "none", "minimal": 0, "locations": 0}},
-            "field 'plan' has kind none, but the spec has temp arrays",
+            "field 'plan' is malformed: a swap plan goes with the spec's temp arrays, and only",
         ),
         (
             lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
@@ -369,7 +369,35 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     assert "field 'plan' of kind snapshot needs minimal 2 and locations 2, not 1 and 1" in err
 
 
-CHAINED = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
+@pytest.mark.parametrize(
+    "text, flags, locations",
+    [
+        ("space I[4], J[4];\ntemp t;\na(I,J) = a(J,I);\n", (), 4 + 1),
+        ("space I[8];\ntemp t;\nt(I) = a(I);\nacc += t(I);\n", ("--unfold", "U=2"), 8 + 2),
+    ],
+    ids=["transpose-beside-a-declared-temp", "accumulator-unfold-beside-a-declared-temp"],
+)
+def test_a_swap_plan_counts_declared_temps_beside_its_scratch(tmp_path, capsys, text, flags, locations):
+    """A rewrite's scratch array joins the temps the spec declares, and
+    the swap plan holds all of them, so verify loads what transform wrote."""
+    path = transform(tmp_path, capsys, text, *flags)
+    plan = json.loads(open(path).read())["plan"]
+    assert (plan["kind"], plan["locations"]) == ("swap", locations)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 0 and out.endswith("verdict: pass\n"), err
+
+
+def test_accumulator_unfold_of_a_banking_schedule_is_refused(tmp_path, capsys):
+    """The copies' swap plan would replace the snapshot plan, and the
+    schedule would read a(1,2) after its overwrite."""
+    spec = tmp_path / "input.spec"
+    spec.write_text(CHAINED + "acc += b(I,J);\n")
+    code, out, err = run(capsys, "transform", str(spec), "--unfold", "U=2")
+    assert code == 2 and out == ""
+    assert err == "error: accumulator unfolding of a schedule that banks cells\n"
+
+
+CHAINED ="space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
 DERIVED_KEYS = {"guards", "mapping", "converted", "slot_step"}
 
 

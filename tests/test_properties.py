@@ -335,8 +335,8 @@ def assert_slots_fit(intervals, slots: dict[int, int], minimal: int):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(live_intervals())
 def test_slot_sweep_matches_the_rescan(intervals):
-    assigned, peak = assign_slots(intervals)
-    assert_slots_fit(intervals, dict(assigned), peak + 1)
+    slots = dict(assign_slots(intervals))
+    assert_slots_fit(intervals, slots, max(slots.values()) + 2)
 
 
 @st.composite
