@@ -12,11 +12,13 @@ so a backend may implement them as shifts.
 
 A schedule document holds the tree's roots, clock, spec text, source,
 plan and epilogue, and nothing derived from them: the guards are the
-spec's, a loop is converted when its lower bound names a variable, and
-a group steps by its first member's step.  The reader ignores the
-``guards``, ``mapping``, ``converted`` and ``slot_step`` keys that older
-documents carry.  A plan's sizes are written out but must equal what
-``schedule.temp_plan``, the builder's own rule, gives on load.
+spec's, a loop is converted when its lower bound names a variable, a
+group steps by its first member's step, and a plan is its banked cells
+and their slots, whose size ``TempPlan.minimal`` derives.  The reader
+ignores the ``guards``, ``mapping``, ``converted`` and ``slot_step``
+keys and the plan's ``kind``, ``locations`` and ``minimal`` that older
+documents carry.  It holds banked cells and epilogue reads to cells of
+the document's spec.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .schedule import (
     nest,
     nest_loops,
     recovery,
-    temp_plan,
 )
 
 INDENT = "  "
@@ -348,11 +349,8 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     doc["spec"] = None if tree.spec is None else print_spec(tree.spec)
     doc["source"] = tree.source
     doc["plan"] = {
-        "kind": tree.plan.kind,
-        "locations": tree.plan.locations,
         "snapshot_locs": [[n, list(loc)] for n, loc in tree.plan.snapshot_locs],
         "slots": list(tree.plan.slots),
-        "minimal": tree.plan.minimal,
     }
     return doc
 
@@ -364,13 +362,7 @@ def _plan_from_json(p: dict) -> TempPlan:
     slots = tuple(p["slots"])
     if len(slots) != len(locs) or not all(type(s) is int and 0 <= s < len(locs) for s in slots):
         raise ValueError("slots must pair one-to-one with snapshot cells, each below their count")
-    return TempPlan(
-        kind=_typed(p["kind"], str, "kind"),
-        locations=_typed(p["locations"], int, "locations"),
-        snapshot_locs=locs,
-        slots=slots,
-        minimal=_typed(p["minimal"], int, "minimal"),
-    )
+    return TempPlan(locs, slots)
 
 
 def _typed(value, kind: type, what: str):
@@ -411,19 +403,13 @@ def schedule_from_json(doc: dict) -> ScheduleTree:
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"schedule field {key!r} is malformed: {exc}") from None
     tree = ScheduleTree(**fields)
-    shapes = infer_shapes(tree.spec) if tree.spec is not None and tree.plan.snapshot_locs else {}
-    for name, at in tree.plan.snapshot_locs:
+    cells = [("plan", "banks", cell) for cell in tree.plan.snapshot_locs] + [
+        ("epilogue", "reads", (a.name, tuple(x.displacement for x in a.args)))
+        for f in tree.epilogue for t in f.terms for a in t.accesses
+    ]
+    shapes = infer_shapes(tree.spec) if tree.spec is not None and cells else {}
+    for key, verb, (name, at) in cells:
         shape = shapes.get(name)
         if shape is None or len(at) != len(shape) or not all(0 <= v < n for v, n in zip(at, shape)):
-            raise ValueError(f"schedule field 'plan' banks {name}{list(at)}, no cell of the spec")
-    plan = tree.plan
-    try:
-        want = temp_plan(plan.kind, tree.spec, plan.snapshot_locs, plan.slots)
-    except ValueError as exc:
-        raise ValueError(f"schedule field 'plan' is malformed: {exc}") from None
-    if want != plan:
-        raise ValueError(
-            f"schedule field 'plan' of kind {plan.kind} needs minimal {want.minimal} and "
-            f"locations {want.locations}, not {plan.minimal} and {plan.locations}"
-        )
+            raise ValueError(f"schedule field {key!r} {verb} {name}{list(at)}, no cell of the spec")
     return tree

@@ -44,7 +44,6 @@ class VisitRecord:
     color: int
     level: int
     copy: int = 0
-    epilogue: bool = False
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ class VisitTrace:
 
     @cached_property
     def stream(self) -> Stream:
-        """The visits and epilogue lowered once, banking each snapshot
-        cell into its plan slot; every check and ``interpret`` read this."""
+        """The visits and the tree's epilogue lowered once, banking each
+        planned cell into its slot; every check and ``interpret`` read this."""
         # imported on first use, so commands that check nothing never load it
         from .lower import lower
 
@@ -70,17 +69,13 @@ class VisitTrace:
         plan = self.tree.plan
         return lower(
             self.spec,
-            [r.lattice_point for r in self.records if not r.epilogue],
+            [r.lattice_point for r in self.records],
             self.tree.epilogue,
-            zip(plan.snapshot_locs, plan.slots) if plan.kind == "snapshot" else (),
+            zip(plan.snapshot_locs, plan.slots),
         )
 
     def points(self) -> list[dict[str, int]]:
-        return [
-            dict(zip(self.names, r.lattice_point))
-            for r in self.records
-            if not r.epilogue
-        ]
+        return [dict(zip(self.names, r.lattice_point)) for r in self.records]
 
 
 def _table(spec: ComputationSpec, loops: list[EnumNode], where: dict[str, int]):
@@ -131,7 +126,7 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
     visit: the recovery table gives its index point, the spec's guards
     (its ``domain A < B`` lines) may skip it, and the loops' offsets
     from their lower bounds give its time point.  A reduction epilogue
-    adds one final record.
+    is the tree's, run after the last visit; it adds no record.
     """
     spec = tree.spec
     names = spec.index_names() if spec else ()
@@ -171,32 +166,17 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
             level = sum(1 for p in converted if ds[p])
             rows.append((offsets, lattice, sum(scaled) + base, level, copy))
 
-    last = max((row[2] for row in rows), default=0)
     if tree.clock is not None:
         bits = log2_exact(tree.clock.states)
         unit = tree.clock.unit_scale
     else:
-        bits = max(last.bit_length(), 1)
+        bits = max(max((row[2] for row in rows), default=0).bit_length(), 1)
         unit = 1
-    records = [
+    records = tuple(
         VisitRecord(seq, offsets, lattice, tau, color_of(tau // unit, bits), level, copy)
         for seq, (offsets, lattice, tau, level, copy) in enumerate(rows)
-    ]
-    if tree.epilogue:
-        records.append(
-            VisitRecord(
-                seq=len(records),
-                time_point=(),
-                lattice_point=(),
-                time_value=last + unit,
-                color=0,
-                level=0,
-                epilogue=True,
-            )
-        )
-    return VisitTrace(
-        records=tuple(records), tree=tree, names=tuple(names), color_bits=bits
     )
+    return VisitTrace(records=records, tree=tree, names=tuple(names), color_bits=bits)
 
 
 # ---------------------------------------------------------------------------

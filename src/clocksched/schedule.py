@@ -14,7 +14,10 @@ group's step is its first member's.
 Rewrites that make reordering safe live here too: permutation cycles
 get a block-bound scratch index and a save/swap/restore triple,
 scalar accumulators get per-copy cells with a reduction epilogue, and
-anti-dependence overlaps get a snapshot plan sized by liveness.
+anti-dependence overlaps get a plan of banked cells sized by liveness.
+A schedule's scratch is its spec's temp arrays if it has any, otherwise
+its plan's banked cells; ``scratch_cells`` counts it, and that count is
+what a temporary budget bounds.
 """
 
 from __future__ import annotations
@@ -188,14 +191,19 @@ class GradMapping:
 
 @dataclass(frozen=True)
 class TempPlan:
-    kind: str  # "none" | "swap" | "snapshot"
-    locations: int = 0
+    """The cells banked at their first overwrite, each with its slot."""
+
     snapshot_locs: tuple[tuple[str, tuple[int, ...]], ...] = ()
     slots: tuple[int, ...] = ()
-    minimal: int = 0
+
+    @property
+    def minimal(self) -> int:
+        """Scratch cells the plan needs: one working cell past its
+        busiest slot, or none when nothing is banked."""
+        return max(self.slots) + 2 if self.slots else 0
 
 
-NO_PLAN = TempPlan(kind="none")
+NO_PLAN = TempPlan()
 
 
 @dataclass(frozen=True)
@@ -251,8 +259,9 @@ def _chain(nodes: Sequence[EnumNode | FormGroup], leaf: Node) -> Node:
 
 def nest(root: Node | UnfoldCopy) -> list[EnumNode | FormGroup]:
     """A root's loops and groups, outermost first.  Every schedule is a
-    single chain down to one leaf; any other shape is refused, naming
-    the loop where it branches or stops."""
+    single chain down to one leaf, and a lower bound names only loops
+    that enclose its own; any other shape is refused, naming the loop
+    where it branches, stops or starts."""
     chain: list[EnumNode | FormGroup] = []
     body = root.body if isinstance(root, UnfoldCopy) else (root,)
     owner = "an unfold copy"
@@ -262,6 +271,11 @@ def nest(root: Node | UnfoldCopy) -> list[EnumNode | FormGroup]:
         node = body[0]
         if isinstance(node, FormulaBlock):
             return chain
+        enclosing = {loop.index for loop in nest_loops(chain)}
+        for loop in node.members if isinstance(node, FormGroup) else (node,):
+            for name, _ in loop.lower.terms:
+                if name not in enclosing:
+                    raise BuildError(f"loop {loop.index} starts at {name}, which no enclosing loop sets")
         chain.append(node)
         body = node.body
         if isinstance(node, FormGroup):
@@ -678,9 +692,7 @@ def _fresh_name(base: str, taken: Iterable[str]) -> str:
     return f"{base}{n}"
 
 
-def normalize_spec(
-    spec: ComputationSpec, budget: int | None = None
-) -> tuple[ComputationSpec, TempPlan]:
+def normalize_spec(spec: ComputationSpec, budget: int | None = None) -> ComputationSpec:
     """Unravel permutation cycles through a block-bound scratch index.
 
     ``a(I,J) = a(J,I)`` swaps pairs in place, which no enumeration
@@ -688,12 +700,14 @@ def normalize_spec(
     representative of each pair (J < I), saves the first value into a
     scratch cell keyed by a new index T, and restores it after the
     mirrored store.  T blocks the rows, so wider budgets mean more
-    independent blocks and a wider legal unfold.
+    independent blocks and a wider legal unfold.  The scratch takes the
+    cells ``budget`` leaves beside the declared temps, up to a row; a
+    budget that leaves none is refused, naming the declared cells plus one.
     """
     deps = extract_dependencies(spec)
     cyclic = [e for e in deps if e.permutation is not None and e.cycles()]
     if not cyclic:
-        return spec, NO_PLAN
+        return spec
     if len(spec.formulas) != 1 or len(cyclic) != 1:
         raise UnsupportedRewriteError(
             "in-place permutations are only unraveled for a single formula"
@@ -721,9 +735,9 @@ def normalize_spec(
     if sizes[left] != sizes[right] or guards != mirrored:
         raise UnsupportedRewriteError("cycle over a domain its swap does not map onto itself")
     rows = sizes[left]
-    if budget is not None and budget < 1:
-        raise TempBudgetError(1, budget)
-    cap = rows if budget is None else min(budget, rows)
+    declared = scratch_cells(spec)
+    _within_budget(declared + 1, budget)
+    cap = rows if budget is None else min(budget - declared, rows)
     width = 1
     while width * 2 <= cap:
         width *= 2
@@ -746,7 +760,7 @@ def normalize_spec(
         temp_arrays=spec.temp_arrays + (scratch,),
         formulas=(save, formula, restore),
     )
-    return rewritten, temp_plan("swap", rewritten)
+    return rewritten
 
 
 def _scalar_accumulator(spec: ComputationSpec) -> int | None:
@@ -762,8 +776,8 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
     target = _scalar_accumulator(spec)
     if target is None:
         raise UnsupportedRewriteError(f"no scalar accumulation to unfold over {name}")
-    if tree.plan.kind == "snapshot":
-        # the copies' swap plan would take the place of the banked cells
+    if tree.plan.snapshot_locs:
+        # the copies' scratch array would take the place of the banked cells
         raise UnsupportedRewriteError("accumulator unfolding of a schedule that banks cells")
     root = tree.roots[0]
     if not isinstance(root, EnumNode) or len(root.contributes) != 1:
@@ -798,9 +812,7 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
             rewritten if i == target else f for i, f in enumerate(spec.formulas)
         ),
     )
-    return replace(
-        tree, spec=spec2, plan=temp_plan("swap", spec2), epilogue=tree.epilogue + (reduction,)
-    )
+    return replace(tree, spec=spec2, epilogue=tree.epilogue + (reduction,))
 
 
 def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
@@ -877,57 +889,39 @@ def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> list[tuple[int, i
     return assigned
 
 
-def temp_plan(
-    kind: str,
-    spec: ComputationSpec | None,
-    snapshot_locs: tuple[tuple[str, tuple[int, ...]], ...] = (),
-    slots: tuple[int, ...] = (),
-) -> TempPlan:
-    """The plan of ``kind`` sized by the one rule the builder and the
-    document reader share.  A spec with temp arrays has a swap plan,
-    which holds every cell of them and needs one working cell.  Otherwise
-    a plan that banks cells is a snapshot, needing one working cell past
-    its busiest slot, and one that banks none is no plan at all.  Any
-    other plan raises ValueError."""
-    temps = spec is not None and bool(spec.temp_arrays)
-    if kind not in ("none", "swap", "snapshot"):
-        raise ValueError(f"unknown plan kind {kind!r}")
-    if (kind == "swap") != temps:
-        raise ValueError("a swap plan goes with the spec's temp arrays, and only with them")
-    if (kind == "snapshot") != bool(snapshot_locs):
-        raise ValueError("a snapshot plan banks some cell, and only a snapshot plan banks one")
-    if kind == "snapshot":
-        size = max(slots) + 2
-        return TempPlan(kind, size, snapshot_locs, slots, size)
-    if kind == "none":
-        return NO_PLAN
+def scratch_cells(spec: ComputationSpec | None, plan: TempPlan = NO_PLAN) -> int:
+    """The scratch cells a schedule holds, the count a temporary budget
+    bounds: every cell of its spec's temp arrays (declared temps, a
+    transposition's scratch, an unfold's per-copy cells) if it has any,
+    otherwise its plan's ``minimal``."""
+    if spec is None or not spec.temp_arrays:
+        return plan.minimal
     shapes = infer_shapes(spec)
-    return TempPlan(kind, sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays), minimal=1)
+    return sum(math.prod(shapes.get(t, ())) for t in spec.temp_arrays)
+
+
+def _within_budget(cells: int, budget: int | None) -> None:
+    """Refuse ``cells`` scratch cells past a temporary ``budget``."""
+    if budget is not None and budget < cells:
+        raise TempBudgetError(cells, budget)
 
 
 def allocate_temporaries(
     spec: ComputationSpec,
     deps: Sequence[DepEdge],
-    budget: int | None = None,
     visit_order: Callable[[], Stream] | None = None,
 ) -> TempPlan:
-    """Size the constant scratch space a visit order needs.
+    """Plan the cells a visit order banks.
 
     A cell whose read, replayed along the visit order, sees a write from
     an earlier visit is banked from its first overwrite until its last
     such read; ``lower`` never banks an accumulation's read of its own
-    cell.  The plan's size is the peak number of banked cells plus one
-    working cell for the in-flight update, as ``temp_plan`` counts it.  A
-    budget below that is refused and the minimum reported.  ``visit_order`` returns the visit
-    order's stream, lowered unmarked; it is not called when every
-    dependence is an accumulation's read of its own cell.
+    cell.  Slots are shared by cells not live at once.  A spec with temp
+    arrays keeps its scratch there and banks nothing.  ``visit_order``
+    returns the visit order's stream, lowered unmarked; it is not called
+    when every dependence is an accumulation's read of its own cell.
     """
-    if spec.temp_arrays:
-        plan = temp_plan("swap", spec)
-        if budget is not None and budget < plan.locations:
-            raise TempBudgetError(plan.locations, budget)
-        return plan
-    if visit_order is None or all(
+    if spec.temp_arrays or visit_order is None or all(
         e.writer == e.reader and spec.formulas[e.reader].op == "+="
         and e.vector is not None and not any(e.vector) for e in deps
     ):
@@ -949,16 +943,11 @@ def allocate_temporaries(
     ]
     if not intervals:
         return NO_PLAN
-    assigned = assign_slots(intervals)
-    plan = temp_plan(
-        "snapshot",
-        spec,
-        tuple(stream.layout.location(c) for c, _ in sorted(assigned)),
-        tuple(slot for _, slot in sorted(assigned)),
+    assigned = sorted(assign_slots(intervals))
+    return TempPlan(
+        tuple(stream.layout.location(c) for c, _ in assigned),
+        tuple(slot for _, slot in assigned),
     )
-    if budget is not None and budget < plan.minimal:
-        raise TempBudgetError(plan.minimal, budget)
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -982,10 +971,11 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
 
     Specs that permute themselves in place are unraveled first with the
     narrowest scratch (one cell), exactly what an elementwise swap loop
-    needs.
+    needs; no budget bounds the reference.
     """
     spec0, text = _as_spec(source)
-    spec1, plan = normalize_spec(pad_and_guard(spec0), budget=1)
+    padded = pad_and_guard(spec0)
+    spec1 = normalize_spec(padded, scratch_cells(padded) + 1)  # one cell past the declared temps
     bound = _bound_sources(spec1)
     nodes = [
         EnumNode(
@@ -998,13 +988,12 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
         if d.name not in bound
     ]
     root = _chain(nodes, FormulaBlock())
-    if plan.kind == "none":
-        from .lower import lower
+    from .lower import lower
 
-        # the nest visits domain_points in order
-        plan = allocate_temporaries(
-            spec1, extract_dependencies(spec1), None, lambda: lower(spec1, domain_points(spec1))
-        )
+    # the nest visits domain_points in order
+    plan = allocate_temporaries(
+        spec1, extract_dependencies(spec1), lambda: lower(spec1, domain_points(spec1))
+    )
     return ScheduleTree(roots=(root,), spec=spec1, source=text, plan=plan)
 
 
@@ -1017,9 +1006,10 @@ def build_schedule(
     unfold_over: tuple[str, int] | None = None,
     budget: int | None = None,
 ) -> ScheduleTree:
-    """Parse, pad, rewrite, map onto a clock, plan scratch, unfold."""
+    """Parse, pad, rewrite, map onto a clock, plan scratch, unfold, and
+    refuse a schedule whose ``scratch_cells`` exceed ``budget``."""
     spec0, text = _as_spec(source)
-    spec1, plan = normalize_spec(pad_and_guard(spec0), budget)
+    spec1 = normalize_spec(pad_and_guard(spec0), budget)
     sizes = spec1.index_sizes()
     total = math.prod(sizes[n] for n in _free_names(spec1))
     if total == 1:
@@ -1045,14 +1035,13 @@ def build_schedule(
         mapping = mapping_from_order(spec1, clock, order)
     tree = map_indexes(spec1, clock, mapping, convolutions)
     tree = replace(tree, source=text)
-    if plan.kind == "none":
-        from .engine import enumerate_schedule
+    from .engine import enumerate_schedule
 
-        # the tree has no plan yet, so its trace lowers unmarked
-        plan = allocate_temporaries(
-            spec1, extract_dependencies(spec1), budget, lambda: enumerate_schedule(tree).stream
-        )
-    tree = replace(tree, plan=plan)
+    # the tree has no plan yet, so its trace lowers unmarked
+    tree = replace(tree, plan=allocate_temporaries(
+        spec1, extract_dependencies(spec1), lambda: enumerate_schedule(tree).stream
+    ))
     if unfold_over is not None:
         tree = unfold(tree, unfold_over[0], unfold_over[1])
+    _within_budget(scratch_cells(tree.spec, tree.plan), budget)
     return tree

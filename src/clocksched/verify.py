@@ -154,7 +154,7 @@ def check_coverage(trace: VisitTrace, points: list | None = None) -> CoverageRep
     if spec is None:
         raise ValueError("coverage needs a spec-driven trace")
     wanted = Counter(domain_points(spec) if points is None else points)
-    got = Counter(r.lattice_point for r in trace.records if not r.epilogue)
+    got = Counter(r.lattice_point for r in trace.records)
     missing = tuple(sorted(p for p in wanted if p not in got))
     duplicated = tuple(sorted(p for p, n in got.items() if p in wanted and n > 1))
     extra = tuple(sorted(p for p in got if p not in wanted))
@@ -410,7 +410,7 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
     width at level L is the largest set when the innermost L offsets
     are ignored.
     """
-    records = [r for r in trace.records if not r.epilogue]
+    records = trace.records
     if not records:
         return ParallelismProfile(widths=(1,))
     depth = max(len(r.time_point) for r in records)

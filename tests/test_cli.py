@@ -7,8 +7,10 @@ import re
 
 import pytest
 
-from clocksched import schedule_to_json
+from clocksched import build_schedule, make_clock, schedule_from_json, schedule_to_json
 from clocksched.cli import main
+from clocksched.formula import infer_shapes
+from clocksched.schedule import NO_PLAN, scratch_cells
 
 import cases
 
@@ -190,10 +192,41 @@ def test_transform_rejects_infeasible_budget(tmp_path, capsys):
 
 def test_transform_names_the_declared_temps_minimum(tmp_path, capsys):
     spec = tmp_path / "t.spec"
-    spec.write_text("space I[4];\ntemp t;\nt(I) = a(I);\n")
-    code, _, err = run(capsys, "transform", str(spec), "--temp-budget", "2")
-    assert code == 2
-    assert "below the minimal 4 cells" in err
+    for text in ("space I[4];\ntemp t;\nt(I) = a(I);\n", "space I[4];\ntemp t;\nt(I) = a(I);\nb(I) = t(I);\n"):
+        spec.write_text(text)
+        code, _, err = run(capsys, "transform", str(spec), "--temp-budget", "2")
+        assert code == 2
+        assert "below the minimal 4 cells" in err
+
+
+DECLARED_TRANSPOSE = "space I[4], J[4];\ntemp t;\na(I,J) = a(J,I);\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, minimal",
+    [
+        (DECLARED_TRANSPOSE, ("--temp-budget", "1"), 2),
+        ("space T[4], TX[4];\nS += a(T,TX);\n", ("--unfold", "TMP=2", "--temp-budget", "1"), 2),
+    ],
+    ids=["transpose-beside-a-declared-temp", "accumulator-unfold"],
+)
+def test_a_budget_bounds_every_scratch_cell(tmp_path, capsys, text, flags, minimal):
+    """A rewrite's scratch counts against the budget beside the declared
+    temps: one declared cell and a one-cell row scratch, or two per-copy cells."""
+    spec = tmp_path / "t.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, "transform", str(spec), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: temporary budget 1 is below the minimal {minimal} cells this schedule needs\n"
+
+
+def test_a_transposition_takes_the_budget_its_declared_temps_leave(tmp_path, capsys):
+    path = transform(tmp_path, capsys, DECLARED_TRANSPOSE, "--temp-budget", "2")
+    tree = schedule_from_json(json.loads(open(path).read()))
+    assert infer_shapes(tree.spec)["tmp"] == (1,)
+    assert scratch_cells(tree.spec, tree.plan) == 2
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and out.endswith("verdict: pass\n")
 
 
 def _with_root(doc: dict, **fields) -> dict:
@@ -216,6 +249,20 @@ def _accumulator_with_epilogue(edit) -> dict:
     reduction formula, ``S += s(0) + s(1)``, in place."""
     doc = schedule_to_json(cases.accumulator_tree())
     edit(doc["epilogue"][0])
+    return doc
+
+
+def _convolved_matmul_starting(loop: str, terms: list) -> dict:
+    """The document of matmul on ``--clock 3x2 --map K=8,I=4,J=2
+    --convolutions 2``, where I starts at K and J at I, with ``loop``'s
+    lower bound set to ``terms``."""
+    doc = schedule_to_json(build_schedule(
+        cases.MATMUL, clock=make_clock(3), assignment={"K": 8, "I": 4, "J": 2}, convolutions=2
+    ))
+    node = doc["roots"][0]
+    while node["index"] != loop:
+        (node,) = node["body"]
+    node["lower"] = {"terms": terms, "const": 0}
     return doc
 
 
@@ -280,30 +327,34 @@ def _accumulator_with_epilogue(edit) -> dict:
             "field 'epilogue' is malformed: a reduction formula takes no when",
         ),
         (
-            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "bogus"}},
-            "field 'plan' is malformed: unknown plan kind 'bogus'",
+            lambda doc: _accumulator_with_epilogue(
+                lambda f: f["terms"][0]["accesses"][0].update(name="zz")
+            ),
+            "field 'epilogue' reads zz[0], no cell of the spec",
         ),
         (
-            lambda doc: {**doc, "plan": {**doc["plan"], "minimal": "x"}},
-            "field 'plan' is malformed: minimal must be an integer, got 'x'",
+            lambda doc: _accumulator_with_epilogue(
+                lambda f: f["terms"][0]["accesses"][0].update(args=[[None, 99]])
+            ),
+            "field 'epilogue' reads s[99], no cell of the spec",
         ),
         (
-            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "swap"}},
-            "field 'plan' is malformed: a swap plan goes with the spec's temp arrays, and only",
+            lambda doc: _accumulator_with_epilogue(
+                lambda f: f["terms"][0]["accesses"][0].update(args=[[None, -1]])
+            ),
+            "field 'epilogue' reads s[-1], no cell of the spec",
         ),
         (
-            lambda doc: {**doc, "plan": {**doc["plan"], "kind": "snapshot"}},
-            "field 'plan' is malformed: a snapshot plan banks some cell, and only",
+            lambda doc: _convolved_matmul_starting("J", [["Q", 3]]),
+            "loop J starts at Q, which no enclosing loop sets",
         ),
         (
-            lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
-                         "plan": {**d["plan"], "kind": "none", "minimal": 0, "locations": 0}},
-            "field 'plan' is malformed: a swap plan goes with the spec's temp arrays, and only",
+            lambda doc: _convolved_matmul_starting("J", [["J", 1]]),
+            "loop J starts at J, which no enclosing loop sets",
         ),
         (
-            lambda doc: {**(d := schedule_to_json(cases.accumulator_tree())),
-                         "plan": {**d["plan"], "locations": 3}},
-            "field 'plan' of kind swap needs minimal 1 and locations 2, not 1 and 3",
+            lambda doc: _convolved_matmul_starting("I", [["J", 1]]),
+            "loop I starts at J, which no enclosing loop sets",
         ),
     ],
     ids=[
@@ -326,12 +377,12 @@ def _accumulator_with_epilogue(edit) -> dict:
         "epilogue-coefficient-fractional",
         "epilogue-op-unknown",
         "epilogue-with-when",
-        "plan-kind-unknown",
-        "plan-minimal-not-integer",
-        "swap-plan-without-temps",
-        "snapshot-plan-banking-nothing",
-        "no-plan-beside-temps",
-        "swap-plan-miscounting-temps",
+        "epilogue-reads-no-array-of-the-spec",
+        "epilogue-reads-past-the-array",
+        "epilogue-reads-before-the-array",
+        "lower-bound-names-no-loop",
+        "lower-bound-names-its-own-loop",
+        "lower-bound-names-an-inner-loop",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -352,43 +403,39 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
     path = transform(tmp_path, capsys, src)
     doc = json.loads(open(path).read())
-    assert (doc["plan"]["slots"], doc["plan"]["minimal"]) == ([0, 1, 0], 3)
+    assert doc["plan"]["slots"] == [0, 1, 0]
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out.endswith("verdict: pass\n")
-    doc["plan"].update(slots=[0, 0, 0], minimal=2, locations=2)
+    doc["plan"].update(slots=[0, 0, 0])
     shared = tmp_path / "shared.json"
     shared.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(shared))
     assert code == 1
     assert "equivalence: FAIL at b(2,0)" in out and out.endswith("verdict: FAIL\n")
-    # one slot plus the working cell is two, not one
-    doc["plan"].update(minimal=1, locations=1)
-    shared.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", str(shared))
-    assert code == 2 and out == ""
-    assert "field 'plan' of kind snapshot needs minimal 2 and locations 2, not 1 and 1" in err
 
 
 @pytest.mark.parametrize(
-    "text, flags, locations",
+    "text, flags, temps, cells",
     [
-        ("space I[4], J[4];\ntemp t;\na(I,J) = a(J,I);\n", (), 4 + 1),
-        ("space I[8];\ntemp t;\nt(I) = a(I);\nacc += t(I);\n", ("--unfold", "U=2"), 8 + 2),
+        ("space I[4], J[4];\ntemp t;\na(I,J) = a(J,I);\n", (), ("t", "tmp"), 1 + 4),
+        ("space I[8];\ntemp t;\nt(I) = a(I);\nacc += t(I);\n", ("--unfold", "U=2"), ("t", "s"), 8 + 2),
     ],
     ids=["transpose-beside-a-declared-temp", "accumulator-unfold-beside-a-declared-temp"],
 )
-def test_a_swap_plan_counts_declared_temps_beside_its_scratch(tmp_path, capsys, text, flags, locations):
-    """A rewrite's scratch array joins the temps the spec declares, and
-    the swap plan holds all of them, so verify loads what transform wrote."""
+def test_a_swap_plan_counts_declared_temps_beside_its_scratch(tmp_path, capsys, text, flags, temps, cells):
+    """A rewrite's scratch array joins the temps the spec declares, the
+    schedule's scratch is every cell of them, and it banks nothing, so
+    verify loads what transform wrote."""
     path = transform(tmp_path, capsys, text, *flags)
-    plan = json.loads(open(path).read())["plan"]
-    assert (plan["kind"], plan["locations"]) == ("swap", locations)
+    tree = schedule_from_json(json.loads(open(path).read()))
+    assert tree.spec.temp_arrays == temps and scratch_cells(tree.spec, tree.plan) == cells
+    assert tree.plan == NO_PLAN
     code, out, err = run(capsys, "verify", path)
     assert code == 0 and out.endswith("verdict: pass\n"), err
 
 
 def test_accumulator_unfold_of_a_banking_schedule_is_refused(tmp_path, capsys):
-    """The copies' swap plan would replace the snapshot plan, and the
+    """The copies' scratch array would replace the banked cells, and the
     schedule would read a(1,2) after its overwrite."""
     spec = tmp_path / "input.spec"
     spec.write_text(CHAINED + "acc += b(I,J);\n")
@@ -413,9 +460,11 @@ def _keys(value) -> set[str]:
 def _with_derived_keys(doc: dict) -> dict:
     """A copy of a document with the derived keys older documents wrote,
     each contradicting the tree: the domain guarded by I < 2, a mapping
-    of nothing, every loop unconverted and every group stepping by 99."""
+    of nothing, a plan of an unknown kind sized -1 and "x", every loop
+    unconverted and every group stepping by 99."""
     stale = json.loads(json.dumps(doc))
     stale.update(guards=[["I", 2]], mapping={"span": 1, "slots": []})
+    stale["plan"].update(kind="bogus", locations=-1, minimal="x")
     nodes = list(stale["roots"])
     while nodes:
         node = nodes.pop()
@@ -436,6 +485,9 @@ def test_a_transform_document_states_no_derived_fact(tmp_path, capsys):
     assert grouped["roots"][0]["body"][0]["kind"] == "group"
     for doc in (chained, grouped):
         assert not _keys(doc) & DERIVED_KEYS
+        # a plan is its banked cells and their slots; its size is derived
+        assert set(doc["plan"]) == {"snapshot_locs", "slots"}
+    assert chained["plan"]["snapshot_locs"] and not grouped["plan"]["snapshot_locs"]
 
 
 @pytest.mark.parametrize(
@@ -447,6 +499,7 @@ def test_an_older_document_reads_as_its_tree_whatever_its_derived_keys_say(tmp_p
     clean = schedule_to_json(build())
     stale = _with_derived_keys(clean)
     assert {"guards", "mapping", "converted"} <= _keys(stale)
+    assert {"kind", "locations", "minimal"} <= set(stale["plan"])
     outputs = []
     for name, doc in (("clean", clean), ("stale", stale)):
         path = tmp_path / f"{name}.json"

@@ -12,6 +12,7 @@ from clocksched.engine import (
     parse_edge_list,
 )
 from clocksched.formula import domain_points
+from clocksched.lower import VISIT
 
 import cases
 import oracles
@@ -90,17 +91,25 @@ def test_unfold_copies_partition_the_lattice():
 
 
 def test_epilogue_record_trails_the_trace():
-    trace = enumerate_schedule(cases.accumulator_tree())
-    *body, last = trace.records
-    assert last.epilogue
-    assert last.time_value == max(r.time_value for r in body) + 1
-    assert not any(r.epilogue for r in body)
-    assert last.lattice_point == ()
+    """The reduction is the tree's epilogue, lowered as one more visit
+    after the last point; no trace record stands for it."""
+    tree = cases.accumulator_tree()
+    trace = enumerate_schedule(tree)
+    (reduction,) = tree.epilogue
+    codes = list(trace.stream.codes)
+    assert codes.count(VISIT) == len(trace.records) + 1
+    last = len(codes) - 1 - codes[::-1].index(VISIT)
+    code, write = codes[last + 1:last + 3]
+    assert code >> 2 == len(tree.spec.formulas)  # the first formula past the spec's
+    assert trace.stream.layout.location(write) == (reduction.result.name, ())
+    assert all(r.lattice_point for r in trace.records)
 
 
 def test_trace_points_skip_the_epilogue():
-    trace = enumerate_schedule(cases.accumulator_tree())
-    assert len(trace.points()) == len(trace.records) - 1
+    tree = cases.accumulator_tree()
+    trace = enumerate_schedule(tree)
+    assert tree.epilogue
+    assert len(trace.points()) == len(trace.records) == len(trace.stream.points)
 
 
 # -- sparse ------------------------------------------------------------------

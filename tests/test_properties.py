@@ -55,6 +55,7 @@ from clocksched.schedule import (
     nest,
     nest_loops,
     next_power_of_two,
+    scratch_cells,
     sequential_schedule,
     time_skeleton,
 )
@@ -363,7 +364,7 @@ def test_built_snapshot_slots_match_the_rescan(case):
     with mock.patch.object(schedule, "assign_slots", wraps=assign_slots) as sweep:
         tree = build_schedule(text, clock=clock, assignment=assignment)
     plan = tree.plan
-    assume(plan.kind == "snapshot")
+    assume(plan.snapshot_locs)
     layout = Layout(infer_shapes(tree.spec))
     slots = {layout.cell(name, loc): slot for (name, loc), slot in zip(plan.snapshot_locs, plan.slots)}
     assert_slots_fit(sweep.call_args.args[0], slots, plan.minimal)
@@ -458,7 +459,7 @@ def test_enumeration_visits_in_the_oracle_order(spec_tree):
     unguarded = tuple(g for g in tree.spec.domain if not isinstance(g, LessThan))
     tree = replace(tree, spec=replace(tree.spec, domain=unguarded))
     visits = oracles.document_visits(schedule_to_json(tree))
-    records = [r for r in enumerate_schedule(tree).records if not r.epilogue]
+    records = enumerate_schedule(tree).records
     assert [(r.copy, r.time_point) for r in records] == [
         (root, offsets) for root, offsets, _ in visits
     ]
@@ -474,8 +475,7 @@ def assert_texts_give_the_trace(tree):
         point = {n: oracles.evaluate(text, env) for n, text in texts[root].items()}
         if oracles.keeps_guards(tree.spec.domain, point):
             visited.append((root, offsets, tuple(point[n] for n in trace.names)))
-    records = [r for r in trace.records if not r.epilogue]
-    assert [(r.copy, r.time_point, r.lattice_point) for r in records] == visited
+    assert [(r.copy, r.time_point, r.lattice_point) for r in trace.records] == visited
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -561,7 +561,8 @@ def test_transpose_unfold_around_the_scratch_width(copies):
         src, clock=make_clock(6), assignment={"I": 64, "J": 8}, budget=4,
         unfold_over=("T", copies),
     )
-    assert tree.plan.locations == 4 and len(tree.roots) == copies
+    assert tree.spec.temp_arrays == ("tmp",) and scratch_cells(tree.spec, tree.plan) == 4
+    assert len(tree.roots) == copies
     assert_texts_give_the_trace(tree)
     trace = enumerate_schedule(tree)
     assert check_coverage(trace).ok and check_dependencies(trace).ok

@@ -7,6 +7,7 @@ import pytest
 from clocksched.clock import make_clock
 from clocksched.formula import BlockBind, LessThan, parse_spec
 from clocksched.schedule import (
+    NO_PLAN,
     Affine,
     BuildError,
     EnumNode,
@@ -26,6 +27,7 @@ from clocksched.schedule import (
     next_power_of_two,
     pad_and_guard,
     recovery,
+    scratch_cells,
     sequential_schedule,
     time_skeleton,
     unfold,
@@ -290,14 +292,14 @@ def test_transpose_rewrite_shape():
     assert LessThan("J", "I") in spec.domain
     assert spec.temp_arrays == ("tmp",)
     assert [f.result.name for f in spec.formulas] == ["tmp", "a", "a"]
-    assert tree.plan.kind == "swap"
-    assert tree.plan.locations == 2
+    assert tree.plan == NO_PLAN
+    assert scratch_cells(spec, tree.plan) == 2
 
 
 def test_transpose_default_budget_uses_full_rows():
     tree = sequential_schedule(cases.TRANSPOSE)
-    assert tree.plan.kind == "swap"
-    assert tree.plan.locations == 1  # sequential visits keep one pair in flight
+    assert tree.spec.temp_arrays == ("tmp",) and tree.plan == NO_PLAN
+    assert scratch_cells(tree.spec, tree.plan) == 1  # sequential visits keep one pair in flight
 
 
 def test_transpose_zero_budget_names_minimum():
@@ -401,9 +403,9 @@ def test_unfold_accumulator_needs_scalar_target():
 
 def test_stencil_snapshot_plan():
     tree = cases.stencil_tree()
-    assert tree.plan.kind == "snapshot"
-    assert tree.plan.locations == 5
+    assert tree.plan.snapshot_locs and not tree.spec.temp_arrays
     assert tree.plan.minimal == 5
+    assert scratch_cells(tree.spec, tree.plan) == 5
     assert all(name == "a" for name, _ in tree.plan.snapshot_locs)
 
 
@@ -421,8 +423,8 @@ def test_stencil_budget_below_minimum():
 
 def test_matmul_needs_no_scratch():
     tree = cases.matmul_tree()
-    assert tree.plan.kind == "none"
-    assert tree.plan.locations == 0
+    assert tree.plan == NO_PLAN and not tree.spec.temp_arrays
+    assert scratch_cells(tree.spec, tree.plan) == 0
 
 
 # -- sequential reference ----------------------------------------------------

@@ -264,7 +264,7 @@ def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
     tree = build_schedule(
         src, clock=make_clock(4, 2, 2), assignment={"S": 16, "I": 8, "T": 4, "J": 2}
     )
-    assert tree.plan.kind == "snapshot"
+    assert tree.plan.snapshot_locs
     trace = enumerate_schedule(tree)
     assert check_dependencies(trace).summary() == "dependencies: ok (32 writes checked)"
     report = equivalent(tree, sequential_schedule(src), trials=3)
@@ -416,7 +416,7 @@ def test_every_read_that_follows_an_overwrite_is_banked(src, order):
     written at an earlier point, are planned like displaced ones; only
     an accumulation's read of its own cell is not."""
     tree = sequential_schedule(src) if order is None else build_schedule(src, order=order)
-    assert tree.plan.kind == "snapshot"
+    assert tree.plan.snapshot_locs
     report = verify_report(enumerate_schedule(tree), trials=3)
     assert report["ok"], report["lines"]
 
