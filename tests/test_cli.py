@@ -403,7 +403,7 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
     path = transform(tmp_path, capsys, src)
     doc = json.loads(open(path).read())
-    assert doc["plan"]["slots"] == [0, 1, 0]
+    assert doc["plan"]["slots"] == [0, 1, 0] and schedule_from_json(doc).plan.minimal == 3
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out.endswith("verdict: pass\n")
     doc["plan"].update(slots=[0, 0, 0])
