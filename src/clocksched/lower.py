@@ -14,12 +14,24 @@ order.  The stream is one ``array('q')`` of records:
   position (the epilogue's follow the spec's) and ``code & 3`` is
   ``ASSIGN``, ``ADD``, or ``SKIP`` when no term stays on its arrays.
 
-A read names the bank slot once its cell is banked, except an
+A term with an operand off its array adds nothing; it keeps its other
+reads under coefficient 0, so the checks still see every read the spec
+names.  A ``SKIP`` record writes nothing: it banks nothing and no read
+sees it.
+
+``lower`` builds the stream by columns, ``BLOCK`` points at a time.
+Every subscript is an index plus a displacement, so an access's cell
+id is affine in the point: from the block's coordinate columns it
+computes each access's column of cell ids, checking bounds only on a
+dimension whose range over the block leaves the array, and it joins
+the columns of record heads and terms into the block's records.
+Banking follows one rule.  A marked cell's ``SAVE`` goes before its
+first write that is not a ``SKIP``, and a read names the cell's slot
+exactly when that first overwrite came at an earlier visit, except an
 accumulation's read of its own target and a read of a cell an earlier
-formula at the same visit wrote.  A term with an operand off its
-array adds nothing; it keeps its other reads under coefficient 0, so
-the checks still see every read the spec names.  A ``SKIP`` record
-writes nothing: it banks nothing and no read sees it.
+formula at the same visit wrote.  The visit of each cell's first
+overwrite is all that carries from one block to the next, and on into
+the epilogue, which lowers as one more block of one visit.
 
 ``Stream.run`` applies the records to integers, ``Stream.polynomials``
 to polynomials over the input cells, and ``first_difference`` compares
@@ -31,6 +43,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import replace
+from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import ArrayAccess, ComputationSpec, Formula, infer_shapes
@@ -56,9 +70,14 @@ class Layout:
 
     def cell(self, name: str, loc: tuple[int, ...]) -> int | None:
         shape = self.shapes.get(name, ())
-        if len(loc) != len(shape) or not all(0 <= v < n for v, n in zip(loc, shape)):
+        if len(loc) != len(shape):
             return None
-        return self.offsets[name] + sum(v * math.prod(shape[i + 1:]) for i, v in enumerate(loc))
+        flat = 0
+        for v, n in zip(loc, shape):
+            if not 0 <= v < n:
+                return None
+            flat = flat * n + v
+        return self.offsets[name] + flat
 
     def location(self, cell: int) -> tuple[str, tuple[int, ...]]:
         name = max((o, n) for n, o in self.offsets.items() if o <= cell)[1]
@@ -74,25 +93,24 @@ class Layout:
 
 
 def _compile(access: ArrayAccess, names: tuple[str, ...], layout: Layout):
-    """Offset plus (point position or -1, displacement, extent, stride)
-    per subscript."""
+    """An access as ``(base, terms, bounds)``: at a point its cell id is
+    ``base`` plus ``stride * point[pos]`` per ``(pos, stride)`` of
+    ``terms``, and it is on its array where ``lo <= point[pos] < hi`` per
+    ``(pos, lo, hi)`` of ``bounds``.  None if a constant subscript is off
+    its array."""
     shape = layout.shapes[access.name]
-    dims = []
+    base, terms, bounds = layout.offsets[access.name], [], []
     for i, (factor, extent) in enumerate(zip(access.args, shape)):
-        pos = -1 if factor.index is None else names.index(factor.index)
-        dims.append((pos, factor.displacement, extent, math.prod(shape[i + 1:])))
-    return layout.offsets[access.name], dims
-
-
-def _cell(access, point: tuple[int, ...]) -> int:
-    """Cell id of a compiled access at a point, or -1 off the array."""
-    cell, dims = access
-    for pos, disp, extent, stride in dims:
-        v = disp if pos < 0 else point[pos] + disp
-        if not 0 <= v < extent:
-            return -1
-        cell += v * stride
-    return cell
+        stride, disp = math.prod(shape[i + 1:]), factor.displacement
+        base += disp * stride
+        if factor.index is None:
+            if not 0 <= disp < extent:
+                return None
+        else:
+            pos = names.index(factor.index)
+            terms.append((pos, stride))
+            bounds.append((pos, -disp, extent - disp))
+    return base, tuple(terms), tuple(bounds)
 
 
 def _times(m, n):
@@ -401,12 +419,7 @@ def lower(
             bank[span] = array("q", range(layout.size + span.start, layout.size + span.stop))
         else:  # ((name, loc), slot)
             bank[layout.cell(*item[0])] = layout.size + item[1]
-    marks = bytearray(slot >= 0 for slot in bank)  # cells still to bank at their first overwrite
-    # the cell id a read names: its bank slot once banked, except while
-    # the current visit has written it or accumulates into it
-    served = list(range(layout.size)) if any(marks) else []
-    serve = served.__getitem__
-    codes = array("q")
+    banked = max(max(bank, default=-1) + 1 - layout.size, 0)  # slots past the last cell
 
     def compiled(formulas: tuple[Formula, ...], names: tuple[str, ...]):
         return [
@@ -423,43 +436,182 @@ def lower(
             for f in formulas
         ]
 
-    def visit(point: tuple[int, ...], formulas, first: int) -> None:
-        codes.append(VISIT)
-        live = []  # banked cells this visit reads live
-        last = first + len(formulas) - 1
-        for fi, (when, add, result, terms) in enumerate(formulas, first):
-            if when and any(point[p] != v for p, v in when):
-                continue
-            if (write := _cell(result, point)) < 0:
-                continue
-            if add and served and served[write] != write:
-                served[write] = write
-                live.append(write)
-            record, kind = [0, write, len(terms)], SKIP
-            for cid, accesses in terms:
-                reads = [_cell(a, point) for a in accesses]
-                if -1 in reads:  # id 0 is the coefficient 0
-                    reads, cid = [r for r in reads if r >= 0], 0
-                else:
-                    kind = ADD if add else ASSIGN
-                record += (cid, len(reads), *(map(serve, reads) if served else reads))
-            record[0] = fi << 2 | kind
-            if kind != SKIP and marks[write]:  # the cell is still pre-pass
-                marks[write] = 0
-                served[write] = bank[write]
-                codes.extend((SAVE, bank[write], write))
-            codes.extend(record)
-            if fi < last and served and served[write] != write:
-                served[write] = write
-                live.append(write)
-        for cell in live:
-            served[cell] = bank[cell]
-
     body = compiled(spec.formulas, spec.index_names())
-    for point in points:
-        visit(point, body, 0)
+    tail = compiled(epilogue, ())
+    banking = _Banking(bank)
+    codes = array("q")
+    for start in range(0, len(points), BLOCK):
+        block = points[start:start + BLOCK]
+        codes.fromlist(_block(body, 0, list(zip(*block)), range(start, start + len(block)), banking))
     if epilogue:
-        visit((), compiled(epilogue, ()), len(body))
+        codes.fromlist(_block(tail, len(body), [], range(len(points), len(points) + 1), banking))
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    banked = max(bank) + 1 - layout.size if served else 0
     return Stream(spec, points, layout, codes, coefficients, banked)
+
+
+BLOCK = 512  # points lowered together: every column is at most this long
+NEVER = 1 << 62  # the first overwrite of a cell never banked
+
+
+class _Banking:
+    """What carries from block to block: per cell, the visit of its first
+    overwrite once banked, else ``NEVER``, and whether it still waits
+    for one.  Both have one entry past the last cell, which answers for
+    -1, an operand off its array."""
+
+    def __init__(self, bank: array):
+        self.bank = bank
+        self.pending = bytearray(map((-1).__lt__, bank)) + b"\0"
+        self.left = self.pending.count(1)  # cells still pending
+        self.first = array("q", [NEVER]) * (len(bank) + 1)
+        self.earliest = NEVER  # the first banked cell's first overwrite
+
+    def overwrites(self, rows: list, visits: range) -> list[list[int]]:
+        """Bank each pending cell at its first write in the block that is
+        not a SKIP: per row, the visit positions whose record a SAVE of
+        its target goes before."""
+        pending, first, m = self.pending, self.first, len(rows)
+        targets = [row[2] for row in rows]
+        found = []  # i * m + f per candidate write, ints, in visit then row order
+        for f, (_, _, writes, keep, on, *_) in enumerate(rows):
+            found += [
+                i * m + f for i, w in enumerate(writes)
+                if pending[w] and (keep is None or keep[i]) and (on is None or on[i])
+            ]
+        found.sort()
+        saves: list[list[int]] = [[] for _ in rows]
+        for key in found:
+            i, f = divmod(key, m)
+            if pending[w := targets[f][i]]:
+                pending[w] = 0
+                first[w] = visits[i]
+                saves[f].append(i)
+        if found:
+            self.left = pending.count(1)
+            self.earliest = min(self.earliest, visits[found[0] // m])
+        return saves
+
+    def serve(self, cells: list[int], visits: range, live: list[list[int]]) -> list[int]:
+        """The cell ids a column of reads names: a cell's slot at a visit
+        after its first overwrite, unless a column of ``live`` (cells read
+        live) holds it at that visit."""
+        bank, first = self.bank, self.first
+        if not live:
+            return [bank[c] if first[c] < v else c for c, v in zip(cells, visits)]
+        return [
+            bank[c] if first[c] < v and c not in near else c
+            for c, v, near in zip(cells, visits, zip(*live))
+        ]
+
+
+class _Columns:
+    """Cell-id columns over one block of points, given as coordinate
+    columns: -1 where an access is off its array."""
+
+    def __init__(self, coords: list[tuple[int, ...]], n: int):
+        self.coords, self.n = coords, n
+        self.lows, self.highs = [min(c) for c in coords], [max(c) for c in coords]
+        self.sums: dict = {}  # per terms, their linear part
+        self.made: dict = {}  # per compiled access, its column
+
+    def __call__(self, access) -> list[int]:
+        column = self.made.get(access)
+        if column is None:
+            column = self.made[access] = self._column(access)
+        return column
+
+    def _column(self, access) -> list[int]:
+        if access is None:
+            return [-1] * self.n
+        base, terms, bounds = access
+        coords = self.coords
+        if not terms:
+            return [base] * self.n
+        linear = self.sums.get(terms)
+        if linear is None:
+            (pos, stride), *rest = terms
+            linear = coords[pos] if stride == 1 else [stride * x for x in coords[pos]]
+            for pos, stride in rest:
+                if stride == 1:
+                    linear = list(map(add, linear, coords[pos]))
+                else:
+                    linear = [v + stride * x for v, x in zip(linear, coords[pos])]
+            self.sums[terms] = linear
+        column = [base + v for v in linear] if base else list(linear)
+        for pos, lo, hi in bounds:  # only a dimension the block can leave
+            if self.lows[pos] < lo or self.highs[pos] >= hi:
+                column = [c if lo <= x < hi else -1 for c, x in zip(column, coords[pos])]
+        return column
+
+
+def _dropped(term: tuple[int, ...]) -> tuple[int, ...]:
+    """A term with an operand off its array: coefficient 0, its other reads."""
+    kept = [r for r in term[2:] if r >= 0]
+    return (0, len(kept), *kept)
+
+
+def _block(formulas, first: int, coords, visits: range, banking: _Banking) -> list[int]:
+    """The records, flat, of one block of ``visits`` at the points whose
+    coordinate columns are ``coords``; ``first`` is the position of the
+    first of the compiled ``formulas``."""
+    n = len(visits)
+    column = _Columns(coords, n)
+    rows = []
+    for fi, (when, accumulates, result, terms) in enumerate(formulas, first):
+        writes = column(result)
+        # where the formula applies: its ``when`` holds, its target is on its array
+        keep = [w >= 0 for w in writes] if -1 in writes else None  # None: every visit
+        for pos, value in when:
+            at = [x == value for x in coords[pos]]
+            keep = at if keep is None else [k and a for k, a in zip(keep, at)]
+        if keep is not None:
+            if not any(keep):
+                continue
+            if all(keep):
+                keep = None
+        reads = [[column(a) for a in accesses] for _, accesses in terms]
+        # per term, where it keeps every operand (None: everywhere)
+        whole = [None if all(-1 not in c for c in cols) else [-1 not in r for r in zip(*cols)]
+                 for cols in reads]
+        if None in whole:
+            on = None  # applied at every visit
+        else:
+            on = [any(ws) for ws in zip(*whole)] if whole else [False] * n
+        rows.append([fi, accumulates, writes, keep, on, terms, reads, whole])
+
+    saves = banking.overwrites(rows, visits) if banking.left else [()] * len(rows)
+
+    # Every piece is lazy, so each visit's tuples are freed before the next
+    # visit's are made: a block's worth of live tuples of one length would
+    # stay on CPython's free list for good.
+    pieces = []  # per row, its head column, then a column per term
+    wrote = []  # per row so far, its targets, -1 where it does not apply
+    serving = banking.earliest < visits[-1]  # some read here may name a slot
+    bank = banking.bank
+    for f, (fi, accumulates, writes, keep, on, terms, reads, whole) in enumerate(rows):
+        if serving:
+            live = wrote + [writes] if accumulates else wrote  # an accumulation's own target
+            reads = [[banking.serve(c, visits, live) for c in cols] for cols in reads]
+            wrote.append(writes if keep is None else [w if k else -1 for w, k in zip(writes, keep)])
+        code = fi << 2 | (ADD if accumulates else ASSIGN)
+        codes = repeat(code, n) if on is None else [code if o else fi << 2 | SKIP for o in on]
+        heads = zip(codes, writes, repeat(len(terms), n))
+        if saves[f]:
+            saved = bytearray(n)
+            for i in saves[f]:
+                saved[i] = 1
+            heads = ((SAVE, bank[w], w, *h) if s else h for s, w, h in zip(saved, writes, heads))
+        row = [heads]
+        for (cid, _), cols, ws in zip(terms, reads, whole):
+            term = zip(repeat(cid, n), repeat(len(cols), n), *cols)
+            if ws is not None:  # some visit has an operand off its array
+                term = (t if -1 not in t else _dropped(t) for t in term)
+            row.append(term)
+        if keep is not None:
+            row = [(p if k else () for p, k in zip(piece, keep)) for piece in row]
+        pieces += row
+    flat: list[int] = []
+    for record in zip(repeat((VISIT,), n), *pieces):
+        for piece in record:
+            flat += piece
+    return flat

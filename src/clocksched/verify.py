@@ -14,10 +14,12 @@ the reference (``Stream.replay``): a read sees the cell's last write,
 an accumulation's own cell its last assignment, a slot or unwritten
 cell the pre-pass value; a read or final cell that differs fails.
 Equivalence is exact: it runs both streams on polynomials over the
-input cells (``Stream.polynomials``) and compares every shared cell's
-final polynomial.  Past ``EXACT_BUDGET`` live monomials it falls back
-to seeded random stores instead.  ``verify_report`` runs them all, in
-that order.
+input cells (``Stream.polynomials``) and compares the final polynomial
+of every cell of the reference's arrays but its temporaries; a
+schedule that lacks an array the reference writes, or writes one the
+reference never names, fails outright.  Past ``EXACT_BUDGET`` live
+monomials it falls back to seeded random stores instead.
+``verify_report`` runs them all, in that order.
 """
 
 from __future__ import annotations
@@ -203,7 +205,9 @@ def _replayed(stream: Stream, finals: list) -> Iterator[tuple]:
         yield app, write, [None if s is None else (stream.points[s[0]], *s[1:]) for s in seen]
 
 
-def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> DependencyReport:
+def check_dependencies(
+    trace: VisitTrace, reference: Stream | None = None, points: list | None = None
+) -> DependencyReport:
     """Replay the trace and the reference and compare which write each
     read sees (``Stream.replay``): the cell's last write, or for an
     accumulation's read of its own cell its last assignment, or the
@@ -212,7 +216,8 @@ def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> De
     set of contributions since), differs; a reordered sum commutes, and
     a temporary's last assignment is free.  ``reference`` is the trace
     spec's ``domain_points`` lowered with the tree's epilogue and every
-    written array banked by name, if already lowered.
+    written array banked by name, if already lowered; ``points`` are
+    those domain points, if already made.
     """
     from .lower import ADD, SKIP, lower
 
@@ -220,7 +225,8 @@ def check_dependencies(trace: VisitTrace, reference: Stream | None = None) -> De
     spec = trace.spec
     if reference is None:
         written = {f.result.name for f in spec.formulas}
-        reference = lower(spec, domain_points(spec), trace.tree.epilogue, written)
+        points = domain_points(spec) if points is None else points
+        reference = lower(spec, points, trace.tree.epilogue, written)
     layout = stream.layout
     # by cell id in lists: dicts would double the check's memory
     got_finals, want_finals = [None] * layout.size, [None] * layout.size
@@ -278,10 +284,16 @@ class EquivalenceReport:
     trials: int  # random stores run: 0 when the check was exact
     counterexample: dict | None = None
     exact: bool = False
-    cells: int = 0  # shared cells compared as polynomials
+    cells: int = 0  # cells compared as polynomials
 
     def summary(self) -> str:
         c = self.counterexample
+        if c is not None and "array" in c:
+            fault = (
+                "never holds {}, which the reference writes" if c["problem"] == "missing"
+                else "writes {}, which the reference never names"
+            )
+            return "equivalence: FAIL, the schedule " + fault.format(c["array"])
         if self.exact:
             if self.ok:
                 return f"equivalence: ok (exact, {self.cells} cells)"
@@ -300,27 +312,42 @@ class EquivalenceReport:
         )
 
 
-def _shared_arrays(a: Stream, b: Stream) -> dict[str, tuple[int, ...]]:
-    sa, sb = a.layout.shapes, b.layout.shapes
-    temps = set(a.spec.temp_arrays) | set(b.spec.temp_arrays)
-    shared = {}
-    for name in sorted(set(sa) & set(sb)):
-        if name in temps:
-            continue
-        if sa[name] != sb[name]:
-            raise ValueError(f"array {name} shaped {sa[name]} and {sb[name]}")
-        shared[name] = sa[name]
-    return shared
-
-
-def _stream(run: VisitTrace | ScheduleTree | Stream) -> Stream:
+def _stream(run: VisitTrace | ScheduleTree | Stream) -> tuple[Stream, set[str]]:
+    """The run's stream and the arrays it writes: its spec's targets and,
+    for a tree or trace, its epilogue's (a bare stream keeps no epilogue)."""
     if isinstance(run, ScheduleTree):
         run = enumerate_schedule(run)
-    return run.stream if isinstance(run, VisitTrace) else run
+    if isinstance(run, VisitTrace):
+        stream = run.stream
+        return stream, {f.result.name for f in stream.spec.formulas + run.tree.epilogue}
+    return run, {f.result.name for f in run.spec.formulas}
+
+
+def _compared_arrays(
+    ours: Stream, ours_write: set[str], theirs: Stream, theirs_write: set[str]
+) -> tuple[dict[str, tuple[int, ...]], dict | None]:
+    """The arrays equivalence compares, with their shapes: every array of
+    the reference but its own temporaries, so a candidate's temporary is
+    skipped only where the reference does not hold it.  The second item
+    names an array that rules the candidate out: one the reference writes
+    and the candidate does not hold, or one the candidate writes, not as
+    a temporary, that the reference never names."""
+    mine, want = ours.layout.shapes, theirs.layout.shapes
+    compared = set(want) - set(theirs.spec.temp_arrays)
+    if missing := min(theirs_write & compared - set(mine), default=None):
+        return {}, {"array": missing, "problem": "missing"}
+    if unnamed := min(ours_write - set(ours.spec.temp_arrays) - set(want), default=None):
+        return {}, {"array": unnamed, "problem": "unnamed"}
+    shared = {}
+    for name in sorted(compared & set(mine)):
+        if mine[name] != want[name]:
+            raise ValueError(f"array {name} shaped {mine[name]} and {want[name]}")
+        shared[name] = mine[name]
+    return shared, None
 
 
 def _exact(ours: Stream, theirs: Stream, shared) -> EquivalenceReport | None:
-    """Compare every shared cell as a polynomial over the input cells;
+    """Compare every cell of ``shared`` as a polynomial over the input cells;
     None when either stream grows past ``EXACT_BUDGET``."""
     from .lower import PastBudget, first_difference
 
@@ -348,13 +375,18 @@ def equivalent(
 ) -> EquivalenceReport:
     """Same final arrays as the reference on every integer store.
 
-    Every cell the two share, temporaries aside, is compared as a
-    polynomial over the input cells, which decides equality exactly.
-    Past ``EXACT_BUDGET`` live monomials on either side, the check
-    falls back to ``trials`` seeded random stores instead.  Either side
-    may be given as a tree, its trace, or a lowered stream."""
-    ours, theirs = _stream(candidate), _stream(reference)
-    shared = _shared_arrays(ours, theirs)
+    Every array of the reference but its temporaries is compared, cell
+    by cell, as a polynomial over the input cells, which decides
+    equality exactly.  The candidate fails outright when it lacks an
+    array the reference writes, or writes one, not as a temporary, that
+    the reference never names (``_compared_arrays``).  Past
+    ``EXACT_BUDGET`` live monomials on either side, the check falls
+    back to ``trials`` seeded random stores instead.  Either side may be
+    given as a tree, its trace, or a lowered stream."""
+    (ours, ours_write), (theirs, theirs_write) = _stream(candidate), _stream(reference)
+    shared, problem = _compared_arrays(ours, ours_write, theirs, theirs_write)
+    if problem is not None:
+        return EquivalenceReport(ok=False, trials=0, counterexample=problem)
     report = _exact(ours, theirs, shared)
     if report is not None:
         return report
@@ -452,12 +484,16 @@ def verify_report(
     spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
     # without a rewrite or an epilogue the trace runs the reference's spec on
     # its cell layout, so every check shares the reference's points and
-    # stream; otherwise the reference is lowered once the dependence check
-    # has dropped its own
+    # stream; otherwise coverage and the dependence check share the trace
+    # spec's points, which go, like the dependence check's own reference,
+    # before the reference is lowered for equivalence, the check that
+    # peaks in memory
     own = trace.spec == spec and not tree.epilogue
     reference = reference_stream(spec) if own else None
-    coverage = check_coverage(trace, reference.points if own else None)
-    dependencies = check_dependencies(trace, reference)
+    points = reference.points if own else domain_points(trace.spec)
+    coverage = check_coverage(trace, points)
+    dependencies = check_dependencies(trace, reference, points)
+    del points
     eq = equivalent(trace, reference or reference_stream(spec), trials=trials, seed=seed)
     profile = analyze(trace)
     ok = coverage.ok and dependencies.ok and eq.ok

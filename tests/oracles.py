@@ -9,6 +9,7 @@ being checked.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 
@@ -193,3 +194,95 @@ def interval_slots(intervals: list[tuple[int, int, int]]):
         live += delta
         peak = max(peak, live)
     return slots, peak
+
+
+def lowered_records(formulas, names, points, epilogue, shapes, marked):
+    """The lowered stream of visiting ``points``, one point and one
+    formula at a time: ``(codes, coefficients, banked)`` as ``lower``
+    states them.  ``formulas`` and ``epilogue`` are formula objects read
+    by attribute, ``names`` the point's index names, ``shapes`` every
+    array's shape, ``marked`` as ``lower`` takes it.
+
+    A visit is -1.  A formula applies where its ``when`` holds and its
+    target is on its array; its record is the code (position * 4, plus
+    0 assign, 1 add, 2 when every term has an operand off its array),
+    the target, the term count, and per term its coefficient's id, read
+    count and reads; a term off its array has id 0 and keeps its other
+    reads.  A banked cell's first applied write (kind 0 or 1) is
+    preceded by -2, its slot, the cell.  A read names the slot when that
+    first write came at an earlier visit, unless an earlier formula of
+    this visit wrote the cell or it is this accumulation's own target.
+    """
+    offsets, size = {}, 0
+    for name in sorted(shapes):
+        offsets[name] = size
+        size += math.prod(shapes[name])
+
+    def cell(name, loc):
+        shape = shapes[name]
+        if len(loc) != len(shape) or not all(0 <= v < n for v, n in zip(loc, shape)):
+            return None
+        flat = 0
+        for v, n in zip(loc, shape):
+            flat = flat * n + v
+        return offsets[name] + flat
+
+    def at(access, env):
+        return cell(access.name, [
+            f.displacement if f.index is None else env[f.index] + f.displacement
+            for f in access.args
+        ])
+
+    slot_of = {}
+    for item in marked:
+        if isinstance(item, str):
+            for loc in itertools.product(*map(range, shapes[item])):
+                slot_of[cell(item, loc)] = size + cell(item, loc)
+        else:
+            slot_of[cell(*item[0])] = size + item[1]
+    coefficients = [0]
+    for f in (*formulas, *epilogue):
+        for t in f.terms:
+            if t.coefficient not in coefficients:
+                coefficients.append(t.coefficient)
+    banked_at = {}
+    codes = []
+
+    def visit(v, env, formulas, first):
+        codes.append(-1)
+        written = set()
+        for position, f in enumerate(formulas, first):
+            if any(env[n] != value for n, value in f.when):
+                continue
+            target = at(f.result, env)
+            if target is None:
+                continue
+            live = written | {target} if f.op == "+=" else written
+
+            def named(r):
+                if r in banked_at and banked_at[r] < v and r not in live:
+                    return slot_of[r]
+                return r
+
+            parts, applied = [], False
+            for t in f.terms:
+                reads = [at(a, env) for a in t.accesses]
+                if None in reads:
+                    kept = [r for r in reads if r is not None]
+                    parts += [0, len(kept), *map(named, kept)]
+                else:
+                    parts += [coefficients.index(t.coefficient), len(reads), *map(named, reads)]
+                    applied = True
+            kind = (1 if f.op == "+=" else 0) if applied else 2
+            if applied and target in slot_of and target not in banked_at:
+                banked_at[target] = v
+                codes.extend([-2, slot_of[target], target])
+            codes.extend([position << 2 | kind, target, len(f.terms), *parts])
+            written.add(target)
+
+    for v, point in enumerate(points):
+        visit(v, dict(zip(names, point)), formulas, 0)
+    if epilogue:
+        visit(len(points), {}, epilogue, len(formulas))
+    banked = max(slot_of.values()) + 1 - size if slot_of else 0
+    return codes, coefficients, banked

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clocksched
 from clocksched import build_schedule, make_clock, schedule_from_json, schedule_to_json
 from clocksched.cli import main
 from clocksched.formula import infer_shapes
@@ -640,6 +645,50 @@ def test_verify_holds_a_rewritten_document_to_its_source(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[1].startswith("dependencies: ok")
     assert lines[2] == "equivalence: FAIL at a(0,0): a(0,0) has 1, the reference 2"
+
+
+def _with_epilogue_formula(doc: dict) -> dict:
+    """The accumulator document with a second reduction into ``zz``."""
+    extra = {**doc["epilogue"][0], "result": {"name": "zz", "args": []}}
+    return {**doc, "epilogue": doc["epilogue"] + [extra]}
+
+
+@pytest.mark.parametrize(
+    "document, line",
+    [
+        (lambda: _with_spec(schedule_to_json(cases.matmul_tree()), "a(I,J) +=", "z(I,J) +="),
+         "equivalence: FAIL, the schedule never holds a, which the reference writes"),
+        (lambda: _accumulator_with_epilogue(lambda f: f["result"].update(name="zz")),
+         "equivalence: FAIL, the schedule never holds S, which the reference writes"),
+        (lambda: _with_spec(
+            _with_spec(schedule_to_json(cases.matmul_tree()), "a(I,J) +=", "temp a;\na(I,J) +="),
+            "b(I,K)", "2*b(I,K)"),
+         "equivalence: FAIL at a(0,0): b(0,0)*c(0,0) has 2, the reference 1"),
+        (lambda: _with_epilogue_formula(schedule_to_json(cases.accumulator_tree())),
+         "equivalence: FAIL, the schedule writes zz, which the reference never names"),
+    ],
+    ids=["renamed-target", "renamed-epilogue-result", "output-declared-temp", "unnamed-output"],
+)
+def test_verify_compares_every_array_the_source_writes(tmp_path, capsys, document, line):
+    """A document that renames the source's output, hides it as a
+    temporary, or writes an array the source never names fails."""
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(document()))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.splitlines()[2] == line
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+def test_importing_the_command_line_does_not_load_the_lowering():
+    """Commands that check nothing never pay for ``clocksched.lower``."""
+    src = str(Path(clocksched.__file__).resolve().parent.parent)
+    probe = "import sys; import clocksched.cli; print('clocksched.lower' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_emit_notation_flag(tmp_path, capsys):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clocksched.formula import parse_spec
-from clocksched.lower import ADD, ASSIGN, SAVE, SKIP, VISIT, PastBudget, lower
+from clocksched.formula import ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, parse_spec
+from clocksched.lower import ADD, ASSIGN, BLOCK, SAVE, SKIP, VISIT, PastBudget, lower
+
+import oracles
 
 
 def test_lowered_cells_and_bounds():
@@ -101,3 +105,91 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
     assert mem[e] == []
     with pytest.raises(PastBudget):
         stream.polynomials(["a", "b"], 3)  # d holds 4 monomials
+
+
+def test_a_cell_overwritten_in_one_block_is_read_from_its_slot_in_the_next():
+    spec = parse_spec("space I[2];\na(I) = a(1) + b(I);\n")
+    # a(1) is first overwritten at the last visit of the first block
+    points = [(0,)] * (BLOCK - 1) + [(1,), (0,)]
+    stream = lower(spec, points, marked=[(("a", (1,)), 0)])
+    one = stream.coefficients.index(1)
+    assert stream.layout.offsets == {"a": 0, "b": 2} and stream.banked == 1
+    assert list(stream.codes[:10]) == [VISIT, ASSIGN, 0, 2, one, 1, 1, one, 1, 2]
+    assert list(stream.codes[-23:]) == [
+        VISIT, SAVE, 4, 1, ASSIGN, 1, 2, one, 1, 1, one, 1, 3,
+        VISIT, ASSIGN, 0, 2, one, 1, 4, one, 1, 2,  # a(1) from its slot
+    ]
+    mem = stream.memory({"a": [5, 7], "b": [1, 2]})
+    stream.run(mem)
+    assert mem[:2] == [7 + 1, 7 + 2]
+
+
+@st.composite
+def lowerings(draw):
+    """A spec, its visits, an epilogue and marked cells for ``lower``:
+    operands and targets off their arrays, ``when`` clauses, an
+    accumulation reading its own target, two formulas writing one cell,
+    cells sharing a slot or arrays marked by name, and visits from none
+    to several blocks, some outside the spec's extents."""
+    names = ("I", "J")[: draw(st.integers(1, 2))]
+    sizes = [draw(st.integers(1, 4)) for _ in names]
+    arity = {a: draw(st.integers(0, 2)) for a in ("a", "b", "c")}
+
+    def access(array: str, constant: bool = False) -> ArrayAccess:
+        return ArrayAccess(array, tuple(
+            Factor(None, draw(st.integers(0, 2)))
+            if constant or draw(st.integers(0, 4)) == 0
+            else Factor(draw(st.sampled_from(names)), draw(st.integers(-1, 1)))
+            for _ in range(arity[array])
+        ))
+
+    def formula(constant: bool, target: ArrayAccess | None = None) -> Formula:
+        target = target or access(draw(st.sampled_from("ab")), constant)
+        op = draw(st.sampled_from(["=", "+="]))
+        terms = [
+            Term(draw(st.integers(0, 3)), tuple(
+                access(draw(st.sampled_from("abc")), constant)
+                for _ in range(draw(st.integers(0, 2)))
+            ))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        if draw(st.booleans()):  # reads its own target
+            terms.append(Term(1, (target,)))
+        when = ()
+        if not constant and draw(st.integers(0, 3)) == 0:
+            when = ((draw(st.sampled_from(names)), draw(st.integers(0, 2))),)
+        return Formula(target, op, tuple(terms), when)
+
+    formulas = [formula(False)]
+    for _ in range(draw(st.integers(0, 2))):
+        same = draw(st.booleans())  # the same target as the formula before
+        formulas.append(formula(False, formulas[-1].result if same else None))
+    spec = ComputationSpec(
+        indexes=tuple(IndexDecl(n, size) for n, size in zip(names, sizes)),
+        formulas=tuple(formulas),
+    )
+    epilogue = tuple(formula(True) for _ in range(draw(st.integers(0, 2))))
+    count = draw(st.sampled_from([0, 1, 2, 9, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    points = [tuple(rng.randint(-1, size) for size in sizes) for _ in range(count)]
+    shapes = lower(spec, [], epilogue).layout.shapes
+    how = draw(st.sampled_from(["none", "names", "cells"]))
+    if how == "names":
+        marked = draw(st.lists(st.sampled_from(sorted(shapes)), unique=True))
+    elif how == "cells":
+        cells = [(n, loc) for n in sorted(shapes) for loc in itertools.product(*map(range, shapes[n]))]
+        chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
+        marked = [(cell, draw(st.integers(0, 2))) for cell in chosen]  # slots may be shared
+    else:
+        marked = []
+    return spec, points, epilogue, marked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lowerings())
+def test_lowering_matches_the_literal_per_point_lowering(case):
+    spec, points, epilogue, marked = case
+    stream = lower(spec, points, epilogue, marked)
+    assert (list(stream.codes), stream.coefficients, stream.banked) == oracles.lowered_records(
+        spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes, marked
+    )

@@ -9,15 +9,21 @@ any counterexample to a minimal spec and mapping.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
+from clocksched.cli import main
 from clocksched.clock import (
     clock_points,
     color_histogram,
@@ -567,3 +573,43 @@ def test_transpose_unfold_around_the_scratch_width(copies):
     trace = enumerate_schedule(tree)
     assert check_coverage(trace).ok and check_dependencies(trace).ok
     assert equivalent(tree, sequential_schedule(src), trials=2).ok
+
+
+def _renamed(access: ArrayAccess, old: str) -> ArrayAccess:
+    return replace(access, name="zz") if access.name == old else access
+
+
+def _renamed_formula(f: Formula, old: str) -> Formula:
+    return replace(f, result=_renamed(f.result, old), terms=tuple(
+        replace(t, accesses=tuple(_renamed(a, old) for a in t.accesses)) for t in f.terms
+    ))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(built_schedules(), st.data())
+def test_renaming_a_written_array_never_verifies(spec_tree, data):
+    """Renaming an array a built document writes, every mention of it in
+    the document's ``spec`` or in its ``epilogue``, makes ``verify``
+    exit 1 or 2, never 0."""
+    _, tree = spec_tree
+    doc = schedule_to_json(tree)
+    spec = parse_spec(doc["spec"])
+    in_spec = sorted({f.result.name for f in spec.formulas} - set(spec.temp_arrays))
+    in_epilogue = sorted({f.result.name for f in tree.epilogue})
+    where, old = data.draw(st.sampled_from(
+        [("spec", name) for name in in_spec] + [("epilogue", name) for name in in_epilogue]
+    ))
+    if where == "spec":
+        doc["spec"] = print_spec(replace(
+            spec, formulas=tuple(_renamed_formula(f, old) for f in spec.formulas)
+        ))
+    else:
+        epilogue = tuple(_renamed_formula(f, old) for f in tree.epilogue)
+        doc["epilogue"] = schedule_to_json(replace(tree, epilogue=epilogue))["epilogue"]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "schedule.json")
+        with open(path, "w") as out:
+            json.dump(doc, out)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", path, "--trials", "2"])
+    assert code in (1, 2)
