@@ -59,20 +59,16 @@ class VisitTrace:
 
     @cached_property
     def stream(self) -> Stream:
-        """The visits and the tree's epilogue lowered once, banking each
-        planned cell into its slot; every check and ``interpret`` read this."""
+        """The visits and the tree's epilogue lowered once, each read of
+        an overwritten cell served from the cell's pre-pass copy, as the
+        tree's plan must serve it (``check_dependencies`` holds the plan
+        to that); every check and ``interpret`` read this."""
         # imported on first use, so commands that check nothing never load it
         from .lower import lower
 
         if self.spec is None:
             raise ValueError("this trace enumerates bare time, not a spec")
-        plan = self.tree.plan
-        return lower(
-            self.spec,
-            [r.lattice_point for r in self.records],
-            self.tree.epilogue,
-            zip(plan.snapshot_locs, plan.slots),
-        )
+        return lower(self.spec, [r.lattice_point for r in self.records], self.tree.epilogue)
 
     def points(self) -> list[dict[str, int]]:
         return [dict(zip(self.names, r.lattice_point)) for r in self.records]

@@ -4,11 +4,10 @@ Which formulas fire at a visit, which cell each writes and which cells
 its terms read do not depend on what the cells hold, so every check
 works from this form, built once per (spec, ordered points, epilogue).
 Cells are numbered row-major within each array, arrays in sorted-name
-order.  The stream is one ``array('q')`` of records:
+order.  Cell ``c``'s copy, id ``c + layout.size``, holds its pre-pass
+value: nothing writes it.  The stream is one ``array('q')`` of records:
 
 * ``VISIT``: the next visit begins (one per point, then the epilogue).
-* ``SAVE, slot, cell``: bank a marked cell at its first overwrite into
-  its slot.  Slots follow the last cell, so one memory holds both.
 * ``code, write, terms``, then per term ``coefficient id, reads,
   read...``: one formula application.  ``code >> 2`` is the formula's
   position (the epilogue's follow the spec's) and ``code & 3`` is
@@ -16,22 +15,27 @@ order.  The stream is one ``array('q')`` of records:
 
 A term with an operand off its array adds nothing; it keeps its other
 reads under coefficient 0, so the checks still see every read the spec
-names.  A ``SKIP`` record writes nothing: it banks nothing and no read
-sees it.
+names.  A ``SKIP`` record writes nothing, and no read sees it.
+
+Reads follow one rule.  A spec formula's read of an array that some
+spec formula writes names the cell's copy, except an accumulation's
+read of its own target and a read of a cell that an earlier formula
+applied (wrote, not as a ``SKIP``) at the same visit.  Every other
+read names the cell, and so does every read of the epilogue, which
+runs after the pass.  A stream so computes what its visit order
+computes when every read of an overwritten cell is served the cell's
+pre-pass value.  Serving it is a snapshot plan's job, and
+``Stream.copy_reads`` states what a plan must serve.
 
 ``lower`` builds the stream by columns, ``BLOCK`` points at a time.
 Every subscript is an index plus a displacement, so an access's cell
 id is affine in the point: from the block's coordinate columns it
 computes each access's column of cell ids, checking bounds only on a
 dimension whose range over the block leaves the array, and it joins
-the columns of record heads and terms into the block's records.
-Banking follows one rule.  A marked cell's ``SAVE`` goes before its
-first write that is not a ``SKIP``, and a read names the cell's slot
-exactly when that first overwrite came at an earlier visit, except an
-accumulation's read of its own target and a read of a cell an earlier
-formula at the same visit wrote.  The visit of each cell's first
-overwrite is all that carries from one block to the next, and on into
-the epilogue, which lowers as one more block of one visit.
+the columns of record heads and terms into the block's records.  The
+copy is a constant offset in a read's compiled access; only the two
+exceptions are compared per visit, and nothing carries from one block
+to the next.  The epilogue lowers as one more block of one visit.
 
 ``Stream.run`` applies the records to integers, ``Stream.polynomials``
 to polynomials over the input cells, and ``first_difference`` compares
@@ -49,7 +53,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import ArrayAccess, ComputationSpec, Formula, infer_shapes
 
-VISIT, SAVE = -1, -2
+VISIT = -1
 ASSIGN, ADD, SKIP = 0, 1, 2
 
 
@@ -92,14 +96,15 @@ class Layout:
         return f"{name}({','.join(map(str, loc))})"
 
 
-def _compile(access: ArrayAccess, names: tuple[str, ...], layout: Layout):
+def _compile(access: ArrayAccess, names: tuple[str, ...], layout: Layout, copy: int = 0):
     """An access as ``(base, terms, bounds)``: at a point its cell id is
     ``base`` plus ``stride * point[pos]`` per ``(pos, stride)`` of
     ``terms``, and it is on its array where ``lo <= point[pos] < hi`` per
-    ``(pos, lo, hi)`` of ``bounds``.  None if a constant subscript is off
-    its array."""
+    ``(pos, lo, hi)`` of ``bounds``.  ``copy`` is added to every id, so
+    ``layout.size`` names the copies.  None if a constant subscript is
+    off its array."""
     shape = layout.shapes[access.name]
-    base, terms, bounds = layout.offsets[access.name], [], []
+    base, terms, bounds = layout.offsets[access.name] + copy, [], []
     for i, (factor, extent) in enumerate(zip(access.args, shape)):
         stride, disp = math.prod(shape[i + 1:]), factor.displacement
         base += disp * stride
@@ -164,19 +169,20 @@ def _shared(p, i: int, like: Sequence):
 class Stream:
     """One lowered visit order; the module docstring gives its records."""
 
-    def __init__(self, spec, points, layout, codes, coefficients, banked):
+    def __init__(self, spec, points, layout, codes, coefficients):
         self.spec: ComputationSpec = spec
         self.points: Sequence[tuple[int, ...]] = points  # visit i's index point
         self.layout: Layout = layout
         self.codes: array = codes
         self.coefficients: list[int] = coefficients
-        self.banked: int = banked
 
     def memory(self, arrays: Mapping[str, list[int]]) -> list[int]:
-        """Zeroed cells and bank slots, with the given arrays loaded."""
-        mem = [0] * (self.layout.size + self.banked)
+        """Zeroed cells and copies, each given array loaded into both."""
+        size = self.layout.size
+        mem = [0] * (2 * size)
         for name, values in arrays.items():
-            mem[self.layout.cells(name)] = values
+            span = self.layout.cells(name)
+            mem[span] = mem[span.start + size:span.stop + size] = values
         return mem
 
     def run(self, mem: list[int]) -> None:
@@ -185,10 +191,7 @@ class Stream:
         it = iter(self.codes)
         take = it.__next__
         for code in it:
-            if code < 0:
-                if code == SAVE:
-                    slot = take()
-                    mem[slot] = mem[take()]
+            if code == VISIT:
                 continue
             write = take()
             total = 0
@@ -204,35 +207,32 @@ class Stream:
                 mem[write] = total
 
     def polynomials(self, inputs: Iterable[str], budget: int, like: Sequence = ()) -> list:
-        """Every cell's and slot's final value as a polynomial, applying
-        the records as ``run`` does.  Each cell of the ``inputs`` arrays
-        starts as its own variable, numbered by its cell id; every other
-        cell and slot starts at 0.  A monomial is ``()`` for the
-        constant, a bare variable for degree 1, and a sorted tuple of
-        variables above that.  An entry is None for a cell never
-        written, a bare variable ``v`` for the polynomial ``1*v``, or a
-        flat list of (monomial, nonzero coefficient) pairs, never
-        mutated.  An entry equal to the one ``like`` (an earlier result)
-        holds at the same index is that very object, so alike streams
-        share their memory.  Raises ``PastBudget`` once more than
-        ``budget`` monomials are live in the entries, or a product would
-        take more than ``budget`` steps."""
-        size = self.layout.size + self.banked
-        variable = bytearray(size)
+        """Every cell's final value as a polynomial, applying the records
+        as ``run`` does.  Each cell of the ``inputs`` arrays, and its
+        copy, starts as its own variable, numbered by its cell id; every
+        other cell starts at 0.  A monomial is ``()`` for the constant, a
+        bare variable for degree 1, and a sorted tuple of variables above
+        that.  An entry is None for a cell never written, a bare variable
+        ``v`` for the polynomial ``1*v``, or a flat list of (monomial,
+        nonzero coefficient) pairs, never mutated.  An entry equal to the
+        one ``like`` (an earlier result) holds at the same index is that
+        very object, so alike streams share their memory.  Raises
+        ``PastBudget`` once more than ``budget`` monomials are live in the
+        entries, or a product would take more than ``budget`` steps."""
+        size = self.layout.size
+        variable = bytearray(2 * size)
         for name in inputs:
             span = self.layout.cells(name)
-            variable[span] = b"\x01" * (span.stop - span.start)
+            variable[span] = variable[span.start + size:span.stop + size] = (
+                b"\x01" * (span.stop - span.start)
+            )
         coefficients = self.coefficients
-        mem: list = [None] * size
+        mem: list = [None] * (2 * size)  # a copy's entry is filled when first read
         live = 0
         it = iter(self.codes)
         take = it.__next__
         for code in it:
-            if code < 0:
-                if code == SAVE:  # at the cell's first write, so the slot takes its input
-                    slot, cell = take(), take()
-                    live += variable[cell] - _size(mem[slot])  # a slot may be reused
-                    mem[slot] = cell if variable[cell] else []
+            if code == VISIT:
                 continue
             write, total = take(), {}
             for _ in range(take()):
@@ -242,7 +242,8 @@ class Stream:
                     if (p := mem[r]) is None:
                         if not variable[r]:
                             continue
-                        mem[r] = p = r  # the same polynomial, as one shared int
+                        # the same polynomial, as one shared int
+                        mem[r] = p = r if r < size else r - size
                         live += 1
                     if type(p) is int:
                         total[p] = total.get(p, 0) + c
@@ -258,7 +259,7 @@ class Stream:
                     if (p := mem[r]) is None:
                         if not variable[r]:
                             break
-                        mem[r] = p = r
+                        mem[r] = p = r if r < size else r - size
                         live += 1
                     (factors if type(p) is int else polys).append(p)
                 else:
@@ -296,6 +297,7 @@ class Stream:
             live += _size(mem[write])
             if live > budget:
                 raise PastBudget
+        del mem[size:]
         for i, p in enumerate(mem):
             if type(p) is dict:
                 mem[i] = _shared(_flat(p), i, like)
@@ -305,21 +307,19 @@ class Stream:
         """``(visit, code, write, seen)`` per application before the
         epilogue; ``seen`` holds per read the ``(visit, code, write)`` it
         sees: the cell's last write, for an accumulation's read of its own
-        cell the last assignment, or None for a slot's or unwritten cell's
-        pre-pass value.  No read sees a SKIP."""
+        cell the last assignment, or None for a copy's or an unwritten
+        cell's pre-pass value.  No read sees a SKIP."""
         # per cell, visit * stride + code of its last write and of its last
-        # assignment, or -1 (no slot is written); tuples would outweigh the stream
+        # assignment, or -1 (no copy is written); tuples would outweigh the stream
         stride = 4 * len(self.spec.formulas)  # past every code before the epilogue
-        last = array("q", [-1]) * (self.layout.size + self.banked)
+        last = array("q", [-1]) * (2 * self.layout.size)
         assigned = array("q", last)
         it = iter(self.codes)
         take = it.__next__
         visit = -1
         for code in it:
-            if code < 0:
-                if code == SAVE:
-                    take(), take()
-                elif (visit := visit + 1) == len(self.points):
+            if code == VISIT:
+                if (visit := visit + 1) == len(self.points):
                     return
                 continue
             write, seen, kind = take(), [], code & 3
@@ -334,6 +334,36 @@ class Stream:
                 last[write] = visit * stride + code
                 if kind == ASSIGN:
                     assigned[write] = last[write]
+
+    def copy_reads(self) -> tuple[array, array, array]:
+        """Per cell, three visits, -1 where there is none: its first
+        overwrite (a write that is not a SKIP), and the first and the
+        last later visit at which a read names its copy.  Those reads
+        want the cell's pre-pass value after the cell has lost it, so a
+        visit order's snapshot plan must bank the cell from its first
+        overwrite through its last such read."""
+        size = self.layout.size
+        first = array("q", [-1]) * size
+        early, late = array("q", first), array("q", first)
+        it = iter(self.codes)
+        take = it.__next__
+        visit = -1
+        for code in it:
+            if code == VISIT:
+                if (visit := visit + 1) == len(self.points):
+                    break  # the epilogue reads no copy
+                continue
+            write = take()
+            for _ in range(take()):
+                take()
+                for _ in range(take()):
+                    if (c := take() - size) >= 0 and -1 < first[c] < visit:
+                        if early[c] < 0:
+                            early[c] = visit
+                        late[c] = visit
+            if code & 3 != SKIP and first[write] < 0:
+                first[write] = visit
+        return first, early, late
 
 
 class PastBudget(Exception):
@@ -404,104 +434,52 @@ def lower(
     spec: ComputationSpec,
     points: Sequence[tuple[int, ...]],
     epilogue: tuple[Formula, ...] = (),
-    marked: Iterable[str | tuple[tuple[str, tuple[int, ...]], int]] = (),
 ) -> Stream:
     """The stream of visiting ``points`` (index tuples in declaration
-    order), then running the epilogue, banking the ``marked`` cells:
-    ``((name, loc), slot)`` pairs, where cells may share a slot, or an
-    array's name, which banks every cell of it into a slot of its own."""
+    order), then running the epilogue."""
     layout = Layout(infer_shapes(replace(spec, formulas=spec.formulas + epilogue)))
     coefficient_ids = {0: 0}
-    bank = array("q", [-1]) * layout.size  # each banked cell's slot id, past the last cell
-    for item in marked:
-        if isinstance(item, str):  # cell c banks into slot id layout.size + c
-            span = layout.cells(item)
-            bank[span] = array("q", range(layout.size + span.start, layout.size + span.stop))
-        else:  # ((name, loc), slot)
-            bank[layout.cell(*item[0])] = layout.size + item[1]
-    banked = max(max(bank, default=-1) + 1 - layout.size, 0)  # slots past the last cell
 
-    def compiled(formulas: tuple[Formula, ...], names: tuple[str, ...]):
-        return [
-            (
+    def compiled(formulas: tuple[Formula, ...], names: tuple[str, ...], copied: set[str]):
+        """Per formula its ``when`` positions, whether it accumulates, its
+        target, and per term its coefficient id, its reads (of a
+        ``copied`` array, the copy), and per read the formulas whose
+        target it names instead of the copy where that is its cell: the
+        earlier ones where they applied, and its own if it accumulates."""
+        rows = []
+        for i, f in enumerate(formulas):
+            terms = []
+            for t in f.terms:
+                accesses, live = [], []
+                for a in t.accesses:
+                    copy = a.name in copied
+                    accesses.append(_compile(a, names, layout, layout.size if copy else 0))
+                    live.append(tuple(
+                        j for j, g in enumerate(formulas[:i + 1])
+                        if copy and g.result.name == a.name and (j < i or f.op == "+=")
+                    ))
+                cid = coefficient_ids.setdefault(t.coefficient, len(coefficient_ids))
+                terms.append((cid, accesses, live))
+            rows.append((
                 tuple((names.index(n), v) for n, v in f.when),
                 f.op == "+=",
                 _compile(f.result, names, layout),
-                [
-                    (coefficient_ids.setdefault(t.coefficient, len(coefficient_ids)),
-                     [_compile(a, names, layout) for a in t.accesses])
-                    for t in f.terms
-                ],
-            )
-            for f in formulas
-        ]
+                terms,
+            ))
+        return rows
 
-    body = compiled(spec.formulas, spec.index_names())
-    tail = compiled(epilogue, ())
-    banking = _Banking(bank)
+    body = compiled(spec.formulas, spec.index_names(), {f.result.name for f in spec.formulas})
     codes = array("q")
     for start in range(0, len(points), BLOCK):
         block = points[start:start + BLOCK]
-        codes.fromlist(_block(body, 0, list(zip(*block)), range(start, start + len(block)), banking))
+        codes.fromlist(_block(body, 0, list(zip(*block)), len(block), layout.size))
     if epilogue:
-        codes.fromlist(_block(tail, len(body), [], range(len(points), len(points) + 1), banking))
+        codes.fromlist(_block(compiled(epilogue, (), set()), len(body), [], 1, layout.size))
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    return Stream(spec, points, layout, codes, coefficients, banked)
+    return Stream(spec, points, layout, codes, coefficients)
 
 
 BLOCK = 512  # points lowered together: every column is at most this long
-NEVER = 1 << 62  # the first overwrite of a cell never banked
-
-
-class _Banking:
-    """What carries from block to block: per cell, the visit of its first
-    overwrite once banked, else ``NEVER``, and whether it still waits
-    for one.  Both have one entry past the last cell, which answers for
-    -1, an operand off its array."""
-
-    def __init__(self, bank: array):
-        self.bank = bank
-        self.pending = bytearray(map((-1).__lt__, bank)) + b"\0"
-        self.left = self.pending.count(1)  # cells still pending
-        self.first = array("q", [NEVER]) * (len(bank) + 1)
-        self.earliest = NEVER  # the first banked cell's first overwrite
-
-    def overwrites(self, rows: list, visits: range) -> list[list[int]]:
-        """Bank each pending cell at its first write in the block that is
-        not a SKIP: per row, the visit positions whose record a SAVE of
-        its target goes before."""
-        pending, first, m = self.pending, self.first, len(rows)
-        targets = [row[2] for row in rows]
-        found = []  # i * m + f per candidate write, ints, in visit then row order
-        for f, (_, _, writes, keep, on, *_) in enumerate(rows):
-            found += [
-                i * m + f for i, w in enumerate(writes)
-                if pending[w] and (keep is None or keep[i]) and (on is None or on[i])
-            ]
-        found.sort()
-        saves: list[list[int]] = [[] for _ in rows]
-        for key in found:
-            i, f = divmod(key, m)
-            if pending[w := targets[f][i]]:
-                pending[w] = 0
-                first[w] = visits[i]
-                saves[f].append(i)
-        if found:
-            self.left = pending.count(1)
-            self.earliest = min(self.earliest, visits[found[0] // m])
-        return saves
-
-    def serve(self, cells: list[int], visits: range, live: list[list[int]]) -> list[int]:
-        """The cell ids a column of reads names: a cell's slot at a visit
-        after its first overwrite, unless a column of ``live`` (cells read
-        live) holds it at that visit."""
-        bank, first = self.bank, self.first
-        if not live:
-            return [bank[c] if first[c] < v else c for c, v in zip(cells, visits)]
-        return [
-            bank[c] if first[c] < v and c not in near else c
-            for c, v, near in zip(cells, visits, zip(*live))
-        ]
 
 
 class _Columns:
@@ -550,16 +528,20 @@ def _dropped(term: tuple[int, ...]) -> tuple[int, ...]:
     return (0, len(kept), *kept)
 
 
-def _block(formulas, first: int, coords, visits: range, banking: _Banking) -> list[int]:
-    """The records, flat, of one block of ``visits`` at the points whose
-    coordinate columns are ``coords``; ``first`` is the position of the
-    first of the compiled ``formulas``."""
-    n = len(visits)
+def _block(formulas, first: int, coords, n: int, size: int) -> list[int]:
+    """The records, flat, of one block of ``n`` visits at the points
+    whose coordinate columns are ``coords``; ``first`` is the position of
+    the first of the compiled ``formulas``, and ``size`` the offset of a
+    cell's copy."""
     column = _Columns(coords, n)
-    rows = []
-    for fi, (when, accumulates, result, terms) in enumerate(formulas, first):
+    applied = {}  # per formula so far, its targets where it applied, -1 elsewhere
+    # Every piece is lazy, so each visit's tuples are freed before the next
+    # visit's are made: a block's worth of live tuples of one length would
+    # stay on CPython's free list for good.
+    pieces = []  # per formula, its head column, then a column per term
+    for i, (when, accumulates, result, terms) in enumerate(formulas):
         writes = column(result)
-        # where the formula applies: its ``when`` holds, its target is on its array
+        # where the formula is kept: its ``when`` holds, its target is on its array
         keep = [w >= 0 for w in writes] if -1 in writes else None  # None: every visit
         for pos, value in when:
             at = [x == value for x in coords[pos]]
@@ -569,40 +551,29 @@ def _block(formulas, first: int, coords, visits: range, banking: _Banking) -> li
                 continue
             if all(keep):
                 keep = None
-        reads = [[column(a) for a in accesses] for _, accesses in terms]
+        reads = [[column(a) for a in accesses] for _, accesses, _ in terms]
         # per term, where it keeps every operand (None: everywhere)
         whole = [None if all(-1 not in c for c in cols) else [-1 not in r for r in zip(*cols)]
                  for cols in reads]
         if None in whole:
-            on = None  # applied at every visit
+            on = None  # applied wherever kept
         else:
             on = [any(ws) for ws in zip(*whole)] if whole else [False] * n
-        rows.append([fi, accumulates, writes, keep, on, terms, reads, whole])
-
-    saves = banking.overwrites(rows, visits) if banking.left else [()] * len(rows)
-
-    # Every piece is lazy, so each visit's tuples are freed before the next
-    # visit's are made: a block's worth of live tuples of one length would
-    # stay on CPython's free list for good.
-    pieces = []  # per row, its head column, then a column per term
-    wrote = []  # per row so far, its targets, -1 where it does not apply
-    serving = banking.earliest < visits[-1]  # some read here may name a slot
-    bank = banking.bank
-    for f, (fi, accumulates, writes, keep, on, terms, reads, whole) in enumerate(rows):
-        if serving:
-            live = wrote + [writes] if accumulates else wrote  # an accumulation's own target
-            reads = [[banking.serve(c, visits, live) for c in cols] for cols in reads]
-            wrote.append(writes if keep is None else [w if k else -1 for w, k in zip(writes, keep)])
-        code = fi << 2 | (ADD if accumulates else ASSIGN)
-        codes = repeat(code, n) if on is None else [code if o else fi << 2 | SKIP for o in on]
-        heads = zip(codes, writes, repeat(len(terms), n))
-        if saves[f]:
-            saved = bytearray(n)
-            for i in saves[f]:
-                saved[i] = 1
-            heads = ((SAVE, bank[w], w, *h) if s else h for s, w, h in zip(saved, writes, heads))
-        row = [heads]
-        for (cid, _), cols, ws in zip(terms, reads, whole):
+        for cols, (_, _, live) in zip(reads, terms):
+            for k, near in enumerate(live):
+                targets = [writes if j == i else applied[j] for j in near if j == i or j in applied]
+                if targets:  # a copy read of a cell one of them names turns live
+                    cols[k] = [c - size if c - size in ws else c
+                               for c, ws in zip(cols[k], zip(*targets))]
+        if keep is None and on is None:
+            applied[i] = writes
+        else:
+            applied[i] = [w if (keep is None or keep[v]) and (on is None or on[v]) else -1
+                          for v, w in enumerate(writes)]
+        code, kind = (first + i) << 2, ADD if accumulates else ASSIGN
+        codes = repeat(code | kind, n) if on is None else [code | (kind if o else SKIP) for o in on]
+        row = [zip(codes, writes, repeat(len(terms), n))]
+        for (cid, _, _), cols, ws in zip(terms, reads, whole):
             term = zip(repeat(cid, n), repeat(len(cols), n), *cols)
             if ws is not None:  # some visit has an operand off its array
                 term = (t if -1 not in t else _dropped(t) for t in term)

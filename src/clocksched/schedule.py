@@ -913,34 +913,22 @@ def allocate_temporaries(
 ) -> TempPlan:
     """Plan the cells a visit order banks.
 
-    A cell whose read, replayed along the visit order, sees a write from
-    an earlier visit is banked from its first overwrite until its last
-    such read; ``lower`` never banks an accumulation's read of its own
-    cell.  Slots are shared by cells not live at once.  A spec with temp
-    arrays keeps its scratch there and banks nothing.  ``visit_order``
-    returns the visit order's stream, lowered unmarked; it is not called
-    when every dependence is an accumulation's read of its own cell.
+    A cell that a read wants from before its overwrite, at a visit
+    after it (``Stream.copy_reads`` of the visit order's stream), is
+    banked from its first overwrite until its last such read.  Slots
+    are shared by cells not live at once.  A spec with temp arrays keeps
+    its scratch there and banks nothing.  ``visit_order`` returns the
+    visit order's stream; it is not called when every dependence is an
+    accumulation's read of its own cell.
     """
     if spec.temp_arrays or visit_order is None or all(
         e.writer == e.reader and spec.formulas[e.reader].op == "+="
         and e.vector is not None and not any(e.vector) for e in deps
     ):
         return NO_PLAN
-    from .lower import SKIP
-
     stream = visit_order()
-    first_write: dict[int, int] = {}
-    last_read: dict[int, int] = {}
-    for pos, code, cell, seen in stream.replay():
-        add = spec.formulas[code >> 2].op == "+="
-        for visit, _, read in filter(None, seen):
-            if visit < pos and not (add and read == cell):
-                last_read[read] = pos
-        if code & 3 != SKIP:
-            first_write.setdefault(cell, pos)
-    intervals = [
-        (first_write[cell], end, cell) for cell, end in last_read.items()
-    ]
+    first, _, last = stream.copy_reads()
+    intervals = [(first[cell], end, cell) for cell, end in enumerate(last) if end >= 0]
     if not intervals:
         return NO_PLAN
     assigned = sorted(assign_slots(intervals))
@@ -1037,7 +1025,6 @@ def build_schedule(
     tree = replace(tree, source=text)
     from .engine import enumerate_schedule
 
-    # the tree has no plan yet, so its trace lowers unmarked
     tree = replace(tree, plan=allocate_temporaries(
         spec1, extract_dependencies(spec1), lambda: enumerate_schedule(tree).stream
     ))

@@ -8,15 +8,18 @@ accumulator's running value, and otherwise the pre-pass value.
 Coverage compares the visited index points against the spec's domain
 one by one.  The other checks read the trace's one flat access stream
 (``VisitTrace.stream``, built by ``lower.py`` on first use): integer
-cell ids, formula applications in visit order, and explicit banking of
-the plan's cells into their slots.  The dependency check replays it and
-the reference (``Stream.replay``): a read sees the cell's last write,
-an accumulation's own cell its last assignment, a slot or unwritten
-cell the pre-pass value; a read or final cell that differs fails.
+cell ids and formula applications in visit order, where a read that
+wants a cell's pre-pass value names the cell's untouched copy.  The
+snapshot plan is the certificate that the emitted schedule can serve
+those reads; the dependency check holds it to the stream's copy reads
+(``Stream.copy_reads``), then replays the stream and the reference
+(``Stream.replay``): a read sees the cell's last write, an
+accumulation's own cell its last assignment, a copy or unwritten cell
+the pre-pass value; a read or final cell that differs fails.
 Equivalence is exact: it runs both streams on polynomials over the
 input cells (``Stream.polynomials``) and compares the final polynomial
 of every cell of the reference's arrays but its temporaries; a
-schedule that lacks an array the reference writes, or writes one the
+schedule that lacks an array the reference writes, or names one the
 reference never names, fails outright.  Past ``EXACT_BUDGET`` live
 monomials it falls back to seeded random stores instead.
 ``verify_report`` runs them all, in that order.
@@ -101,13 +104,12 @@ def _run_on_store(stream: Stream, store: Store) -> Store:
 
 def reference_stream(source: str | ComputationSpec) -> Stream:
     """The meaning every schedule of ``source`` is held to, lowered
-    without the builder: the padded spec over its ``domain_points``,
-    with every cell of every written array banked at its first
-    overwrite.  An illegal source raises ``ValueError``."""
+    without the builder: the padded spec over its ``domain_points``.  An
+    illegal source raises ``ValueError``."""
     from .lower import lower
 
     spec = pad_and_guard(legal_spec(source))
-    return lower(spec, domain_points(spec), (), {f.result.name for f in spec.formulas})
+    return lower(spec, domain_points(spec))
 
 
 def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
@@ -117,7 +119,8 @@ def reference_interpret(spec: ComputationSpec, store: Store) -> Store:
 
 
 def interpret(trace: VisitTrace, store: Store) -> Store:
-    """Run the schedule's visit order, ``VisitTrace.stream``, on a store;
+    """Run the schedule's visit order, ``VisitTrace.stream``, on a store,
+    its pre-pass reads served as a sound snapshot plan serves them;
     ``verify`` holds it to ``reference_interpret`` of the tree's source."""
     return _run_on_store(trace.stream, store)
 
@@ -188,10 +191,44 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
+def _plan_violations(trace: VisitTrace) -> list[tuple[int, str]]:
+    """``(visit, violation)`` per way the trace's snapshot plan fails to
+    serve its stream's copy reads (``Stream.copy_reads``): a cell read
+    that way that the plan does not bank, at its first such read; and a
+    banked cell that takes its slot, at its first overwrite, while a
+    cell the slot holds still has such reads to come."""
+    stream, plan = trace.stream, trace.tree.plan
+    layout, points = stream.layout, stream.points
+    first, early, late = stream.copy_reads()
+    slot_of = {layout.cell(*loc): slot for loc, slot in zip(plan.snapshot_locs, plan.slots)}
+    found = [
+        (v, f"{layout.text(c)} overwritten before its pre-pass read at point {points[v]}")
+        for c, v in enumerate(early) if v >= 0 and c not in slot_of
+    ]
+    takers: dict[int, list[int]] = {}  # per slot, the banked cells overwritten
+    for c, slot in slot_of.items():
+        if first[c] >= 0:
+            takers.setdefault(slot, []).append(c)
+    for slot, cells in takers.items():
+        reach = holder = -1  # the last pending read of the slot so far, and its cell
+        # of cells taking the slot at one visit the reader goes first, so
+        # the others conflict with it: the visit's order of saves is not kept
+        for c in sorted(cells, key=lambda c: (first[c], -late[c])):
+            if reach >= first[c]:
+                found.append((first[c], (
+                    f"{layout.text(c)} takes slot {slot} at point {points[first[c]]} "
+                    f"while {layout.text(holder)} still has pre-pass reads to come"
+                )))
+            if late[c] > reach:
+                reach, holder = late[c], c
+    return found
+
+
 def _replayed(stream: Stream, finals: list) -> Iterator[tuple]:
-    """``Stream.replay`` with points for visits, as ``((point, code),
-    write, seen)``.  Sets ``finals[cell]`` to its last assignment, or once
-    accumulated to a list of that (or None) and the contributions since."""
+    """``Stream.replay`` as ``(visit, (point, code), write, seen)``, with
+    points for the visits in ``seen``.  Sets ``finals[cell]`` to its last
+    assignment, or once accumulated to a list of that (or None) and the
+    contributions since."""
     from .lower import ADD, ASSIGN
 
     for visit, code, write, seen in stream.replay():
@@ -202,49 +239,52 @@ def _replayed(stream: Stream, finals: list) -> Iterator[tuple]:
             if type(state := finals[write]) is not list:
                 finals[write] = state = [state]
             state.append(app)
-        yield app, write, [None if s is None else (stream.points[s[0]], *s[1:]) for s in seen]
+        yield visit, app, write, [None if s is None else (stream.points[s[0]], *s[1:]) for s in seen]
 
 
 def check_dependencies(
     trace: VisitTrace, reference: Stream | None = None, points: list | None = None
 ) -> DependencyReport:
-    """Replay the trace and the reference and compare which write each
+    """Hold the trace's snapshot plan to its stream (``_plan_violations``),
+    then replay the trace and the reference and compare which write each
     read sees (``Stream.replay``): the cell's last write, or for an
     accumulation's read of its own cell its last assignment, or the
-    pre-pass value of a bank slot or an unwritten cell.  The check fails
-    exactly where a read, or a written cell's final (last assignment,
-    set of contributions since), differs; a reordered sum commutes, and
-    a temporary's last assignment is free.  ``reference`` is the trace
-    spec's ``domain_points`` lowered with the tree's epilogue and every
-    written array banked by name, if already lowered; ``points`` are
-    those domain points, if already made.
+    pre-pass value of a copy or an unwritten cell.  The check fails
+    exactly where the plan fails, or a read, or a written cell's final
+    (last assignment, set of contributions since), differs; a reordered
+    sum commutes, and a temporary's last assignment is free.  Failures
+    are listed by visit, the plan's first within a visit, and the finals
+    last.  ``reference`` is the trace spec's ``domain_points`` lowered
+    with the tree's epilogue, if already lowered; ``points`` are those
+    domain points, if already made.
     """
     from .lower import ADD, SKIP, lower
 
     stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
+    found = _plan_violations(trace)
     if reference is None:
-        written = {f.result.name for f in spec.formulas}
         points = domain_points(spec) if points is None else points
-        reference = lower(spec, points, trace.tree.epilogue, written)
+        reference = lower(spec, points, trace.tree.epilogue)
     layout = stream.layout
     # by cell id in lists: dicts would double the check's memory
     got_finals, want_finals = [None] * layout.size, [None] * layout.size
     # most reads see the pre-pass value, so only the others are kept
-    want_reads = {app: seen for app, _, seen in _replayed(reference, want_finals) if any(seen)}
+    want_reads = {app: seen for _, app, _, seen in _replayed(reference, want_finals) if any(seen)}
 
-    violations: list[str] = []
     events = 0
-    for (pt, code), cell, got in _replayed(stream, got_finals):
+    for visit, (pt, code), cell, got in _replayed(stream, got_finals):
         events += code & 3 != SKIP  # a point whose every term drops writes nothing
         for seen, wanted in zip(got, want_reads.get((pt, code)) or itertools.repeat(None)):
             if seen != wanted:
                 read = (seen or wanted)[2]
-                violations.append(
+                found.append((visit, (
                     f"accumulator {layout.text(read)} clobbered before point {pt}"
                     if code & 3 == ADD and read == cell else
                     f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
-                )
+                )))
+    found.sort(key=lambda item: item[0])  # stable: the plan's first within a visit
+    violations = [text for _, text in found]
     commutes = False
     for cell, (got, want) in enumerate(zip(got_finals, want_finals)):
         if got == want:
@@ -291,7 +331,8 @@ class EquivalenceReport:
         if c is not None and "array" in c:
             fault = (
                 "never holds {}, which the reference writes" if c["problem"] == "missing"
-                else "writes {}, which the reference never names"
+                else ("writes" if c["problem"] == "written" else "reads")
+                + " {}, which the reference never names"
             )
             return "equivalence: FAIL, the schedule " + fault.format(c["array"])
         if self.exact:
@@ -330,14 +371,14 @@ def _compared_arrays(
     the reference but its own temporaries, so a candidate's temporary is
     skipped only where the reference does not hold it.  The second item
     names an array that rules the candidate out: one the reference writes
-    and the candidate does not hold, or one the candidate writes, not as
+    and the candidate does not hold, or one the candidate holds, not as
     a temporary, that the reference never names."""
     mine, want = ours.layout.shapes, theirs.layout.shapes
     compared = set(want) - set(theirs.spec.temp_arrays)
     if missing := min(theirs_write & compared - set(mine), default=None):
         return {}, {"array": missing, "problem": "missing"}
-    if unnamed := min(ours_write - set(ours.spec.temp_arrays) - set(want), default=None):
-        return {}, {"array": unnamed, "problem": "unnamed"}
+    if unnamed := min(set(mine) - set(ours.spec.temp_arrays) - set(want), default=None):
+        return {}, {"array": unnamed, "problem": "written" if unnamed in ours_write else "read"}
     shared = {}
     for name in sorted(compared & set(mine)):
         if mine[name] != want[name]:
@@ -378,8 +419,8 @@ def equivalent(
     Every array of the reference but its temporaries is compared, cell
     by cell, as a polynomial over the input cells, which decides
     equality exactly.  The candidate fails outright when it lacks an
-    array the reference writes, or writes one, not as a temporary, that
-    the reference never names (``_compared_arrays``).  Past
+    array the reference writes, or reads or writes one, not as a
+    temporary, that the reference never names (``_compared_arrays``).  Past
     ``EXACT_BUDGET`` live monomials on either side, the check falls
     back to ``trials`` seeded random stores instead.  Either side may be
     given as a tree, its trace, or a lowered stream."""

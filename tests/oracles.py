@@ -196,23 +196,10 @@ def interval_slots(intervals: list[tuple[int, int, int]]):
     return slots, peak
 
 
-def lowered_records(formulas, names, points, epilogue, shapes, marked):
-    """The lowered stream of visiting ``points``, one point and one
-    formula at a time: ``(codes, coefficients, banked)`` as ``lower``
-    states them.  ``formulas`` and ``epilogue`` are formula objects read
-    by attribute, ``names`` the point's index names, ``shapes`` every
-    array's shape, ``marked`` as ``lower`` takes it.
-
-    A visit is -1.  A formula applies where its ``when`` holds and its
-    target is on its array; its record is the code (position * 4, plus
-    0 assign, 1 add, 2 when every term has an operand off its array),
-    the target, the term count, and per term its coefficient's id, read
-    count and reads; a term off its array has id 0 and keeps its other
-    reads.  A banked cell's first applied write (kind 0 or 1) is
-    preceded by -2, its slot, the cell.  A read names the slot when that
-    first write came at an earlier visit, unless an earlier formula of
-    this visit wrote the cell or it is this accumulation's own target.
-    """
+def _numbering(shapes):
+    """Cell ids as ``lower`` numbers them: arrays in sorted-name order,
+    each row-major.  Returns the id of ``(name, loc)`` (None off its
+    array) and the cell count."""
     offsets, size = {}, 0
     for name in sorted(shapes):
         offsets[name] = size
@@ -227,62 +214,137 @@ def lowered_records(formulas, names, points, epilogue, shapes, marked):
             flat = flat * n + v
         return offsets[name] + flat
 
-    def at(access, env):
-        return cell(access.name, [
-            f.displacement if f.index is None else env[f.index] + f.displacement
-            for f in access.args
-        ])
+    return cell, size
 
-    slot_of = {}
-    for item in marked:
-        if isinstance(item, str):
-            for loc in itertools.product(*map(range, shapes[item])):
-                slot_of[cell(item, loc)] = size + cell(item, loc)
-        else:
-            slot_of[cell(*item[0])] = size + item[1]
+
+def _at(cell, access, env):
+    """The cell id an access names at the index values ``env``."""
+    return cell(access.name, [
+        f.displacement if f.index is None else env[f.index] + f.displacement
+        for f in access.args
+    ])
+
+
+def lowered_records(formulas, names, points, epilogue, shapes):
+    """The lowered stream of visiting ``points``, one point and one
+    formula at a time: ``(codes, coefficients)`` as ``lower`` states
+    them.  ``formulas`` and ``epilogue`` are formula objects read by
+    attribute, ``names`` the point's index names, ``shapes`` every
+    array's shape.
+
+    A visit is -1.  A formula applies where its ``when`` holds and its
+    target is on its array; its record is the code (position * 4, plus
+    0 assign, 1 add, 2 when every term has an operand off its array),
+    the target, the term count, and per term its coefficient's id, read
+    count and reads; a term off its array has id 0 and keeps its other
+    reads.  A formula's read of an array some formula writes names the
+    cell's copy, its id plus the cell count, unless an earlier formula
+    of this visit applied to the cell (kind 0 or 1) or it is this
+    accumulation's own target.  An epilogue's read names the cell.
+    """
+    cell, size = _numbering(shapes)
+    written = {f.result.name for f in formulas}
     coefficients = [0]
     for f in (*formulas, *epilogue):
         for t in f.terms:
             if t.coefficient not in coefficients:
                 coefficients.append(t.coefficient)
-    banked_at = {}
     codes = []
 
-    def visit(v, env, formulas, first):
+    def visit(env, formulas, first, copied):
         codes.append(-1)
-        written = set()
+        applied = set()
         for position, f in enumerate(formulas, first):
             if any(env[n] != value for n, value in f.when):
                 continue
-            target = at(f.result, env)
+            target = _at(cell, f.result, env)
             if target is None:
                 continue
-            live = written | {target} if f.op == "+=" else written
+            live = applied | {target} if f.op == "+=" else applied
 
-            def named(r):
-                if r in banked_at and banked_at[r] < v and r not in live:
-                    return slot_of[r]
-                return r
+            def named(access, r):
+                return r + size if access.name in copied and r not in live else r
 
-            parts, applied = [], False
+            parts, applies = [], False
             for t in f.terms:
-                reads = [at(a, env) for a in t.accesses]
-                if None in reads:
-                    kept = [r for r in reads if r is not None]
-                    parts += [0, len(kept), *map(named, kept)]
+                reads = [(a, _at(cell, a, env)) for a in t.accesses]
+                kept = [named(a, r) for a, r in reads if r is not None]
+                if len(kept) < len(reads):
+                    parts += [0, len(kept), *kept]
                 else:
-                    parts += [coefficients.index(t.coefficient), len(reads), *map(named, reads)]
-                    applied = True
-            kind = (1 if f.op == "+=" else 0) if applied else 2
-            if applied and target in slot_of and target not in banked_at:
-                banked_at[target] = v
-                codes.extend([-2, slot_of[target], target])
+                    parts += [coefficients.index(t.coefficient), len(kept), *kept]
+                    applies = True
+            kind = (1 if f.op == "+=" else 0) if applies else 2
             codes.extend([position << 2 | kind, target, len(f.terms), *parts])
-            written.add(target)
+            if applies:
+                applied.add(target)
+
+    for point in points:
+        visit(dict(zip(names, point)), formulas, 0, written)
+    if epilogue:
+        visit({}, epilogue, len(formulas), set())
+    return codes, coefficients
+
+
+def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
+    """Run a visit order and its snapshot plan the way the emitted
+    schedule runs them, literally, on integers: ``values`` holds each
+    array's cells in row-major order, ``plan`` is ``(cell, slot)``
+    pairs as ``TempPlan`` lists them.  Returns every array's final
+    cells.
+
+    Each point runs its formulas in order where their ``when`` holds
+    and their target is on its array; a term with an operand off its
+    array adds nothing, and a formula with no term left writes nothing.
+    Just before a planned cell's first write that stores something, the
+    cell's value is saved into its slot.  A read of a planned cell at a
+    later visit than that first write reads the slot, unless an earlier
+    formula of this visit stored into the cell or it is this
+    accumulation's own target.  Every other read, and each read of the
+    epilogue, which runs after the points, reads the cell as it is.
+    """
+    cell, _ = _numbering(shapes)
+    mem = {}
+    for name in shapes:
+        for loc, v in zip(itertools.product(*map(range, shapes[name])), values[name]):
+            mem[cell(name, loc)] = v
+    slot_of = {cell(name, loc): slot for (name, loc), slot in plan}
+    slots, saved_at = {}, {}
+
+    def visit(v, env, formulas, banking):
+        stored = set()
+        for f in formulas:
+            if any(env[n] != value for n, value in f.when):
+                continue
+            target = _at(cell, f.result, env)
+            if target is None:
+                continue
+            live = stored | {target} if f.op == "+=" else stored
+
+            def read(r):
+                if banking and r in saved_at and saved_at[r] < v and r not in live:
+                    return slots[slot_of[r]]
+                return mem[r]
+
+            total, applies = 0, False
+            for t in f.terms:
+                reads = [_at(cell, a, env) for a in t.accesses]
+                if None not in reads:
+                    total += t.coefficient * math.prod(read(r) for r in reads)
+                    applies = True
+            if not applies:
+                continue
+            if banking and target in slot_of and target not in saved_at:
+                saved_at[target] = v
+                slots[slot_of[target]] = mem[target]
+            mem[target] = mem[target] + total if f.op == "+=" else total
+            stored.add(target)
 
     for v, point in enumerate(points):
-        visit(v, dict(zip(names, point)), formulas, 0)
+        visit(v, dict(zip(names, point)), formulas, True)
     if epilogue:
-        visit(len(points), {}, epilogue, len(formulas))
-    banked = max(slot_of.values()) + 1 - size if slot_of else 0
-    return codes, coefficients, banked
+        visit(len(points), {}, epilogue, False)
+    return {
+        name: [mem[cell(name, loc)] for loc in itertools.product(*map(range, shapes[name]))]
+        for name in shapes
+    }

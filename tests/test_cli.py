@@ -108,7 +108,7 @@ def test_transform_writes_a_schedule_document(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"
     )
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["format"] == "clocksched-schedule"
     assert doc["clock"]["span"] == 8
 
@@ -227,7 +227,7 @@ def test_a_budget_bounds_every_scratch_cell(tmp_path, capsys, text, flags, minim
 
 def test_a_transposition_takes_the_budget_its_declared_temps_leave(tmp_path, capsys):
     path = transform(tmp_path, capsys, DECLARED_TRANSPOSE, "--temp-budget", "2")
-    tree = schedule_from_json(json.loads(open(path).read()))
+    tree = schedule_from_json(json.loads(Path(path).read_text()))
     assert infer_shapes(tree.spec)["tmp"] == (1,)
     assert scratch_cells(tree.spec, tree.plan) == 2
     code, out, _ = run(capsys, "verify", path)
@@ -393,7 +393,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
     path = transform(tmp_path, capsys, cases.MATMUL)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(edit(json.loads(open(path).read()))))
+    bad.write_text(json.dumps(edit(json.loads(Path(path).read_text()))))
     code, out, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert out == ""
@@ -404,10 +404,11 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
 def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     """b(2,0) reads a(1,2) and b(3,0) reads a(1,3) after their
     overwrites, and the plan banks both at once: given one slot for all
-    three banked cells, b(2,0) no longer sees a(1,2)'s pre-pass value."""
+    three banked cells, a(1,3) would take a(1,2)'s slot before b(2,0)
+    reads it, and the dependence check says so."""
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
     path = transform(tmp_path, capsys, src)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["plan"]["slots"] == [0, 1, 0] and schedule_from_json(doc).plan.minimal == 3
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out.endswith("verdict: pass\n")
@@ -416,7 +417,12 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
     shared.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(shared))
     assert code == 1
-    assert "equivalence: FAIL at b(2,0)" in out and out.endswith("verdict: FAIL\n")
+    assert out.splitlines()[1:3] == [
+        "dependencies: FAIL, a(1,3) takes slot 0 at point (1, 3) "
+        "while a(1,2) still has pre-pass reads to come",
+        "equivalence: ok (exact, 32 cells)",
+    ]
+    assert out.endswith("verdict: FAIL\n")
 
 
 @pytest.mark.parametrize(
@@ -432,7 +438,7 @@ def test_a_swap_plan_counts_declared_temps_beside_its_scratch(tmp_path, capsys, 
     schedule's scratch is every cell of them, and it banks nothing, so
     verify loads what transform wrote."""
     path = transform(tmp_path, capsys, text, *flags)
-    tree = schedule_from_json(json.loads(open(path).read()))
+    tree = schedule_from_json(json.loads(Path(path).read_text()))
     assert tree.spec.temp_arrays == temps and scratch_cells(tree.spec, tree.plan) == cells
     assert tree.plan == NO_PLAN
     code, out, err = run(capsys, "verify", path)
@@ -482,10 +488,10 @@ def _with_derived_keys(doc: dict) -> dict:
 
 
 def test_a_transform_document_states_no_derived_fact(tmp_path, capsys):
-    chained = json.loads(open(transform(tmp_path, capsys, CHAINED)).read())
-    grouped = json.loads(open(transform(
+    chained = json.loads(Path(transform(tmp_path, capsys, CHAINED)).read_text())
+    grouped = json.loads(Path(transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=4"
-    )).read())
+    )).read_text())
     assert chained["roots"][0]["body"][0]["lower"]["terms"] == [["I", 1]]
     assert grouped["roots"][0]["body"][0]["kind"] == "group"
     for doc in (chained, grouped):
@@ -521,12 +527,12 @@ def test_an_older_document_keeps_its_loops_chained(tmp_path, capsys):
     """The chained inner loop of an older document still verifies with
     widths [1, 4], though the document says it is not converted."""
     path = transform(tmp_path, capsys, CHAINED)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     _, clean, _ = run(capsys, "verify", path)
     stale = _with_derived_keys(doc)
     inner = stale["roots"][0]["body"][0]
     assert inner["lower"]["terms"] and inner["converted"] is False
-    open(path, "w").write(json.dumps(stale))
+    Path(path).write_text(json.dumps(stale))
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out == clean
     assert "widths: [1, 4]\n" in out and out.endswith("verdict: pass\n")
@@ -535,7 +541,7 @@ def test_an_older_document_keeps_its_loops_chained(tmp_path, capsys):
 def test_emit_refuses_a_branching_nest(tmp_path, capsys):
     path = transform(tmp_path, capsys, cases.MATMUL)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_with_root_body(json.loads(open(path).read()), 2)))
+    bad.write_text(json.dumps(_with_root_body(json.loads(Path(path).read_text()), 2)))
     code, out, err = run(capsys, "emit", str(bad))
     assert code == 2
     assert out == ""
@@ -547,12 +553,12 @@ def test_emit_prints_every_formula_the_checks_run(tmp_path, capsys):
         tmp_path, capsys,
         "space I[2], J[2], K[2];\na(I,J) += b(I,K)*c(K,J);\nd(I,J) = b(I,J);\n",
     )
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     leaf = doc["roots"][0]
     while leaf["kind"] != "block":
         (leaf,) = leaf["body"]
     leaf["formulas"] = [0]  # what older documents stored; no longer read
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "emit", path)
     assert code == 0
     assert out.endswith(
@@ -600,10 +606,10 @@ def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):
         tmp_path, capsys, cases.STENCIL, "--clock", "4x2x2",
         "--map", "S=16,I=8,T=4,J=2",
     )
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["plan"] = {"kind": "none", "locations": 0, "width": 1,
                    "array": None, "snapshot_locs": [], "slots": [], "minimal": 0}
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", path, "--trials", "3")
     assert code == 1
     assert "verdict: FAIL" in out
@@ -615,10 +621,10 @@ def test_verify_refuses_an_illegal_source(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"
     )
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert "b(I,K)" in doc["source"]
     doc["source"] = doc["source"].replace("b(I,K)", "b(I-1,K)")
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", path, "--trials", "2")
     assert code == 2
     assert out == ""
@@ -633,9 +639,9 @@ def test_verify_holds_a_rewritten_document_to_its_source(tmp_path, capsys):
         tmp_path, capsys, cases.TRANSPOSE, "--clock", "3x2", "--map", "T=8,I=4,J=2",
         "--temp-budget", "2",
     )
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["source"] = doc["source"].replace("a(I,J) = a(J,I);", "a(I,J) = a(J,I) + a(J,I);")
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     outputs = set()
     for seed in range(5):
         code, out, _ = run(capsys, "verify", path, "--seed", str(seed))
@@ -666,12 +672,16 @@ def _with_epilogue_formula(doc: dict) -> dict:
          "equivalence: FAIL at a(0,0): b(0,0)*c(0,0) has 2, the reference 1"),
         (lambda: _with_epilogue_formula(schedule_to_json(cases.accumulator_tree())),
          "equivalence: FAIL, the schedule writes zz, which the reference never names"),
+        (lambda: _with_spec(schedule_to_json(cases.matmul_tree()), "b(I,K)*c(K,J)", "b(I,K)*c(K,J) + z(I,J)"),
+         "equivalence: FAIL, the schedule reads z, which the reference never names"),
     ],
-    ids=["renamed-target", "renamed-epilogue-result", "output-declared-temp", "unnamed-output"],
+    ids=["renamed-target", "renamed-epilogue-result", "output-declared-temp", "unnamed-output",
+         "unnamed-input"],
 )
 def test_verify_compares_every_array_the_source_writes(tmp_path, capsys, document, line):
     """A document that renames the source's output, hides it as a
-    temporary, or writes an array the source never names fails."""
+    temporary, or writes or reads an array the source never names
+    fails."""
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(document()))
     code, out, _ = run(capsys, "verify", str(path))

@@ -1,8 +1,7 @@
-"""The lowered access stream: cell numbering, dropped terms, banking."""
+"""The lowered access stream: cell numbering, dropped terms, pre-pass copies."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import replace
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clocksched.formula import ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, parse_spec
-from clocksched.lower import ADD, ASSIGN, BLOCK, SAVE, SKIP, VISIT, PastBudget, lower
+from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, PastBudget, lower
 
 import oracles
 
@@ -36,29 +35,50 @@ def test_a_formula_with_every_term_off_its_arrays_stores_nothing():
     assert list(stream.codes) == [VISIT, SKIP, 3, 1, 0, 0]
     mem = stream.memory({"a": [1, 2], "b": [5, 6]})
     stream.run(mem)
-    assert mem == [1, 2, 5, 6]
+    assert mem[:4] == [1, 2, 5, 6]
 
 
 def test_snapshot_cells_are_banked_at_their_first_overwrite():
+    """A read of a written array names the cell's pre-pass copy, and
+    ``copy_reads`` says which cells a plan must bank from their first
+    overwrite: here a(1), whose copy visit 2 reads after visit 1
+    overwrote it.  Run literally, the plan that banks a(1) computes
+    what the stream computes, and the empty plan does not."""
     spec = parse_spec("space I[3];\na(I) = a(I+1);\n")
-    # a(2)'s only write drops its term, so it is never banked and its
-    # slot is free for a(1)
-    stream = lower(spec, [(2,), (1,), (0,)], marked=[(("a", (2,)), 0), (("a", (1,)), 0)])
+    stream = lower(spec, [(2,), (1,), (0,)])
     one = stream.coefficients.index(1)
+    assert stream.layout.size == 3
     assert list(stream.codes) == [
         VISIT, SKIP, 2, 1, 0, 0,
-        VISIT, SAVE, 3, 1, ASSIGN, 1, 1, one, 1, 2,
-        VISIT, ASSIGN, 0, 1, one, 1, 3,  # a(1) is read from its bank slot
+        VISIT, ASSIGN, 1, 1, one, 1, 3 + 2,
+        VISIT, ASSIGN, 0, 1, one, 1, 3 + 1,  # a(1)'s copy, a(1) itself overwritten
     ]
     mem = stream.memory({"a": [5, 7, 9]})
+    assert mem == [5, 7, 9, 5, 7, 9]
     stream.run(mem)
-    assert mem == [7, 9, 9, 7]
-    # a banked read sees the pre-pass value; unbanked, the same read sees
-    # formula 0's write of a(1) at visit 1
+    assert mem == [7, 9, 9, 5, 7, 9]
+    # a copy's read sees the pre-pass value
     skip = (0, SKIP, 2, [])
     assert list(stream.replay()) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [None])]
-    plain = lower(spec, [(2,), (1,), (0,)])
-    assert list(plain.replay()) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [(1, 0, 1)])]
+    # a(1) is first overwritten at visit 1 and its copy read at visit 2;
+    # a(2)'s only write drops its term, so it never loses its value
+    assert [list(facts) for facts in stream.copy_reads()] == [[2, 1, -1], [-1, 2, -1], [-1, 2, -1]]
+    literal = [spec.formulas, ("I",), [(2,), (1,), (0,)], (), stream.layout.shapes]
+    assert oracles.run_with_plan(*literal, [(("a", (1,)), 0)], {"a": [5, 7, 9]}) == {"a": [7, 9, 9]}
+    assert oracles.run_with_plan(*literal, [], {"a": [5, 7, 9]}) == {"a": [9, 9, 9]}
+
+
+def test_a_read_after_a_skip_of_its_cell_reads_the_copy():
+    """Formula 1 drops its only term at I=1, so it writes nothing there:
+    c(1) reads a(1)'s copy, 11, not b(0), which formula 0 stored in
+    a(1) at I=0."""
+    spec = parse_spec("space I[2];\na(1) = b(I) when I=0;\na(I) = b(I+1);\nc(I) = a(I);\n")
+    stream = lower(spec, [(0,), (1,)])
+    mem = stream.memory({"a": [10, 11], "b": [20, 21], "c": [0, 0]})
+    stream.run(mem)
+    assert mem[:6] == [21, 20, 20, 21, 21, 11]
+    first, early, late = stream.copy_reads()
+    assert (first[1], early[1], late[1]) == (0, 1, 1)  # a plan must bank a(1)
 
 
 def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
@@ -70,15 +90,22 @@ def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
     assert seen == [[None], [(0, 0, 0)], [(0, 0, 0)], [(0, 2 << 2 | ADD, 0)]]
 
 
-def test_marking_an_array_by_name_banks_every_cell_of_it():
-    spec = parse_spec(
-        "space I[4], J[4];\na(I,J) = a(I+1,J) + b(J,I);\nb(I,J) += a(J,I)*b(I,J+1);\n"
-    )
-    points = list(itertools.product(range(4), repeat=2))
-    cells = [(name, loc) for name in "ab" for loc in itertools.product(range(4), repeat=2)]
-    by_name = lower(spec, points, (), ["a", "b"])
-    assert by_name.codes == lower(spec, points, (), zip(cells, itertools.count())).codes
-    assert by_name.banked == 32
+def test_only_reads_of_written_arrays_before_the_epilogue_name_copies():
+    """b is never written, so its reads name cells; a's reads name copies
+    but where an earlier formula of the visit wrote the cell, or an
+    accumulation reads its own target; the epilogue reads cells."""
+    spec = parse_spec("space I[2];\na(I) = a(I) + b(I);\nc(I) = a(I);\nc(I) += c(I) + a(I+1);\n")
+    epilogue = parse_spec("space I[1];\ns = a(0) + c(1);\n").formulas
+    stream = lower(spec, [(0,)], epilogue)
+    assert stream.layout.offsets == {"a": 0, "b": 2, "c": 4, "s": 6}
+    size, one = stream.layout.size, stream.coefficients.index(1)
+    assert list(stream.codes) == [
+        VISIT,
+        ASSIGN, 0, 2, one, 1, size + 0, one, 1, 2,
+        1 << 2 | ASSIGN, 4, 1, one, 1, 0,  # a(0) was written at this visit
+        2 << 2 | ADD, 4, 2, one, 1, 4, one, 1, size + 1,
+        VISIT, 3 << 2 | ASSIGN, 6, 2, one, 1, 0, one, 1, 5,
+    ]
 
 
 def test_polynomials_multiply_out_and_drop_what_cancels():
@@ -107,29 +134,30 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
         stream.polynomials(["a", "b"], 3)  # d holds 4 monomials
 
 
-def test_a_cell_overwritten_in_one_block_is_read_from_its_slot_in_the_next():
+def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():
     spec = parse_spec("space I[2];\na(I) = a(1) + b(I);\n")
     # a(1) is first overwritten at the last visit of the first block
     points = [(0,)] * (BLOCK - 1) + [(1,), (0,)]
-    stream = lower(spec, points, marked=[(("a", (1,)), 0)])
+    stream = lower(spec, points)
     one = stream.coefficients.index(1)
-    assert stream.layout.offsets == {"a": 0, "b": 2} and stream.banked == 1
-    assert list(stream.codes[:10]) == [VISIT, ASSIGN, 0, 2, one, 1, 1, one, 1, 2]
-    assert list(stream.codes[-23:]) == [
-        VISIT, SAVE, 4, 1, ASSIGN, 1, 2, one, 1, 1, one, 1, 3,
-        VISIT, ASSIGN, 0, 2, one, 1, 4, one, 1, 2,  # a(1) from its slot
+    assert stream.layout.offsets == {"a": 0, "b": 2} and stream.layout.size == 4
+    assert list(stream.codes[:10]) == [VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2]
+    assert list(stream.codes[-20:]) == [
+        VISIT, ASSIGN, 1, 2, one, 1, 4 + 1, one, 1, 3,
+        VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2,  # a(1) from its copy
     ]
     mem = stream.memory({"a": [5, 7], "b": [1, 2]})
     stream.run(mem)
     assert mem[:2] == [7 + 1, 7 + 2]
+    first, early, late = stream.copy_reads()
+    assert (first[1], early[1], late[1]) == (BLOCK - 1, BLOCK, BLOCK)
 
 
 @st.composite
 def lowerings(draw):
-    """A spec, its visits, an epilogue and marked cells for ``lower``:
-    operands and targets off their arrays, ``when`` clauses, an
-    accumulation reading its own target, two formulas writing one cell,
-    cells sharing a slot or arrays marked by name, and visits from none
+    """A spec, its visits and an epilogue for ``lower``: operands and
+    targets off their arrays, ``when`` clauses, an accumulation reading
+    its own target, two formulas writing one cell, and visits from none
     to several blocks, some outside the spec's extents."""
     names = ("I", "J")[: draw(st.integers(1, 2))]
     sizes = [draw(st.integers(1, 4)) for _ in names]
@@ -172,24 +200,14 @@ def lowerings(draw):
     count = draw(st.sampled_from([0, 1, 2, 9, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5]))
     rng = random.Random(draw(st.integers(0, 2**16)))
     points = [tuple(rng.randint(-1, size) for size in sizes) for _ in range(count)]
-    shapes = lower(spec, [], epilogue).layout.shapes
-    how = draw(st.sampled_from(["none", "names", "cells"]))
-    if how == "names":
-        marked = draw(st.lists(st.sampled_from(sorted(shapes)), unique=True))
-    elif how == "cells":
-        cells = [(n, loc) for n in sorted(shapes) for loc in itertools.product(*map(range, shapes[n]))]
-        chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
-        marked = [(cell, draw(st.integers(0, 2))) for cell in chosen]  # slots may be shared
-    else:
-        marked = []
-    return spec, points, epilogue, marked
+    return spec, points, epilogue
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(lowerings())
 def test_lowering_matches_the_literal_per_point_lowering(case):
-    spec, points, epilogue, marked = case
-    stream = lower(spec, points, epilogue, marked)
-    assert (list(stream.codes), stream.coefficients, stream.banked) == oracles.lowered_records(
-        spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes, marked
+    spec, points, epilogue = case
+    stream = lower(spec, points, epilogue)
+    assert (list(stream.codes), stream.coefficients) == oracles.lowered_records(
+        spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes
     )

@@ -55,6 +55,7 @@ from clocksched.lower import Layout
 from clocksched.schedule import (
     NO_PLAN,
     BuildError,
+    TempPlan,
     apply_convolutions,
     assign_slots,
     build_schedule,
@@ -376,6 +377,81 @@ def test_built_snapshot_slots_match_the_rescan(case):
     assert_slots_fit(sweep.call_args.args[0], slots, plan.minimal)
 
 
+# -- snapshot plans, checked against banking them literally ------------------
+
+@st.composite
+def planned_trees(draw):
+    """A built tree, a blocked stencil from ``snapshot_schedules`` or a
+    self-reading spec in a random order, and how its plan was mutated:
+    ``drop`` a banked cell, ``share`` one slot between two banked cells
+    whose spans (first overwrite to last pre-pass read) overlap, add an
+    ``unread`` cell, overwritten while another cell's span holds its
+    slot, to that slot, or ``none``."""
+    if draw(st.integers(0, 3)):  # mostly stencils: each one banks cells
+        text, clock, assignment = draw(snapshot_schedules())
+        tree = build_schedule(text, clock=clock, assignment=assignment)
+    else:
+        spec = draw(self_reading_specs())
+        try:
+            tree = build_schedule(spec, order=draw(st.permutations([d.name for d in spec.indexes])))
+        except BuildError:
+            reject()
+    stream = enumerate_schedule(tree).stream
+    first, _, last = stream.copy_reads()
+    layout = stream.layout
+    plan = [(layout.cell(*loc), slot) for loc, slot in zip(tree.plan.snapshot_locs, tree.plan.slots)]
+    banked = {c for c, _ in plan}
+    choices = {
+        "none": [None],
+        "drop": list(range(len(plan))),
+        "share": [
+            (i, j) for i, j in itertools.permutations(range(len(plan)), 2)
+            if first[plan[i][0]] <= last[plan[j][0]] and first[plan[j][0]] <= last[plan[i][0]]
+        ],
+        "unread": [
+            (u, slot) for u in range(layout.size) if first[u] >= 0 > last[u] and u not in banked
+            for c, slot in plan if first[c] <= first[u] <= last[c]
+        ],
+    }
+    mutation = draw(st.sampled_from([m for m, found in choices.items() if found]))
+    how = draw(st.sampled_from(choices[mutation]))
+    if mutation == "drop":
+        del plan[how]
+    elif mutation == "share":
+        plan[how[1]] = (plan[how[1]][0], plan[how[0]][1])
+    elif mutation == "unread":
+        plan.append(how)
+    plan = TempPlan(tuple(layout.location(c) for c, _ in plan), tuple(slot for _, slot in plan))
+    return replace(tree, plan=plan), mutation
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(planned_trees(), st.integers(0, 2**16))
+def test_the_dependence_check_passes_only_plans_that_bank_what_the_reference_reads(case, seed):
+    """Banked literally (``oracles.run_with_plan``), a schedule that
+    passes ``check_dependencies`` computes what ``reference_interpret``
+    does on random stores, so a mutated plan that computes something
+    else fails the check."""
+    tree, mutation = case
+    trace = enumerate_schedule(tree)
+    ok = check_dependencies(trace).ok
+    shapes = trace.stream.layout.shapes
+    points = [r.lattice_point for r in trace.records]
+    plan = list(zip(tree.plan.snapshot_locs, tree.plan.slots))
+    source = parse_spec(tree.source)
+    for store in random_store(shapes, seed), random_store(shapes, seed + 1):
+        want = reference_interpret(source, store)
+        got = oracles.run_with_plan(
+            tree.spec.formulas, trace.names, points, tree.epilogue, shapes, plan,
+            {name: list(cells.values()) for name, cells in store.items()},
+        )
+        differs = any(
+            got[name] != list(cells.values())
+            for name, cells in want.items() if name not in tree.spec.temp_arrays
+        )
+        assert not (ok and differs), (mutation, tree.plan)
+
+
 # -- random schedules against the verifier -----------------------------------
 
 @st.composite
@@ -496,7 +572,7 @@ def test_emitted_index_texts_give_the_traced_points(spec_tree):
 def checked_trees(draw):
     """A built schedule or the sequential schedule of a self-reading
     spec, and half the time the same tree with its snapshot plan
-    dropped, which often reads overwritten cells."""
+    dropped, which leaves its stream as it is."""
     if draw(st.booleans()):
         tree = draw(built_schedules())[1]
     else:
@@ -521,8 +597,8 @@ def evaluate(polynomial, values: list[int]) -> int:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(checked_trees(), st.integers(0, 2**16))
 def test_polynomials_evaluate_to_what_the_stream_computes(tree, seed):
-    """Evaluated at a random store, every cell's and slot's polynomial
-    is the value ``Stream.run`` leaves there."""
+    """Evaluated at a random store, every cell's polynomial is the value
+    ``Stream.run`` leaves there; a copy's variable is its cell's."""
     stream = enumerate_schedule(tree).stream
     rng = random.Random(seed)
     mem = stream.memory({
@@ -533,7 +609,7 @@ def test_polynomials_evaluate_to_what_the_stream_computes(tree, seed):
     polynomials = stream.polynomials(stream.layout.shapes, 1 << 20)
     stream.run(mem)
     assert [start[i] if p is None else evaluate(p, start)
-            for i, p in enumerate(polynomials)] == mem
+            for i, p in enumerate(polynomials)] == mem[:stream.layout.size]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

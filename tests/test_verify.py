@@ -14,7 +14,7 @@ from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_to_json
 from clocksched.engine import enumerate_schedule
-from clocksched.formula import infer_shapes, parse_spec
+from clocksched.formula import infer_shapes, parse_spec, print_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
     DEFAULT_SEED,
@@ -228,29 +228,35 @@ def test_equivalence_on_worked_trees():
         assert report.exact and report.trials == 0  # no random store was drawn
 
 
+def _misreading_stencil():
+    """The blocked stencil's document with its right neighbour read two
+    columns over: a schedule that computes what its source does not."""
+    tree = cases.stencil_tree()
+    text = print_spec(tree.spec).replace("a(I,J+1)", "a(I,J+2)")
+    return replace(tree, spec=parse_spec(text))
+
+
 def test_equivalence_counterexample():
-    """Unbanked, the blocked stencil reads a(0,2) after its overwrite,
-    so a(0,1) picks up a(0,2)'s right neighbour a(0,3).  The first
-    monomial in graded order whose coefficients differ is named."""
-    broken = replace(cases.stencil_tree(), plan=NO_PLAN)
-    report = equivalent(broken, sequential_schedule(cases.STENCIL), trials=5)
+    """Each a(I,J) of the misreading stencil adds a(I,J+2) where the
+    source adds a(I,J+1).  The first monomial in graded order whose
+    coefficients differ is named."""
+    report = equivalent(_misreading_stencil(), sequential_schedule(cases.STENCIL), trials=5)
     assert not report.ok
     assert report.exact and report.trials == 0
     assert report.counterexample == {
-        "location": "a(0,1)", "monomial": "a(0,3)", "got": 1, "want": 0,
+        "location": "a(0,0)", "monomial": "a(0,1)", "got": 0, "want": 1,
     }
-    assert report.summary() == "equivalence: FAIL at a(0,1): a(0,3) has 1, the reference 0"
+    assert report.summary() == "equivalence: FAIL at a(0,0): a(0,1) has 0, the reference 1"
 
 
 def test_equivalence_counterexample_past_the_budget(monkeypatch):
     monkeypatch.setattr(clocksched.verify, "EXACT_BUDGET", 0)
-    broken = replace(cases.stencil_tree(), plan=NO_PLAN)
-    report = equivalent(broken, sequential_schedule(cases.STENCIL), trials=5)
+    report = equivalent(_misreading_stencil(), sequential_schedule(cases.STENCIL), trials=5)
     assert not report.ok and not report.exact
     c = report.counterexample
     assert report.trials == c["trial"] + 1  # stops at the first bad store
     # the seeded stores, and so the counterexample, are part of the contract
-    assert report.summary() == "equivalence: FAIL on trial 0 at a(0,1): 176 != 136"
+    assert report.summary() == "equivalence: FAIL on trial 0 at a(0,0): 0 != 53"
 
 
 def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
@@ -269,6 +275,19 @@ def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
     assert check_dependencies(trace).summary() == "dependencies: ok (32 writes checked)"
     report = equivalent(tree, sequential_schedule(src), trials=3)
     assert report.summary() == "equivalence: ok (exact, 32 cells)"
+
+
+def test_a_skipped_write_is_not_a_write():
+    """Formula 1 drops its only term at I=1, so it writes nothing there:
+    c(1) reads a(1)'s pre-pass 11, not the b(0) that formula 0 stored in
+    a(1) at I=0.  The plan banks a(1) for that read, and the schedule
+    verifies."""
+    src = "space I[2];\na(1) = b(I) when I=0;\na(I) = b(I+1);\nc(I) = a(I);\n"
+    store = {"a": {(0,): 10, (1,): 11}, "b": {(0,): 20, (1,): 21}, "c": {(0,): 0, (1,): 0}}
+    assert reference_interpret(parse_spec(src), store)["c"] == {(0,): 21, (1,): 11}
+    tree = build_schedule(src)
+    assert tree.plan.snapshot_locs == (("a", (1,)),)
+    assert verify_report(enumerate_schedule(tree), trials=2)["ok"]
 
 
 def test_equivalence_past_the_budget_runs_the_trials():
@@ -354,12 +373,16 @@ def test_verify_report_bundle():
 
 
 def test_verify_report_fails_closed():
-    broken = replace(cases.stencil_tree(), plan=NO_PLAN)
-    report = verify_report(enumerate_schedule(broken), trials=3)
-    assert not report["ok"]
-    assert report["violations"]
-    assert not report["equivalence"]["ok"]
-    assert report["lines"][-1] == "verdict: FAIL"
+    """One failing check fails the verdict: the stencil without its plan
+    fails only the dependence check, the misreading stencil only
+    equivalence."""
+    unbanked = verify_report(enumerate_schedule(replace(cases.stencil_tree(), plan=NO_PLAN)), trials=3)
+    assert unbanked["violations"] and unbanked["equivalence"]["ok"]
+    misreading = verify_report(enumerate_schedule(_misreading_stencil()), trials=3)
+    assert not misreading["violations"] and not misreading["equivalence"]["ok"]
+    for report in unbanked, misreading:
+        assert report["coverage"]["ok"] and not report["ok"]
+        assert report["lines"][-1] == "verdict: FAIL"
 
 
 def test_verify_report_runs_a_banking_baseline_with_its_bank():
@@ -388,15 +411,25 @@ def test_the_reference_nest_interprets_like_the_reference():
     assert got["b"][(2, 0)] == 22
 
 
-def test_an_unbanked_reference_nest_fails_both_checks():
+def test_an_unbanked_reference_nest_fails_the_dependence_check():
+    """Without its plan the nest cannot serve b(2,0) the pre-pass a(1,2):
+    the dependence check says so.  The stream reads every pre-pass value
+    from its copy, so it computes what a sound plan would, and
+    equivalence holds; run literally without a plan, the nest does not."""
     trace = enumerate_schedule(replace(sequential_schedule(READS_ITS_TRANSPOSE), plan=NO_PLAN))
     report = verify_report(trace, trials=3)
     assert report["lines"][1:3] == [
         "dependencies: FAIL, a(1,2) overwritten before its pre-pass read at point (2, 0)",
-        "equivalence: FAIL at b(2,0): a(1,2) has 0, the reference 1",
+        "equivalence: ok (exact, 32 cells)",
     ]
-    store = random_store(infer_shapes(trace.spec), 3)
-    assert interpret(trace, store) != reference_interpret(parse_spec(READS_ITS_TRANSPOSE), store)
+    shapes = infer_shapes(trace.spec)
+    store = random_store(shapes, 3)
+    want = reference_interpret(parse_spec(READS_ITS_TRANSPOSE), store)
+    assert interpret(trace, store) == want
+    values = {name: list(cells.values()) for name, cells in store.items()}
+    points = [r.lattice_point for r in trace.records]
+    literal = oracles.run_with_plan(trace.spec.formulas, trace.names, points, (), shapes, [], values)
+    assert literal["b"] != list(want["b"].values())
 
 
 @pytest.mark.parametrize(
