@@ -118,7 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_tree(path: str):
-    return schedule_from_json(json.loads(_read_text(path)))
+    try:
+        doc = json.loads(_read_text(path))
+    except RecursionError:
+        raise ValueError("schedule document nests deeper than the JSON reader allows") from None
+    return schedule_from_json(doc)
 
 
 def _cmd_parse(args) -> int:

@@ -11,14 +11,20 @@ points the checks ran on.  The divisors are the mapped powers of two,
 so a backend may implement them as shifts.
 
 A schedule document holds the tree's roots, clock, spec text, source,
-plan and epilogue, and nothing derived from them: the guards are the
-spec's, a loop is converted when its lower bound names a variable, a
-group steps by its first member's step, and a plan is its banked cells
-and their slots, whose size ``TempPlan.minimal`` derives.  The reader
-ignores the ``guards``, ``mapping``, ``converted`` and ``slot_step``
-keys and the plan's ``kind``, ``locations`` and ``minimal`` that older
-documents carry.  It holds banked cells and epilogue reads to cells of
-the document's spec.
+plan and epilogue.  A root is written as nested nodes: each loop or
+group of its chain holds the next one in its ``body`` list, the last
+holds ``{"kind": "block"}``, a group's members carry empty bodies, and
+each root of an unfolded tree (one with more than one root) is wrapped
+in a ``copy``.  The reader walks those lists in a loop, not by
+recursion, and refuses a body that does not hold exactly one node.  A
+document holds nothing derived: the guards are the spec's, a loop is
+converted when its lower bound names a variable, a group steps by its
+first member's step, and a plan is its banked cells and their slots,
+whose size ``TempPlan.minimal`` derives.  The reader ignores the
+``guards``, ``mapping``, ``converted`` and ``slot_step`` keys and the
+plan's ``kind``, ``locations`` and ``minimal`` that older documents
+carry.  It holds banked cells and epilogue reads to cells of the
+document's spec.
 """
 
 from __future__ import annotations
@@ -40,14 +46,11 @@ from .formula import (
 )
 from .schedule import (
     Affine,
+    Chain,
     EnumNode,
     FormGroup,
-    FormulaBlock,
-    Node,
     ScheduleTree,
     TempPlan,
-    UnfoldCopy,
-    nest,
     nest_loops,
     recovery,
 )
@@ -160,9 +163,7 @@ def _bracket(head: str, loops: Sequence[EnumNode]) -> list[str]:
     return lines
 
 
-def _render_for(
-    tree: ScheduleTree, chain: list[EnumNode | FormGroup], subst: dict[str, str]
-) -> list[str]:
+def _render_for(tree: ScheduleTree, chain: Chain, subst: dict[str, str]) -> list[str]:
     lines: list[str] = []
     offsets: list[str] = []
     for depth, node in enumerate(chain):
@@ -200,8 +201,7 @@ def emit(tree: ScheduleTree, notation: str = "for") -> str:
     if notation not in ("for", "form", "enum"):
         raise ValueError(f"unknown notation {notation!r}")
     blocks: list[str] = []
-    for root in tree.roots:
-        chain = nest(root)
+    for chain in tree.roots:
         loops = nest_loops(chain)
         subst = value_texts(tree.spec, loops)
         if notation == "for":
@@ -233,17 +233,9 @@ def _affine_from_json(doc: dict) -> Affine:
     return Affine(terms, _typed(doc["const"], int, "lower const"))
 
 
-def _node_to_json(node: Node | UnfoldCopy) -> dict:
-    if isinstance(node, FormulaBlock):
-        return {"kind": "block"}
-    if isinstance(node, FormGroup):
-        return {
-            "kind": "group",
-            "members": [_node_to_json(m) for m in node.members],
-            "body": [_node_to_json(b) for b in node.body],
-        }
-    if isinstance(node, UnfoldCopy):
-        return {"kind": "copy", "body": [_node_to_json(b) for b in node.body]}
+def _loop_to_json(node: EnumNode) -> dict:
+    """A loop as a group member writes it; a loop of a chain puts the
+    next node, or the ``block`` leaf, in its ``body``."""
     return {
         "kind": "loop",
         "index": node.index,
@@ -253,23 +245,25 @@ def _node_to_json(node: Node | UnfoldCopy) -> dict:
         "synthetic": node.synthetic,
         "contributes": [[n, w] for n, w in node.contributes],
         "digit_base": node.digit_base,
-        "body": [_node_to_json(b) for b in node.body],
+        "body": [],
     }
 
 
-def _node_from_json(doc: dict) -> Node | UnfoldCopy:
-    kind = doc["kind"]
-    if kind == "block":
-        return FormulaBlock()
-    if kind == "group":
-        return FormGroup(
-            members=tuple(_node_from_json(m) for m in doc["members"]),
-            body=tuple(_node_from_json(b) for b in doc["body"]),
-        )
-    if kind == "copy":
-        return UnfoldCopy(body=tuple(_node_from_json(b) for b in doc["body"]))
-    if kind != "loop":
-        raise ValueError(f"unknown node kind {kind!r}")
+def _root_to_json(chain: Chain, copy: bool) -> dict:
+    """One root's nodes, each nested in the ``body`` of the one above
+    it and ending in a ``block``; wrapped in a ``copy`` if ``copy``."""
+    doc: dict = {"kind": "block"}
+    for node in reversed(chain):
+        if isinstance(node, FormGroup):
+            head = {"kind": "group", "members": [_loop_to_json(m) for m in node.members]}
+        else:
+            head = _loop_to_json(node)
+        doc = {**head, "body": [doc]}
+    return {"kind": "copy", "body": [doc]} if copy else doc
+
+
+def _loop_from_json(doc: dict) -> EnumNode:
+    """A loop node's fields; its ``body`` is read by ``_chain_from_json``."""
     return EnumNode(
         index=_typed(doc["index"], str, "loop index"),
         step=_typed(doc["step"], int, "step"),
@@ -281,8 +275,39 @@ def _node_from_json(doc: dict) -> Node | UnfoldCopy:
             for n, w in doc["contributes"]
         ),
         digit_base=_typed(doc["digit_base"], int, "digit_base"),
-        body=tuple(_node_from_json(b) for b in doc["body"]),
     )
+
+
+def _chain_from_json(root: dict) -> Chain:
+    """One root's loops and groups, read down its nested ``body`` lists
+    to the ``block`` in a loop, not by recursion.  A ``copy`` wraps a
+    root; a body must hold exactly one node.  A group member's own
+    ``body`` is not read."""
+    chain: list[EnumNode | FormGroup] = []
+    body, owner = (root["body"], "an unfold copy") if root["kind"] == "copy" else ([root], "")
+    while True:
+        if len(body) != 1:
+            raise ValueError(f"{owner} holds {len(body)} nodes; a nest is one chain of loops")
+        node = body[0]
+        kind = node["kind"]
+        if kind == "block":
+            return tuple(chain)
+        if kind == "group":
+            members = []
+            for m in node["members"]:
+                if m["kind"] != "loop":
+                    raise ValueError(f"a group member is a {m['kind']!r} node, not a loop")
+                members.append(_loop_from_json(m))
+            chain.append(FormGroup(members=tuple(members)))
+            owner = "group [" + ",".join(m.index for m in members) + "]"
+        elif kind == "loop":
+            chain.append(_loop_from_json(node))
+            owner = f"loop {chain[-1].index}"
+        elif kind == "copy":
+            raise ValueError("a copy node wraps a whole root, not a loop's body")
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+        body = node["body"]
 
 
 def _formula_to_json(f: Formula) -> dict:
@@ -334,7 +359,7 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     doc: dict = {
         "format": FORMAT,
         "version": VERSION,
-        "roots": [_node_to_json(r) for r in tree.roots],
+        "roots": [_root_to_json(r, len(tree.roots) > 1) for r in tree.roots],
         "epilogue": [_formula_to_json(f) for f in tree.epilogue],
     }
     doc["clock"] = (
@@ -374,7 +399,7 @@ def _typed(value, kind: type, what: str):
 
 # ScheduleTree field -> parser of its JSON value
 _TREE_FIELDS = {
-    "roots": lambda roots: tuple(_node_from_json(r) for r in roots),
+    "roots": lambda roots: tuple(_chain_from_json(r) for r in roots),
     "clock": lambda c: None if c is None else Clock(
         tuple(c["graduations"]), c["rate"], c["span"]
     ),

@@ -4,11 +4,12 @@ A trace is the ground truth the verifier works from: one record per
 enumerated point, carrying the loop offsets (the time decomposition),
 the recovered index point, and the 2-adic color of the time value.
 
-Each root of a schedule tree is one chain of loops, and each loop runs
-through a fixed count of digits whatever its lower bound, so the nest
-is a mixed-radix counter: one ``itertools.product`` over the digit
-ranges.  Index points come from ``schedule.recovery``, the same table
-``emit`` renders as text, so what is verified is what is emitted.
+Each root of a schedule tree is one chain, a tuple of loops and form
+groups outermost first, and each loop runs through a fixed count of
+digits whatever its lower bound, so the nest is a mixed-radix counter:
+one ``itertools.product`` over the digit ranges.  Index points come
+from ``schedule.recovery``, the same table ``emit`` renders as text, so
+what is verified is what is emitted.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from typing import TYPE_CHECKING
 
 from .clock import Clock, clock_points, color_of, log2_exact
 from .formula import ComputationSpec, LessThan
-from .schedule import (
-    EnumNode,
-    FormGroup,
-    ScheduleTree,
-    nest,
-    nest_loops,
-    recovery,
-)
+from .schedule import Chain, EnumNode, FormGroup, ScheduleTree, nest_loops, recovery
 
 if TYPE_CHECKING:
     from .lower import Stream
@@ -89,7 +83,7 @@ def _table(spec: ComputationSpec, loops: list[EnumNode], where: dict[str, int]):
     return rows
 
 
-def _time_digits(chain: list[EnumNode | FormGroup]):
+def _time_digits(chain: Chain):
     """Per loop of the chain, the time one unit of its digit adds (a
     group's members count its slot in mixed radix); per node, the span
     of loops whose sum is its offset; and the converted loops, whose
@@ -116,8 +110,8 @@ def _time_digits(chain: list[EnumNode | FormGroup]):
 def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
     """Count through each root's loop digits as one mixed-radix number.
 
-    A root is a single chain of loops.  ``itertools.product`` runs over
-    its digit ranges, outermost first and form-group members side by
+    A root is a chain of loops and groups.  ``itertools.product`` runs
+    over its digit ranges, outermost first and form-group members side by
     side, so the innermost loop turns fastest.  Each combination is one
     visit: the recovery table gives its index point, the spec's guards
     (its ``domain A < B`` lines) may skip it, and the loops' offsets
@@ -132,8 +126,7 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
         for g in (spec.domain if spec else ()) if isinstance(g, LessThan)
     ]
     rows = []
-    for copy, root in enumerate(tree.roots):
-        chain = nest(root)
+    for copy, chain in enumerate(tree.roots):
         loops = nest_loops(chain)
         base = sum(n.lower.const for n in chain if isinstance(n, EnumNode))
         scales, spans, converted = _time_digits(chain)

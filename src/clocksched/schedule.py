@@ -1,15 +1,19 @@
 """Build clock-structured enumeration trees from formula specs.
 
 The builder turns a spec plus a clock and a graduation mapping into a
-nest of counting loops.  Each loop advances a power-of-two step inside
-the bounds set by its parent, so the innermost variable sweeps the
-whole time span while outer variables mark coarser graduations.  Loop
-variables are divided back by their steps to recover index values (one
-``recovery`` table per root, shared by the enumerator and the emitter),
-and the spec's guards, its ``domain A < B`` lines, cut the enumeration
-down to its domain.  A tree states each fact once: whether a loop is
-converted is whether its lower bound names a variable, and a form
-group's step is its first member's.
+nest of counting loops.  A tree's root is that nest as one chain: a
+tuple of loops (``EnumNode``) and form groups (``FormGroup``, several
+loops sharing one graduation), outermost first, over every formula of
+the spec; an unfolded tree has one root per copy.  Each loop advances a
+power-of-two step inside the bounds set by its parent, so the innermost
+variable sweeps the whole time span while outer variables mark coarser
+graduations.  Loop variables are divided back by their steps to recover
+index values (one ``recovery`` table per root, shared by the enumerator
+and the emitter), and the spec's guards, its ``domain A < B`` lines,
+cut the enumeration down to its domain.  A tree states each fact once:
+whether a loop is converted is whether its lower bound names a
+variable, which may only be an enclosing loop's, and a form group's
+step is its first member's.
 
 Rewrites that make reordering safe live here too: permutation cycles
 get a block-bound scratch index and a save/swap/restore triple,
@@ -23,7 +27,7 @@ what a temporary budget bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .clock import Clock, is_power_of_two, log2_exact, make_clock
@@ -109,13 +113,7 @@ class Affine:
 
 
 # ---------------------------------------------------------------------------
-# tree nodes
-
-@dataclass(frozen=True)
-class FormulaBlock:
-    """Leaf: every formula of the tree's spec, or for a bare time
-    skeleton (no spec) the offset tuple itself."""
-
+# loop chains
 
 @dataclass(frozen=True)
 class EnumNode:
@@ -126,7 +124,6 @@ class EnumNode:
     synthetic: bool = False  # invented time loop, not a spec index
     contributes: tuple[tuple[str, int], ...] = ()  # (spec index, weight)
     digit_base: int = 0  # first digit; nonzero after an unfold narrows the range
-    body: tuple["Node", ...] = ()
 
     def __post_init__(self) -> None:
         if self.step < 1 or self.extent % self.step:
@@ -144,11 +141,10 @@ class EnumNode:
 
 @dataclass(frozen=True)
 class FormGroup:
-    """Several indexes sharing one graduation slot; bodies run over
-    their product."""
+    """Several indexes sharing one graduation slot; the loops inside it
+    run over their product."""
 
     members: tuple[EnumNode, ...]
-    body: tuple["Node", ...] = ()
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -160,33 +156,7 @@ class FormGroup:
         return self.members[0].step
 
 
-Node = EnumNode | FormGroup | FormulaBlock
-
-
-@dataclass(frozen=True)
-class UnfoldCopy:
-    """One side-by-side copy; its loops recover every index, the
-    unfolded one included, like any other root's."""
-
-    body: tuple[Node, ...]
-
-
-@dataclass(frozen=True)
-class LoopSpec:
-    name: str
-    step: int
-    count: int
-    contributes: tuple[tuple[str, int], ...]
-    synthetic: bool = False
-
-
-@dataclass(frozen=True)
-class GradMapping:
-    """Ordered loop slots, outermost first.  A slot with several loops
-    shares one graduation (a form group)."""
-
-    slots: tuple[tuple[LoopSpec, ...], ...]
-    span: int
+Chain = tuple[EnumNode | FormGroup, ...]  # one root: its loops and groups, outermost first
 
 
 @dataclass(frozen=True)
@@ -208,12 +178,28 @@ NO_PLAN = TempPlan()
 
 @dataclass(frozen=True)
 class ScheduleTree:
-    roots: tuple[Node | UnfoldCopy, ...]
+    """Each root is one chain of loops; an unfolded tree has one root
+    per copy.  A lower bound names only loops that enclose its own."""
+
+    roots: tuple[Chain, ...]
     clock: Clock | None = None
     spec: ComputationSpec | None = None
     source: str | None = None
     plan: TempPlan = NO_PLAN
     epilogue: tuple[Formula, ...] = ()
+
+    def __post_init__(self) -> None:
+        for chain in self.roots:
+            enclosing: set[str] = set()
+            for node in chain:
+                loops = node.members if isinstance(node, FormGroup) else (node,)
+                for loop in loops:
+                    for name, _ in loop.lower.terms:
+                        if name not in enclosing:
+                            raise BuildError(
+                                f"loop {loop.index} starts at {name}, which no enclosing loop sets"
+                            )
+                enclosing.update(loop.index for loop in loops)
 
 
 # ---------------------------------------------------------------------------
@@ -234,54 +220,12 @@ def time_skeleton(clock: Clock, prefix: str = "T") -> ScheduleTree:
     Level i steps ``span / rate**(i+1)``; every loop starts at zero,
     so the time value of a visit is the plain sum of the variables.
     """
-    names = _level_names(clock.k, prefix)
-    node: Node = FormulaBlock()
-    step = clock.unit_scale
-    for name in reversed(names):
-        node = EnumNode(
-            index=name,
-            step=step,
-            extent=step * clock.rate,
-            lower=Affine(),
-            synthetic=True,
-            body=(node,),
-        )
-        step *= clock.rate
-    return ScheduleTree(roots=(node,), clock=clock)
-
-
-def _chain(nodes: Sequence[EnumNode | FormGroup], leaf: Node) -> Node:
-    built = leaf
-    for n in reversed(nodes):
-        built = replace(n, body=(built,))
-    return built
-
-
-def nest(root: Node | UnfoldCopy) -> list[EnumNode | FormGroup]:
-    """A root's loops and groups, outermost first.  Every schedule is a
-    single chain down to one leaf, and a lower bound names only loops
-    that enclose its own; any other shape is refused, naming the loop
-    where it branches, stops or starts."""
-    chain: list[EnumNode | FormGroup] = []
-    body = root.body if isinstance(root, UnfoldCopy) else (root,)
-    owner = "an unfold copy"
-    while True:
-        if len(body) != 1:
-            raise BuildError(f"{owner} holds {len(body)} nodes; a nest is one chain of loops")
-        node = body[0]
-        if isinstance(node, FormulaBlock):
-            return chain
-        enclosing = {loop.index for loop in nest_loops(chain)}
-        for loop in node.members if isinstance(node, FormGroup) else (node,):
-            for name, _ in loop.lower.terms:
-                if name not in enclosing:
-                    raise BuildError(f"loop {loop.index} starts at {name}, which no enclosing loop sets")
-        chain.append(node)
-        body = node.body
-        if isinstance(node, FormGroup):
-            owner = "group [" + ",".join(m.index for m in node.members) + "]"
-        else:
-            owner = f"loop {node.index}"
+    chain = []
+    step = clock.span // clock.rate
+    for name in _level_names(clock.k, prefix):
+        chain.append(EnumNode(index=name, step=step, extent=step * clock.rate, synthetic=True))
+        step //= clock.rate
+    return ScheduleTree(roots=(tuple(chain),), clock=clock)
 
 
 def nest_loops(chain: Sequence[EnumNode | FormGroup]) -> list[EnumNode]:
@@ -360,9 +304,9 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
     recovery is unchanged: a converted loop's offset is measured from
     its lower bound either way.
     """
-    if len(tree.roots) != 1 or isinstance(tree.roots[0], UnfoldCopy):
+    if len(tree.roots) != 1:
         raise BuildError("convolutions apply before unfolding")
-    chain = nest(tree.roots[0])
+    (chain,) = tree.roots
     depth = len(chain)
     if not 0 <= levels <= depth - 1:
         raise BuildError(f"cannot convert {levels} levels in a nest of depth {depth}")
@@ -376,12 +320,9 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
         if convert and node.synthetic and not name.endswith("N"):
             name = name + "N"
         lower = Affine.var(parent_name) if convert and parent_name else Affine()
-        rebuilt.append(
-            replace(node, index=name, lower=lower, body=())
-        )
+        rebuilt.append(replace(node, index=name, lower=lower))
         parent_name = name
-    root = _chain(rebuilt, FormulaBlock())
-    return replace(tree, roots=(root,))
+    return replace(tree, roots=(tuple(rebuilt),))
 
 
 def compose_skeleton(factors: Sequence[Clock]) -> ScheduleTree:
@@ -414,8 +355,7 @@ def compose_skeleton(factors: Sequence[Clock]) -> ScheduleTree:
                 )
             )
             step //= clock.rate
-    root = _chain(nodes, FormulaBlock())
-    return ScheduleTree(roots=(root,), clock=factors[0] if factors else None)
+    return ScheduleTree(roots=(tuple(nodes),), clock=factors[0] if factors else None)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +393,9 @@ def _free_names(spec: ComputationSpec) -> list[str]:
 
 def mapping_from_order(
     spec: ComputationSpec, clock: Clock, order: Sequence[str] | None = None
-) -> GradMapping:
-    """One loop per index, outermost first, each index at full extent.
+) -> Chain:
+    """One loop per index, outermost first, each index at full extent
+    and each loop below the first starting at the one above it.
 
     The product of the extents must fill the clock's state set exactly.
     """
@@ -478,17 +419,23 @@ def mapping_from_order(
         raise BuildError(
             f"mapped extents fill {total} states but the clock has {clock.states}"
         )
-    slots = []
+    chain: list[EnumNode] = []
     step = clock.span
     for name in names:
         step //= sizes[name]
-        slots.append((LoopSpec(name, step, sizes[name], ((name, 1),)),))
-    return GradMapping(slots=tuple(slots), span=clock.span)
+        chain.append(EnumNode(
+            index=name,
+            step=step,
+            extent=step * sizes[name],
+            lower=Affine.var(chain[-1].index) if chain else Affine(),
+            contributes=((name, 1),),
+        ))
+    return tuple(chain)
 
 
 def _build_mapping(
     spec: ComputationSpec, clock: Clock, assignment: Mapping[str, int], mode: str
-) -> GradMapping:
+) -> Chain:
     sizes = dict(spec.index_sizes())
     binds = _bound_sources(spec)
     items = sorted(assignment.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -505,8 +452,9 @@ def _build_mapping(
 
     # Graduation values either name the step of each loop directly or
     # the extent it sweeps (twice the step for a rate-2 clock); the two
-    # readings are tried in turn by the caller.
-    slots: list[list[dict]] = []
+    # readings are tried in turn by the caller.  Each slot starts at the
+    # first loop of the slot above it.
+    slots: list[list[EnumNode]] = []
     incoming = clock.span
     values = [value for value, _ in grouped]
     for pos, (value, members) in enumerate(grouped):
@@ -521,11 +469,9 @@ def _build_mapping(
         if step < 1 or incoming % step:
             raise BuildError(f"step {step} does not divide the enclosing extent {incoming}")
         capacity = incoming // step
+        lower = Affine.var(slots[-1][0].index) if slots else Affine()
         if len(members) == 1:
-            name = members[0]
-            slots.append(
-                [dict(name=name, step=step, count=capacity, contributes=[], synthetic=False)]
-            )
+            slots.append([EnumNode(members[0], step, capacity * step, lower)])
         else:
             if any(m not in sizes for m in members):
                 raise BuildError("shared graduations require declared indexes")
@@ -540,50 +486,46 @@ def _build_mapping(
                     f"shared graduation holds {capacity} states, not {product}"
                 )
             slot_step = step * (capacity // product)
-            slots.append(
-                [
-                    dict(name=m, step=slot_step, count=sizes[m], contributes=[(m, 1)], synthetic=False)
-                    for m in members
-                ]
-            )
+            slots.append([
+                EnumNode(m, slot_step, sizes[m] * slot_step, lower, contributes=((m, 1),))
+                for m in members
+            ])
             step = slot_step
         incoming = step
 
     # Attach synthetic loops to the next declared index: the synthetic
     # takes the unit weight of that index and pushes the index's own
     # loop up by its count, so the outer loop enumerates residues.
-    pending: list[dict] = []
-    for slot in slots:
+    pending: list[int] = []  # slots of synthetic loops not yet attached
+    for pos, slot in enumerate(slots):
         if len(slot) > 1:
             if pending:
                 raise BuildError("synthetic graduation cannot join a shared slot")
             continue
-        loop = slot[0]
-        name = loop["name"]
+        name = slot[0].index
         if name in sizes:
             weight = 1
-            for synth in pending:
-                synth["contributes"] = [(name, weight)]
-                weight *= synth["count"]
+            for p in pending:
+                synth = slots[p][0]
+                slots[p] = [replace(synth, synthetic=True, contributes=((name, weight),))]
+                weight *= synth.count
             pending.clear()
-            loop["contributes"] = [(name, weight)]
-            if name in binds:
-                bind = binds[name]
-                loop["contributes"].append((bind.source, bind.block))
+            bind = binds.get(name)
+            extra = ((bind.source, bind.block),) if bind else ()
+            slots[pos] = [replace(slot[0], contributes=((name, weight),) + extra)]
         else:
-            loop["synthetic"] = True
-            pending.append(loop)
+            pending.append(pos)
     if pending:
-        names = ", ".join(l["name"] for l in pending)
+        names = ", ".join(slots[p][0].index for p in pending)
         raise BuildError(f"synthetic graduations {names} have no index to refine")
 
     # Every index must be recovered by a complete positional system of
     # loop digits (or derived from one through a block bind).
-    contributions: dict[str, list[tuple[int, dict]]] = {}
-    for slot in slots:
-        for loop in slot:
-            for target, weight in loop["contributes"]:
-                contributions.setdefault(target, []).append((weight, loop))
+    contributions: dict[str, list[tuple[int, int, int]]] = {}  # (weight, slot, member)
+    for pos, slot in enumerate(slots):
+        for i, loop in enumerate(slot):
+            for target, weight in loop.contributes:
+                contributions.setdefault(target, []).append((weight, pos, i))
     for decl in spec.indexes:
         name = decl.name
         pairs = sorted(contributions.get(name, []), key=lambda p: p[0])
@@ -593,90 +535,50 @@ def _build_mapping(
             raise BuildError(f"index {name} is not mapped to any graduation")
         expect = 1
         total = 1
-        for weight, loop in pairs:
+        for weight, pos, i in pairs:
             if weight != expect:
                 raise BuildError(f"index {name} digits do not stack (weight {weight})")
-            expect *= loop["count"]
-            total *= loop["count"]
+            expect *= slots[pos][i].count
+            total *= slots[pos][i].count
         if total < decl.size:
-            only = pairs[0][1]
             triangular = any(
                 isinstance(g, LessThan) and g.left == name and isinstance(g.right, str)
                 for g in spec.domain
             )
             if len(pairs) == 1 and triangular:
-                only["count"] = decl.size
+                _, pos, i = pairs[0]
+                only = slots[pos][i]
+                slots[pos][i] = replace(only, extent=decl.size * only.step)
             else:
                 raise BuildError(
                     f"index {name} covers {total} of {decl.size} values"
                 )
         elif total > decl.size:
             raise BuildError(f"index {name} covers {total} of {decl.size} values")
-
-    frozen = tuple(
-        tuple(
-            LoopSpec(
-                name=l["name"],
-                step=l["step"],
-                count=l["count"],
-                contributes=tuple(l["contributes"]),
-                synthetic=l["synthetic"],
-            )
-            for l in slot
-        )
-        for slot in slots
-    )
-    return GradMapping(slots=frozen, span=clock.span)
+    return tuple(slot[0] if len(slot) == 1 else FormGroup(tuple(slot)) for slot in slots)
 
 
 def mapping_from_assignment(
     spec: ComputationSpec, clock: Clock, assignment: Mapping[str, int]
-) -> GradMapping:
+) -> Chain:
     """Read a name-to-graduation assignment against the clock.
 
     Values naming loop steps are preferred; if they cannot chain, they
-    are reread as the extents each loop sweeps.
+    are reread as the extents each loop sweeps.  The outermost loop must
+    sweep the clock span, which a triangular index widened to its
+    declared extent can overrun.
     """
     problems = []
     for mode in ("steps", "extents"):
         try:
-            return _build_mapping(spec, clock, assignment, mode)
+            chain = _build_mapping(spec, clock, assignment, mode)
         except BuildError as exc:
             problems.append(f"as {mode}: {exc}")
+            continue
+        if isinstance(chain[0], EnumNode) and chain[0].extent != clock.span:
+            raise BuildError("outermost loop does not sweep the clock span")
+        return chain
     raise BuildError("; ".join(problems))
-
-
-def map_indexes(
-    spec: ComputationSpec,
-    clock: Clock,
-    mapping: GradMapping,
-    convolutions: int | None = None,
-) -> ScheduleTree:
-    """Lay the mapped loops out as a counting nest over the clock."""
-    if mapping.span != clock.span:
-        raise BuildError("mapping span does not match the clock span")
-    nodes: list[EnumNode | FormGroup] = []
-    lower = Affine()
-    for slot in mapping.slots:
-        loops = tuple(
-            EnumNode(
-                index=loop.name,
-                step=loop.step,
-                extent=loop.count * loop.step,
-                lower=lower,
-                synthetic=loop.synthetic,
-                contributes=loop.contributes,
-            )
-            for loop in slot
-        )
-        nodes.append(loops[0] if len(loops) == 1 else FormGroup(members=loops))
-        lower = Affine.var(slot[0].name)
-    if isinstance(nodes[0], EnumNode) and nodes[0].extent != clock.span:
-        raise BuildError("outermost loop does not sweep the clock span")
-    tree = ScheduleTree(roots=(_chain(nodes, FormulaBlock()),), clock=clock, spec=spec)
-    if convolutions is not None:
-        tree = apply_convolutions(tree, convolutions)
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +681,7 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
     if tree.plan.snapshot_locs:
         # the copies' scratch array would take the place of the banked cells
         raise UnsupportedRewriteError("accumulator unfolding of a schedule that banks cells")
-    root = tree.roots[0]
+    root = tree.roots[0][0] if tree.roots[0] else None
     if not isinstance(root, EnumNode) or len(root.contributes) != 1:
         raise UnsupportedRewriteError("accumulator unfolding needs a plainly mapped outer loop")
     source, weight = root.contributes[0]
@@ -824,15 +726,15 @@ def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
     """
     if copies < 1 or not is_power_of_two(copies):
         raise BuildError(f"unfold width {copies} must be a positive power of two")
-    if len(tree.roots) != 1 or isinstance(tree.roots[0], UnfoldCopy):
+    if len(tree.roots) != 1:
         raise BuildError("tree is already unfolded")
     spec = tree.spec
     known = {d.name for d in spec.indexes} if spec else set()
     if spec is not None and name not in known:
         tree = _add_accumulator(tree, name, copies)
         spec = tree.spec
-        known = {d.name for d in spec.indexes}
-    root = tree.roots[0]
+    (chain,) = tree.roots
+    root = chain[0] if chain else None
     if not isinstance(root, EnumNode):
         raise BuildError("only a loop nest can be unfolded")
     if name != root.index:
@@ -851,18 +753,11 @@ def unfold(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree:
     base = root.lower.const
     if root.lower.terms:
         raise BuildError("outer loop must have constant bounds")
-    out: list[UnfoldCopy] = []
-    for b in range(copies):
-        lo = base + b * group * root.step
-        narrowed = replace(
-            root,
-            lower=Affine.of(lo),
-            extent=group * root.step,
-            digit_base=b * group,
-            body=root.body,
-        )
-        out.append(UnfoldCopy(body=(narrowed,)))
-    return replace(tree, roots=tuple(out))
+    return replace(tree, roots=tuple(
+        (replace(root, lower=Affine.of(base + b * group * root.step),
+                 extent=group * root.step, digit_base=b * group), *chain[1:])
+        for b in range(copies)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -975,14 +870,13 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
         for d in spec1.indexes
         if d.name not in bound
     ]
-    root = _chain(nodes, FormulaBlock())
     from .lower import lower
 
     # the nest visits domain_points in order
     plan = allocate_temporaries(
         spec1, extract_dependencies(spec1), lambda: lower(spec1, domain_points(spec1))
     )
-    return ScheduleTree(roots=(root,), spec=spec1, source=text, plan=plan)
+    return ScheduleTree(roots=(tuple(nodes),), spec=spec1, source=text, plan=plan)
 
 
 def build_schedule(
@@ -1018,11 +912,12 @@ def build_schedule(
             raise BuildError(f"domain of {total} points has no power-of-two clock")
         clock = make_clock(log2_exact(total))
     if assignment is not None:
-        mapping = mapping_from_assignment(spec1, clock, assignment)
+        chain = mapping_from_assignment(spec1, clock, assignment)
     else:
-        mapping = mapping_from_order(spec1, clock, order)
-    tree = map_indexes(spec1, clock, mapping, convolutions)
-    tree = replace(tree, source=text)
+        chain = mapping_from_order(spec1, clock, order)
+    tree = ScheduleTree(roots=(chain,), clock=clock, spec=spec1, source=text)
+    if convolutions is not None:
+        tree = apply_convolutions(tree, convolutions)
     from .engine import enumerate_schedule
 
     tree = replace(tree, plan=allocate_temporaries(

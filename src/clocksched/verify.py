@@ -522,6 +522,8 @@ def verify_report(
     equivalence with ``reference_stream`` of the tree's source, and the
     profile.  ``lines`` is the text ``clocksched verify`` prints."""
     tree = trace.tree
+    if tree.spec is None:
+        raise ValueError("a schedule without a spec has nothing to verify")
     spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
     # without a rewrite or an epilogue the trace runs the reference's spec on
     # its cell layout, so every check shares the reference's points and

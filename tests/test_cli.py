@@ -15,7 +15,7 @@ import clocksched
 from clocksched import build_schedule, make_clock, schedule_from_json, schedule_to_json
 from clocksched.cli import main
 from clocksched.formula import infer_shapes
-from clocksched.schedule import NO_PLAN, scratch_cells
+from clocksched.schedule import NO_PLAN, scratch_cells, time_skeleton
 
 import cases
 
@@ -298,6 +298,14 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
             "field 'roots' is malformed: a form group needs at least one member",
         ),
         (
+            lambda doc: {**doc, "roots": [{"kind": "group", "members": [{"kind": "block"}], "body": doc["roots"][0]["body"]}]},
+            "field 'roots' is malformed: a group member is a 'block' node, not a loop",
+        ),
+        (
+            lambda doc: _with_root(doc, body=[{"kind": "copy", "body": doc["roots"][0]["body"]}]),
+            "field 'roots' is malformed: a copy node wraps a whole root, not a loop's body",
+        ),
+        (
             lambda doc: _with_spec(doc, ";\n", ";\ndomain Z < 1;\n"),
             "field 'spec' is malformed: domain guard names undeclared index Z",
         ),
@@ -361,6 +369,10 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
             lambda doc: _convolved_matmul_starting("I", [["J", 1]]),
             "loop I starts at J, which no enclosing loop sets",
         ),
+        (
+            lambda doc: schedule_to_json(time_skeleton(make_clock(2))),
+            "a schedule without a spec has nothing to verify",
+        ),
     ],
     ids=[
         "bare-header",
@@ -374,6 +386,8 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "weight-not-integer",
         "digit-base-null",
         "group-without-members",
+        "group-member-not-a-loop",
+        "copy-inside-a-loop",
         "spec-guard-names-no-index",
         "spec-reads-an-undeclared-index",
         "spec-when-names-no-index",
@@ -388,6 +402,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "lower-bound-names-no-loop",
         "lower-bound-names-its-own-loop",
         "lower-bound-names-an-inner-loop",
+        "bare-time-skeleton",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -536,6 +551,16 @@ def test_an_older_document_keeps_its_loops_chained(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path)
     assert code == 0 and out == clean
     assert "widths: [1, 4]\n" in out and out.endswith("verdict: pass\n")
+
+
+@pytest.mark.parametrize("command", ["emit", "verify", "analyze"])
+def test_a_deeply_nested_document_is_malformed_not_a_traceback(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, command, str(deep))
+    assert code == 2
+    assert out == ""
+    assert err == "error: schedule document nests deeper than the JSON reader allows\n"
 
 
 def test_emit_refuses_a_branching_nest(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from clocksched.cli import main
 from clocksched.emit import schedule_from_json, schedule_to_json, value_texts
 from clocksched.formula import domain_points
-from clocksched.schedule import nest, nest_loops
+from clocksched.schedule import nest_loops
 
 import cases
 import oracles
@@ -139,7 +139,7 @@ def visits_the_domain_once(doc) -> bool:
     walk of the document makes and filtered by its guards, give each
     domain point exactly once."""
     tree = schedule_from_json(doc)
-    texts = [value_texts(tree.spec, nest_loops(nest(root))) for root in tree.roots]
+    texts = [value_texts(tree.spec, nest_loops(root)) for root in tree.roots]
     names = tree.spec.index_names()
     points = []
     for root, _, env in oracles.document_visits(doc):

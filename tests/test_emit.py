@@ -99,6 +99,19 @@ def test_json_round_trip_is_exact(build):
     assert schedule_from_json(doc) == tree
 
 
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("accumulator.json", cases.accumulator_tree),  # copy roots and an epilogue
+        ("matmul_form.json", cases.matmul_form_tree),  # a form group
+        ("stencil.json", cases.stencil_tree),  # a snapshot plan
+        ("skeleton_convolved.json", cases.skeleton_convolved),  # no spec
+    ],
+)
+def test_json_document_matches_golden(name, build):
+    assert json.dumps(schedule_to_json(build()), indent=2) == golden(name)
+
+
 def test_json_document_is_serializable():
     doc = schedule_to_json(cases.transpose_unfold_tree())
     text = json.dumps(doc)

@@ -59,7 +59,6 @@ from clocksched.schedule import (
     apply_convolutions,
     assign_slots,
     build_schedule,
-    nest,
     nest_loops,
     next_power_of_two,
     scratch_cells,
@@ -499,7 +498,7 @@ def built_schedules(draw):
             options["order"] = order
         over = [order[0]] + (["TMP"] if kind == "accumulator" else [])
     tree = build_schedule(spec, **options)
-    widths = [c for c in (2, 4, 8) if tree.roots[0].count % c == 0]
+    widths = [c for c in (2, 4, 8) if tree.roots[0][0].count % c == 0]
     name = draw(st.one_of(st.none(), st.sampled_from(over)))
     if name is not None and widths:
         copies = draw(st.sampled_from(widths))
@@ -551,7 +550,7 @@ def assert_texts_give_the_trace(tree):
     """Run the oracle's walk, evaluate each emitted index text at every
     visit, apply the guards, and demand exactly the trace's records."""
     trace = enumerate_schedule(tree)
-    texts = [value_texts(tree.spec, nest_loops(nest(root))) for root in tree.roots]
+    texts = [value_texts(tree.spec, nest_loops(root)) for root in tree.roots]
     visited = []
     for root, offsets, env in oracles.document_visits(schedule_to_json(tree)):
         point = {n: oracles.evaluate(text, env) for n, text in texts[root].items()}

@@ -12,17 +12,14 @@ from clocksched.schedule import (
     BuildError,
     EnumNode,
     FormGroup,
-    FormulaBlock,
     Recovered,
+    ScheduleTree,
     TempBudgetError,
-    UnfoldCopy,
     UnsupportedRewriteError,
     apply_convolutions,
     build_schedule,
     mapping_from_assignment,
     mapping_from_order,
-    map_indexes,
-    nest as root_chain,
     nest_loops,
     next_power_of_two,
     pad_and_guard,
@@ -34,18 +31,6 @@ from clocksched.schedule import (
 )
 
 import cases
-
-
-def nest(tree):
-    """Loop chain of a single-rooted tree, outermost first."""
-    out = []
-    node = tree.roots[0]
-    while not isinstance(node, FormulaBlock):
-        out.append(node)
-        if isinstance(node, FormGroup):
-            break
-        (node,) = node.body
-    return out
 
 
 # -- affine bookkeeping ------------------------------------------------------
@@ -63,11 +48,46 @@ def test_enum_node_rejects_ragged_step():
         EnumNode(index="T", step=3, extent=8)
 
 
+def _starts_at(index: str, step: int, extent: int, name: str) -> EnumNode:
+    return EnumNode(index, step, extent, lower=Affine.var(name))
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        (((_starts_at("I", 1, 2, "Q"),),), "loop I starts at Q"),
+        (((_starts_at("I", 1, 2, "I"),),), "loop I starts at I"),
+        (
+            ((EnumNode("I", 2, 4), _starts_at("J", 1, 2, "K"), EnumNode("K", 1, 2)),),
+            "loop J starts at K",
+        ),
+        (
+            ((EnumNode("K", 4, 8), FormGroup((EnumNode("I", 1, 2), _starts_at("J", 1, 2, "I")))),),
+            "loop J starts at I",
+        ),
+        (((EnumNode("I", 2, 4),), (_starts_at("J", 1, 2, "I"),)), "loop J starts at I"),
+    ],
+    ids=["unknown", "itself", "inner", "group-sibling", "other-root"],
+)
+def test_a_tree_refuses_a_lower_bound_that_no_enclosing_loop_sets(roots, message):
+    with pytest.raises(BuildError, match=message + ", which no enclosing loop sets"):
+        ScheduleTree(roots=roots)
+
+
+def test_a_lower_bound_may_name_any_enclosing_loop():
+    chain = (
+        EnumNode("K", 4, 8),
+        FormGroup((_starts_at("I", 1, 2, "K"), _starts_at("J", 1, 2, "K"))),
+        EnumNode("L", 1, 2, lower=Affine.var("K").plus(1)),
+    )
+    assert ScheduleTree(roots=(chain,)).roots == (chain,)
+
+
 # -- skeletons ---------------------------------------------------------------
 
 def test_time_skeleton_levels():
     tree = time_skeleton(make_clock(3))
-    loops = nest(tree)
+    loops = tree.roots[0]
     assert [(l.index, l.step, l.extent) for l in loops] == [
         ("T", 4, 8),
         ("TX", 2, 4),
@@ -79,13 +99,13 @@ def test_time_skeleton_levels():
 
 def test_time_skeleton_scaled():
     tree = time_skeleton(make_clock(2, 2, 4))
-    loops = nest(tree)
+    loops = tree.roots[0]
     assert [(l.step, l.extent) for l in loops] == [(8, 16), (4, 8)]
 
 
 def test_convolutions_rename_and_chain():
     tree = apply_convolutions(time_skeleton(make_clock(3)), 2)
-    loops = nest(tree)
+    loops = tree.roots[0]
     assert [l.index for l in loops] == ["T", "TXN", "TYN"]
     assert not loops[0].converted
     assert loops[1].converted and loops[1].lower == Affine.var("T")
@@ -94,7 +114,7 @@ def test_convolutions_rename_and_chain():
 
 def test_convolutions_partial():
     tree = apply_convolutions(time_skeleton(make_clock(3)), 1)
-    loops = nest(tree)
+    loops = tree.roots[0]
     assert [l.index for l in loops] == ["T", "TXN", "TY"]
     assert not loops[2].converted
 
@@ -114,7 +134,7 @@ def test_convolutions_refuse_unfolded_tree():
 
 
 def test_composed_skeleton_chain():
-    loops = nest(cases.composed_6clock())
+    loops = cases.composed_6clock().roots[0]
     assert [l.index for l in loops] == ["TG", "TGXN", "TGYN", "T", "TXN", "TYN"]
     assert [l.step for l in loops] == [32, 16, 8, 4, 2, 1]
     # the second factor's root rides on the first factor's innermost wheel
@@ -144,10 +164,10 @@ def test_pad_and_guard():
 
 def test_mapping_from_order_default_declaration_order():
     spec = parse_spec(cases.MATMUL)
-    mapping = mapping_from_order(spec, make_clock(3))
-    assert [[(l.name, l.step) for l in slot] for slot in mapping.slots] == [
-        [("I", 4)], [("J", 2)], [("K", 1)],
-    ]
+    chain = mapping_from_order(spec, make_clock(3))
+    assert [(l.index, l.step) for l in chain] == [("I", 4), ("J", 2), ("K", 1)]
+    # each loop below the first starts at the one above it
+    assert [l.lower for l in chain] == [Affine(), Affine.var("I"), Affine.var("J")]
 
 
 def test_mapping_from_order_errors():
@@ -167,25 +187,24 @@ def test_mapping_steps_and_extents_agree():
     by_steps = mapping_from_assignment(spec, clock, {"M": 8, "N": 4, "P": 2, "Q": 1})
     by_extents = mapping_from_assignment(spec, clock, {"M": 16, "N": 8, "P": 4, "Q": 2})
     assert by_steps == by_extents
-    assert [[(l.name, l.step) for l in slot] for slot in by_steps.slots] == [
-        [("M", 8)], [("N", 4)], [("P", 2)], [("Q", 1)],
-    ]
+    assert [(l.index, l.step) for l in by_steps] == [("M", 8), ("N", 4), ("P", 2), ("Q", 1)]
 
 
 def test_mapping_shared_slot():
     spec = parse_spec(cases.MATMUL)
-    mapping = mapping_from_assignment(spec, make_clock(3), {"K": 8, "I": 4, "J": 4})
-    k_slot, shared = mapping.slots
-    assert k_slot[0].name == "K" and k_slot[0].step == 4
-    assert [l.name for l in shared] == ["I", "J"]
+    k_loop, shared = mapping_from_assignment(spec, make_clock(3), {"K": 8, "I": 4, "J": 4})
+    assert k_loop.index == "K" and k_loop.step == 4
+    assert [l.index for l in shared.members] == ["I", "J"]
     # two indexes of extent 2 pack a four-state slot at unit step
-    assert all(l.step == 1 and l.count == 2 for l in shared)
+    assert all(l.step == 1 and l.count == 2 for l in shared.members)
+    # every member starts at the loop above the group
+    assert all(l.lower == Affine.var("K") for l in shared.members)
 
 
 def test_mapping_shared_slot_leads_with_first_declared():
     spec = parse_spec("space J[2], I[2], K[2];\na(I,J) += b(I,K)*c(K,J);\n")
-    mapping = mapping_from_assignment(spec, make_clock(3), {"K": 8, "I": 4, "J": 4})
-    assert [l.name for l in mapping.slots[1]] == ["J", "I"]
+    chain = mapping_from_assignment(spec, make_clock(3), {"K": 8, "I": 4, "J": 4})
+    assert [l.index for l in chain[1].members] == ["J", "I"]
 
 
 def test_mapping_shared_slot_capacity_mismatch():
@@ -196,10 +215,10 @@ def test_mapping_shared_slot_capacity_mismatch():
 
 def test_mapping_synthetic_split():
     spec = parse_spec(cases.STENCIL)
-    mapping = mapping_from_assignment(
+    chain = mapping_from_assignment(
         spec, make_clock(4, 2, 2), {"S": 16, "I": 8, "T": 4, "J": 2}
     )
-    loops = {l.name: l for slot in mapping.slots for l in slot}
+    loops = {l.index: l for l in nest_loops(chain)}
     assert loops["S"].synthetic and loops["T"].synthetic
     assert loops["S"].contributes == (("I", 1),)
     assert loops["I"].contributes == (("I", 2),)
@@ -220,8 +239,8 @@ def test_mapping_block_bind_contribution():
         "space T[2], I[4], J[4];\ndomain T = I / 2;\ndomain J < I;\n"
         "temp tmp;\ntmp(T) = a(I,J);\na(I,J) = a(J,I);\na(J,I) = tmp(T);\n"
     )
-    mapping = mapping_from_assignment(spec, make_clock(3), {"T": 8, "I": 4, "J": 2})
-    loops = {l.name: l for slot in mapping.slots for l in slot}
+    chain = mapping_from_assignment(spec, make_clock(3), {"T": 8, "I": 4, "J": 2})
+    loops = {l.index: l for l in nest_loops(chain)}
     assert loops["T"].contributes == (("T", 1), ("I", 2))
     assert loops["I"].contributes == (("I", 1),)
 
@@ -230,8 +249,8 @@ def test_mapping_triangular_widening():
     spec = parse_spec(
         "space I[4], J[4];\ndomain J < I;\nb(I,J) = a(I,J);\n"
     )
-    mapping = mapping_from_assignment(spec, make_clock(3), {"X": 8, "I": 4, "J": 2})
-    loops = {l.name: l for slot in mapping.slots for l in slot}
+    chain = mapping_from_assignment(spec, make_clock(3), {"X": 8, "I": 4, "J": 2})
+    loops = {l.index: l for l in nest_loops(chain)}
     assert loops["J"].count == 4  # widened from 2 to the declared extent
 
 
@@ -255,15 +274,16 @@ def test_mapping_rejects_bad_values():
         mapping_from_assignment(spec, make_clock(3), {})
 
 
-def test_map_indexes_span_check():
-    spec = parse_spec(cases.MATMUL)
-    mapping = mapping_from_order(spec, make_clock(3))
-    with pytest.raises(BuildError):
-        map_indexes(spec, make_clock(4), mapping)
+def test_outermost_loop_must_sweep_the_clock_span():
+    """Widened to its declared extent, a triangular outer index runs
+    past the span its graduation leaves it."""
+    spec = parse_spec("space I[4], J[4];\ndomain I < J;\nb(I,J) = a(I,J);\n")
+    with pytest.raises(BuildError, match="outermost loop does not sweep the clock span"):
+        mapping_from_assignment(spec, make_clock(3), {"I": 4, "J": 1})
 
 
 def test_mapped_nest_is_convolved():
-    loops = nest(cases.matmul_tree())
+    loops = cases.matmul_tree().roots[0]
     assert [(l.index, l.step, l.extent) for l in loops] == [
         ("K", 4, 8),
         ("I", 2, 4),
@@ -274,7 +294,7 @@ def test_mapped_nest_is_convolved():
 
 
 def test_form_group_node():
-    loops = nest(cases.matmul_form_tree())
+    loops = cases.matmul_form_tree().roots[0]
     group = loops[-1]
     assert isinstance(group, FormGroup)
     assert [m.index for m in group.members] == ["I", "J"]
@@ -344,17 +364,16 @@ def test_a_swap_that_computes_something_else_is_refused(src, message):
 # -- unfolding ---------------------------------------------------------------
 
 def _recovered(tree, root):
-    return {step.index: step for step in recovery(tree.spec, nest_loops(root_chain(root)))}
+    return {step.index: step for step in recovery(tree.spec, nest_loops(root))}
 
 
 def test_unfold_narrows_outer_loop():
     tree = cases.transpose_unfold_tree()
     assert len(tree.roots) == 2
     for b, copy in enumerate(tree.roots):
-        assert isinstance(copy, UnfoldCopy)
         # rows 2b and 2b+1 share scratch block b, so T reads as a constant
         assert _recovered(tree, copy)["T"] == Recovered("T", const=b)
-        (outer,) = copy.body
+        outer = copy[0]
         assert outer.lower == Affine.of(8 * b)
         assert outer.extent == 8
         assert outer.digit_base == 2 * b
@@ -431,7 +450,7 @@ def test_matmul_needs_no_scratch():
 
 def test_sequential_schedule_shape():
     tree = sequential_schedule(cases.MATMUL)
-    loops = nest(tree)
+    loops = tree.roots[0]
     assert [(l.index, l.step, l.extent) for l in loops] == [
         ("I", 1, 2),
         ("J", 1, 2),
@@ -443,7 +462,7 @@ def test_sequential_schedule_shape():
 
 def test_sequential_skips_bound_indexes():
     tree = sequential_schedule(cases.TRANSPOSE)
-    assert [l.index for l in nest(tree)] == ["I", "J"]
+    assert [l.index for l in tree.roots[0]] == ["I", "J"]
 
 
 # -- build_schedule ----------------------------------------------------------

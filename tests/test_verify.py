@@ -133,7 +133,7 @@ def test_coverage_ok_on_mapped_matmul():
 
 def test_coverage_reports_missing_points():
     tree = cases.matmul_tree()
-    half = replace(tree, roots=(replace(tree.roots[0], extent=4),))
+    half = replace(tree, roots=((replace(tree.roots[0][0], extent=4), *tree.roots[0][1:]),))
     report = check_coverage(enumerate_schedule(half))
     assert not report.ok
     assert len(report.missing) == 4
@@ -143,7 +143,9 @@ def test_coverage_reports_missing_points():
 
 def test_coverage_reports_duplicates():
     tree = cases.matmul_tree()
-    stuck = replace(tree, roots=(replace(tree.roots[0], contributes=(("K", 0),)),))
+    stuck = replace(
+        tree, roots=((replace(tree.roots[0][0], contributes=(("K", 0),)), *tree.roots[0][1:]),)
+    )
     report = check_coverage(enumerate_schedule(stuck))
     assert not report.ok
     assert report.duplicated and report.missing
@@ -151,7 +153,7 @@ def test_coverage_reports_duplicates():
 
 def test_coverage_reports_points_outside_the_domain():
     tree = build_schedule("space I[8];\nb(I) = a(I);\n", clock=make_clock(3), order=["I"])
-    wide = replace(tree, roots=(replace(tree.roots[0], extent=11),))
+    wide = replace(tree, roots=((replace(tree.roots[0][0], extent=11), *tree.roots[0][1:]),))
     report = check_coverage(enumerate_schedule(wide))
     assert not report.ok
     assert report.extra == ((8,), (9,), (10,))
@@ -208,7 +210,7 @@ def test_writes_checked_counts_only_points_that_write():
 
 def test_dependencies_catch_lost_contributions():
     tree = cases.matmul_tree()
-    half = replace(tree, roots=(replace(tree.roots[0], extent=4),))
+    half = replace(tree, roots=((replace(tree.roots[0][0], extent=4), *tree.roots[0][1:]),))
     report = check_dependencies(enumerate_schedule(half))
     assert not report.ok
     assert "gathered 1 of 2 contributions" in report.violations[0]
