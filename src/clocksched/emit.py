@@ -269,7 +269,7 @@ def _loop_from_json(doc: dict) -> EnumNode:
         step=_typed(doc["step"], int, "step"),
         extent=_typed(doc["extent"], int, "extent"),
         lower=_affine_from_json(doc["lower"]),
-        synthetic=doc["synthetic"],
+        synthetic=_typed(doc["synthetic"], bool, "synthetic"),
         contributes=tuple(
             (_typed(n, str, "contributes index"), _typed(w, int, "contributes weight"))
             for n, w in doc["contributes"]
@@ -393,7 +393,8 @@ def _plan_from_json(p: dict) -> TempPlan:
 def _typed(value, kind: type, what: str):
     """``value`` if its type is exactly ``kind`` (a bool is no integer)."""
     if type(value) is not kind:
-        raise TypeError(f"{what} must be {'an integer' if kind is int else 'text'}, got {value!r}")
+        name = {int: "an integer", str: "text", bool: "true or false"}[kind]
+        raise TypeError(f"{what} must be {name}, got {value!r}")
     return value
 
 

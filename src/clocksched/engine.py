@@ -1,8 +1,10 @@
 """Walk schedule trees and sparse graphs into visit traces.
 
 A trace is the ground truth the verifier works from: one record per
-enumerated point, carrying the loop offsets (the time decomposition),
-the recovered index point, and the 2-adic color of the time value.
+enumerated point, in visit order, carrying what enumeration decides:
+the loop offsets (the time decomposition), the recovered index point,
+the time value, the convolution level and the unfolded copy.  Derived
+facts, such as a visit's 2-adic color, are ``analyze``'s to compute.
 
 Each root of a schedule tree is one chain, a tuple of loops and form
 groups outermost first, and each loop runs through a fixed count of
@@ -14,12 +16,11 @@ what is verified is what is emitted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clock import Clock, clock_points, color_of, log2_exact
 from .formula import ComputationSpec, LessThan
@@ -29,23 +30,20 @@ if TYPE_CHECKING:
     from .lower import Stream
 
 
-@dataclass(frozen=True)
-class VisitRecord:
-    seq: int
+class VisitRecord(NamedTuple):
     time_point: tuple[int, ...]
     lattice_point: tuple[int, ...]
     time_value: int
-    color: int
     level: int
-    copy: int = 0
+    copy: int
 
 
 @dataclass(frozen=True)
 class VisitTrace:
+    """The visits in order: a record's sequence number is its position."""
+
     records: tuple[VisitRecord, ...]
     tree: ScheduleTree
-    names: tuple[str, ...]
-    color_bits: int
 
     @property
     def spec(self) -> ComputationSpec | None:
@@ -63,9 +61,6 @@ class VisitTrace:
         if self.spec is None:
             raise ValueError("this trace enumerates bare time, not a spec")
         return lower(self.spec, [r.lattice_point for r in self.records], self.tree.epilogue)
-
-    def points(self) -> list[dict[str, int]]:
-        return [dict(zip(self.names, r.lattice_point)) for r in self.records]
 
 
 def _table(spec: ComputationSpec, loops: list[EnumNode], where: dict[str, int]):
@@ -125,7 +120,7 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
         (where[g.left], where.get(g.right, -1), g.right)
         for g in (spec.domain if spec else ()) if isinstance(g, LessThan)
     ]
-    rows = []
+    records = []
     for copy, chain in enumerate(tree.roots):
         loops = nest_loops(chain)
         base = sum(n.lower.const for n in chain if isinstance(n, EnumNode))
@@ -153,19 +148,8 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
             scaled = tuple(map(mul, ds, scales))
             offsets = scaled if flat else tuple(sum(scaled[a:b]) for a, b in spans)
             level = sum(1 for p in converted if ds[p])
-            rows.append((offsets, lattice, sum(scaled) + base, level, copy))
-
-    if tree.clock is not None:
-        bits = log2_exact(tree.clock.states)
-        unit = tree.clock.unit_scale
-    else:
-        bits = max(max((row[2] for row in rows), default=0).bit_length(), 1)
-        unit = 1
-    records = tuple(
-        VisitRecord(seq, offsets, lattice, tau, color_of(tau // unit, bits), level, copy)
-        for seq, (offsets, lattice, tau, level, copy) in enumerate(rows)
-    )
-    return VisitTrace(records=records, tree=tree, names=tuple(names), color_bits=bits)
+            records.append(VisitRecord(offsets, lattice, sum(scaled) + base, level, copy))
+    return VisitTrace(records=tuple(records), tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +159,6 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
 class SparseGraph:
     count: int
     edges: tuple[tuple[int, int], ...]
-    origin: int = 0
 
 
 def parse_edge_list(text: str) -> SparseGraph:
@@ -203,8 +186,7 @@ def parse_edge_list(text: str) -> SparseGraph:
     return SparseGraph(count=top + 1, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class SparseRecord:
+class SparseRecord(NamedTuple):
     vertex: int
     unit_index: int
     slot: int
@@ -217,9 +199,13 @@ def enumerate_sparse(
 ) -> tuple[SparseRecord, ...]:
     """Assign discovery-ordered vertices to unit-clock slots.
 
-    Depth-first discovery is the default; breadth-first is the option.
-    Slots are consumed in ascending reachable-time order, and a filled
-    unit is followed by a fresh one a full span later.
+    One depth-first walk from the origin, vertex 0, children ascending,
+    lists the vertices in preorder, refuses an edge back onto its path
+    as a cycle, and marks what the origin reaches; a vertex it does not
+    reach is refused.  Depth-first discovery is the default order;
+    breadth-first is the option.  Slots are consumed in ascending
+    reachable-time order, and a filled unit is followed by a fresh one a
+    full span later.
     """
     adj: dict[int, list[int]] = {}
     for u, v in graph.edges:
@@ -229,71 +215,46 @@ def enumerate_sparse(
 
     # explicit stacks, so a long chain cannot hit the recursion limit;
     # a vertex without children is finished without a stack entry
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for root in range(graph.count):
-        if root in state:
-            continue
-        state[root] = 1
-        path, stack = [root], [iter(adj.get(root, ()))]
-        while stack:
-            for w in stack[-1]:
-                s = state.get(w)
-                if s == 1:
-                    raise ValueError(f"graph has a cycle through edge {path[-1]} -> {w}")
-                if s is None:
-                    if w in adj:
-                        state[w] = 1
-                        path.append(w)
-                        stack.append(iter(adj[w]))
-                        break
-                    state[w] = 2
-            else:
-                state[path.pop()] = 2
-                stack.pop()
+    order = [0]
+    state = {0: 1}  # 1 = on the path, 2 = done
+    path, stack = [0], [iter(adj.get(0, ()))]
+    while stack:
+        for w in stack[-1]:
+            s = state.get(w)
+            if s == 1:
+                raise ValueError(f"graph has a cycle through edge {path[-1]} -> {w}")
+            if s is None:
+                order.append(w)
+                if w in adj:
+                    state[w] = 1
+                    path.append(w)
+                    stack.append(iter(adj[w]))
+                    break
+                state[w] = 2
+        else:
+            state[path.pop()] = 2
+            stack.pop()
+    # a graph built by hand may name ids past its count; they are no vertexes
+    missing = graph.count - sum(1 for v in state if v < graph.count)
+    if missing > 0:
+        first = next(v for v in range(graph.count) if v not in state)
+        raise ValueError(
+            f"origin 0 does not reach {missing} of {graph.count} vertexes; the first is {first}"
+        )
 
-    order: list[int] = []
-    seen = {graph.origin}
     if bfs:
-        queue = deque([graph.origin])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order, seen = [0], {0}
+        for v in order:  # the list is the queue: the loop reads what it appends
             for w in adj.get(v, ()):
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-    else:
-        order.append(graph.origin)
-        stack = [iter(adj.get(graph.origin, ()))]
-        while stack:
-            for w in stack[-1]:
-                if w not in seen:
-                    seen.add(w)
                     order.append(w)
-                    if w in adj:
-                        stack.append(iter(adj[w]))
-                        break
-            else:
-                stack.pop()
-    missing = [v for v in range(graph.count) if v not in seen]
-    if missing:
-        raise ValueError(
-            f"origin {graph.origin} does not reach vertexes {missing}"
-        )
 
-    slots = clock_points(unit)
     bits = log2_exact(unit.states)
-    out = []
+    slots = [(tick, color_of(tick // unit.unit_scale, bits)) for tick in clock_points(unit)]
+    records = []
     for pos, vertex in enumerate(order):
         unit_index, slot = divmod(pos, len(slots))
-        tick = slots[slot]
-        out.append(
-            SparseRecord(
-                vertex=vertex,
-                unit_index=unit_index,
-                slot=slot,
-                time_value=unit_index * unit.span + tick,
-                color=color_of(tick // unit.unit_scale, bits),
-            )
-        )
-    return tuple(out)
+        tick, color = slots[slot]
+        records.append(SparseRecord(vertex, unit_index, slot, unit_index * unit.span + tick, color))
+    return tuple(records)

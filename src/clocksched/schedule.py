@@ -214,7 +214,7 @@ def _level_names(k: int, prefix: str) -> list[str]:
     return [prefix + _LEVEL_SUFFIXES[i] for i in range(k)]
 
 
-def time_skeleton(clock: Clock, prefix: str = "T") -> ScheduleTree:
+def time_skeleton(clock: Clock) -> ScheduleTree:
     """Unconvolved counting nest over the clock's full state set.
 
     Level i steps ``span / rate**(i+1)``; every loop starts at zero,
@@ -222,7 +222,7 @@ def time_skeleton(clock: Clock, prefix: str = "T") -> ScheduleTree:
     """
     chain = []
     step = clock.span // clock.rate
-    for name in _level_names(clock.k, prefix):
+    for name in _level_names(clock.k, "T"):
         chain.append(EnumNode(index=name, step=step, extent=step * clock.rate, synthetic=True))
         step //= clock.rate
     return ScheduleTree(roots=(tuple(chain),), clock=clock)

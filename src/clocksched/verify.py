@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+from .clock import color_of, log2_exact
 from .engine import VisitTrace, enumerate_schedule
 from .formula import ComputationSpec, domain_points, legal_spec
 from .schedule import ScheduleTree, pad_and_guard
@@ -481,7 +482,9 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
 
     Records sharing an outer time prefix form one parallel set; the
     width at level L is the largest set when the innermost L offsets
-    are ignored.
+    are ignored.  A visit's color is the 2-adic color of its time value
+    in clock units over the clock's log2(states) bits; without a clock,
+    the unit is 1 and the bits are those of the largest time value.
     """
     records = trace.records
     if not records:
@@ -494,15 +497,18 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
             (r.copy, r.time_point[: depth - level]) for r in records
         )
         widths.append(max(groups.values()))
-    colors = Counter(r.color for r in records)
-    for c in range(trace.color_bits + 1):
+    clock = trace.tree.clock
+    if clock is not None:
+        bits, unit = log2_exact(clock.states), clock.unit_scale
+    else:
+        bits, unit = max(max(r.time_value for r in records).bit_length(), 1), 1
+    colors = Counter(color_of(r.time_value // unit, bits) for r in records)
+    for c in range(bits + 1):
         colors.setdefault(c, 0)
     total = len(records)
     measure = {c: Fraction(n, total) for c, n in colors.items()}
     locality = 0
     for a, b in zip(records, records[1:]):
-        if len(a.lattice_point) != len(b.lattice_point):
-            continue
         dist = sum(abs(x - y) for x, y in zip(a.lattice_point, b.lattice_point))
         if dist == 1:
             locality += 1

@@ -257,6 +257,14 @@ def _accumulator_with_epilogue(edit) -> dict:
     return doc
 
 
+def _unrecovered_index() -> dict:
+    """The document of ``a(I,J) = b(I,J)`` over ``I[4], J[4]`` with its
+    inner loop, J, emptied of the indexes it contributes to."""
+    doc = schedule_to_json(build_schedule("space I[4], J[4];\na(I,J) = b(I,J);\n"))
+    doc["roots"][0]["body"][0]["contributes"] = []
+    return doc
+
+
 def _convolved_matmul_starting(loop: str, terms: list) -> dict:
     """The document of matmul on ``--clock 3x2 --map K=8,I=4,J=2
     --convolutions 2``, where I starts at K and J at I, with ``loop``'s
@@ -292,6 +300,14 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         (
             lambda doc: _with_root(doc, digit_base=None),
             "field 'roots' is malformed: digit_base must be an integer, got None",
+        ),
+        (
+            lambda doc: _with_root(doc, synthetic="yes"),
+            "field 'roots' is malformed: synthetic must be true or false, got 'yes'",
+        ),
+        (
+            lambda doc: _with_root(doc, synthetic=7),
+            "field 'roots' is malformed: synthetic must be true or false, got 7",
         ),
         (
             lambda doc: {**doc, "roots": [{"kind": "group", "members": [], "body": doc["roots"][0]["body"]}]},
@@ -373,6 +389,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
             lambda doc: schedule_to_json(time_skeleton(make_clock(2))),
             "a schedule without a spec has nothing to verify",
         ),
+        (lambda doc: _unrecovered_index(), "error: index J is not recovered by any loop"),
     ],
     ids=[
         "bare-header",
@@ -385,6 +402,8 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "loop-without-body",
         "weight-not-integer",
         "digit-base-null",
+        "synthetic-text",
+        "synthetic-integer",
         "group-without-members",
         "group-member-not-a-loop",
         "copy-inside-a-loop",
@@ -403,6 +422,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "lower-bound-names-its-own-loop",
         "lower-bound-names-an-inner-loop",
         "bare-time-skeleton",
+        "no-loop-recovers-an-index",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -414,6 +434,27 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
     assert out == ""
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["emit", "analyze"])
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            lambda: _with_root(schedule_to_json(build_schedule(cases.MATMUL)), synthetic="yes"),
+            "error: schedule field 'roots' is malformed: synthetic must be true or false, got 'yes'\n",
+        ),
+        (_unrecovered_index, "error: index J is not recovered by any loop\n"),
+    ],
+    ids=["synthetic-text", "no-loop-recovers-an-index"],
+)
+def test_emit_and_analyze_refuse_what_verify_refuses(tmp_path, capsys, command, document, message):
+    """A loop whose ``synthetic`` is no boolean, and a nest in which no
+    loop recovers J, end every command that reads the document, not
+    only ``verify``."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document()))
+    assert run(capsys, command, str(bad)) == (2, "", message)
 
 
 def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):

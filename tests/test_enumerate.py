@@ -13,6 +13,7 @@ from clocksched.engine import (
 )
 from clocksched.formula import domain_points
 from clocksched.lower import VISIT
+from clocksched.verify import analyze
 
 import cases
 import oracles
@@ -20,17 +21,21 @@ import oracles
 TREE_EDGES = "0 1\n0 2\n1 3\n1 4\n2 5\n2 6\n"
 
 
+def points(trace) -> list[dict[str, int]]:
+    """Each record's index point by name."""
+    names = trace.spec.index_names()
+    return [dict(zip(names, r.lattice_point)) for r in trace.records]
+
+
 def test_skeleton_trace_counts_in_time_order():
     trace = enumerate_schedule(cases.skeleton_plain())
     assert [r.time_value for r in trace.records] == list(range(8))
     assert [r.time_point for r in trace.records] == clock_point_tuples(make_clock(3))
-    assert [r.seq for r in trace.records] == list(range(8))
 
 
 def test_skeleton_colors():
     trace = enumerate_schedule(cases.skeleton_plain())
-    assert [r.color for r in trace.records] == [3, 0, 1, 0, 2, 0, 1, 0]
-    assert trace.color_bits == 3
+    assert analyze(trace).colors == {3: 1, 0: 4, 1: 2, 2: 1}
 
 
 def test_unconvolved_levels_stay_flat():
@@ -52,32 +57,32 @@ def test_composed_chain_covers_the_full_span():
 def test_matmul_lattice_recovery():
     trace = enumerate_schedule(cases.matmul_tree())
     spec = trace.spec
-    got = sorted(tuple(p[n] for n in spec.index_names()) for p in trace.points())
+    got = sorted(tuple(p[n] for n in spec.index_names()) for p in points(trace))
     assert got == domain_points(spec)
     # outer wheel carries K, so K is slowest
-    assert [p["K"] for p in trace.points()] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert [p["K"] for p in points(trace)] == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_form_group_walks_the_member_product():
     trace = enumerate_schedule(cases.matmul_form_tree())
     assert [r.time_value for r in trace.records] == list(range(8))
     spec = trace.spec
-    got = sorted(tuple(p[n] for n in spec.index_names()) for p in trace.points())
+    got = sorted(tuple(p[n] for n in spec.index_names()) for p in points(trace))
     assert got == domain_points(spec)
 
 
 def test_guards_filter_visits():
     trace = enumerate_schedule(cases.transpose_tree())
-    points = trace.points()
-    assert len(points) == 6
-    assert all(p["J"] < p["I"] for p in points)
-    assert all(p["T"] == p["I"] // 2 for p in points)
+    visited = points(trace)
+    assert len(visited) == 6
+    assert all(p["J"] < p["I"] for p in visited)
+    assert all(p["T"] == p["I"] // 2 for p in visited)
 
 
 def test_stencil_trace_spacing():
     trace = enumerate_schedule(cases.stencil_tree())
     assert [r.time_value for r in trace.records] == list(range(0, 32, 2))
-    got = sorted((p["I"], p["J"]) for p in trace.points())
+    got = sorted((p["I"], p["J"]) for p in points(trace))
     assert got == oracles.lex_points([4, 4])
 
 
@@ -109,7 +114,7 @@ def test_trace_points_skip_the_epilogue():
     tree = cases.accumulator_tree()
     trace = enumerate_schedule(tree)
     assert tree.epilogue
-    assert len(trace.points()) == len(trace.records) == len(trace.stream.points)
+    assert len(points(trace)) == len(trace.records) == len(trace.stream.points)
 
 
 # -- sparse ------------------------------------------------------------------
@@ -168,8 +173,31 @@ def test_sparse_rejects_cycles():
 
 def test_sparse_rejects_unreachable_vertexes():
     graph = SparseGraph(count=4, edges=((0, 1), (2, 3)))
-    with pytest.raises(ValueError, match=r"reach vertexes \[2, 3\]"):
+    with pytest.raises(ValueError, match=r"reach 2 of 4 vertexes; the first is 2$"):
         enumerate_sparse(graph, make_clock(1))
+
+
+def test_sparse_refuses_a_cycle_the_origin_does_not_reach_as_unreachable():
+    """The walk from vertex 0 never meets the cycle 2 -> 3 -> 2, so it is
+    the unreached vertexes that refuse the graph."""
+    graph = parse_edge_list("0 1\n2 3\n3 2\n")
+    with pytest.raises(ValueError, match=r"^origin 0 does not reach 2 of 4 vertexes; the first is 2$"):
+        enumerate_sparse(graph, make_clock(1))
+
+
+def test_sparse_counts_only_ids_below_the_count_as_reached():
+    """Vertex 5 of a hand-built 3-vertex graph stands in for no vertex,
+    so vertex 2 is still unreached."""
+    graph = SparseGraph(count=3, edges=((0, 1), (1, 5)))
+    with pytest.raises(ValueError, match=r"reach 1 of 3 vertexes; the first is 2$"):
+        enumerate_sparse(graph, make_clock(1))
+
+
+def test_sparse_counts_unreached_vertexes_without_listing_them():
+    graph = parse_edge_list("0 5000000\n")
+    with pytest.raises(ValueError) as refused:
+        enumerate_sparse(graph, make_clock(1))
+    assert str(refused.value) == "origin 0 does not reach 4999999 of 5000001 vertexes; the first is 1"
 
 
 def test_sparse_walks_a_long_path_without_recursion():

@@ -441,7 +441,7 @@ def test_the_dependence_check_passes_only_plans_that_bank_what_the_reference_rea
     for store in random_store(shapes, seed), random_store(shapes, seed + 1):
         want = reference_interpret(source, store)
         got = oracles.run_with_plan(
-            tree.spec.formulas, trace.names, points, tree.epilogue, shapes, plan,
+            tree.spec.formulas, trace.spec.index_names(), points, tree.epilogue, shapes, plan,
             {name: list(cells.values()) for name, cells in store.items()},
         )
         differs = any(
@@ -555,7 +555,7 @@ def assert_texts_give_the_trace(tree):
     for root, offsets, env in oracles.document_visits(schedule_to_json(tree)):
         point = {n: oracles.evaluate(text, env) for n, text in texts[root].items()}
         if oracles.keeps_guards(tree.spec.domain, point):
-            visited.append((root, offsets, tuple(point[n] for n in trace.names)))
+            visited.append((root, offsets, tuple(point[n] for n in trace.spec.index_names())))
     assert [(r.copy, r.time_point, r.lattice_point) for r in trace.records] == visited
 
 

@@ -26,6 +26,7 @@ from clocksched.verify import (
     interpret,
     random_store,
     reference_interpret,
+    reference_stream,
     verify_report,
     zeros,
 )
@@ -251,6 +252,23 @@ def test_equivalence_counterexample():
     assert report.summary() == "equivalence: FAIL at a(0,0): a(0,1) has 0, the reference 1"
 
 
+TEMP_FIRST = "space I[4];\ntemp A;\nA(I) = b(I);\nc(I) = A(I) + b(I);\n"
+
+
+def test_equivalence_renames_cells_when_a_temp_sorts_first():
+    """The temp A sorts before b and c, so the source's layout puts b
+    and c at other cell ids than a candidate without A does, and the
+    polynomials are compared after renaming one numbering to the other."""
+    assert "equivalence: ok (exact, 8 cells)" in verify_report(
+        enumerate_schedule(build_schedule(TEMP_FIRST))
+    )["lines"]
+    reference = reference_stream(TEMP_FIRST)
+    doubled = equivalent(sequential_schedule("space I[4];\nc(I) = 2*b(I);\n"), reference)
+    assert doubled.ok and doubled.exact
+    tripled = equivalent(sequential_schedule("space I[4];\nc(I) = 3*b(I);\n"), reference)
+    assert tripled.summary() == "equivalence: FAIL at c(0): b(0) has 3, the reference 2"
+
+
 def test_equivalence_counterexample_past_the_budget(monkeypatch):
     monkeypatch.setattr(clocksched.verify, "EXACT_BUDGET", 0)
     report = equivalent(_misreading_stencil(), sequential_schedule(cases.STENCIL), trials=5)
@@ -430,7 +448,7 @@ def test_an_unbanked_reference_nest_fails_the_dependence_check():
     assert interpret(trace, store) == want
     values = {name: list(cells.values()) for name, cells in store.items()}
     points = [r.lattice_point for r in trace.records]
-    literal = oracles.run_with_plan(trace.spec.formulas, trace.names, points, (), shapes, [], values)
+    literal = oracles.run_with_plan(trace.spec.formulas, trace.spec.index_names(), points, (), shapes, [], values)
     assert literal["b"] != list(want["b"].values())
 
 
