@@ -202,8 +202,10 @@ def enumerate_sparse(
     One depth-first walk from the origin, vertex 0, children ascending,
     lists the vertices in preorder, refuses an edge back onto its path
     as a cycle, and marks what the origin reaches; a vertex it does not
-    reach is refused.  Depth-first discovery is the default order;
-    breadth-first is the option.  Slots are consumed in ascending
+    reach is refused, and then an edge that names an id at or past the
+    graph's count, which only a graph built by hand can hold
+    (``parse_edge_list`` counts past every id).  Depth-first discovery
+    is the default order; breadth-first is the option.  Slots are consumed in ascending
     reachable-time order, and a filled unit is followed by a fresh one a
     full span later.
     """
@@ -215,31 +217,46 @@ def enumerate_sparse(
 
     # explicit stacks, so a long chain cannot hit the recursion limit;
     # a vertex without children is finished without a stack entry
+    count = graph.count
     order = [0]
     state = {0: 1}  # 1 = on the path, 2 = done
     path, stack = [0], [iter(adj.get(0, ()))]
+    expanded = int(0 in adj)  # vertexes whose children the walk lists
+    past = None  # the first edge met that names an id at or past the count
     while stack:
         for w in stack[-1]:
             s = state.get(w)
             if s == 1:
                 raise ValueError(f"graph has a cycle through edge {path[-1]} -> {w}")
             if s is None:
+                if w >= count:  # a graph built by hand may name ids past its count
+                    past = past or (path[-1], w)
+                    continue
                 order.append(w)
                 if w in adj:
                     state[w] = 1
                     path.append(w)
                     stack.append(iter(adj[w]))
+                    expanded += 1
                     break
                 state[w] = 2
         else:
             state[path.pop()] = 2
             stack.pop()
-    # a graph built by hand may name ids past its count; they are no vertexes
-    missing = graph.count - sum(1 for v in state if v < graph.count)
+    missing = count - len(state)
     if missing > 0:
-        first = next(v for v in range(graph.count) if v not in state)
+        first = next(v for v in range(count) if v not in state)
         raise ValueError(
-            f"origin 0 does not reach {missing} of {graph.count} vertexes; the first is {first}"
+            f"origin 0 does not reach {missing} of {count} vertexes; the first is {first}"
+        )
+    if past is None and expanded < len(adj):  # an edge from an id past the count
+        u = next(u for u in adj if u not in state)
+        past = (u, adj[u][0])
+    if past is not None:
+        u, w = past
+        raise ValueError(
+            f"edge {u} -> {w} names vertex {u if u >= count else w}, "
+            f"at or past the graph's count {count}"
         )
 
     if bfs:

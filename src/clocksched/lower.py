@@ -27,6 +27,13 @@ computes when every read of an overwritten cell is served the cell's
 pre-pass value.  Serving it is a snapshot plan's job, and
 ``Stream.copy_reads`` states what a plan must serve.
 
+The rule fixes what most reads see in every visit order: a read of a
+copy sees the pre-pass value, and any other read sees nothing or a
+write made earlier at its own visit, except an accumulation's read of
+its own target.  ``Stream.dataflow`` walks a stream once and keeps only
+what order can change: those reads, each cell's last assignment and
+the contributions since, and the copy reads.
+
 ``lower`` builds the stream by columns, ``BLOCK`` points at a time.
 Every subscript is an index plus a displacement, so an access's cell
 id is affine in the point: from the block's coordinate columns it
@@ -303,37 +310,92 @@ class Stream:
                 mem[i] = _shared(_flat(p), i, like)
         return mem
 
-    def replay(self) -> Iterator[tuple[int, int, int, list]]:
-        """``(visit, code, write, seen)`` per application before the
-        epilogue; ``seen`` holds per read the ``(visit, code, write)`` it
-        sees: the cell's last write, for an accumulation's read of its own
-        cell the last assignment, or None for a copy's or an unwritten
-        cell's pre-pass value.  No read sees a SKIP."""
-        # per cell, visit * stride + code of its last write and of its last
-        # assignment, or -1 (no copy is written); tuples would outweigh the stream
-        stride = 4 * len(self.spec.formulas)  # past every code before the epilogue
-        last = array("q", [-1]) * (2 * self.layout.size)
-        assigned = array("q", last)
+    def dataflow(self, ranks: Sequence[int]) -> Dataflow:
+        """One walk of the visits, not the epilogue, gathering what visit
+        order can change (``Dataflow`` lists it).  A read sees its cell's
+        last write, or, where an ``ADD`` reads its own target, the
+        target's last assignment, or else nothing: the pre-pass value.
+        By the read rule a read of a copy sees nothing in every order, and
+        a read of a cell sees nothing or a write of its own visit, unless
+        an accumulation's record (an ``ADD`` or a ``SKIP``) reads its own
+        target; so only those reads, and the cells' finals, depend on
+        visit order.  An application's key is ``ranks[visit] * stride +
+        code``, the stride past every code before the epilogue; a rank
+        below zero must be -2 or lower, and at a visit of such a rank the
+        walk lists every read that sees a write."""
+        size, count = self.layout.size, len(self.points)
+        formulas = self.spec.formulas
+        stride = 4 * len(formulas)
+        # per code, whether the record may read its own target as the cell
+        # at an earlier visit: an accumulation that reads its target's array
+        selfish = bytearray(stride)
+        for i, f in enumerate(formulas):
+            if f.op == "+=" and any(a.name == f.result.name for t in f.terms for a in t.accesses):
+                selfish[i << 2 | ADD] = selfish[i << 2 | SKIP] = 1
+        flow = Dataflow(size)
+        first, early, late = flow.first, flow.early, flow.late
+        assigned, added, own, stray = flow.assigned, flow.added, flow.own, flow.stray
+        writes = base = 0
+        outside = False
         it = iter(self.codes)
         take = it.__next__
         visit = -1
         for code in it:
             if code == VISIT:
-                if (visit := visit + 1) == len(self.points):
-                    return
+                if (visit := visit + 1) == count:
+                    break
+                base = ranks[visit] * stride
+                outside = base < 0
                 continue
-            write, seen, kind = take(), [], code & 3
-            for _ in range(take()):
-                take()
+            write, kind, key = take(), code & 3, base + code
+            if not (outside or selfish[code]):  # only its copy reads count
                 for _ in range(take()):
-                    r = take()
-                    at = assigned[r] if r == write and kind == ADD else last[r]
-                    seen.append(None if at < 0 else (*divmod(at, stride), r))
-            yield visit, code, write, seen
-            if kind != SKIP:
-                last[write] = visit * stride + code
-                if kind == ASSIGN:
-                    assigned[write] = last[write]
+                    take()
+                    for _ in range(take()):
+                        if (c := take() - size) >= 0 and -1 < first[c] < visit:
+                            if early[c] < 0:
+                                early[c] = visit
+                            late[c] = visit
+            else:
+                mine = 0  # reads of its own target
+                for _ in range(take()):
+                    take()
+                    for _ in range(take()):
+                        if (c := take() - size) >= 0:
+                            if -1 < first[c] < visit:
+                                if early[c] < 0:
+                                    early[c] = visit
+                                late[c] = visit
+                            continue
+                        r = c + size
+                        if not outside:  # the record is an accumulation's
+                            mine += r == write
+                        # outside the reference, list every read that sees a write
+                        elif r == write and kind == ADD:
+                            if assigned[r] != -1:
+                                stray.append((visit, r, True))
+                        elif added[r] or assigned[r] != -1:
+                            stray.append((visit, r, False))
+                if mine:
+                    seen = assigned[write]
+                    if kind == SKIP and (keys := added[write]):
+                        seen = keys[-1]
+                    own.append((visit, key, write, mine, seen))
+            if kind == ASSIGN:
+                assigned[write] = key
+                added[write] = None
+            elif kind == ADD:
+                if (keys := added[write]) is None:
+                    added[write] = [key]
+                else:
+                    keys.append(key)
+            else:  # a SKIP writes nothing
+                continue
+            writes += 1
+            if first[write] < 0:
+                first[write] = visit
+        flow.writes = writes
+        return flow
 
     def copy_reads(self) -> tuple[array, array, array]:
         """Per cell, three visits, -1 where there is none: its first
@@ -342,28 +404,29 @@ class Stream:
         want the cell's pre-pass value after the cell has lost it, so a
         visit order's snapshot plan must bank the cell from its first
         overwrite through its last such read."""
-        size = self.layout.size
-        first = array("q", [-1]) * size
-        early, late = array("q", first), array("q", first)
-        it = iter(self.codes)
-        take = it.__next__
-        visit = -1
-        for code in it:
-            if code == VISIT:
-                if (visit := visit + 1) == len(self.points):
-                    break  # the epilogue reads no copy
-                continue
-            write = take()
-            for _ in range(take()):
-                take()
-                for _ in range(take()):
-                    if (c := take() - size) >= 0 and -1 < first[c] < visit:
-                        if early[c] < 0:
-                            early[c] = visit
-                        late[c] = visit
-            if code & 3 != SKIP and first[write] < 0:
-                first[write] = visit
-        return first, early, late
+        flow = self.dataflow(range(len(self.points)))
+        return flow.first, flow.early, flow.late
+
+
+class Dataflow:
+    """What ``Stream.dataflow`` gathers.  A write is named by its
+    application's key, -1 by none; a key at a visit of negative rank is
+    below -4."""
+
+    def __init__(self, size: int):
+        # per cell, the visits ``Stream.copy_reads`` returns
+        self.first = array("q", [-1]) * size
+        self.early, self.late = array("q", self.first), array("q", self.first)
+        self.assigned = array("q", self.first)  # per cell, its last assignment
+        self.added: list = [None] * size  # per cell, the ADDs since, or None
+        # (visit, key, target, reads, seen) per accumulation's record at a
+        # visit of rank 0 or more whose reads name its target: how many do,
+        # and the write they see
+        self.own: list[tuple[int, int, int, int, int]] = []
+        # (visit, cell, whether an ADD reads its own target) per read that
+        # sees a write at a visit of negative rank, in stream order
+        self.stray: list[tuple[int, int, bool]] = []
+        self.writes = 0  # applications that write a cell
 
 
 class PastBudget(Exception):

@@ -11,11 +11,14 @@ one by one.  The other checks read the trace's one flat access stream
 cell ids and formula applications in visit order, where a read that
 wants a cell's pre-pass value names the cell's untouched copy.  The
 snapshot plan is the certificate that the emitted schedule can serve
-those reads; the dependency check holds it to the stream's copy reads
-(``Stream.copy_reads``), then replays the stream and the reference
-(``Stream.replay``): a read sees the cell's last write, an
-accumulation's own cell its last assignment, a copy or unwritten cell
-the pre-pass value; a read or final cell that differs fails.
+those reads.  The dependency check walks the stream and the reference
+once each (``Stream.dataflow``): it holds the plan to the stream's
+copy reads, and compares what each read sees (the cell's last write,
+an accumulation's own cell its last assignment, a copy or unwritten
+cell the pre-pass value) and each cell's finals; a read or final that
+differs fails.  By the read rule only an accumulation's read of its
+own target can see a write of another visit, so those reads and the
+finals are all the walk keeps.
 Equivalence is exact: it runs both streams on polynomials over the
 input cells (``Stream.polynomials``) and compares the final polynomial
 of every cell of the reference's arrays but its temporaries; a
@@ -30,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +45,7 @@ from .formula import ComputationSpec, domain_points, legal_spec
 from .schedule import ScheduleTree, pad_and_guard
 
 if TYPE_CHECKING:
-    from .lower import Stream
+    from .lower import Dataflow, Stream
 
 DEFAULT_SEED = 0x5EED
 
@@ -192,15 +196,15 @@ class DependencyReport:
         return f"dependencies: FAIL, {self.violations[0]}"
 
 
-def _plan_violations(trace: VisitTrace) -> list[tuple[int, str]]:
+def _plan_violations(trace: VisitTrace, flow: Dataflow) -> list[tuple[int, str]]:
     """``(visit, violation)`` per way the trace's snapshot plan fails to
-    serve its stream's copy reads (``Stream.copy_reads``): a cell read
-    that way that the plan does not bank, at its first such read; and a
-    banked cell that takes its slot, at its first overwrite, while a
-    cell the slot holds still has such reads to come."""
+    serve its stream's copy reads (``flow``, the stream's ``Dataflow``):
+    a cell read that way that the plan does not bank, at its first such
+    read; and a banked cell that takes its slot, at its first overwrite,
+    while a cell the slot holds still has such reads to come."""
     stream, plan = trace.stream, trace.tree.plan
     layout, points = stream.layout, stream.points
-    first, early, late = stream.copy_reads()
+    first, early, late = flow.first, flow.early, flow.late
     slot_of = {layout.cell(*loc): slot for loc, slot in zip(plan.snapshot_locs, plan.slots)}
     found = [
         (v, f"{layout.text(c)} overwritten before its pre-pass read at point {points[v]}")
@@ -225,89 +229,93 @@ def _plan_violations(trace: VisitTrace) -> list[tuple[int, str]]:
     return found
 
 
-def _replayed(stream: Stream, finals: list) -> Iterator[tuple]:
-    """``Stream.replay`` as ``(visit, (point, code), write, seen)``, with
-    points for the visits in ``seen``.  Sets ``finals[cell]`` to its last
-    assignment, or once accumulated to a list of that (or None) and the
-    contributions since."""
-    from .lower import ADD, ASSIGN
-
-    for visit, code, write, seen in stream.replay():
-        app = (stream.points[visit], code)
-        if code & 3 == ASSIGN:
-            finals[write] = app
-        elif code & 3 == ADD:
-            if type(state := finals[write]) is not list:
-                finals[write] = state = [state]
-            state.append(app)
-        yield visit, app, write, [None if s is None else (stream.points[s[0]], *s[1:]) for s in seen]
+def _ranks(points: list, reference: list) -> array:
+    """Each point's position in ``reference``; a point outside it gets a
+    rank of its own from -2 down."""
+    index = {p: i for i, p in enumerate(reference)}
+    ranks = array("q", map(index.get, points, itertools.repeat(-1)))
+    if -1 in ranks:
+        outside: dict = {}
+        for v, p in enumerate(points):
+            if ranks[v] == -1:
+                ranks[v] = outside.setdefault(p, -2 - len(outside))
+    return ranks
 
 
 def check_dependencies(
     trace: VisitTrace, reference: Stream | None = None, points: list | None = None
 ) -> DependencyReport:
     """Hold the trace's snapshot plan to its stream (``_plan_violations``),
-    then replay the trace and the reference and compare which write each
-    read sees (``Stream.replay``): the cell's last write, or for an
-    accumulation's read of its own cell its last assignment, or the
-    pre-pass value of a copy or an unwritten cell.  The check fails
-    exactly where the plan fails, or a read, or a written cell's final
-    (last assignment, set of contributions since), differs; a reordered
-    sum commutes, and a temporary's last assignment is free.  Failures
-    are listed by visit, the plan's first within a visit, and the finals
-    last.  ``reference`` is the trace spec's ``domain_points`` lowered
-    with the tree's epilogue, if already lowered; ``points`` are those
-    domain points, if already made.
+    then compare which write each read sees in the trace and in the
+    reference: the cell's last write, or for an accumulation's read of
+    its own cell its last assignment, or the pre-pass value of a copy or
+    an unwritten cell.  The check fails exactly where the plan fails, or
+    a read, or a written cell's final (last assignment, set of
+    contributions since), differs; a reordered sum commutes, and a
+    temporary's last assignment is free.  Failures are listed by visit,
+    the plan's first within a visit, and the finals last.  ``reference``
+    is the trace spec's ``domain_points`` lowered with the tree's
+    epilogue, if already lowered; ``points`` are those domain points, if
+    already made.
+
+    Each stream is walked once (``Stream.dataflow``), an application
+    keyed by its point's position in the reference and its code.  By the
+    read rule a read at a point of the reference sees the same as the
+    reference's read there, unless it is an accumulation's read of its
+    own target; a read at a point outside the reference wants nothing,
+    so it fails wherever it sees a write.
     """
-    from .lower import ADD, SKIP, lower
+    from .lower import ADD, lower
 
     stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
-    found = _plan_violations(trace)
     if reference is None:
         points = domain_points(spec) if points is None else points
         reference = lower(spec, points, trace.tree.epilogue)
+    got = stream.dataflow(_ranks(stream.points, reference.points))
+    found = _plan_violations(trace, got)
+    want = reference.dataflow(range(len(reference.points)))
     layout = stream.layout
-    # by cell id in lists: dicts would double the check's memory
-    got_finals, want_finals = [None] * layout.size, [None] * layout.size
-    # most reads see the pre-pass value, so only the others are kept
-    want_reads = {app: seen for _, app, _, seen in _replayed(reference, want_finals) if any(seen)}
 
-    events = 0
-    for visit, (pt, code), cell, got in _replayed(stream, got_finals):
-        events += code & 3 != SKIP  # a point whose every term drops writes nothing
-        for seen, wanted in zip(got, want_reads.get((pt, code)) or itertools.repeat(None)):
-            if seen != wanted:
-                read = (seen or wanted)[2]
-                found.append((visit, (
-                    f"accumulator {layout.text(read)} clobbered before point {pt}"
-                    if code & 3 == ADD and read == cell else
-                    f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
-                )))
+    def read_fault(visit: int, cell: int, clobbered: bool) -> tuple[int, str]:
+        pt = stream.points[visit]
+        if clobbered:
+            return visit, f"accumulator {layout.text(cell)} clobbered before point {pt}"
+        return visit, f"{layout.text(cell)} overwritten before its pre-pass read at point {pt}"
+
+    wanted = {key: seen for _, key, _, _, seen in want.own}
+    for visit, key, cell, reads, seen in got.own:
+        if seen != wanted.get(key, -1):
+            found += [read_fault(visit, cell, key & 3 == ADD)] * reads
+    found += [read_fault(*stray) for stray in got.stray]
     found.sort(key=lambda item: item[0])  # stable: the plan's first within a visit
     violations = [text for _, text in found]
+
     commutes = False
-    for cell, (got, want) in enumerate(zip(got_finals, want_finals)):
-        if got == want:
-            continue
-        got, want = (s if type(s) is list else [s] for s in (got, want))
-        if got[0] != want[0] and layout.location(cell)[0] not in spec.temp_arrays:
+    differ = set()
+    for mine, theirs in (got.assigned, want.assigned), (got.added, want.added):
+        if mine != theirs:  # compared in C; only cells that differ take this path
+            differ.update(c for c, (g, w) in enumerate(zip(mine, theirs)) if g != w)
+    for cell in sorted(differ):
+        adds, wanted_adds = got.added[cell] or [], want.added[cell] or []
+        if (got.assigned[cell] != want.assigned[cell]
+                and layout.location(cell)[0] not in spec.temp_arrays):
             violations.append(
                 f"final value of {layout.text(cell)} does not come from its last write"
             )
-        if set(got[1:]) != set(want[1:]):
+        if set(adds) != set(wanted_adds):
             violations.append(
                 f"accumulation at {layout.text(cell)} gathered "
-                f"{len(got) - 1} of {len(want) - 1} contributions"
+                f"{len(adds)} of {len(wanted_adds)} contributions"
             )
-        elif got[1:] != want[1:]:
+        elif adds != wanted_adds:
             commutes = True
 
     return DependencyReport(
         ok=not violations,
         violations=tuple(violations),
         commutes=commutes,
-        events=events,
+        events=got.writes,
     )
 
 

@@ -348,3 +348,139 @@ def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
         name: [mem[cell(name, loc)] for loc in itertools.product(*map(range, shapes[name]))]
         for name in shapes
     }
+
+
+def _applications(stream):
+    """``(visit, code, write, reads)`` per formula application of a
+    lowered stream (read by attribute: ``codes``, ``points``) before its
+    epilogue, ``reads`` its read ids in record order."""
+    codes, at, visit = list(stream.codes), 0, -1
+    while at < len(codes):
+        if codes[at] == -1:
+            visit += 1
+            if visit == len(stream.points):
+                return
+            at += 1
+            continue
+        code, write, terms = codes[at:at + 3]
+        at += 3
+        reads = []
+        for _ in range(terms):
+            count = codes[at + 1]
+            reads += codes[at + 2:at + 2 + count]
+            at += 2 + count
+        yield visit, code, write, reads
+
+
+def replay(stream):
+    """``(visit, code, write, seen)`` per application of a lowered
+    stream before its epilogue, ``seen`` holding per read the
+    ``(visit, code, read)`` of the application whose write it sees, or
+    None for the value from before the pass.  A read sees its cell's
+    last write; an accumulation (kind 1) reading its own target sees
+    the target's last assignment (kind 0).  Nothing writes a copy (an
+    id at or past ``stream.layout.size``), and a kind 2 record writes
+    nothing."""
+    last, assigned = {}, {}
+    for visit, code, write, reads in _applications(stream):
+        seen = [
+            (assigned if r == write and code & 3 == 1 else last).get(r)
+            for r in reads
+        ]
+        yield visit, code, write, [None if s is None else (*s, r) for s, r in zip(seen, reads)]
+        if code & 3 != 2:
+            last[write] = (visit, code)
+            if code & 3 == 0:
+                assigned[write] = (visit, code)
+
+
+def dependency_report(stream, reference, plan, temps):
+    """A trace stream's dependence check against its reference stream,
+    by replaying both per read: ``(violations, commutes, writes)``.
+    ``plan`` lists ``(cell, slot)`` pairs of the snapshot plan, and
+    ``temps`` the temporary arrays, whose last assignment is free.
+
+    The plan must bank every cell whose copy a visit reads after the
+    cell's first write that stores something, and a banked cell must
+    not take its slot while a cell that took the slot earlier still has
+    such reads to come.  Then each trace application is matched to the
+    reference's at the same (point, code): a read that sees another
+    ``(point, code)`` fails, as does any read seeing a write at a point
+    the reference lacks.  Last, per cell, the last assignment and the
+    contributions since must match, the latter as a set; only their
+    order may differ.  Failures are ordered by visit, the plan's first.
+    """
+    layout, size, points = stream.layout, stream.layout.size, stream.points
+    first, early, late = {}, {}, {}
+    for visit, code, write, reads in _applications(stream):
+        for r in reads:
+            c = r - size
+            if c >= 0 and c in first and first[c] < visit:
+                early.setdefault(c, visit)
+                late[c] = visit
+        if code & 3 != 2:
+            first.setdefault(write, visit)
+    slot_of = dict(plan)
+    found = [
+        (early[c], f"{layout.text(c)} overwritten before its pre-pass read at point {points[early[c]]}")
+        for c in sorted(early) if c not in slot_of
+    ]
+    for slot in dict.fromkeys(s for c, s in slot_of.items() if c in first):
+        takers = sorted(
+            (c for c, s in slot_of.items() if s == slot and c in first),
+            key=lambda c: (first[c], -late.get(c, -1)),
+        )
+        for i, c in enumerate(takers):
+            reach = max((late.get(d, -1) for d in takers[:i]), default=-1)
+            if reach >= first[c]:
+                holder = next(d for d in takers[:i] if late.get(d, -1) == reach)
+                found.append((first[c], (
+                    f"{layout.text(c)} takes slot {slot} at point {points[first[c]]} "
+                    f"while {layout.text(holder)} still has pre-pass reads to come"
+                )))
+
+    def finals(stream):
+        """Per cell its last assignment and the contributions since."""
+        out = {}
+        for visit, code, write, _ in _applications(stream):
+            app = (stream.points[visit], code)
+            if code & 3 == 0:
+                out[write] = (app, [])
+            elif code & 3 == 1:
+                out.setdefault(write, (None, []))[1].append(app)
+        return out
+
+    want_reads = {
+        (reference.points[visit], code): [None if s is None else (reference.points[s[0]], *s[1:])
+                                          for s in seen]
+        for visit, code, _, seen in replay(reference)
+    }
+    writes = 0
+    for visit, code, write, seen in replay(stream):
+        pt = points[visit]
+        writes += code & 3 != 2
+        wanted = want_reads.get((pt, code), [None] * len(seen))
+        for s, w in zip(seen, wanted):
+            s = None if s is None else (points[s[0]], *s[1:])
+            if s != w:
+                read = (s or w)[2]
+                found.append((visit, (
+                    f"accumulator {layout.text(read)} clobbered before point {pt}"
+                    if code & 3 == 1 and read == write else
+                    f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
+                )))
+    found.sort(key=lambda item: item[0])
+    violations = [text for _, text in found]
+    got, want = finals(stream), finals(reference)
+    commutes = False
+    for cell in sorted(got.keys() | want.keys()):
+        (g, gs), (w, ws) = got.get(cell, (None, [])), want.get(cell, (None, []))
+        if g != w and layout.location(cell)[0] not in temps:
+            violations.append(f"final value of {layout.text(cell)} does not come from its last write")
+        if set(gs) != set(ws):
+            violations.append(
+                f"accumulation at {layout.text(cell)} gathered {len(gs)} of {len(ws)} contributions"
+            )
+        elif gs != ws:
+            commutes = True
+    return tuple(violations), commutes, writes

@@ -208,3 +208,15 @@ def test_sparse_walks_a_long_path_without_recursion():
     looped = SparseGraph(count=n, edges=path + ((n - 1, 0),))
     with pytest.raises(ValueError, match=f"cycle through edge {n - 1} -> 0"):
         enumerate_sparse(looped, make_clock(2))
+
+
+def test_sparse_refuses_an_edge_past_the_count():
+    """Every vertex of these hand-built 2-vertex graphs is reached, but an
+    edge names id 5 or starts at id 7, which are no vertexes."""
+    for edges, text in (
+        (((0, 1), (1, 5)), "edge 1 -> 5 names vertex 5"),
+        (((0, 1), (7, 8)), "edge 7 -> 8 names vertex 7"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            enumerate_sparse(SparseGraph(count=2, edges=edges), make_clock(1))
+        assert str(refused.value) == f"{text}, at or past the graph's count 2"

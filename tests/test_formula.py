@@ -77,7 +77,7 @@ def test_parse_when_and_initial():
     )
     (f,) = spec.formulas
     assert f.when == (("I", 1), ("J", 0))
-    fired = [visit for visit, *_ in lower(spec, [(1, 0), (0, 0)]).replay()]
+    fired = [visit for visit, *_ in oracles.replay(lower(spec, [(1, 0), (0, 0)]))]
     assert fired == [0]  # the formula fires at I=1, J=0 only
 
 

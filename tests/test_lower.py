@@ -8,10 +8,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clocksched.formula import ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, parse_spec
+from clocksched.formula import (
+    ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, domain_points, infer_shapes, parse_spec,
+)
 from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, PastBudget, lower
 
 import oracles
+from test_properties import rich_specs, self_reading_specs
 
 
 def test_lowered_cells_and_bounds():
@@ -59,7 +62,7 @@ def test_snapshot_cells_are_banked_at_their_first_overwrite():
     assert mem == [7, 9, 9, 5, 7, 9]
     # a copy's read sees the pre-pass value
     skip = (0, SKIP, 2, [])
-    assert list(stream.replay()) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [None])]
+    assert list(oracles.replay(stream)) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [None])]
     # a(1) is first overwritten at visit 1 and its copy read at visit 2;
     # a(2)'s only write drops its term, so it never loses its value
     assert [list(facts) for facts in stream.copy_reads()] == [[2, 1, -1], [-1, 2, -1], [-1, 2, -1]]
@@ -86,7 +89,7 @@ def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
     stream = lower(spec, [(0,)])
     # the second accumulation's own read of a(0) sees the assignment, not
     # the first accumulation; c's read sees the last write
-    seen = [seen for *_, seen in stream.replay()]
+    seen = [seen for *_, seen in oracles.replay(stream)]
     assert seen == [[None], [(0, 0, 0)], [(0, 0, 0)], [(0, 2 << 2 | ADD, 0)]]
 
 
@@ -211,3 +214,45 @@ def test_lowering_matches_the_literal_per_point_lowering(case):
     assert (list(stream.codes), stream.coefficients) == oracles.lowered_records(
         spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes
     )
+
+
+@st.composite
+def spec_orders(draw):
+    """A spec from ``rich_specs`` or ``self_reading_specs``, its domain
+    points in a random order, perhaps one of them visited twice, and
+    perhaps an epilogue summing a constant cell of each written array."""
+    spec = draw(st.one_of(rich_specs(), self_reading_specs()))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    points = domain_points(spec)
+    rng.shuffle(points)
+    if points and draw(st.booleans()):
+        points.insert(rng.randrange(len(points) + 1), rng.choice(points))
+    epilogue = ()
+    if draw(st.booleans()):
+        shapes = infer_shapes(spec)
+        epilogue = tuple(
+            Formula(ArrayAccess("S", ()), "+=", (Term(1, (
+                ArrayAccess(name, (Factor(None, 0),) * len(shapes[name])),
+            )),))
+            for name in sorted({f.result.name for f in spec.formulas})
+        )
+    return spec, points, epilogue
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(lowerings(), spec_orders()))
+def test_a_read_sees_its_own_visit_unless_it_accumulates_into_its_target(case):
+    """The read rule's lemma, on the literal replay: a read of a copy
+    sees nothing, and any other read sees nothing or a write of its own
+    visit, unless an accumulation reads its own target, which may see
+    a write of an earlier visit.  So visit order changes only those
+    reads, and the cells' finals."""
+    spec, points, epilogue = case
+    stream = lower(spec, points, epilogue)
+    for visit, code, write, seen in oracles.replay(stream):
+        for at in filter(None, seen):
+            written, _, read = at
+            assert read < stream.layout.size, "a copy's read saw a write"
+            assert written == visit or (
+                read == write and spec.formulas[code >> 2].op == "+="
+            ), (visit, code, write, at)

@@ -33,7 +33,7 @@ from clocksched.clock import (
     make_clock,
 )
 from clocksched.emit import emit, schedule_from_json, schedule_to_json, value_texts
-from clocksched.engine import enumerate_schedule
+from clocksched.engine import VisitTrace, enumerate_schedule
 from clocksched.formula import (
     ArrayAccess,
     BlockBind,
@@ -51,7 +51,7 @@ from clocksched.formula import (
 )
 import clocksched.verify
 from clocksched import schedule
-from clocksched.lower import Layout
+from clocksched.lower import Layout, lower
 from clocksched.schedule import (
     NO_PLAN,
     BuildError,
@@ -519,6 +519,68 @@ def test_random_schedules_verify(spec_tree):
     assert dependencies.ok, dependencies.violations
     report = equivalent(tree, sequential_schedule(spec), trials=2)
     assert report.ok, report.summary()
+
+
+@st.composite
+def mutated_traces(draw):
+    """The trace of a built schedule, a planned tree or the sequential
+    schedule of a self-reading spec, with or without its plan, and how
+    it was mutated: ``shuffle`` its visits, ``swap`` two, ``truncate``
+    it, ``duplicate`` a visit, put in a visit at a point ``outside`` the
+    domain (twice, some of the time), or ``none``."""
+    source = draw(st.sampled_from(["built", "planned", "sequential"]))
+    if source == "built":
+        tree = draw(built_schedules())[1]
+    elif source == "planned":
+        tree = draw(planned_trees())[0]
+    else:
+        try:
+            tree = sequential_schedule(draw(self_reading_specs()))
+        except BuildError:
+            reject()
+    if draw(st.booleans()):
+        tree = replace(tree, plan=NO_PLAN)
+    records = list(enumerate_schedule(tree).records)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    mutation = draw(st.sampled_from(["none", "shuffle", "swap", "truncate", "duplicate", "outside"]))
+    if mutation == "shuffle":
+        rng.shuffle(records)
+    elif mutation == "swap":
+        i, j = rng.randrange(len(records)), rng.randrange(len(records))
+        records[i], records[j] = records[j], records[i]
+    elif mutation == "truncate":
+        del records[rng.randrange(len(records)):]
+    elif mutation == "duplicate":
+        records.insert(rng.randrange(len(records) + 1), rng.choice(records))
+    elif mutation == "outside":
+        domain, sizes = set(domain_points(tree.spec)), list(tree.spec.index_sizes().values())
+        point = list(rng.choice(records).lattice_point)
+        k = rng.randrange(len(point))
+        # one past either end, or kept out by a guard, where targets stay on their arrays
+        point[k] = rng.choice([
+            v for v in range(-1, sizes[k] + 1)
+            if (*point[:k], v, *point[k + 1:]) not in domain
+        ])
+        record = rng.choice(records)._replace(lattice_point=tuple(point))
+        for _ in range(rng.randint(1, 2)):
+            records.insert(rng.randrange(len(records) + 1), record)
+    return VisitTrace(tuple(records), tree), mutation
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_traces())
+def test_the_dependence_check_matches_the_per_read_replay(case):
+    """The one walk per stream gives the report the literal per-read
+    replay gives (``oracles.dependency_report``), on traces that pass
+    and on traces that fail it every way."""
+    trace, mutation = case
+    stream, spec, plan = trace.stream, trace.spec, trace.tree.plan
+    reference = lower(spec, domain_points(spec), trace.tree.epilogue)
+    report = check_dependencies(trace)
+    cells = [stream.layout.cell(*loc) for loc in plan.snapshot_locs]
+    want = oracles.dependency_report(stream, reference, zip(cells, plan.slots), spec.temp_arrays)
+    assert (report.violations, report.commutes, report.events) == want, mutation
+    assert report.ok == (not want[0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

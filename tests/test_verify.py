@@ -13,7 +13,7 @@ import clocksched.verify
 from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_to_json
-from clocksched.engine import enumerate_schedule
+from clocksched.engine import VisitTrace, enumerate_schedule
 from clocksched.formula import infer_shapes, parse_spec, print_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
@@ -207,6 +207,60 @@ def test_writes_checked_counts_only_points_that_write():
     report = check_dependencies(enumerate_schedule(sequential_schedule("space I[4];\na(I) = b(I+3);\n")))
     assert report.ok and report.events == 1
     assert report.summary() == "dependencies: ok (1 writes checked)"
+
+
+def test_a_visit_outside_the_domain_fails_every_read_that_sees_a_write():
+    """Point (3,) is on every array but kept out by the padding's guard:
+    its accumulation's own read sees the assignment just before it, and
+    c(3) and e(3) read cells the formulas before them wrote (d(3) only
+    by accumulating), each a fault, in read order, before the later
+    visits' faults and the finals."""
+    tree = sequential_schedule(
+        "space I[3];\na(I) = b(I) + a(I+1);\na(I) += 2*a(I);\nc(I) = a(I);\n"
+        "d(I) += b(I);\ne(I) = d(I);\n"
+    )
+    records = enumerate_schedule(tree).records
+    outside = records[0]._replace(lattice_point=(3,))
+    report = check_dependencies(VisitTrace((records[0], outside, *records[1:]), tree))
+    assert report.violations == (
+        "accumulator a(3) clobbered before point (3,)",
+        "a(3) overwritten before its pre-pass read at point (3,)",
+        "d(3) overwritten before its pre-pass read at point (3,)",
+        "a(3) overwritten before its pre-pass read at point (2,)",
+        "final value of a(3) does not come from its last write",
+        "accumulation at a(3) gathered 1 of 0 contributions",
+        "final value of c(3) does not come from its last write",
+        "accumulation at d(3) gathered 1 of 0 contributions",
+        "final value of e(3) does not come from its last write",
+    )
+    assert report.events == 20
+
+
+def test_an_accumulation_reading_its_target_before_its_assignment_is_clobbered():
+    """Declaration order assigns a(1) at I=0 and accumulates into it,
+    reading it, at I=1; the reversed order reads a(1) before anything
+    assigns it, and its contribution is lost to the later assignment."""
+    tree = sequential_schedule("space I[2];\na(1) = b(I) when I=0;\na(I) += 2*a(I);\n")
+    records = enumerate_schedule(tree).records
+    report = check_dependencies(VisitTrace(records[::-1], tree))
+    assert report.violations == (
+        "accumulator a(1) clobbered before point (1,)",
+        "accumulation at a(1) gathered 0 of 1 contributions",
+    )
+    assert report.events == 3
+
+
+@pytest.mark.parametrize("op", ["=", "+="])
+def test_an_accumulation_that_stores_nothing_still_reads_its_target_in_order(op):
+    """At I=1 the accumulation's term drops (b(2) is off its array), so
+    it writes nothing, but it keeps its read of a(1), which sees the
+    cell's last write, assignment or not: declaration order has formula
+    0 write a(1) at I=0 first, and the reversed order reads it before."""
+    tree = sequential_schedule(f"space I[2];\na(1) {op} b(I) when I=0;\na(I) += a(I)*b(I+1);\n")
+    records = enumerate_schedule(tree).records
+    report = check_dependencies(VisitTrace(records[::-1], tree))
+    assert report.violations == ("a(1) overwritten before its pre-pass read at point (1,)",)
+    assert report.events == 2
 
 
 def test_dependencies_catch_lost_contributions():
