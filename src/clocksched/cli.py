@@ -97,7 +97,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notation", choices=("for", "form", "enum"), default="for")
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("verify", help="coverage, dependence, and equivalence checks")
+    p = sub.add_parser(
+        "verify",
+        help="coverage, dependence, and equivalence checks",
+        description=(
+            "Check a schedule document against its source: every domain point "
+            "exactly once, every dependence kept, and the same arrays, exactly. "
+            "On an own trace (the source's padded spec, no rewrite or epilogue) "
+            "that passes coverage and dependencies, and whose spec has no formula "
+            "reading an array that an accumulation at or before it writes, "
+            "equivalence follows from those two checks and is not run, so there "
+            "they are not independent witnesses; every other schedule runs the "
+            "exact check."
+        ),
+    )
     p.add_argument("schedule", help="schedule JSON file, or - for stdin")
     p.add_argument("--trials", type=int, default=10,
                    help="random stores, used only past the exact budget")

@@ -73,6 +73,12 @@ class Formula:
     def arrays_read(self) -> set[str]:
         return {a.name for t in self.terms for a in t.accesses}
 
+    @property
+    def reads_own_target(self) -> bool:
+        """An accumulation that reads its target's array: such a read may
+        see the target's running sum, which visit order can change."""
+        return self.op == "+=" and self.result.name in self.arrays_read()
+
 
 @dataclass(frozen=True)
 class LessThan:
@@ -110,6 +116,19 @@ class ComputationSpec:
 
     def index_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.indexes)
+
+    def reads_running_sum(self) -> bool:
+        """Whether a formula reads an array that an accumulation at or
+        before it writes, itself included (``Formula.reads_own_target``):
+        a read at the visit the accumulation adds to the cell sees the
+        running sum, which visit order can change."""
+        summed: set[str] = set()
+        for f in self.formulas:
+            if f.reads_own_target or summed & f.arrays_read():
+                return True
+            if f.op == "+=":
+                summed.add(f.result.name)
+        return False
 
 
 # ---------------------------------------------------------------------------

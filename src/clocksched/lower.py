@@ -327,10 +327,10 @@ class Stream:
         formulas = self.spec.formulas
         stride = 4 * len(formulas)
         # per code, whether the record may read its own target as the cell
-        # at an earlier visit: an accumulation that reads its target's array
+        # at an earlier visit (``Formula.reads_own_target``)
         selfish = bytearray(stride)
         for i, f in enumerate(formulas):
-            if f.op == "+=" and any(a.name == f.result.name for t in f.terms for a in t.accesses):
+            if f.reads_own_target:
                 selfish[i << 2 | ADD] = selfish[i << 2 | SKIP] = 1
         flow = Dataflow(size)
         first, early, late = flow.first, flow.early, flow.late

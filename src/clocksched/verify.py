@@ -25,7 +25,23 @@ of every cell of the reference's arrays but its temporaries; a
 schedule that lacks an array the reference writes, or names one the
 reference never names, fails outright.  Past ``EXACT_BUDGET`` live
 monomials it falls back to seeded random stores instead.
-``verify_report`` runs them all, in that order.
+``verify_report`` runs them all, in that order, but does not run
+equivalence where coverage and dependencies already imply it: on an
+own trace (the reference's padded spec, no epilogue) whose spec has no
+formula reading an array that an accumulation at or before it writes
+(``ComputationSpec.reads_running_sum``).  There, by the read rule,
+every read names a copy (the pre-pass value, which the plan check holds
+the schedule to), an input cell, or a cell an assignment earlier in the
+same visit wrote.  Each point is visited once, so by induction every
+application computes the reference's polynomial, and equal last
+assignments and contribution sets give every cell the reference's
+value, since sums commute.  A read of a running sum is what this
+argument cannot cover: the dependence check compares only the last
+assignment an accumulation's read of its own target sees, and nothing
+of a later formula's read at the same visit, not which contributions
+came before either.  The price is that on such traces the checks are no longer
+independent witnesses; the test suite holds the implied verdict to the
+exact one.
 """
 
 from __future__ import annotations
@@ -252,7 +268,9 @@ def check_dependencies(
     an unwritten cell.  The check fails exactly where the plan fails, or
     a read, or a written cell's final (last assignment, set of
     contributions since), differs; a reordered sum commutes, and a
-    temporary's last assignment is free.  Failures are listed by visit,
+    temporary's last assignment is free.  A read that sees the pre-pass
+    value, or an older write than the reference's read, came too early;
+    any other that differs, too late.  Failures are listed by visit,
     the plan's first within a visit, and the finals last.  ``reference``
     is the trace spec's ``domain_points`` lowered with the tree's
     epilogue, if already lowered; ``points`` are those domain points, if
@@ -277,16 +295,22 @@ def check_dependencies(
     want = reference.dataflow(range(len(reference.points)))
     layout = stream.layout
 
-    def read_fault(visit: int, cell: int, clobbered: bool) -> tuple[int, str]:
-        pt = stream.points[visit]
-        if clobbered:
-            return visit, f"accumulator {layout.text(cell)} clobbered before point {pt}"
-        return visit, f"{layout.text(cell)} overwritten before its pre-pass read at point {pt}"
+    def read_fault(visit: int, cell: int, accumulator: bool, early: bool = False) -> tuple[int, str]:
+        pt, text = stream.points[visit], layout.text(cell)
+        if early:
+            who = "accumulator " if accumulator else ""
+            return visit, f"{who}{text} read at point {pt} before the write it needs"
+        if accumulator:
+            return visit, f"accumulator {text} clobbered before point {pt}"
+        return visit, f"{text} overwritten before its pre-pass read at point {pt}"
 
     wanted = {key: seen for _, key, _, _, seen in want.own}
     for visit, key, cell, reads, seen in got.own:
-        if seen != wanted.get(key, -1):
-            found += [read_fault(visit, cell, key & 3 == ADD)] * reads
+        if seen != (need := wanted.get(key, -1)):
+            # keys order writes as the reference makes them; one below -4
+            # is a write at a point outside the reference
+            early = -1 <= seen < need  # the pre-pass value, or an older write
+            found += [read_fault(visit, cell, key & 3 == ADD, early)] * reads
     found += [read_fault(*stray) for stray in got.stray]
     found.sort(key=lambda item: item[0])  # stable: the plan's first within a visit
     violations = [text for _, text in found]
@@ -334,8 +358,11 @@ class EquivalenceReport:
     counterexample: dict | None = None
     exact: bool = False
     cells: int = 0  # cells compared as polynomials
+    implied: bool = False  # shown by coverage and dependencies, not run
 
     def summary(self) -> str:
+        if self.implied:
+            return f"equivalence: ok (follows from coverage and dependencies, {self.cells} cells)"
         c = self.counterexample
         if c is not None and "array" in c:
             fault = (
@@ -551,7 +578,15 @@ def verify_report(
     coverage = check_coverage(trace, points)
     dependencies = check_dependencies(trace, reference, points)
     del points
-    eq = equivalent(trace, reference or reference_stream(spec), trials=trials, seed=seed)
+    if own and coverage.ok and dependencies.ok and not spec.reads_running_sum():
+        # exact equivalence would hold: the module docstring says why
+        cells = sum(
+            math.prod(shape) for name, shape in reference.layout.shapes.items()
+            if name not in spec.temp_arrays
+        )
+        eq = EquivalenceReport(ok=True, trials=0, exact=True, cells=cells, implied=True)
+    else:
+        eq = equivalent(trace, reference or reference_stream(spec), trials=trials, seed=seed)
     profile = analyze(trace)
     ok = coverage.ok and dependencies.ok and eq.ok
     return {
@@ -564,7 +599,8 @@ def verify_report(
         "locality": profile.locality,
         "ok": ok,
         "equivalence": {
-            "ok": eq.ok, "exact": eq.exact, "trials": eq.trials, "counterexample": eq.counterexample
+            "ok": eq.ok, "exact": eq.exact, "trials": eq.trials, "counterexample": eq.counterexample,
+            "implied": eq.implied,
         },
         "lines": [
             coverage.summary(),

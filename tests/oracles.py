@@ -408,7 +408,10 @@ def dependency_report(stream, reference, plan, temps):
     ``(point, code)`` fails, as does any read seeing a write at a point
     the reference lacks.  Last, per cell, the last assignment and the
     contributions since must match, the latter as a set; only their
-    order may differ.  Failures are ordered by visit, the plan's first.
+    order may differ.  A read that sees the pre-pass value, or a write
+    the reference makes before the one its read sees, came too early;
+    any other that differs came too late.  Failures are ordered by
+    visit, the plan's first.
     """
     layout, size, points = stream.layout, stream.layout.size, stream.points
     first, early, late = {}, {}, {}
@@ -455,6 +458,12 @@ def dependency_report(stream, reference, plan, temps):
                                           for s in seen]
         for visit, code, _, seen in replay(reference)
     }
+    position = {p: i for i, p in enumerate(reference.points)}
+
+    def older(s, w) -> bool:
+        """Whether the write ``s`` (point, code) comes before ``w`` in the reference."""
+        return s[0] in position and (position[s[0]], s[1]) < (position[w[0]], w[1])
+
     writes = 0
     for visit, code, write, seen in replay(stream):
         pt = points[visit]
@@ -464,11 +473,15 @@ def dependency_report(stream, reference, plan, temps):
             s = None if s is None else (points[s[0]], *s[1:])
             if s != w:
                 read = (s or w)[2]
-                found.append((visit, (
-                    f"accumulator {layout.text(read)} clobbered before point {pt}"
-                    if code & 3 == 1 and read == write else
-                    f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
-                )))
+                accumulator = code & 3 == 1 and read == write
+                if s is None or w is not None and older(s, w):
+                    text = f"{layout.text(read)} read at point {pt} before the write it needs"
+                    text = "accumulator " * accumulator + text
+                elif accumulator:
+                    text = f"accumulator {layout.text(read)} clobbered before point {pt}"
+                else:
+                    text = f"{layout.text(read)} overwritten before its pre-pass read at point {pt}"
+                found.append((visit, text))
     found.sort(key=lambda item: item[0])
     violations = [text for _, text in found]
     got, want = finals(stream), finals(reference)

@@ -482,6 +482,31 @@ def test_verify_banks_each_snapshot_cell_into_its_plan_slot(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, code, line",
+    [
+        ("space I[2], J[2];\nS += S*S*c(I,J);\n", 1,
+         "equivalence: FAIL at S(): S()*S()*S()*S()*c(0,1)*c(0,1)*c(1,0) has 0, the reference 1"),
+        ("space I[2], J[2];\nS += S*c(I,J);\n", 0, "equivalence: ok (exact, 5 cells)"),
+        ("space I[2], J[2];\nS += c(I,J);\n", 0,
+         "equivalence: ok (follows from coverage and dependencies, 5 cells)"),
+    ],
+    ids=["squares-its-running-sum", "scales-its-running-sum", "reads-no-running-sum"],
+)
+def test_verify_checks_exactly_an_accumulation_that_reads_its_running_sum(tmp_path, capsys, text, code, line):
+    """Summed in the J,I order, each schedule passes coverage and
+    dependencies; equivalence follows from them only where no read
+    sees the running sum, and the exact check decides the others."""
+    path = transform(tmp_path, capsys, text, "--order", "J,I")
+    got, out, _ = run(capsys, "verify", path)
+    assert out.splitlines()[:3] == [
+        "coverage: ok (4 points, each exactly once)",
+        "dependencies: ok (4 writes checked) (reordered sums commute)",
+        line,
+    ]
+    assert got == code
+
+
+@pytest.mark.parametrize(
     "text, flags, temps, cells",
     [
         ("space I[4], J[4];\ntemp t;\na(I,J) = a(J,I);\n", (), ("t", "tmp"), 1 + 4),

@@ -46,6 +46,7 @@ from clocksched.formula import (
     check_legality,
     domain_points,
     infer_shapes,
+    legal_spec,
     parse_spec,
     print_spec,
 )
@@ -61,6 +62,7 @@ from clocksched.schedule import (
     build_schedule,
     nest_loops,
     next_power_of_two,
+    pad_and_guard,
     scratch_cells,
     sequential_schedule,
     time_skeleton,
@@ -257,15 +259,21 @@ def self_reading_specs(draw):
     """Specs whose formulas read the arrays they write, through
     permuted subscripts displaced by 0 or 1, under ``=`` and ``+=``.
     An array may be written by two formulas, so one cell can be
-    assigned and accumulated in either order."""
+    assigned and accumulated in either order.  A written array may be
+    a reduction's, a scalar or subscripted by fewer indexes than the
+    space has, so one cell gathers contributions from several points."""
     names = _NAMES[: draw(st.integers(1, 2))]
     indexes = tuple(IndexDecl(nm, draw(st.integers(1, 4))) for nm in names)
     written = ("a", "b")[: draw(st.integers(1, 2))]
     twice = (draw(st.sampled_from(written)),) * draw(st.integers(0, 1))
     targets = draw(st.permutations(written + twice))
+    arity = {"c": len(names)}
+    for array in written:
+        reduced = draw(st.integers(0, 2)) == 0
+        arity[array] = draw(st.integers(0, len(names) - 1)) if reduced else len(names)
 
     def access(array: str, displaced: bool) -> ArrayAccess:
-        order = draw(st.permutations(names))
+        order = draw(st.permutations(names))[: arity[array]]
         return ArrayAccess(array, tuple(Factor(nm, draw(st.integers(0, int(displaced)))) for nm in order))
 
     formulas = tuple(
@@ -581,6 +589,42 @@ def test_the_dependence_check_matches_the_per_read_replay(case):
     want = oracles.dependency_report(stream, reference, zip(cells, plan.slots), spec.temp_arrays)
     assert (report.violations, report.commutes, report.events) == want, mutation
     assert report.ok == (not want[0])
+
+
+@st.composite
+def checked_traces(draw):
+    """The trace of ``mutated_traces``, ``built_schedules`` or
+    ``planned_trees``, or the sequential schedule of a self-reading
+    spec with its visits ``reordered``: an own trace that passes
+    coverage, and often the dependence check."""
+    source = draw(st.sampled_from(["mutated", "built", "planned", "reordered"]))
+    if source == "mutated":
+        return draw(mutated_traces())[0]
+    if source == "reordered":
+        try:
+            tree = sequential_schedule(draw(self_reading_specs()))
+        except BuildError:
+            reject()
+        return VisitTrace(tuple(draw(st.permutations(enumerate_schedule(tree).records))), tree)
+    tree = draw(built_schedules())[1] if source == "built" else draw(planned_trees())[0]
+    return enumerate_schedule(tree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(checked_traces())
+def test_implied_equivalence_agrees_with_the_exact_check(trace):
+    """``verify_report`` takes equivalence from coverage and dependencies
+    exactly on an own trace (its source's padded spec, no epilogue) that
+    passes both and whose spec reads no running sum; on every own
+    trace its verdict is exact ``equivalent``'s."""
+    report = verify_report(trace, trials=2)
+    tree = trace.tree
+    spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
+    own = trace.spec == spec and not tree.epilogue
+    checked = report["coverage"]["ok"] and not report["violations"]
+    assert report["equivalence"]["implied"] == (own and checked and not spec.reads_running_sum())
+    if own:
+        assert report["equivalence"]["ok"] == equivalent(trace, reference_stream(spec), trials=2).ok
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import clocksched.verify
 from clocksched.cli import main
 from clocksched.clock import make_clock
-from clocksched.emit import schedule_to_json
+from clocksched.emit import schedule_from_json, schedule_to_json
 from clocksched.engine import VisitTrace, enumerate_schedule
-from clocksched.formula import infer_shapes, parse_spec, print_spec
+from clocksched.formula import ComputationSpec, infer_shapes, parse_spec, print_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
     DEFAULT_SEED,
@@ -236,7 +238,7 @@ def test_a_visit_outside_the_domain_fails_every_read_that_sees_a_write():
     assert report.events == 20
 
 
-def test_an_accumulation_reading_its_target_before_its_assignment_is_clobbered():
+def test_an_accumulation_reading_its_target_before_its_assignment_reads_too_early():
     """Declaration order assigns a(1) at I=0 and accumulates into it,
     reading it, at I=1; the reversed order reads a(1) before anything
     assigns it, and its contribution is lost to the later assignment."""
@@ -244,10 +246,23 @@ def test_an_accumulation_reading_its_target_before_its_assignment_is_clobbered()
     records = enumerate_schedule(tree).records
     report = check_dependencies(VisitTrace(records[::-1], tree))
     assert report.violations == (
-        "accumulator a(1) clobbered before point (1,)",
+        "accumulator a(1) read at point (1,) before the write it needs",
         "accumulation at a(1) gathered 0 of 1 contributions",
     )
     assert report.events == 3
+
+
+def test_an_accumulation_reading_its_target_after_a_later_assignment_is_clobbered():
+    """Declaration order accumulates into a(0), reading its pre-pass
+    value, at I=0 and assigns it at I=1; the reversed order's read sees
+    that assignment, a write the reference makes only after it."""
+    tree = sequential_schedule("space I[2];\na(0) = b(I) when I=1;\na(I) += 2*a(I);\n")
+    records = enumerate_schedule(tree).records
+    report = check_dependencies(VisitTrace(records[::-1], tree))
+    assert report.violations == (
+        "accumulator a(0) clobbered before point (0,)",
+        "accumulation at a(0) gathered 1 of 0 contributions",
+    )
 
 
 @pytest.mark.parametrize("op", ["=", "+="])
@@ -259,7 +274,7 @@ def test_an_accumulation_that_stores_nothing_still_reads_its_target_in_order(op)
     tree = sequential_schedule(f"space I[2];\na(1) {op} b(I) when I=0;\na(I) += a(I)*b(I+1);\n")
     records = enumerate_schedule(tree).records
     report = check_dependencies(VisitTrace(records[::-1], tree))
-    assert report.violations == ("a(1) overwritten before its pre-pass read at point (1,)",)
+    assert report.violations == ("a(1) read at point (1,) before the write it needs",)
     assert report.events == 2
 
 
@@ -313,7 +328,7 @@ def test_equivalence_renames_cells_when_a_temp_sorts_first():
     """The temp A sorts before b and c, so the source's layout puts b
     and c at other cell ids than a candidate without A does, and the
     polynomials are compared after renaming one numbering to the other."""
-    assert "equivalence: ok (exact, 8 cells)" in verify_report(
+    assert "equivalence: ok (follows from coverage and dependencies, 8 cells)" in verify_report(
         enumerate_schedule(build_schedule(TEMP_FIRST))
     )["lines"]
     reference = reference_stream(TEMP_FIRST)
@@ -373,7 +388,7 @@ def test_equivalence_past_the_budget_runs_the_trials():
     assert time.perf_counter() - start < 2
     assert report["ok"]
     assert report["equivalence"] == {
-        "ok": True, "exact": False, "trials": 4, "counterexample": None,
+        "ok": True, "exact": False, "trials": 4, "counterexample": None, "implied": False,
     }
     assert report["lines"][2] == (
         "equivalence: ok (4 random stores, past the exact budget of 65536 monomials)"
@@ -439,7 +454,7 @@ def test_verify_report_bundle():
     assert report["lines"] == [
         "coverage: ok (8 points, each exactly once)",
         "dependencies: ok (8 writes checked)",
-        "equivalence: ok (exact, 12 cells)",
+        "equivalence: ok (follows from coverage and dependencies, 12 cells)",
         "widths: [1, 2, 4]",
         "colors: {0: 4, 1: 2, 2: 1, 3: 1}",
         "verdict: pass",
@@ -468,7 +483,7 @@ def test_verify_report_runs_a_banking_baseline_with_its_bank():
     assert len(sequential_schedule(src).plan.snapshot_locs) == 3
     trace = enumerate_schedule(build_schedule(src, order=["J", "I"]))
     report = verify_report(trace, trials=3)
-    assert report["lines"][2] == "equivalence: ok (exact, 32 cells)"
+    assert report["lines"][2] == "equivalence: ok (follows from coverage and dependencies, 32 cells)"
     assert report["ok"]
 
 
@@ -637,3 +652,120 @@ def test_a_write_whose_every_term_drops_is_no_overwrite():
     assert tree.plan == NO_PLAN
     report = verify_report(enumerate_schedule(tree), trials=2)
     assert report["ok"], report["lines"]
+
+
+# -- equivalence implied by coverage and dependencies ------------------------
+
+IMPLIED = "equivalence: ok (follows from coverage and dependencies, {} cells)"
+
+
+def test_equivalence_follows_from_coverage_and_dependencies_on_an_own_trace():
+    """The matmul runs its source's own spec, passes coverage and
+    dependencies, and reads no running sum: equivalence is implied,
+    over the cells the exact check would compare."""
+    report = verify_report(enumerate_schedule(cases.matmul_tree()), trials=3)
+    assert report["equivalence"] == {
+        "ok": True, "exact": True, "trials": 0, "counterexample": None, "implied": True,
+    }
+    assert report["lines"][2] == IMPLIED.format(12)
+    exact = equivalent(cases.matmul_tree(), reference_stream(cases.MATMUL))
+    assert exact.summary() == "equivalence: ok (exact, 12 cells)"
+
+
+def test_an_accumulation_reading_its_running_sum_is_checked_exactly():
+    """S squares its running sum into each contribution.  In the J,I
+    order every point is visited once, and every read of S sees the
+    last assignment (none) it sees in the reference, so coverage and
+    dependencies pass; but the reads see other partial sums, and S
+    ends as another polynomial."""
+    src = "space I[2], J[2];\nS += S*S*c(I,J);\n"
+    report = verify_report(enumerate_schedule(build_schedule(src, order=["J", "I"])), trials=3)
+    assert report["lines"][:3] == [
+        "coverage: ok (4 points, each exactly once)",
+        "dependencies: ok (4 writes checked) (reordered sums commute)",
+        "equivalence: FAIL at S(): S()*S()*S()*S()*c(0,1)*c(0,1)*c(1,0) has 0, the reference 1",
+    ]
+    assert report["lines"][-1] == "verdict: FAIL"
+    assert not report["equivalence"]["implied"]
+
+
+def test_a_linear_running_sum_still_passes_the_exact_check():
+    """S += S*c(I,J) multiplies S by (1 + c(I,J)) per point, the same
+    product in any order: it passes, decided by the exact check."""
+    src = "space I[2], J[2];\nS += S*c(I,J);\n"
+    report = verify_report(enumerate_schedule(build_schedule(src, order=["J", "I"])), trials=3)
+    assert report["lines"][2] == "equivalence: ok (exact, 5 cells)"
+    assert report["ok"] and not report["equivalence"]["implied"]
+
+
+def test_a_running_sum_read_by_a_later_formula_is_checked_exactly():
+    """c(I,J) reads a(I) just after the accumulation added to it at the
+    same visit.  Reversed, the trace reads a(0) before b(0,0) is added
+    at (0,1), where the reference has already added it: no read or
+    final the dependence check compares differs, and only the exact
+    check sees it."""
+    tree = sequential_schedule("space I[2], J[2];\na(I) += b(I,J);\nc(I,J) = a(I);\n")
+    records = enumerate_schedule(tree).records
+    report = verify_report(VisitTrace(records[::-1], tree), trials=3)
+    assert report["lines"][1:3] == [
+        "dependencies: ok (8 writes checked) (reordered sums commute)",
+        "equivalence: FAIL at c(0,0): b(0,1) has 1, the reference 0",
+    ]
+    assert not report["ok"]
+
+
+def _first_loop(nodes: list[dict]) -> dict | None:
+    for node in nodes:
+        if node["kind"] == "loop" and node["extent"] > node["step"]:
+            return node
+        found = _first_loop(node.get("members", []) + node.get("body", []))
+        if found is not None:
+            return found
+    return None
+
+
+def _step_doubled(doc: dict) -> dict:
+    """The document with its outermost loop of more than one value
+    taking every other value: a schedule that misses points."""
+    doc = copy.deepcopy(doc)
+    _first_loop(doc["roots"])["step"] *= 2
+    return doc
+
+
+GOLDEN = Path(__file__).parent / "golden"
+DOCUMENTS = {
+    **{f.__name__: f for f in (
+        cases.mnpq_tree, cases.matmul_tree, cases.matmul_form_tree, cases.stencil_tree,
+        cases.transpose_tree, cases.transpose_unfold_tree, cases.transpose_sequential_tree,
+        cases.accumulator_tree,
+    )},
+    **{path.name: path for path in sorted(GOLDEN.glob("*.json")) if path.stem != "skeleton_convolved"},
+}
+OWN_AND_PASSING = {"mnpq_tree", "matmul_tree", "matmul_form_tree", "stencil_tree",
+                   "matmul_form.json", "stencil.json"}
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["as-built", "step-doubled"])
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_implied_equivalence_moves_only_the_wording(monkeypatch, name, doubled):
+    """Against the exact check, run by making every spec read a running
+    sum, implied equivalence keeps the verdict and every other line; an
+    own trace that passes coverage and dependencies reads the implied
+    equivalence line with the exact check's cell count."""
+    made = DOCUMENTS[name]
+    doc = json.loads(made.read_text()) if isinstance(made, Path) else schedule_to_json(made())
+    if doubled:
+        doc = _step_doubled(doc)
+    trace = enumerate_schedule(schedule_from_json(doc))
+    got = verify_report(trace, trials=2)
+    monkeypatch.setattr(ComputationSpec, "reads_running_sum", lambda self: True)
+    want = verify_report(trace, trials=2)
+    implied = got["equivalence"].pop("implied")
+    assert implied == (name in OWN_AND_PASSING and not doubled)
+    assert not want["equivalence"].pop("implied")
+    assert got["equivalence"] == want["equivalence"]
+    assert got["ok"] == want["ok"] == (not doubled)
+    if implied:
+        cells = want["lines"][2].removeprefix("equivalence: ok (exact, ").removesuffix(" cells)")
+        want["lines"][2] = IMPLIED.format(cells)
+    assert got["lines"] == want["lines"]
