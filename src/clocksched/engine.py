@@ -1,32 +1,35 @@
 """Walk schedule trees and sparse graphs into visit traces.
 
-A trace is the ground truth the verifier works from: one record per
-enumerated point, in visit order, carrying what enumeration decides:
-the loop offsets (the time decomposition), the recovered index point,
-the time value, the convolution level and the unfolded copy.  Derived
-facts, such as a visit's 2-adic color, are ``analyze``'s to compute.
+A trace is the ground truth the verifier works from: the visits in
+order, as integer columns with one value per visit, of what
+enumeration decides: the recovered index point (a column per index),
+the time value, the loop offsets (a column per chain position), the
+convolution level and the unfolded copy.  Derived facts, such as a
+visit's 2-adic color, are ``analyze``'s to compute.
 
 Each root of a schedule tree is one chain, a tuple of loops and form
 groups outermost first, and each loop runs through a fixed count of
-digits whatever its lower bound, so the nest is a mixed-radix counter:
-one ``itertools.product`` over the digit ranges.  Index points come
-from ``schedule.recovery``, the same table ``emit`` renders as text, so
-what is verified is what is emitted.
+digits whatever its lower bound, so the nest is a mixed-radix counter
+whose digit columns are runs of repeated values.  Index columns are
+weighted sums of them by ``schedule.recovery``, the same table
+``emit`` renders as text, so what is verified is what is emitted; a
+block bind divides its source's column, and the spec's guards (its
+``domain A < B`` lines) are one mask over every column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import compress
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .clock import Clock, clock_points, color_of, log2_exact
-from .formula import ComputationSpec, LessThan
+from .formula import Points, counter_columns, guard_mask
 from .schedule import Chain, EnumNode, FormGroup, ScheduleTree, nest_loops, recovery
 
 if TYPE_CHECKING:
+    from .formula import ComputationSpec
     from .lower import Stream
 
 
@@ -38,16 +41,40 @@ class VisitRecord(NamedTuple):
     copy: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisitTrace:
-    """The visits in order: a record's sequence number is its position."""
+    """The visits in order, as columns: a visit's sequence number is its
+    position in each.  ``points`` are the recovered index points, or for
+    a tree without a spec each loop's digit plus its ``digit_base``;
+    ``offsets`` holds per chain position each visit's time offset there.
+    A root with fewer loops or chain positions than another has 0 in
+    the columns past its own (``shapes``).  ``records`` is a view of the
+    columns as ``VisitRecord`` tuples, kept for readers of single visits;
+    nothing in the checks reads it."""
 
-    records: tuple[VisitRecord, ...]
     tree: ScheduleTree
+    points: Points
+    times: list[int]
+    offsets: tuple[list[int], ...]
+    levels: list[int]
+    copies: list[int]
 
     @property
     def spec(self) -> ComputationSpec | None:
         return self.tree.spec
+
+    @cached_property
+    def shapes(self) -> list[tuple[int, int]]:
+        """Per root, how many offsets and coordinates its visits have."""
+        if self.spec is None:
+            return [(len(chain), len(nest_loops(chain))) for chain in self.tree.roots]
+        return [(len(chain), len(self.points.columns)) for chain in self.tree.roots]
+
+    @property
+    def records(self) -> Sequence[VisitRecord]:
+        """The visits as ``VisitRecord`` tuples, each built when read: a
+        view kept for readers of single visits; the checks read columns."""
+        return _Records(self)
 
     @cached_property
     def stream(self) -> Stream:
@@ -60,22 +87,28 @@ class VisitTrace:
 
         if self.spec is None:
             raise ValueError("this trace enumerates bare time, not a spec")
-        return lower(self.spec, [r.lattice_point for r in self.records], self.tree.epilogue)
+        return lower(self.spec, self.points, self.tree.epilogue)
 
 
-def _table(spec: ComputationSpec, loops: list[EnumNode], where: dict[str, int]):
-    """The root's recovery table as rows of (point position, constant,
-    (weight, loop position) pairs, source position or -1, block)."""
-    rows = []
-    for step in recovery(spec, loops):
-        if step.const is not None:
-            rows.append((where[step.index], step.const, (), -1, 1))
-        elif step.source is not None:
-            rows.append((where[step.index], 0, (), where[step.source], step.block))
-        else:
-            base = sum(w * loops[p].digit_base for w, p in step.digits)
-            rows.append((where[step.index], base, step.digits, -1, 1))
-    return rows
+class _Records:
+    """``VisitTrace.records``: a read-only view of the columns."""
+
+    def __init__(self, trace: VisitTrace):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return len(self.trace.times)
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return tuple(map(self.__getitem__, range(*v.indices(len(self)))))
+        t = self.trace
+        depth, width = t.shapes[t.copies[v]]
+        offsets = tuple(o[v] for o in t.offsets[:depth])
+        return VisitRecord(offsets, t.points[v][:width], t.times[v], t.levels[v], t.copies[v])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def _time_digits(chain: Chain):
@@ -102,54 +135,76 @@ def _time_digits(chain: Chain):
     return scales, spans, converted
 
 
+def _weighted(digits: list[list[int]], pairs, base: int, count: int) -> list[int]:
+    """``base`` plus ``weight * digit`` summed over (weight, loop
+    position) ``pairs``, at each of ``count`` visits."""
+    column = None
+    for w, p in pairs:
+        if column is None:
+            column = digits[p] if w == 1 and not base else [base + w * d for d in digits[p]]
+        else:
+            column = [c + w * d for c, d in zip(column, digits[p])]
+    return [base] * count if column is None else column
+
+
 def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
     """Count through each root's loop digits as one mixed-radix number.
 
-    A root is a chain of loops and groups.  ``itertools.product`` runs
-    over its digit ranges, outermost first and form-group members side by
-    side, so the innermost loop turns fastest.  Each combination is one
-    visit: the recovery table gives its index point, the spec's guards
-    (its ``domain A < B`` lines) may skip it, and the loops' offsets
-    from their lower bounds give its time point.  A reduction epilogue
-    is the tree's, run after the last visit; it adds no record.
+    A root is a chain of loops and groups.  Its visits run over its
+    digit ranges, outermost first and form-group members side by side,
+    so the innermost loop turns fastest.  The recovery table gives each
+    visit's index point, the spec's guards may drop it, and the loops'
+    offsets from their lower bounds give its time offsets.  A reduction
+    epilogue is the tree's, run after the last visit; it adds no visit.
     """
     spec = tree.spec
     names = spec.index_names() if spec else ()
-    where = {n: i for i, n in enumerate(names)}
-    guards = [
-        (where[g.left], where.get(g.right, -1), g.right)
-        for g in (spec.domain if spec else ()) if isinstance(g, LessThan)
-    ]
-    records = []
-    for copy, chain in enumerate(tree.roots):
-        loops = nest_loops(chain)
-        base = sum(n.lower.const for n in chain if isinstance(n, EnumNode))
+    nests = [nest_loops(chain) for chain in tree.roots]
+    width = len(names) if spec else max(map(len, nests), default=0)
+    points: list[list[int]] = [[] for _ in range(width)]
+    offsets: list[list[int]] = [[] for _ in range(max(map(len, tree.roots), default=0))]
+    times: list[int] = []
+    levels: list[int] = []
+    copies: list[int] = []
+    for copy, (chain, loops) in enumerate(zip(tree.roots, nests)):
+        digits = counter_columns([l.count for l in loops])
+        count = len(digits[0]) if digits else 1
+        keep = None
+        if spec is None:
+            coords = [_weighted(digits, ((1, p),), l.digit_base, count) for p, l in enumerate(loops)]
+        else:
+            column: dict[str, list[int]] = {}
+            for step in recovery(spec, loops):
+                if step.const is not None:
+                    column[step.index] = [step.const] * count
+                elif step.source is not None:
+                    column[step.index] = [v // step.block for v in column[step.source]]
+                else:
+                    base = sum(w * loops[p].digit_base for w, p in step.digits)
+                    column[step.index] = _weighted(digits, step.digits, base, count)
+            coords = [column[n] for n in names]
+            keep = guard_mask(spec.domain, column)
         scales, spans, converted = _time_digits(chain)
-        flat = len(spans) == len(scales)
-        table = _table(spec, loops, where) if spec else None
-        bases = tuple(l.digit_base for l in loops)
-        for ds in product(*(range(l.count) for l in loops)):
-            if table is None:
-                lattice = tuple(map(add, ds, bases))
-            else:
-                point = [0] * len(names)
-                for pos, value, pairs, source, block in table:
-                    if source >= 0:
-                        value = point[source] // block
-                    for w, p in pairs:
-                        value += w * ds[p]
-                    point[pos] = value
-                if guards and any(
-                    point[left] >= (point[right] if right >= 0 else bound)
-                    for left, right, bound in guards
-                ):
-                    continue
-                lattice = tuple(point)
-            scaled = tuple(map(mul, ds, scales))
-            offsets = scaled if flat else tuple(sum(scaled[a:b]) for a, b in spans)
-            level = sum(1 for p in converted if ds[p])
-            records.append(VisitRecord(offsets, lattice, sum(scaled) + base, level, copy))
-    return VisitTrace(records=tuple(records), tree=tree)
+        start = sum(n.lower.const for n in chain if isinstance(n, EnumNode))
+        time = _weighted(digits, zip(scales, range(len(scales))), start, count)
+        nodes = [_weighted(digits, zip(scales[a:b], range(a, b)), 0, count) for a, b in spans]
+        level = [0] * count
+        for p in converted:
+            level = [v + (d > 0) for v, d in zip(level, digits[p])]
+        if keep is not None:
+            coords = [list(compress(c, keep)) for c in coords]
+            nodes = [list(compress(c, keep)) for c in nodes]
+            time, level = list(compress(time, keep)), list(compress(level, keep))
+            count = len(time)
+        zero = [0] * count
+        for into, values in zip(points, coords + [zero] * (width - len(coords))):
+            into += values
+        for into, values in zip(offsets, nodes + [zero] * (len(offsets) - len(nodes))):
+            into += values
+        times += time
+        levels += level
+        copies += [copy] * count
+    return VisitTrace(tree, Points(tuple(points), len(times)), times, tuple(offsets), levels, copies)
 
 
 # ---------------------------------------------------------------------------

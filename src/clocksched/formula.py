@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 class SpecSyntaxError(ValueError):
@@ -588,29 +588,111 @@ def extract_dependencies(spec: ComputationSpec) -> list[DepEdge]:
 # ---------------------------------------------------------------------------
 # the index domain
 
-def domain_points(spec: ComputationSpec) -> list[tuple[int, ...]]:
+class Points:
+    """Index points held as columns, one per index: point ``v`` is the
+    tuple of every column's ``v``-th value.  ``count`` says how many
+    points there are, which a space without indexes needs.  Reading a
+    point builds its tuple; the checks read the columns."""
+
+    __slots__ = ("columns", "count", "_keyed")
+
+    def __init__(self, columns: tuple[list[int], ...], count: int):
+        self.columns = columns
+        self.count = count
+        self._keyed: tuple | None = None  # the last sizes ``keys`` took, and its keys
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        if not -self.count <= v < self.count:
+            raise IndexError("point index out of range")
+        return tuple(c[v] for c in self.columns)
+
+    def __iter__(self):
+        return zip(*self.columns) if self.columns else iter([()] * self.count)
+
+    def keys(self, sizes: tuple[int, ...]) -> list:
+        """One key per point: its row-major position in the box the index
+        ranges ``sizes`` span, an integer, or, for a point with a
+        coordinate outside its range, the point's tuple, which no integer
+        equals.  The keys of the last ``sizes`` asked for are kept, so
+        coverage and the dependence check key a point set once."""
+        if self._keyed is not None and self._keyed[0] == sizes:
+            return self._keyed[1]
+        columns = self.columns
+        keys = columns[0] if columns else [0] * self.count
+        for column, size in zip(columns[1:], sizes[1:]):
+            keys = [k * size + x for k, x in zip(keys, column)]
+        off = []
+        for column, size in zip(columns, sizes):
+            values = set(column)  # few: a range check of them is cheap
+            if values and (min(values) < 0 or max(values) >= size):
+                off.append((column, size))
+        if off:
+            keys = list(keys)
+            for column, size in off:
+                for v, x in enumerate(column):
+                    if not 0 <= x < size:
+                        keys[v] = self[v]
+        self._keyed = sizes, keys
+        return keys
+
+    def kept(self, mask: list[bool] | None) -> Points:
+        """The points where ``mask`` holds; all of them for None."""
+        if mask is None:
+            return self
+        return Points(tuple(list(itertools.compress(c, mask)) for c in self.columns), sum(mask))
+
+
+def counter_columns(counts: Sequence[int]) -> list[list[int]]:
+    """Per digit of a mixed-radix counter over ``counts``, outermost
+    first, its value at every count in turn, the innermost digit turning
+    fastest: each value repeated as often as the digits inside it count
+    together, and that run repeated as often as the digits outside it."""
+    total = 1
+    for count in counts:
+        total *= count
+    columns, outer = [], 1
+    for count in counts:
+        inner = total // (outer * count) if total else 0
+        run: list[int] = []
+        for v in range(count):
+            run += [v] * inner
+        columns.append(run * outer)
+        outer *= count
+    return columns
+
+
+def guard_mask(domain: Sequence[DomainGuard], column: Mapping[str, list[int]]) -> list[bool] | None:
+    """Where points keep every ``left < right`` guard of ``domain``,
+    given their index columns by name; None when there is no guard."""
+    keep = None
+    for g in domain:
+        if isinstance(g, LessThan):
+            left = column[g.left]
+            if isinstance(g.right, int):
+                at = [x < g.right for x in left]
+            else:
+                at = [x < y for x, y in zip(left, column[g.right])]
+            keep = at if keep is None else [k and a for k, a in zip(keep, at)]
+    return keep
+
+
+def domain_points(spec: ComputationSpec) -> Points:
     """Index points the spec runs over, in declaration order per axis.
 
-    Block-bound indexes are not free: their value is derived from the
-    source index.  Comparison guards filter the product of the free
-    extents.  Without guards this is the whole rectangular space.
+    Block-bound indexes are not free: their column divides the source
+    index's.  Comparison guards filter the product of the free extents.
+    Without guards this is the whole rectangular space.
     """
     sizes = spec.index_sizes()
     names = spec.index_names()
     binds = {g.index: g for g in spec.domain if isinstance(g, BlockBind)}
-    filters = [g for g in spec.domain if isinstance(g, LessThan)]
     free = [n for n in names if n not in binds]
-    if not binds and not filters:
-        return list(itertools.product(*(range(sizes[n]) for n in names)))
-    points = []
-    for combo in itertools.product(*(range(sizes[n]) for n in free)):
-        env = dict(zip(free, combo))
-        for b in binds.values():
-            env[b.index] = env[b.source] // b.block
-        if all(
-            env[g.left] < (g.right if isinstance(g.right, int) else env[g.right])
-            for g in filters
-        ):
-            points.append(tuple(env[n] for n in names))
-    return points
-
+    digits = counter_columns([sizes[n] for n in free])
+    count = len(digits[0]) if digits else 1
+    column = dict(zip(free, digits))
+    for b in binds.values():
+        column[b.index] = [v // b.block for v in column[b.source]]
+    return Points(tuple(column[n] for n in names), count).kept(guard_mask(spec.domain, column))

@@ -34,9 +34,11 @@ its own target.  ``Stream.dataflow`` walks a stream once and keeps only
 what order can change: those reads, each cell's last assignment and
 the contributions since, and the copy reads.
 
-``lower`` builds the stream by columns, ``BLOCK`` points at a time.
-Every subscript is an index plus a displacement, so an access's cell
-id is affine in the point: from the block's coordinate columns it
+``lower`` builds the stream by columns, ``BLOCK`` points at a time,
+from points given as columns (``formula.Points``), so a block's
+coordinate columns are slices of them.  Every subscript is an index
+plus a displacement, so an access's cell id is affine in the point:
+from the block's coordinate columns it
 computes each access's column of cell ids, checking bounds only on a
 dimension whose range over the block leaves the array, and it joins
 the columns of record heads and terms into the block's records.  The
@@ -58,7 +60,7 @@ from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .formula import ArrayAccess, ComputationSpec, Formula, infer_shapes
+from .formula import ArrayAccess, ComputationSpec, Formula, Points, infer_shapes
 
 VISIT = -1
 ASSIGN, ADD, SKIP = 0, 1, 2
@@ -178,7 +180,7 @@ class Stream:
 
     def __init__(self, spec, points, layout, codes, coefficients):
         self.spec: ComputationSpec = spec
-        self.points: Sequence[tuple[int, ...]] = points  # visit i's index point
+        self.points: Points = points  # visit i's index point
         self.layout: Layout = layout
         self.codes: array = codes
         self.coefficients: list[int] = coefficients
@@ -495,11 +497,11 @@ def _polynomial(p, rename) -> dict:
 
 def lower(
     spec: ComputationSpec,
-    points: Sequence[tuple[int, ...]],
+    points: Points,
     epilogue: tuple[Formula, ...] = (),
 ) -> Stream:
-    """The stream of visiting ``points`` (index tuples in declaration
-    order), then running the epilogue."""
+    """The stream of visiting ``points`` (one column per index, in
+    declaration order), then running the epilogue."""
     layout = Layout(infer_shapes(replace(spec, formulas=spec.formulas + epilogue)))
     coefficient_ids = {0: 0}
 
@@ -534,8 +536,9 @@ def lower(
     body = compiled(spec.formulas, spec.index_names(), {f.result.name for f in spec.formulas})
     codes = array("q")
     for start in range(0, len(points), BLOCK):
-        block = points[start:start + BLOCK]
-        codes.fromlist(_block(body, 0, list(zip(*block)), len(block), layout.size))
+        n = min(BLOCK, len(points) - start)
+        coords = [c[start:start + BLOCK] for c in points.columns]
+        codes.fromlist(_block(body, 0, coords, n, layout.size))
     if epilogue:
         codes.fromlist(_block(compiled(epilogue, (), set()), len(body), [], 1, layout.size))
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)

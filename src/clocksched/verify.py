@@ -5,8 +5,11 @@ to one meaning, ``reference_stream`` of its source: each domain point
 in declaration order runs its formulas in listed order, and a read
 sees the value an earlier formula at the same point wrote, or its
 accumulator's running value, and otherwise the pre-pass value.
-Coverage compares the visited index points against the spec's domain
-one by one.  The other checks read the trace's one flat access stream
+Coverage keys each visited point and each domain point (both index
+columns, ``formula.Points``) by its row-major position in the index
+box, or by its tuple outside the box, and compares the two multisets;
+the dependence check ranks visits by the same keys.  The other checks
+read the trace's one flat access stream
 (``VisitTrace.stream``, built by ``lower.py`` on first use): integer
 cell ids and formula applications in visit order, where a read that
 wants a cell's pre-pass value names the cell's untouched copy.  The
@@ -57,7 +60,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .clock import color_of, log2_exact
 from .engine import VisitTrace, enumerate_schedule
-from .formula import ComputationSpec, domain_points, legal_spec
+from .formula import ComputationSpec, Points, domain_points, legal_spec
 from .schedule import ScheduleTree, pad_and_guard
 
 if TYPE_CHECKING:
@@ -173,17 +176,38 @@ class CoverageReport:
         return "coverage: FAIL, " + ", ".join(parts)
 
 
-def check_coverage(trace: VisitTrace, points: list | None = None) -> CoverageReport:
-    """Every domain point exactly once, nothing outside the domain.
-    ``points`` are the trace spec's ``domain_points``, if already made."""
+def _point(key, sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The point of a ``Points.keys`` key."""
+    if type(key) is tuple:
+        return key
+    loc = []
+    for size in reversed(sizes):
+        key, x = divmod(key, size)
+        loc.append(x)
+    return tuple(reversed(loc))
+
+
+def check_coverage(trace: VisitTrace, points: Points | None = None) -> CoverageReport:
+    """Every domain point exactly once, nothing outside the domain,
+    counted by one integer key per point (``Points.keys``).  ``points``
+    are the trace spec's ``domain_points``, if already made."""
     spec = trace.spec
     if spec is None:
         raise ValueError("coverage needs a spec-driven trace")
-    wanted = Counter(domain_points(spec) if points is None else points)
-    got = Counter(r.lattice_point for r in trace.records)
-    missing = tuple(sorted(p for p in wanted if p not in got))
-    duplicated = tuple(sorted(p for p, n in got.items() if p in wanted and n > 1))
-    extra = tuple(sorted(p for p in got if p not in wanted))
+    sizes = tuple(spec.index_sizes().values())
+    wanted_keys = (domain_points(spec) if points is None else points).keys(sizes)
+    got_keys = trace.points.keys(sizes)
+    wanted, got = set(wanted_keys), set(got_keys)
+    if wanted == got and len(got) == len(got_keys):  # each domain point once
+        return CoverageReport(ok=True, expected=len(wanted_keys), visited=len(got_keys))
+    wanted, got = Counter(wanted_keys), Counter(got_keys)
+
+    def listed(keys) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(_point(k, sizes) for k in keys))
+
+    missing = listed(k for k in wanted if k not in got)
+    duplicated = listed(k for k, n in got.items() if k in wanted and n > 1)
+    extra = listed(k for k in got if k not in wanted)
     ok = not missing and not duplicated and not extra
     return CoverageReport(
         ok=ok,
@@ -245,21 +269,23 @@ def _plan_violations(trace: VisitTrace, flow: Dataflow) -> list[tuple[int, str]]
     return found
 
 
-def _ranks(points: list, reference: list) -> array:
-    """Each point's position in ``reference``; a point outside it gets a
-    rank of its own from -2 down."""
-    index = {p: i for i, p in enumerate(reference)}
-    ranks = array("q", map(index.get, points, itertools.repeat(-1)))
+def _ranks(points: Points, reference: Points, sizes: tuple[int, ...]) -> array:
+    """Each point's position in ``reference``, both keyed by
+    ``Points.keys`` over the index ranges ``sizes``; a point outside it
+    gets a rank of its own from -2 down."""
+    index = dict(zip(reference.keys(sizes), range(len(reference))))
+    keys = points.keys(sizes)
+    ranks = array("q", map(index.get, keys, itertools.repeat(-1)))
     if -1 in ranks:
         outside: dict = {}
-        for v, p in enumerate(points):
+        for v, k in enumerate(keys):
             if ranks[v] == -1:
-                ranks[v] = outside.setdefault(p, -2 - len(outside))
+                ranks[v] = outside.setdefault(k, -2 - len(outside))
     return ranks
 
 
 def check_dependencies(
-    trace: VisitTrace, reference: Stream | None = None, points: list | None = None
+    trace: VisitTrace, reference: Stream | None = None, points: Points | None = None
 ) -> DependencyReport:
     """Hold the trace's snapshot plan to its stream (``_plan_violations``),
     then compare which write each read sees in the trace and in the
@@ -290,7 +316,8 @@ def check_dependencies(
     if reference is None:
         points = domain_points(spec) if points is None else points
         reference = lower(spec, points, trace.tree.epilogue)
-    got = stream.dataflow(_ranks(stream.points, reference.points))
+    sizes = tuple(spec.index_sizes().values())
+    got = stream.dataflow(_ranks(stream.points, reference.points, sizes))
     found = _plan_violations(trace, got)
     want = reference.dataflow(range(len(reference.points)))
     layout = stream.layout
@@ -511,45 +538,86 @@ class ParallelismProfile:
         }
 
 
+def _packed(key: list[int] | None, column: list[int], radix: int) -> list[int] | None:
+    """``key * radix + column`` per visit, as the next digit of a mixed
+    radix number; None stands for a key alike at every visit, and a
+    column alike at every visit (``radix`` 1) adds nothing."""
+    if radix == 1:
+        return key
+    if key is None:
+        return column
+    return [k * radix + x for k, x in zip(key, column)]
+
+
 def analyze(trace: VisitTrace) -> ParallelismProfile:
     """Width per convolution level, color histogram with its exact
     measure, and a locality score counting unit-distance transitions.
 
-    Records sharing an outer time prefix form one parallel set; the
-    width at level L is the largest set when the innermost L offsets
-    are ignored.  A visit's color is the 2-adic color of its time value
-    in clock units over the clock's log2(states) bits; without a clock,
-    the unit is 1 and the bits are those of the largest time value.
+    Visits sharing a copy and an outer time prefix form one parallel
+    set; the width at level L is the largest set when the innermost L
+    offsets are ignored.  A visit's color is the 2-adic color of its
+    time value in clock units over the clock's log2(states) bits;
+    without a clock, the unit is 1 and the bits are those of the
+    largest time value.  Locality compares the coordinates two visits
+    both have.
+
+    A prefix is one integer key per visit: the copy, then each offset
+    in mixed radix over its column's range r.  The coordinates make one
+    key in radix 2r - 1, so two keys differ by one coordinate's unit
+    exactly at distance 1 (balanced mixed radix is unique).
     """
-    records = trace.records
-    if not records:
+    total = len(trace.times)
+    if not total:
         return ParallelismProfile(widths=(1,))
-    depth = max(len(r.time_point) for r in records)
-    top = max(r.level for r in records)
-    widths = []
-    for level in range(top + 1):
-        groups = Counter(
-            (r.copy, r.time_point[: depth - level]) for r in records
-        )
-        widths.append(max(groups.values()))
+    shapes, copies = trace.shapes, trace.copies
+    depth = max(shapes[c][0] for c in set(copies))
+    key, keys = _packed(None, copies, max(copies) - min(copies) + 1), []
+    for column in trace.offsets[:depth]:
+        keys.append(key)
+        key = _packed(key, column, max(column) - min(column) + 1)
+    keys.append(key)
+    widths = [
+        total if keys[depth - level] is None else max(Counter(keys[depth - level]).values())
+        for level in range(max(trace.levels) + 1)
+    ]
     clock = trace.tree.clock
+    times = trace.times
     if clock is not None:
         bits, unit = log2_exact(clock.states), clock.unit_scale
     else:
-        bits, unit = max(max(r.time_value for r in records).bit_length(), 1), 1
-    colors = Counter(color_of(r.time_value // unit, bits) for r in records)
+        bits, unit = max(max(times).bit_length(), 1), 1
+    if unit != 1:
+        times = [t // unit for t in times]
+    colors: dict[int, int] = {}
+    for low, n in Counter([t & -t for t in times]).items():
+        c = color_of(low, bits)
+        colors[c] = colors.get(c, 0) + n
     for c in range(bits + 1):
         colors.setdefault(c, 0)
-    total = len(records)
     measure = {c: Fraction(n, total) for c, n in colors.items()}
+    key, units = None, set()
+    for column in trace.points.columns:
+        radix = 2 * (max(column) - min(column)) + 1
+        key, units = _packed(key, column, radix), {u * radix for u in units}
+        if radix > 1:
+            units |= {1, -1}
     locality = 0
-    for a, b in zip(records, records[1:]):
-        dist = sum(abs(x - y) for x, y in zip(a.lattice_point, b.lattice_point))
-        if dist == 1:
-            locality += 1
+    if key is not None:
+        steps = Counter([b - a for a, b in zip(key, itertools.islice(key, 1, None))])
+        locality = sum(steps[u] for u in units)
+    if len({width for _, width in shapes}) > 1:
+        # a bare-time root with fewer loops: where the copy changes, count
+        # only the coordinates both visits have
+        points = trace.points
+        for v in [v for v in range(total - 1) if copies[v] != copies[v + 1]]:
+            p, q = points[v], points[v + 1]
+            cut = min(shapes[copies[v]][1], shapes[copies[v + 1]][1])
+            locality += (sum(abs(x - y) for x, y in zip(p[:cut], q[:cut])) == 1) - (
+                sum(abs(x - y) for x, y in zip(p, q)) == 1
+            )
     return ParallelismProfile(
         widths=tuple(widths),
-        colors=dict(colors),
+        colors=colors,
         measure=measure,
         locality=locality,
         points=total,

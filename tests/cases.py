@@ -14,6 +14,7 @@ from clocksched.schedule import (
     time_skeleton,
 )
 from clocksched.clock import factorize
+from clocksched.formula import Points
 
 MATMUL = "space I[2], J[2], K[2];\na(I,J) += b(I,K)*c(K,J);\n"
 TRANSPOSE = "space I[4], J[4];\na(I,J) = a(J,I);\n"
@@ -89,3 +90,11 @@ def transpose_sequential_tree() -> ScheduleTree:
 
 def accumulator_tree() -> ScheduleTree:
     return build_schedule(ACCUM, clock=make_clock(3), unfold_over=("TMP", 2))
+
+
+def points(rows, width: int | None = None) -> Points:
+    """Index points given as tuples, as the columns ``lower`` reads;
+    ``width`` counts the indexes, which only an empty list needs."""
+    if not rows:
+        return Points(tuple([] for _ in range(width or 0)), 0)
+    return Points(tuple(map(list, zip(*rows))), len(rows))

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque, namedtuple
+from fractions import Fraction
+
+# one visit as the enumerator's ``VisitRecord`` states it
+Visit = namedtuple("Visit", "time_point lattice_point time_value level copy")
 
 
 def subset_sum_points(graduations: list[int]) -> list[int]:
@@ -146,6 +150,118 @@ def _visits(nodes: list[dict], env: dict[str, int], offsets: tuple[int, ...]):
                 yield from _visits(node["body"], env, offsets + (offset,))
             for m in members:
                 del env[m["index"]]
+
+
+def visit_records(tree, recovery):
+    """A schedule tree's visits, one per point in visit order, as
+    ``Visit`` tuples, by one ``itertools.product`` over each
+    root's loop digits, point by point.  ``recovery`` is the schedule
+    module's table, which states how a root's loops give index values.
+
+    A chain node is a group when it has ``members``.  A group member's
+    time weight is its slot's step times the counts of the members
+    inside it; a loop's is its step.  A visit's time offsets are, per
+    node, the weighted digits of its loops; its time value is their sum
+    plus every plain loop's constant lower bound; its level counts the
+    converted loops (whose lower bound names a variable) with a nonzero
+    digit.  Its point is, per recovery step, a constant, the floor of
+    an earlier index's value over a block, or the weighted digits plus
+    the weighted digit bases; a point failing a ``left < right`` guard
+    is skipped.  Without a spec the point is each digit plus its base.
+    """
+    spec = tree.spec
+    names = spec.index_names() if spec else ()
+    records = []
+    for copy, chain in enumerate(tree.roots):
+        loops = [m for n in chain for m in getattr(n, "members", (n,))]
+        base = sum(n.lower.const for n in chain if not hasattr(n, "members"))
+        scales, spans, converted = [], [], []
+        for n in chain:
+            if hasattr(n, "members"):
+                scale, member = n.members[0].step, []
+                for m in reversed(n.members):
+                    member.append(scale)
+                    scale *= m.count
+                spans.append((len(scales), len(scales) + len(member)))
+                scales.extend(reversed(member))
+            else:
+                if n.lower.terms:
+                    converted.append(len(scales))
+                spans.append((len(scales), len(scales) + 1))
+                scales.append(n.step)
+        steps = recovery(spec, loops) if spec else ()
+        for ds in itertools.product(*(range(l.count) for l in loops)):
+            if spec is None:
+                lattice = tuple(d + l.digit_base for d, l in zip(ds, loops))
+            else:
+                env = {}
+                for step in steps:
+                    if step.const is not None:
+                        env[step.index] = step.const
+                    elif step.source is not None:
+                        env[step.index] = env[step.source] // step.block
+                    else:
+                        env[step.index] = sum(w * (ds[p] + loops[p].digit_base) for w, p in step.digits)
+                if not keeps_guards(spec.domain, env):
+                    continue
+                lattice = tuple(env[n] for n in names)
+            scaled = [d * s for d, s in zip(ds, scales)]
+            offsets = tuple(sum(scaled[a:b]) for a, b in spans)
+            level = sum(1 for p in converted if ds[p])
+            records.append(Visit(offsets, lattice, sum(scaled) + base, level, copy))
+    return records
+
+
+def profile(records, clock):
+    """``analyze``'s ``(widths, colors, measure, locality, points)`` of
+    visits given as ``VisitRecord``s, read by attribute, under the
+    tree's ``clock`` (None for none).
+
+    Visits sharing a copy and the time point cut short by L offsets are
+    one parallel set of level L, for every level up to the highest; a
+    visit's color is the two-adic depth of its time value over the
+    clock's unit, clamped to the clock's bits (the largest time value's
+    without a clock); locality counts consecutive visits whose lattice
+    points lie at distance 1, over the coordinates both have.
+    """
+    if not records:
+        return (1,), {}, {}, 0, 0
+    depth = max(len(r.time_point) for r in records)
+    widths = tuple(
+        max(Counter((r.copy, r.time_point[: depth - level]) for r in records).values())
+        for level in range(max(r.level for r in records) + 1)
+    )
+    if clock is not None:
+        bits, unit = clock.states.bit_length() - 1, clock.unit_scale
+    else:
+        bits, unit = max(max(r.time_value for r in records).bit_length(), 1), 1
+    colors = Counter(two_adic_depth(r.time_value // unit, bits) for r in records)
+    for c in range(bits + 1):
+        colors.setdefault(c, 0)
+    measure = {c: Fraction(n, len(records)) for c, n in colors.items()}
+    locality = sum(
+        sum(abs(x - y) for x, y in zip(a.lattice_point, b.lattice_point)) == 1
+        for a, b in zip(records, records[1:])
+    )
+    return widths, dict(colors), measure, locality, len(records)
+
+
+def edited_trace(trace, records):
+    """A trace of ``trace``'s tree and class visiting ``records``, edited
+    ``VisitRecord``s of it, as columns: per coordinate and per time
+    offset one column, a record shorter than another padded with 0."""
+    width, depth = len(trace.points.columns), len(trace.offsets)
+
+    def columns(rows, count):
+        rows = [tuple(row) + (0,) * (count - len(row)) for row in rows]
+        return tuple(list(column) for column in zip(*rows)) if rows else tuple([] for _ in range(count))
+
+    points = type(trace.points)(columns([r.lattice_point for r in records], width), len(records))
+    return type(trace)(
+        trace.tree, points, [r.time_value for r in records],
+        columns([r.time_point for r in records], depth),
+        [r.level for r in records], [r.copy for r in records],
+    )
 
 
 def keeps_guards(domain, point: dict[str, int]) -> bool:

@@ -24,6 +24,7 @@ from clocksched.formula import (
 )
 from clocksched.lower import lower
 
+import cases
 import oracles
 
 MATMUL = "space I[2], J[2], K[2];\na(I,J) += b(I,K)*c(K,J);\n"
@@ -77,7 +78,7 @@ def test_parse_when_and_initial():
     )
     (f,) = spec.formulas
     assert f.when == (("I", 1), ("J", 0))
-    fired = [visit for visit, *_ in oracles.replay(lower(spec, [(1, 0), (0, 0)]))]
+    fired = [visit for visit, *_ in oracles.replay(lower(spec, cases.points([(1, 0), (0, 0)])))]
     assert fired == [0]  # the formula fires at I=1, J=0 only
 
 
@@ -131,7 +132,7 @@ def test_infer_shapes():
 
 def test_domain_points_rectangular_matches_product():
     spec = parse_spec(MATMUL)
-    assert domain_points(spec) == oracles.lex_points([2, 2, 2])
+    assert list(domain_points(spec)) == oracles.lex_points([2, 2, 2])
 
 
 def test_domain_points_triangular():
@@ -146,7 +147,7 @@ def test_domain_points_block_bound():
         "space T[2], I[4];\ndomain T = I / 2;\nb(T,I) = a(T,I);\n"
     )
     points = domain_points(spec)
-    assert points == [(0, 0), (0, 1), (1, 2), (1, 3)]
+    assert list(points) == [(0, 0), (0, 1), (1, 2), (1, 3)]
 
 
 def test_dependencies_matmul_self_accumulation():

@@ -13,13 +13,14 @@ from clocksched.formula import (
 )
 from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, PastBudget, lower
 
+import cases
 import oracles
 from test_properties import rich_specs, self_reading_specs
 
 
 def test_lowered_cells_and_bounds():
     spec = parse_spec("space I[4], J[4];\nb(I,J) = a(I+1,J) + 2*s(1);\n")
-    stream = lower(spec, [(2, 1), (3, 1)])
+    stream = lower(spec, cases.points([(2, 1), (3, 1)]))
     layout = stream.layout
     assert layout.offsets == {"a": 0, "b": 16, "s": 32}
     assert layout.location(13) == ("a", (3, 1))
@@ -34,7 +35,7 @@ def test_lowered_cells_and_bounds():
 
 
 def test_a_formula_with_every_term_off_its_arrays_stores_nothing():
-    stream = lower(parse_spec("space I[2];\nb(I) = a(I+1);\n"), [(1,)])
+    stream = lower(parse_spec("space I[2];\nb(I) = a(I+1);\n"), cases.points([(1,)]))
     assert list(stream.codes) == [VISIT, SKIP, 3, 1, 0, 0]
     mem = stream.memory({"a": [1, 2], "b": [5, 6]})
     stream.run(mem)
@@ -48,7 +49,7 @@ def test_snapshot_cells_are_banked_at_their_first_overwrite():
     overwrote it.  Run literally, the plan that banks a(1) computes
     what the stream computes, and the empty plan does not."""
     spec = parse_spec("space I[3];\na(I) = a(I+1);\n")
-    stream = lower(spec, [(2,), (1,), (0,)])
+    stream = lower(spec, cases.points([(2,), (1,), (0,)]))
     one = stream.coefficients.index(1)
     assert stream.layout.size == 3
     assert list(stream.codes) == [
@@ -76,7 +77,7 @@ def test_a_read_after_a_skip_of_its_cell_reads_the_copy():
     c(1) reads a(1)'s copy, 11, not b(0), which formula 0 stored in
     a(1) at I=0."""
     spec = parse_spec("space I[2];\na(1) = b(I) when I=0;\na(I) = b(I+1);\nc(I) = a(I);\n")
-    stream = lower(spec, [(0,), (1,)])
+    stream = lower(spec, cases.points([(0,), (1,)]))
     mem = stream.memory({"a": [10, 11], "b": [20, 21], "c": [0, 0]})
     stream.run(mem)
     assert mem[:6] == [21, 20, 20, 21, 21, 11]
@@ -86,7 +87,7 @@ def test_a_read_after_a_skip_of_its_cell_reads_the_copy():
 
 def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
     spec = parse_spec("space I[1];\na(I) = b(I);\na(I) += a(I);\na(I) += a(I);\nc(I) = a(I);\n")
-    stream = lower(spec, [(0,)])
+    stream = lower(spec, cases.points([(0,)]))
     # the second accumulation's own read of a(0) sees the assignment, not
     # the first accumulation; c's read sees the last write
     seen = [seen for *_, seen in oracles.replay(stream)]
@@ -99,7 +100,7 @@ def test_only_reads_of_written_arrays_before_the_epilogue_name_copies():
     accumulation reads its own target; the epilogue reads cells."""
     spec = parse_spec("space I[2];\na(I) = a(I) + b(I);\nc(I) = a(I);\nc(I) += c(I) + a(I+1);\n")
     epilogue = parse_spec("space I[1];\ns = a(0) + c(1);\n").formulas
-    stream = lower(spec, [(0,)], epilogue)
+    stream = lower(spec, cases.points([(0,)]), epilogue)
     assert stream.layout.offsets == {"a": 0, "b": 2, "c": 4, "s": 6}
     size, one = stream.layout.size, stream.coefficients.index(1)
     assert list(stream.codes) == [
@@ -121,7 +122,7 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
     e = replace(e, terms=(e.terms[0], replace(e.terms[1], coefficient=-1)))
     f = replace(f, terms=(replace(f.terms[0], coefficient=-1),))
     spec = replace(spec, formulas=(c, d, e, f))
-    stream = lower(spec, [(0,)])
+    stream = lower(spec, cases.points([(0,)]))
     a, b, c, d, e = (stream.layout.offsets[n] for n in "abcde")
     mem = stream.polynomials(["a", "b"], 100)
 
@@ -141,7 +142,7 @@ def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():
     spec = parse_spec("space I[2];\na(I) = a(1) + b(I);\n")
     # a(1) is first overwritten at the last visit of the first block
     points = [(0,)] * (BLOCK - 1) + [(1,), (0,)]
-    stream = lower(spec, points)
+    stream = lower(spec, cases.points(points))
     one = stream.coefficients.index(1)
     assert stream.layout.offsets == {"a": 0, "b": 2} and stream.layout.size == 4
     assert list(stream.codes[:10]) == [VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2]
@@ -210,7 +211,7 @@ def lowerings(draw):
 @given(lowerings())
 def test_lowering_matches_the_literal_per_point_lowering(case):
     spec, points, epilogue = case
-    stream = lower(spec, points, epilogue)
+    stream = lower(spec, cases.points(points, len(spec.indexes)), epilogue)
     assert (list(stream.codes), stream.coefficients) == oracles.lowered_records(
         spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes
     )
@@ -223,7 +224,7 @@ def spec_orders(draw):
     perhaps an epilogue summing a constant cell of each written array."""
     spec = draw(st.one_of(rich_specs(), self_reading_specs()))
     rng = random.Random(draw(st.integers(0, 2**16)))
-    points = domain_points(spec)
+    points = list(domain_points(spec))
     rng.shuffle(points)
     if points and draw(st.booleans()):
         points.insert(rng.randrange(len(points) + 1), rng.choice(points))
@@ -248,7 +249,7 @@ def test_a_read_sees_its_own_visit_unless_it_accumulates_into_its_target(case):
     a write of an earlier visit.  So visit order changes only those
     reads, and the cells' finals."""
     spec, points, epilogue = case
-    stream = lower(spec, points, epilogue)
+    stream = lower(spec, cases.points(points, len(spec.indexes)), epilogue)
     for visit, code, write, seen in oracles.replay(stream):
         for at in filter(None, seen):
             written, _, read = at

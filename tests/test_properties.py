@@ -33,7 +33,7 @@ from clocksched.clock import (
     make_clock,
 )
 from clocksched.emit import emit, schedule_from_json, schedule_to_json, value_texts
-from clocksched.engine import VisitTrace, enumerate_schedule
+from clocksched.engine import enumerate_schedule
 from clocksched.formula import (
     ArrayAccess,
     BlockBind,
@@ -56,18 +56,22 @@ from clocksched.lower import Layout, lower
 from clocksched.schedule import (
     NO_PLAN,
     BuildError,
+    ScheduleTree,
     TempPlan,
     apply_convolutions,
     assign_slots,
     build_schedule,
+    compose_skeleton,
     nest_loops,
     next_power_of_two,
     pad_and_guard,
     scratch_cells,
     sequential_schedule,
     time_skeleton,
+    unfold,
 )
 from clocksched.verify import (
+    analyze,
     check_coverage,
     check_dependencies,
     equivalent,
@@ -78,6 +82,7 @@ from clocksched.verify import (
     verify_report,
 )
 
+import cases
 import oracles
 
 _NAMES = ("I", "J", "K")
@@ -244,6 +249,46 @@ def test_domain_points_unique_and_guarded(spec):
         assert all(0 <= v < s for v, s in zip(pt, sizes))
 
 
+@st.composite
+def domain_specs(draw):
+    """A ``rich_specs`` spec with more domain lines: a bind of the bound
+    ``T`` (``U = T / n``, a chain of binds), a guard between two
+    indexes, bound ones among them, and a guard against a constant."""
+    spec = draw(rich_specs())
+    indexes, domain = spec.indexes, spec.domain
+    names = [d.name for d in indexes]
+    if "T" in names and draw(st.booleans()):
+        indexes += (IndexDecl("U", 4),)
+        domain += (BlockBind("U", "T", draw(st.sampled_from([1, 2, 4]))),)
+        names.append("U")
+    if len(names) > 1 and draw(st.booleans()):
+        left, right = draw(st.permutations(names))[:2]
+        domain += (LessThan(left, right),)
+    if draw(st.booleans()):
+        domain += (LessThan(draw(st.sampled_from(names)), draw(st.integers(0, 8))),)
+    return replace(spec, indexes=indexes, domain=domain)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(domain_specs())
+def test_domain_points_are_the_guarded_box_with_its_binds(spec):
+    """``domain_points`` lists the product of the free extents in
+    declaration order, each point with its binds applied in order,
+    where every guard holds."""
+    sizes = spec.index_sizes()
+    binds = [g for g in spec.domain if isinstance(g, BlockBind)]
+    free = [n for n in spec.index_names() if n not in {b.index for b in binds}]
+    want = []
+    for values in oracles.lex_points([sizes[n] for n in free]):
+        point = dict(zip(free, values))
+        for b in binds:
+            point[b.index] = point[b.source] // b.block
+        if oracles.keeps_guards(spec.domain, point):
+            want.append(tuple(point[n] for n in spec.index_names()))
+    assert list(domain_points(spec)) == want
+    assert len(domain_points(spec)) == len(want)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(rich_specs(), st.integers(0, 2**16))
 def test_sequential_trace_interprets_like_the_reference(spec, seed):
@@ -322,7 +367,7 @@ def test_sequential_trace_visits_the_domain_in_declaration_order(spec):
     tree = sequential_schedule(spec)
     trace = enumerate_schedule(tree)
     assert not tree.epilogue
-    assert [r.lattice_point for r in trace.records] == domain_points(tree.spec)
+    assert [r.lattice_point for r in trace.records] == list(domain_points(tree.spec))
 
 
 # -- snapshot slots, checked against the quadratic rescan --------------------
@@ -548,7 +593,8 @@ def mutated_traces(draw):
             reject()
     if draw(st.booleans()):
         tree = replace(tree, plan=NO_PLAN)
-    records = list(enumerate_schedule(tree).records)
+    trace = enumerate_schedule(tree)
+    records = list(trace.records)
     rng = random.Random(draw(st.integers(0, 2**16)))
     mutation = draw(st.sampled_from(["none", "shuffle", "swap", "truncate", "duplicate", "outside"]))
     if mutation == "shuffle":
@@ -572,7 +618,7 @@ def mutated_traces(draw):
         record = rng.choice(records)._replace(lattice_point=tuple(point))
         for _ in range(rng.randint(1, 2)):
             records.insert(rng.randrange(len(records) + 1), record)
-    return VisitTrace(tuple(records), tree), mutation
+    return oracles.edited_trace(trace, records), mutation
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -605,7 +651,8 @@ def checked_traces(draw):
             tree = sequential_schedule(draw(self_reading_specs()))
         except BuildError:
             reject()
-        return VisitTrace(tuple(draw(st.permutations(enumerate_schedule(tree).records))), tree)
+        trace = enumerate_schedule(tree)
+        return oracles.edited_trace(trace, draw(st.permutations(list(trace.records))))
     tree = draw(built_schedules())[1] if source == "built" else draw(planned_trees())[0]
     return enumerate_schedule(tree)
 
@@ -669,6 +716,83 @@ def assert_texts_give_the_trace(tree):
 @given(built_schedules())
 def test_emitted_index_texts_give_the_traced_points(spec_tree):
     assert_texts_give_the_trace(spec_tree[1])
+
+
+# -- columnar traces, checked against the per-visit walk ---------------------
+
+_CASE_TREES = [
+    cases.skeleton_plain, cases.skeleton_convolved, cases.composed_6clock, cases.mnpq_tree,
+    cases.matmul_tree, cases.matmul_form_tree, cases.stencil_tree, cases.transpose_tree,
+    cases.transpose_unfold_tree, cases.transpose_sequential_tree, cases.accumulator_tree,
+]
+
+
+@st.composite
+def skeletons(draw):
+    """A spec-less tree: a time skeleton, perhaps convolved, perhaps
+    unfolded over its root; a composed skeleton of a factor chain; or
+    two skeletons of different depths as the roots of one tree."""
+    kind = draw(st.sampled_from(["time", "composed", "ragged"]))
+    k = draw(st.integers(1, 5))
+    clock = make_clock(k, 2, draw(st.sampled_from([1, 2])))
+    if kind == "composed":
+        return compose_skeleton(factorize(clock, make_clock(draw(st.integers(1, k)), 2, clock.unit_scale)))
+    if kind == "ragged":
+        other = make_clock(draw(st.integers(1, 5)))
+        roots = (time_skeleton(clock).roots[0], time_skeleton(other).roots[0])
+        return ScheduleTree(roots=roots, clock=draw(st.sampled_from([None, clock])))
+    tree = apply_convolutions(time_skeleton(clock), draw(st.integers(0, k - 1)))
+    return unfold(tree, tree.roots[0][0].index, 2) if draw(st.booleans()) else tree
+
+
+@st.composite
+def enumerated_trees(draw):
+    """Every kind of tree the enumerator walks: built schedules (form
+    groups, convolutions and unfolds among them), planned trees, the
+    worked cases and spec-less skeletons."""
+    kind = draw(st.sampled_from(["built", "planned", "case", "skeleton"]))
+    if kind == "built":
+        return draw(built_schedules())[1]
+    if kind == "planned":
+        return draw(planned_trees())[0]
+    if kind == "case":
+        return draw(st.sampled_from(_CASE_TREES))()
+    return draw(skeletons())
+
+
+def profile_of(trace):
+    p = analyze(trace)
+    return p.widths, p.colors, p.measure, p.locality, p.points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(enumerated_trees())
+def test_the_columns_and_the_profile_match_the_per_visit_walk(tree):
+    """The columns hold, visit by visit, what the per-visit walk
+    (``oracles.visit_records``) makes, and ``analyze`` of them gives
+    the profile the per-visit count (``oracles.profile``) gives."""
+    trace = enumerate_schedule(tree)
+    records = oracles.visit_records(tree, schedule.recovery)
+    assert list(trace.records) == records
+    want = oracles.edited_trace(trace, records)
+    assert (trace.points.columns, trace.offsets, trace.times, trace.levels, trace.copies) == (
+        want.points.columns, want.offsets, want.times, want.levels, want.copies
+    )
+    assert profile_of(trace) == oracles.profile(records, tree.clock)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_traces())
+def test_analyze_matches_the_per_visit_profile_on_mutated_traces(case):
+    trace, mutation = case
+    assert profile_of(trace) == oracles.profile(list(trace.records), trace.tree.clock), mutation
+
+
+@pytest.mark.parametrize("tree", [cases.matmul_tree, cases.skeleton_plain], ids=["spec", "bare"])
+def test_a_trace_of_no_visits_has_the_per_visit_profile(tree):
+    trace = oracles.edited_trace(enumerate_schedule(tree()), [])
+    assert len(trace.records) == 0 and list(trace.points) == []
+    assert profile_of(trace) == oracles.profile([], trace.tree.clock) == ((1,), {}, {}, 0, 0)
 
 
 # -- exact equivalence: each cell a polynomial over the inputs ---------------

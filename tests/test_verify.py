@@ -15,7 +15,7 @@ import clocksched.verify
 from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_from_json, schedule_to_json
-from clocksched.engine import VisitTrace, enumerate_schedule
+from clocksched.engine import enumerate_schedule
 from clocksched.formula import ComputationSpec, infer_shapes, parse_spec, print_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
@@ -211,6 +211,26 @@ def test_writes_checked_counts_only_points_that_write():
     assert report.summary() == "dependencies: ok (1 writes checked)"
 
 
+@pytest.mark.parametrize("point, coverage, dependencies", [
+    ((0, 4),  # one past J's range: row-major in I[4], J[4] it would read as (1, 0)
+     "coverage: FAIL, missing 1 (first (1, 0)), outside domain 1 (first (0, 4))",
+     "dependencies: FAIL, d(0) overwritten before its pre-pass read at point (0, 4)"),
+    ((-1, 3),  # one below I's range: row-major it would read as -1
+     "coverage: FAIL, missing 1 (first (1, 0)), outside domain 1 (first (-1, 3))",
+     "dependencies: FAIL, accumulation at e(1) gathered 3 of 4 contributions"),
+])
+def test_a_point_outside_the_index_box_keys_as_no_point_inside_it(point, coverage, dependencies):
+    """The visit at (1, 0) moved outside the index ranges: coverage and
+    the dependence check key it apart from every point of the box, so
+    (1, 0) is missing and the moved visit is outside the reference."""
+    trace = enumerate_schedule(sequential_schedule("space I[4], J[4];\nd(I) = b(I);\ne(I) += d(I);\n"))
+    moved = oracles.edited_trace(trace, [
+        r._replace(lattice_point=point) if r.lattice_point == (1, 0) else r for r in trace.records
+    ])
+    assert check_coverage(moved).summary() == coverage
+    assert check_dependencies(moved).summary() == dependencies
+
+
 def test_a_visit_outside_the_domain_fails_every_read_that_sees_a_write():
     """Point (3,) is on every array but kept out by the padding's guard:
     its accumulation's own read sees the assignment just before it, and
@@ -221,9 +241,10 @@ def test_a_visit_outside_the_domain_fails_every_read_that_sees_a_write():
         "space I[3];\na(I) = b(I) + a(I+1);\na(I) += 2*a(I);\nc(I) = a(I);\n"
         "d(I) += b(I);\ne(I) = d(I);\n"
     )
-    records = enumerate_schedule(tree).records
+    trace = enumerate_schedule(tree)
+    records = trace.records
     outside = records[0]._replace(lattice_point=(3,))
-    report = check_dependencies(VisitTrace((records[0], outside, *records[1:]), tree))
+    report = check_dependencies(oracles.edited_trace(trace, (records[0], outside, *records[1:])))
     assert report.violations == (
         "accumulator a(3) clobbered before point (3,)",
         "a(3) overwritten before its pre-pass read at point (3,)",
@@ -243,8 +264,8 @@ def test_an_accumulation_reading_its_target_before_its_assignment_reads_too_earl
     reading it, at I=1; the reversed order reads a(1) before anything
     assigns it, and its contribution is lost to the later assignment."""
     tree = sequential_schedule("space I[2];\na(1) = b(I) when I=0;\na(I) += 2*a(I);\n")
-    records = enumerate_schedule(tree).records
-    report = check_dependencies(VisitTrace(records[::-1], tree))
+    trace = enumerate_schedule(tree)
+    report = check_dependencies(oracles.edited_trace(trace, trace.records[::-1]))
     assert report.violations == (
         "accumulator a(1) read at point (1,) before the write it needs",
         "accumulation at a(1) gathered 0 of 1 contributions",
@@ -257,8 +278,8 @@ def test_an_accumulation_reading_its_target_after_a_later_assignment_is_clobbere
     value, at I=0 and assigns it at I=1; the reversed order's read sees
     that assignment, a write the reference makes only after it."""
     tree = sequential_schedule("space I[2];\na(0) = b(I) when I=1;\na(I) += 2*a(I);\n")
-    records = enumerate_schedule(tree).records
-    report = check_dependencies(VisitTrace(records[::-1], tree))
+    trace = enumerate_schedule(tree)
+    report = check_dependencies(oracles.edited_trace(trace, trace.records[::-1]))
     assert report.violations == (
         "accumulator a(0) clobbered before point (0,)",
         "accumulation at a(0) gathered 1 of 0 contributions",
@@ -272,8 +293,8 @@ def test_an_accumulation_that_stores_nothing_still_reads_its_target_in_order(op)
     cell's last write, assignment or not: declaration order has formula
     0 write a(1) at I=0 first, and the reversed order reads it before."""
     tree = sequential_schedule(f"space I[2];\na(1) {op} b(I) when I=0;\na(I) += a(I)*b(I+1);\n")
-    records = enumerate_schedule(tree).records
-    report = check_dependencies(VisitTrace(records[::-1], tree))
+    trace = enumerate_schedule(tree)
+    report = check_dependencies(oracles.edited_trace(trace, trace.records[::-1]))
     assert report.violations == ("a(1) read at point (1,) before the write it needs",)
     assert report.events == 2
 
@@ -705,8 +726,8 @@ def test_a_running_sum_read_by_a_later_formula_is_checked_exactly():
     final the dependence check compares differs, and only the exact
     check sees it."""
     tree = sequential_schedule("space I[2], J[2];\na(I) += b(I,J);\nc(I,J) = a(I);\n")
-    records = enumerate_schedule(tree).records
-    report = verify_report(VisitTrace(records[::-1], tree), trials=3)
+    trace = enumerate_schedule(tree)
+    report = verify_report(oracles.edited_trace(trace, trace.records[::-1]), trials=3)
     assert report["lines"][1:3] == [
         "dependencies: ok (8 writes checked) (reordered sums commute)",
         "equivalence: FAIL at c(0,0): b(0,1) has 1, the reference 0",
