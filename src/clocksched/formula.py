@@ -683,8 +683,10 @@ def domain_points(spec: ComputationSpec) -> Points:
     """Index points the spec runs over, in declaration order per axis.
 
     Block-bound indexes are not free: their column divides the source
-    index's.  Comparison guards filter the product of the free extents.
-    Without guards this is the whole rectangular space.
+    index's, each made once its source's is, so a bind may name a
+    source bound after it; binds that form a cycle raise ``ValueError``.
+    Comparison guards filter the product of the free extents.  Without
+    guards this is the whole rectangular space.
     """
     sizes = spec.index_sizes()
     names = spec.index_names()
@@ -693,6 +695,13 @@ def domain_points(spec: ComputationSpec) -> Points:
     digits = counter_columns([sizes[n] for n in free])
     count = len(digits[0]) if digits else 1
     column = dict(zip(free, digits))
-    for b in binds.values():
-        column[b.index] = [v // b.block for v in column[b.source]]
+    pending = list(binds.values())
+    while pending:
+        ready = [b for b in pending if b.source in column]
+        if not ready:
+            b = pending[0]
+            raise ValueError(f"index {b.index} divides {b.source}, which no free index resolves")
+        for b in ready:
+            column[b.index] = [v // b.block for v in column[b.source]]
+        pending = [b for b in pending if b.index not in column]
     return Points(tuple(column[n] for n in names), count).kept(guard_mask(spec.domain, column))

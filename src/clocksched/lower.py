@@ -32,7 +32,11 @@ copy sees the pre-pass value, and any other read sees nothing or a
 write made earlier at its own visit, except an accumulation's read of
 its own target.  ``Stream.dataflow`` walks a stream once and keeps only
 what order can change: those reads, each cell's last assignment and
-the contributions since, and the copy reads.
+the contributions since, and the copy reads.  Its keys order the
+writes as a walk of the visits in rank order would make them; where
+the ranks are a permutation, as on a visit order that covers its
+domain once, ``Dataflow.replay`` replays the logged writes into that
+walk's facts, so a visit order and its reference need one stream.
 
 ``lower`` builds the stream by columns, ``BLOCK`` points at a time,
 from points given as columns (``formula.Points``), so a block's
@@ -324,7 +328,8 @@ class Stream:
         visit order.  An application's key is ``ranks[visit] * stride +
         code``, the stride past every code before the epilogue; a rank
         below zero must be -2 or lower, and at a visit of such a rank the
-        walk lists every read that sees a write."""
+        walk lists every read that sees a write.  It logs each write's key
+        and cell for ``Dataflow.replay``."""
         size, count = self.layout.size, len(self.points)
         formulas = self.spec.formulas
         stride = 4 * len(formulas)
@@ -334,9 +339,10 @@ class Stream:
         for i, f in enumerate(formulas):
             if f.reads_own_target:
                 selfish[i << 2 | ADD] = selfish[i << 2 | SKIP] = 1
-        flow = Dataflow(size)
+        flow = Dataflow(size, stride)
         first, early, late = flow.first, flow.early, flow.late
         assigned, added, own, stray = flow.assigned, flow.added, flow.own, flow.stray
+        log = flow.log
         writes = base = 0
         outside = False
         it = iter(self.codes)
@@ -393,6 +399,7 @@ class Stream:
                     keys.append(key)
             else:  # a SKIP writes nothing
                 continue
+            log[key] = write
             writes += 1
             if first[write] < 0:
                 first[write] = visit
@@ -415,7 +422,8 @@ class Dataflow:
     application's key, -1 by none; a key at a visit of negative rank is
     below -4."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, stride: int):
+        self.stride = stride  # keys per rank: every code before the epilogue
         # per cell, the visits ``Stream.copy_reads`` returns
         self.first = array("q", [-1]) * size
         self.early, self.late = array("q", self.first), array("q", self.first)
@@ -429,6 +437,51 @@ class Dataflow:
         # sees a write at a visit of negative rank, in stream order
         self.stray: list[tuple[int, int, bool]] = []
         self.writes = 0  # applications that write a cell
+        self.log: dict[int, int] = {}  # per application that writes, key -> cell
+
+    def replay(self) -> Dataflow:
+        """The ``assigned``, ``added`` and ``own`` that the walk of the
+        reference stream, each rank's visit in rank order, gathers; only
+        for a walk whose ranks are a permutation of ``range(visits)``.
+
+        Lowering a point does not depend on visit order, so the reference
+        makes this walk's applications under the same keys, in key order.
+        Replaying the logged writes in that order gives each cell's last
+        assignment (its largest ``ASSIGN`` key) and the ``ADD`` keys
+        since, sorted, or None; an own read sees its target's last
+        assignment before its key, or for a ``SKIP`` the last ``ADD``
+        since.  Copy reads are not replayed: ``first``, ``early`` and
+        ``late`` stay -1."""
+        log, stride = self.log, self.stride
+        flow = Dataflow(len(self.added), stride)
+        assigned, added, own = flow.assigned, flow.added, flow.own
+        asks = sorted(self.own, key=lambda o: o[1], reverse=True)  # next one last
+
+        def answer(upto: float) -> float:
+            """List the own reads keyed up to ``upto``; the next one's key."""
+            while asks and asks[-1][1] <= upto:
+                _, key, cell, reads, _ = asks.pop()
+                seen = assigned[cell]
+                if key & 3 == SKIP and (keys := added[cell]):
+                    seen = keys[-1]
+                own.append((key // stride, key, cell, reads, seen))
+            return asks[-1][1] if asks else math.inf
+
+        due = answer(-1)  # keys are 0 or more: the first own read's key
+        for key in sorted(log):
+            if due <= key:  # reads come before their own record's write
+                due = answer(key)
+            cell = log[key]
+            if key & 3 == ASSIGN:
+                assigned[cell] = key
+                added[cell] = None
+            elif (keys := added[cell]) is None:
+                added[cell] = [key]
+            else:
+                keys.append(key)
+        answer(math.inf)
+        flow.writes = len(log)
+        return flow
 
 
 class PastBudget(Exception):

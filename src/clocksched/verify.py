@@ -14,14 +14,18 @@ read the trace's one flat access stream
 cell ids and formula applications in visit order, where a read that
 wants a cell's pre-pass value names the cell's untouched copy.  The
 snapshot plan is the certificate that the emitted schedule can serve
-those reads.  The dependency check walks the stream and the reference
-once each (``Stream.dataflow``): it holds the plan to the stream's
-copy reads, and compares what each read sees (the cell's last write,
-an accumulation's own cell its last assignment, a copy or unwritten
-cell the pre-pass value) and each cell's finals; a read or final that
-differs fails.  By the read rule only an accumulation's read of its
-own target can see a write of another visit, so those reads and the
-finals are all the walk keeps.
+those reads.  The dependency check walks the stream once
+(``Stream.dataflow``): it holds the plan to the stream's copy reads,
+and compares what each read sees (the cell's last write, an
+accumulation's own cell its last assignment, a copy or unwritten cell
+the pre-pass value) and each cell's finals with the reference's; a
+read or final that differs fails.  By the read rule only an
+accumulation's read of its own target can see a write of another
+visit, so those reads and the finals are all the walk keeps.  On a
+trace that visits each domain point once, the reference's facts are
+the walk's own writes replayed in reference order
+(``Dataflow.replay``); only another trace has its reference lowered
+and walked too.
 Equivalence is exact: it runs both streams on polynomials over the
 input cells (``Stream.polynomials``) and compares the final polynomial
 of every cell of the reference's arrays but its temporaries; a
@@ -284,9 +288,7 @@ def _ranks(points: Points, reference: Points, sizes: tuple[int, ...]) -> array:
     return ranks
 
 
-def check_dependencies(
-    trace: VisitTrace, reference: Stream | None = None, points: Points | None = None
-) -> DependencyReport:
+def check_dependencies(trace: VisitTrace, points: Points | None = None) -> DependencyReport:
     """Hold the trace's snapshot plan to its stream (``_plan_violations``),
     then compare which write each read sees in the trace and in the
     reference: the cell's last write, or for an accumulation's read of
@@ -297,29 +299,34 @@ def check_dependencies(
     temporary's last assignment is free.  A read that sees the pre-pass
     value, or an older write than the reference's read, came too early;
     any other that differs, too late.  Failures are listed by visit,
-    the plan's first within a visit, and the finals last.  ``reference``
-    is the trace spec's ``domain_points`` lowered with the tree's
-    epilogue, if already lowered; ``points`` are those domain points, if
-    already made.
+    the plan's first within a visit, and the finals last.  The reference
+    is the trace spec's ``domain_points`` in order, with the tree's
+    epilogue; ``points`` are those domain points, if already made.
 
-    Each stream is walked once (``Stream.dataflow``), an application
-    keyed by its point's position in the reference and its code.  By the
-    read rule a read at a point of the reference sees the same as the
-    reference's read there, unless it is an accumulation's read of its
-    own target; a read at a point outside the reference wants nothing,
-    so it fails wherever it sees a write.
+    The trace's stream is walked once (``Stream.dataflow``), an
+    application keyed by its point's position in the reference and its
+    code.  Where the trace visits each domain point once, the reference
+    makes the same applications in key order, so its facts are a replay
+    of the walk's writes (``Dataflow.replay``); otherwise the reference
+    is lowered and walked too.  By the read rule a read at a point of
+    the reference sees the same as the reference's read there, unless it
+    is an accumulation's read of its own target; a read at a point
+    outside the reference wants nothing, so it fails wherever it sees a
+    write.
     """
     from .lower import ADD, lower
 
     stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
-    if reference is None:
-        points = domain_points(spec) if points is None else points
-        reference = lower(spec, points, trace.tree.epilogue)
+    points = domain_points(spec) if points is None else points
     sizes = tuple(spec.index_sizes().values())
-    got = stream.dataflow(_ranks(stream.points, reference.points, sizes))
+    ranks = _ranks(stream.points, points, sizes)
+    got = stream.dataflow(ranks)
     found = _plan_violations(trace, got)
-    want = reference.dataflow(range(len(reference.points)))
+    if len(ranks) == len(points) == len(set(ranks)) and min(ranks, default=0) >= 0:
+        want = got.replay()  # each domain point once: ranks are a permutation
+    else:
+        want = lower(spec, points, trace.tree.epilogue).dataflow(range(len(points)))
     layout = stream.layout
 
     def read_fault(visit: int, cell: int, accumulator: bool, early: bool = False) -> tuple[int, str]:
@@ -634,27 +641,21 @@ def verify_report(
     if tree.spec is None:
         raise ValueError("a schedule without a spec has nothing to verify")
     spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
-    # without a rewrite or an epilogue the trace runs the reference's spec on
-    # its cell layout, so every check shares the reference's points and
-    # stream; otherwise coverage and the dependence check share the trace
-    # spec's points, which go, like the dependence check's own reference,
-    # before the reference is lowered for equivalence, the check that
-    # peaks in memory
-    own = trace.spec == spec and not tree.epilogue
-    reference = reference_stream(spec) if own else None
-    points = reference.points if own else domain_points(trace.spec)
+    points = domain_points(trace.spec)
     coverage = check_coverage(trace, points)
-    dependencies = check_dependencies(trace, reference, points)
-    del points
+    dependencies = check_dependencies(trace, points)
+    del points  # before equivalence, the check that peaks in memory
+    own = trace.spec == spec and not tree.epilogue
     if own and coverage.ok and dependencies.ok and not spec.reads_running_sum():
-        # exact equivalence would hold: the module docstring says why
+        # exact equivalence would hold: the module docstring says why; the
+        # trace runs the reference's spec on its cell layout
         cells = sum(
-            math.prod(shape) for name, shape in reference.layout.shapes.items()
+            math.prod(shape) for name, shape in trace.stream.layout.shapes.items()
             if name not in spec.temp_arrays
         )
         eq = EquivalenceReport(ok=True, trials=0, exact=True, cells=cells, implied=True)
     else:
-        eq = equivalent(trace, reference or reference_stream(spec), trials=trials, seed=seed)
+        eq = equivalent(trace, reference_stream(spec), trials=trials, seed=seed)
     profile = analyze(trace)
     ok = coverage.ok and dependencies.ok and eq.ok
     return {

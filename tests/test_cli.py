@@ -722,6 +722,24 @@ def test_verify_refuses_an_illegal_source(tmp_path, capsys):
     assert err.startswith("error: negative displacement")
 
 
+def test_verify_resolves_a_bind_on_an_index_bound_after_it(tmp_path, capsys):
+    """A block bind may divide an index that a later bind makes: the
+    domain's columns are made in the order the binds depend on."""
+    path = transform(
+        tmp_path, capsys, "space I[4], T[2], U[2];\ndomain U = T / 2;\ndomain T = I / 2;\nb(I) = a(I);\n"
+    )
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "coverage: ok (4 points, each exactly once)",
+        "dependencies: ok (4 writes checked)",
+        "equivalence: ok (follows from coverage and dependencies, 8 cells)",
+        "widths: [1]",
+        "colors: {0: 2, 1: 1, 2: 1}",
+        "verdict: pass",
+    ]
+
+
 def test_verify_holds_a_rewritten_document_to_its_source(tmp_path, capsys):
     """The dependence check reads a rewritten trace against its own
     rewrite, so a source that computes something else passes it; the
@@ -790,6 +808,18 @@ def test_importing_the_command_line_does_not_load_the_lowering():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "False"
+
+
+def test_the_package_runs_as_a_module(capsys):
+    """``python -m clocksched`` is the command line."""
+    src = str(Path(clocksched.__file__).resolve().parent.parent)
+    golden = Path(__file__).parent / "golden" / "stencil.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "clocksched", "verify", str(golden)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert main(["verify", str(golden)]) == done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_emit_notation_flag(tmp_path, capsys):

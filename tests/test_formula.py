@@ -150,6 +150,19 @@ def test_domain_points_block_bound():
     assert list(points) == [(0, 0), (0, 1), (1, 2), (1, 3)]
 
 
+def test_domain_points_binds_in_dependency_order():
+    """A bind may divide an index bound after it; a cycle is refused."""
+    spec = parse_spec(
+        "space I[4], T[2], U[2];\ndomain U = T / 2;\ndomain T = I / 2;\nb(I) = a(I);\n"
+    )
+    assert list(domain_points(spec)) == [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 0)]
+    cycle = parse_spec(
+        "space I[4], T[2], U[2];\ndomain U = T / 2;\ndomain T = U / 2;\nb(I) = a(I);\n"
+    )
+    with pytest.raises(ValueError, match="index U divides T"):
+        domain_points(cycle)
+
+
 def test_dependencies_matmul_self_accumulation():
     spec = parse_spec(MATMUL)
     edges = extract_dependencies(spec)

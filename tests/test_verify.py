@@ -595,11 +595,14 @@ def test_verify_report_on_a_tree_built_from_a_spec_that_permutes_in_place(tmp_pa
     "tree", [cases.matmul_tree, cases.stencil_tree], ids=["matmul", "stencil"]
 )
 def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
-    """`clocksched verify` lowers two streams: the schedule's trace, once
-    for every check, and the reference stream of its source, which is
-    also the dependence check's declaration order.  It makes the
-    domain's points once, for coverage and both references, only the
-    document's own tree is enumerated, and no stream runs on a store."""
+    """`clocksched verify` of an own document lowers one stream, the
+    schedule's trace, once for every check: the dependence check replays
+    a covered trace's writes as its reference, and equivalence follows
+    from coverage and dependencies.  It makes the domain's points once,
+    for coverage and the dependence check, only the document's own tree
+    is enumerated, and no stream runs on a store.  The reference is
+    lowered only where a trace misses a point, or for equivalence with a
+    rewrite."""
     import clocksched.cli
     import clocksched.engine
     import clocksched.formula
@@ -635,16 +638,26 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     )
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert len(domains) == 1
     assert enumerated == [document]
-    assert runs == []  # equivalence is exact: no random store is run
+    assert runs == []  # equivalence is implied: no random store is run
 
     trace = enumerate_schedule(tree())
     calls.clear()
-    check_dependencies(trace)
+    assert check_dependencies(trace).ok
     interpret(trace, random_store(trace.stream.layout.shapes))
-    assert len(calls) == 2  # the reference order, then the trace once
+    assert len(calls) == 1  # the trace once: its reference is a replay
+
+    missing = oracles.edited_trace(trace, list(trace.records)[:-1])
+    calls.clear()
+    check_dependencies(missing)
+    assert len(calls) == 2  # the trace, then the reference it does not cover
+
+    rewrite = enumerate_schedule(cases.accumulator_tree())
+    calls.clear()
+    assert verify_report(rewrite, trials=2)["ok"]
+    assert len(calls) == 2  # the trace, then equivalence's reference
 
 
 @pytest.mark.parametrize(
