@@ -427,6 +427,18 @@ def check_legality(spec: ComputationSpec) -> list[str]:
         for n in names:
             if isinstance(n, str) and n not in sizes:
                 problems.append(f"domain guard names undeclared index {n}")
+    binds = {g.index: g for g in spec.domain if isinstance(g, BlockBind)}
+    cycled: set[str] = set()
+    for index in binds:
+        chain, at = [], index
+        while at in binds and at not in chain:
+            chain.append(at)
+            at = binds[at].source
+        if at == index and index not in cycled:  # named once, from its first bind
+            cycled.update(chain)
+            problems.append("block binds form a cycle: " + ", ".join(
+                f"{n} = {binds[n].source} / {binds[n].block}" for n in chain
+            ))
 
     arity: dict[str, int] = {}
 

@@ -1,11 +1,12 @@
-"""Lower a visit order to one flat stream of cell accesses.
+"""Lower a visit order to columns of cell accesses.
 
 Which formulas fire at a visit, which cell each writes and which cells
 its terms read do not depend on what the cells hold, so every check
 works from this form, built once per (spec, ordered points, epilogue).
 Cells are numbered row-major within each array, arrays in sorted-name
 order.  Cell ``c``'s copy, id ``c + layout.size``, holds its pre-pass
-value: nothing writes it.  The stream is one ``array('q')`` of records:
+value: nothing writes it.  Flat, a stream is one ``array('q')`` of
+records (``Stream.codes``):
 
 * ``VISIT``: the next visit begins (one per point, then the epilogue).
 * ``code, write, terms``, then per term ``coefficient id, reads,
@@ -24,45 +25,37 @@ applied (wrote, not as a ``SKIP``) at the same visit.  Every other
 read names the cell, and so does every read of the epilogue, which
 runs after the pass.  A stream so computes what its visit order
 computes when every read of an overwritten cell is served the cell's
-pre-pass value.  Serving it is a snapshot plan's job, and
-``Stream.copy_reads`` states what a plan must serve.
+pre-pass value, as a snapshot plan must (``Stream.copy_reads``).  So a
+read of a copy sees the pre-pass value in every order, and any other
+read nothing or a write earlier at its own visit, except an
+accumulation's read of its own target: ``Stream.dataflow`` keeps those
+reads, the cells' finals and the copy reads.  Where the ranks keying
+its writes are a permutation, ``Dataflow.replay`` replays them as the
+reference's, so a visit order and its reference need one stream.
 
-The rule fixes what most reads see in every visit order: a read of a
-copy sees the pre-pass value, and any other read sees nothing or a
-write made earlier at its own visit, except an accumulation's read of
-its own target.  ``Stream.dataflow`` walks a stream once and keeps only
-what order can change: those reads, each cell's last assignment and
-the contributions since, and the copy reads.  Its keys order the
-writes as a walk of the visits in rank order would make them; where
-the ranks are a permutation, as on a visit order that covers its
-domain once, ``Dataflow.replay`` replays the logged writes into that
-walk's facts, so a visit order and its reference need one stream.
-
-``lower`` builds the stream by columns, ``BLOCK`` points at a time,
-from points given as columns (``formula.Points``), so a block's
-coordinate columns are slices of them.  Every subscript is an index
-plus a displacement, so an access's cell id is affine in the point:
-from the block's coordinate columns it
-computes each access's column of cell ids, checking bounds only on a
-dimension whose range over the block leaves the array, and it joins
-the columns of record heads and terms into the block's records.  The
-copy is a constant offset in a read's compiled access; only the two
-exceptions are compared per visit, and nothing carries from one block
-to the next.  The epilogue lowers as one more block of one visit.
-
-``Stream.run`` applies the records to integers, ``Stream.polynomials``
-to polynomials over the input cells, and ``first_difference`` compares
-two streams' final polynomials cell by cell.
+``lower`` works ``BLOCK`` points at a time from points given as columns
+(``formula.Points``).  A subscript is an index plus a displacement, so
+from a block's coordinate columns it computes each access's column of
+cell ids, checking bounds only on a dimension whose range over the
+block leaves the array.  A copy is a constant offset, only the two
+exceptions are compared per visit, and nothing carries between blocks;
+the epilogue is one more block of one visit.  Those columns
+(``_Applications``) are the stream: ``Stream.dataflow`` folds them, and
+the flat records are joined from them when ``Stream.run`` (integers)
+or ``polynomial.polynomials`` (polynomials over the input cells) first
+reads them.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from itertools import repeat
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from itertools import chain, compress, groupby, islice, repeat
+from operator import add, itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import ArrayAccess, ComputationSpec, Formula, Points, infer_shapes
 
@@ -85,24 +78,40 @@ class Layout:
         start = self.offsets[name]
         return slice(start, start + math.prod(self.shapes[name]))
 
-    def cell(self, name: str, loc: tuple[int, ...]) -> int | None:
-        shape = self.shapes.get(name, ())
-        if len(loc) != len(shape):
-            return None
-        flat = 0
-        for v, n in zip(loc, shape):
-            if not 0 <= v < n:
-                return None
-            flat = flat * n + v
-        return self.offsets[name] + flat
+    def ids(self, locations: Iterable[tuple[str, tuple[int, ...]]]) -> list[int | None]:
+        """Each ``(name, loc)``'s id, None off its array: row-major sums,
+        a coordinate at a time over each run of one array's locations."""
+        ids: list[int | None] = []
+        for name, run in groupby(locations, key=itemgetter(0)):
+            locs = [loc for _, loc in run]
+            shape = self.shapes.get(name)
+            if shape is None:
+                ids += [None] * len(locs)
+                continue
+            flat = [0 if len(loc) == len(shape) else None for loc in locs]
+            for d, n in enumerate(shape):
+                flat = [None if f is None or not 0 <= loc[d] < n else f * n + loc[d]
+                        for f, loc in zip(flat, locs)]
+            start = self.offsets[name]
+            ids += [None if f is None else start + f for f in flat]
+        return ids
 
     def location(self, cell: int) -> tuple[str, tuple[int, ...]]:
-        name = max((o, n) for n, o in self.offsets.items() if o <= cell)[1]
-        rest, loc = cell - self.offsets[name], []
-        for n in reversed(self.shapes[name]):
-            rest, v = divmod(rest, n)
-            loc.append(v)
-        return name, tuple(reversed(loc))
+        return self.locations([cell])[0]
+
+    def locations(self, cells: Iterable[int]) -> list[tuple[str, tuple[int, ...]]]:
+        """Each cell's ``(name, loc)``, as ``ids`` computes them, inverted."""
+        names, starts = list(self.offsets), list(self.offsets.values())
+        found: list[tuple[str, tuple[int, ...]]] = []
+        for k, run in groupby(cells, key=lambda c: bisect_right(starts, c) - 1):
+            rest = [c - starts[k] for c in run]
+            digits = []  # the last coordinate first
+            for n in reversed(self.shapes[names[k]]):
+                digits.append([r % n for r in rest])
+                rest = [r // n for r in rest]
+            locs = zip(*reversed(digits)) if digits else repeat((), len(rest))
+            found += zip(repeat(names[k]), locs)
+        return found
 
     def text(self, cell: int) -> str:
         name, loc = self.location(cell)
@@ -131,63 +140,29 @@ def _compile(access: ArrayAccess, names: tuple[str, ...], layout: Layout, copy: 
     return base, tuple(terms), tuple(bounds)
 
 
-def _times(m, n):
-    """The product of two monomials, in ``Stream.polynomials``' form."""
-    if m == ():
-        return n
-    if n == ():
-        return m
-    return tuple(sorted(((m,) if type(m) is int else m) + ((n,) if type(n) is int else n)))
-
-
-def _terms(p) -> Iterable[tuple]:
-    """(monomial, coefficient) pairs of a polynomial in any of its forms."""
-    if type(p) is int:
-        return ((p, 1),)
-    if type(p) is dict:
-        return p.items()
-    it = iter(p)
-    return zip(it, it)
-
-
-def _size(p) -> int:
-    """Monomials in a polynomial in any of its forms; None holds none."""
-    if p is None:
-        return 0
-    if type(p) is int:
-        return 1
-    return len(p) if type(p) is dict else len(p) // 2
-
-
-def _flat(p: dict):
-    """A polynomial's compact form: a bare variable for ``1*v``, or the
-    flat list of its nonzero pairs.  A list, not a tuple: thousands of
-    freed tuples of one length would stay on CPython's free list."""
-    if len(p) == 1:
-        for m, k in p.items():
-            if k == 1 and type(m) is int:
-                return m
-    if 0 in p.values():
-        p = {m: k for m, k in p.items() if k}
-    flat = [0] * (2 * len(p))
-    flat[::2], flat[1::2] = p, p.values()
-    return flat
-
-
-def _shared(p, i: int, like: Sequence):
-    """``like[i]`` if it equals ``p``, else ``p``."""
-    return like[i] if i < len(like) and like[i] == p else p
-
-
 class Stream:
-    """One lowered visit order; the module docstring gives its records."""
+    """One lowered visit order, held as its block columns: per ``BLOCK``
+    visits, the ``_Applications`` of each formula with a record there,
+    and the epilogue's as one more block of one visit (``tail``).  The
+    flat records the module docstring gives, ``codes``, are joined from
+    them on first use, by ``run`` and ``polynomial.polynomials``."""
 
-    def __init__(self, spec, points, layout, codes, coefficients):
+    def __init__(self, spec, points, layout, blocks, tail, coefficients):
         self.spec: ComputationSpec = spec
         self.points: Points = points  # visit i's index point
         self.layout: Layout = layout
-        self.codes: array = codes
+        self.blocks: list[list[_Applications]] = blocks  # block k holds visits k * BLOCK on
+        self.tail: list[_Applications] | None = tail  # the epilogue's, or None without one
         self.coefficients: list[int] = coefficients
+
+    @cached_property
+    def codes(self) -> array:
+        codes = array("q")
+        for visits, apps in self._blocks():
+            codes.fromlist(_records(apps, len(visits)))
+        if self.tail is not None:
+            codes.fromlist(_records(self.tail, 1))
+        return codes
 
     def memory(self, arrays: Mapping[str, list[int]]) -> list[int]:
         """Zeroed cells and copies, each given array loaded into both."""
@@ -219,214 +194,150 @@ class Stream:
             elif kind == ASSIGN:
                 mem[write] = total
 
-    def polynomials(self, inputs: Iterable[str], budget: int, like: Sequence = ()) -> list:
-        """Every cell's final value as a polynomial, applying the records
-        as ``run`` does.  Each cell of the ``inputs`` arrays, and its
-        copy, starts as its own variable, numbered by its cell id; every
-        other cell starts at 0.  A monomial is ``()`` for the constant, a
-        bare variable for degree 1, and a sorted tuple of variables above
-        that.  An entry is None for a cell never written, a bare variable
-        ``v`` for the polynomial ``1*v``, or a flat list of (monomial,
-        nonzero coefficient) pairs, never mutated.  An entry equal to the
-        one ``like`` (an earlier result) holds at the same index is that
-        very object, so alike streams share their memory.  Raises
-        ``PastBudget`` once more than ``budget`` monomials are live in the
-        entries, or a product would take more than ``budget`` steps."""
-        size = self.layout.size
-        variable = bytearray(2 * size)
-        for name in inputs:
-            span = self.layout.cells(name)
-            variable[span] = variable[span.start + size:span.stop + size] = (
-                b"\x01" * (span.stop - span.start)
-            )
-        coefficients = self.coefficients
-        mem: list = [None] * (2 * size)  # a copy's entry is filled when first read
-        live = 0
-        it = iter(self.codes)
-        take = it.__next__
-        for code in it:
-            if code == VISIT:
-                continue
-            write, total = take(), {}
-            for _ in range(take()):
-                c, n = coefficients[take()], take()
-                if n == 1 and c:
-                    r = take()
-                    if (p := mem[r]) is None:
-                        if not variable[r]:
-                            continue
-                        # the same polynomial, as one shared int
-                        mem[r] = p = r if r < size else r - size
-                        live += 1
-                    if type(p) is int:
-                        total[p] = total.get(p, 0) + c
-                    else:
-                        for m, k in _terms(p):
-                            total[m] = total.get(m, 0) + c * k
-                    continue
-                reads = [take() for _ in range(n)]
-                if not c:
-                    continue
-                factors, polys = [], []  # bare variables, other polynomials
-                for r in reads:
-                    if (p := mem[r]) is None:
-                        if not variable[r]:
-                            break
-                        mem[r] = p = r if r < size else r - size
-                        live += 1
-                    (factors if type(p) is int else polys).append(p)
-                else:
-                    factors.sort()
-                    term = {factors[0] if len(factors) == 1 else tuple(factors): c}
-                    for p in polys:
-                        if len(term) * _size(p) > budget:
-                            raise PastBudget
-                        product: dict = {}
-                        for m, k in term.items():
-                            for m2, k2 in _terms(p):
-                                m2 = _times(m, m2)
-                                product[m2] = product.get(m2, 0) + k * k2
-                        term = product
-                    for m, k in term.items():
-                        total[m] = total.get(m, 0) + k
-            kind = code & 3
-            if kind == SKIP:
-                continue
-            old = mem[write]
-            live -= _size(old)
-            if kind == ADD:  # accumulate in a dict until assigned
-                if old is None:
-                    old = {write: 1} if variable[write] else {}
-                elif type(old) is not dict:
-                    old = dict(_terms(old))
-                for m, k in total.items():
-                    if k := old.get(m, 0) + k:
-                        old[m] = k
-                    else:
-                        old.pop(m, None)
-                mem[write] = old
-            else:
-                mem[write] = _shared(_flat(total), write, like)
-            live += _size(mem[write])
-            if live > budget:
-                raise PastBudget
-        del mem[size:]
-        for i, p in enumerate(mem):
-            if type(p) is dict:
-                mem[i] = _shared(_flat(p), i, like)
-        return mem
+    def copy_reads(self) -> Dataflow:
+        """The copy reads, which no ranks change: per cell, three visits,
+        -1 where there is none, its first overwrite (a write that is not a
+        SKIP, ``first``), and the first and the last later visit at which
+        a read names its copy (``early``, found on first use, and
+        ``late``).  Those reads want the cell's pre-pass value after the
+        cell has lost it, so a visit order's snapshot plan must bank the
+        cell from its first overwrite through its last such read.
 
-    def dataflow(self, ranks: Sequence[int]) -> Dataflow:
-        """One walk of the visits, not the epilogue, gathering what visit
-        order can change (``Dataflow`` lists it).  A read sees its cell's
-        last write, or, where an ``ADD`` reads its own target, the
-        target's last assignment, or else nothing: the pre-pass value.
-        By the read rule a read of a copy sees nothing in every order, and
-        a read of a cell sees nothing or a write of its own visit, unless
-        an accumulation's record (an ``ADD`` or a ``SKIP``) reads its own
-        target; so only those reads, and the cells' finals, depend on
-        visit order.  An application's key is ``ranks[visit] * stride +
-        code``, the stride past every code before the epilogue; a rank
-        below zero must be -2 or lower, and at a visit of such a rank the
-        walk lists every read that sees a write.  It logs each write's key
-        and cell for ``Dataflow.replay``."""
-        size, count = self.layout.size, len(self.points)
-        formulas = self.spec.formulas
-        stride = 4 * len(formulas)
-        # per code, whether the record may read its own target as the cell
-        # at an earlier visit (``Formula.reads_own_target``)
-        selfish = bytearray(stride)
-        for i, f in enumerate(formulas):
-            if f.reads_own_target:
-                selfish[i << 2 | ADD] = selfish[i << 2 | SKIP] = 1
-        flow = Dataflow(size, stride)
-        first, early, late = flow.first, flow.early, flow.late
-        assigned, added, own, stray = flow.assigned, flow.added, flow.own, flow.stray
-        log = flow.log
-        writes = base = 0
-        outside = False
-        it = iter(self.codes)
-        take = it.__next__
-        visit = -1
-        for code in it:
-            if code == VISIT:
-                if (visit := visit + 1) == count:
-                    break
-                base = ranks[visit] * stride
-                outside = base < 0
-                continue
-            write, kind, key = take(), code & 3, base + code
-            if not (outside or selfish[code]):  # only its copy reads count
-                for _ in range(take()):
-                    take()
-                    for _ in range(take()):
-                        if (c := take() - size) >= 0 and -1 < first[c] < visit:
-                            if early[c] < 0:
-                                early[c] = visit
-                            late[c] = visit
-            else:
-                mine = 0  # reads of its own target
-                for _ in range(take()):
-                    take()
-                    for _ in range(take()):
-                        if (c := take() - size) >= 0:
-                            if -1 < first[c] < visit:
-                                if early[c] < 0:
-                                    early[c] = visit
-                                late[c] = visit
-                            continue
-                        r = c + size
-                        if not outside:  # the record is an accumulation's
-                            mine += r == write
-                        # outside the reference, list every read that sees a write
-                        elif r == write and kind == ADD:
-                            if assigned[r] != -1:
-                                stray.append((visit, r, True))
-                        elif added[r] or assigned[r] != -1:
-                            stray.append((visit, r, False))
-                if mine:
-                    seen = assigned[write]
-                    if kind == SKIP and (keys := added[write]):
-                        seen = keys[-1]
-                    own.append((visit, key, write, mine, seen))
-            if kind == ASSIGN:
-                assigned[write] = key
-                added[write] = None
-            elif kind == ADD:
-                if (keys := added[write]) is None:
-                    added[write] = [key]
-                else:
-                    keys.append(key)
-            else:  # a SKIP writes nothing
-                continue
-            log[key] = write
-            writes += 1
-            if first[write] < 0:
-                first[write] = visit
-        flow.writes = writes
+        Records run visit-major, so a block's columns taken a visit at a
+        time (``_major``) are its records in order: dict merges give each
+        cell's first overwrite (the last write in reverse) and each copy's
+        last read, one merge at a time, each dict freed before the next."""
+        size = self.layout.size
+        flow = Dataflow(size, 4 * len(self.spec.formulas), self)
+        first: dict[int, int] = {}
+        for visits, apps in reversed(list(self._blocks())):
+            cells = _major([app.applied for app in apps])
+            first.update(zip(reversed(cells), reversed(_major([visits] * len(apps)))))
+        flow.first = array("q", map(first.get, range(size), repeat(-1)))
+        del first
+        last: dict[int, int] = {}  # per id read, the last visit reading it
+        for visits, apps in self._blocks():
+            reads = [column for app in apps for column in app.reads]
+            last.update(zip(_major(reads), _major([visits] * len(reads))))
+        read = map(last.get, range(size, 2 * size), repeat(-1))
+        flow.late = array("q", [v if -1 < f < v else -1 for f, v in zip(flow.first, read)])
         return flow
 
-    def copy_reads(self) -> tuple[array, array, array]:
-        """Per cell, three visits, -1 where there is none: its first
-        overwrite (a write that is not a SKIP), and the first and the
-        last later visit at which a read names its copy.  Those reads
-        want the cell's pre-pass value after the cell has lost it, so a
-        visit order's snapshot plan must bank the cell from its first
-        overwrite through its last such read."""
-        flow = self.dataflow(range(len(self.points)))
-        return flow.first, flow.early, flow.late
+    def dataflow(self, ranks: Sequence[int]) -> Dataflow:
+        """What visit order can change in the visits, not the epilogue
+        (``Dataflow`` lists it): ``copy_reads``, and what the writes give.
+        A read sees its cell's last write, or, where an ``ADD`` reads its
+        own target, the target's last assignment, or else the pre-pass
+        value; by the read rule only an accumulation's record (``ADD`` or
+        ``SKIP``) reading its own target, and the cells' finals, depend on
+        visit order.  An application's key is ``ranks[visit] * stride +
+        code``, the stride past every code before the epilogue; a rank
+        below zero must be -2 or lower, and at a visit of such a rank every
+        read that sees a write is listed.  Each cell's last assignment is
+        a dict merge; only the ``ADD`` keys, an accumulation reading its
+        own target and a visit of negative rank are taken one by one."""
+        flow = self.copy_reads()
+        stride = flow.stride
+        # the codes of the accumulations that may read their own target as
+        # the cell at an earlier visit (``Formula.reads_own_target``)
+        selfish = {i << 2 | ADD for i, f in enumerate(self.spec.formulas) if f.reads_own_target}
+        log = flow.log
+        assigned: dict[int, int] = {}  # per cell, its last assignment's key
+        added: dict[int, list[int]] = {}  # per cell, the ADD keys since, if any
+        for visits, apps in self._blocks():
+            bases = [r * stride for r in ranks[visits.start:visits.stop]]
+            keys = [list(map(add, bases, repeat(app.code, len(bases)))) for app in apps]
+            for app, column in zip(apps, keys):
+                flow.writes += len(bases) - app.applied.count(-1)
+                pairs = zip(column, app.applied)
+                log.update(compress(pairs, map((-1).__ne__, app.applied)) if -1 in app.applied else pairs)
+            cells = _major([app.applied for app in apps])
+            if min(bases) < 0 or selfish.intersection(app.code for app in apps):
+                for j, base in enumerate(bases):
+                    for app in apps:
+                        if app.keep is None or app.keep[j]:
+                            _record(app, j, visits[j], base, app.code in selfish, flow,
+                                    assigned, added)
+            elif all(app.code & 3 == ASSIGN for app in apps):
+                assigned.update(zip(cells, _major(keys)))
+                if added:
+                    for cell in set(cells):
+                        added.pop(cell, None)
+            else:
+                _writes(assigned, added, cells, _major(keys))
+        flow.assigned = array("q", map(assigned.get, range(len(flow.first)), repeat(-1)))
+        flow.added = list(map(added.get, range(len(flow.first))))
+        return flow
+
+    def _blocks(self) -> Iterator[tuple[range, list[_Applications]]]:
+        """Each block's visits and columns, but the epilogue's."""
+        count = len(self.points)
+        for start, apps in zip(range(0, count, BLOCK), self.blocks):
+            yield range(start, min(start + BLOCK, count)), apps
+
+
+def _major(columns: list[Sequence[int]]) -> Sequence[int]:
+    """Columns over one block's visits, taken a visit at a time."""
+    if len(columns) == 1:
+        return columns[0]
+    return list(chain.from_iterable(zip(*columns)))
+
+
+def _writes(assigned: dict, added: dict, cells: Iterable[int], keys: Iterable[int]) -> None:
+    """Note writes in order: per cell its last assignment's key and the
+    ``ADD`` keys since.  A cell of -1 is no write; a key's low two bits
+    are its kind, as the stride is a multiple of four."""
+    for cell, key in zip(cells, keys):
+        if cell < 0:
+            continue
+        if key & 3 == ASSIGN:
+            assigned[cell] = key
+            added.pop(cell, None)
+        elif (since := added.get(cell)) is None:
+            added[cell] = [key]
+        else:
+            since.append(key)
+
+
+def _record(app: _Applications, j: int, visit: int, base: int, selfish: bool, flow: Dataflow,
+            assigned: dict, added: dict) -> None:
+    """``Stream.dataflow`` of the record at position ``j`` of its block:
+    its reads that see a write at a visit of negative rank (``base``),
+    or, if it accumulates reading its own target, its own reads; then
+    its write."""
+    write, code = app.writes[j], app.code
+    if app.on is not None and not app.on[j]:
+        code = code & ~3 | SKIP
+    if base < 0:
+        for r in (column[j] for column in app.reads):
+            if not 0 <= r < len(flow.first):  # off its array, or a copy: it sees nothing
+                continue
+            if r == write and code & 3 == ADD:
+                if r in assigned:
+                    flow.stray.append((visit, r, True))
+            elif r in added or r in assigned:
+                flow.stray.append((visit, r, False))
+    elif selfish and (mine := sum(column[j] == write for column in app.reads)):
+        seen = assigned.get(write, -1)
+        if code & 3 == SKIP and write in added:
+            seen = added[write][-1]
+        flow.own.append((visit, base + code, write, mine, seen))
+    if code & 3 != SKIP:
+        _writes(assigned, added, (write,), (base + code,))
 
 
 class Dataflow:
-    """What ``Stream.dataflow`` gathers.  A write is named by its
+    """What ``Stream.copy_reads`` and ``Stream.dataflow`` gather; the
+    first fills only ``first`` and ``late``.  A write is named by its
     application's key, -1 by none; a key at a visit of negative rank is
     below -4."""
 
-    def __init__(self, size: int, stride: int):
+    def __init__(self, size: int, stride: int, stream: Stream | None = None):
         self.stride = stride  # keys per rank: every code before the epilogue
-        # per cell, the visits ``Stream.copy_reads`` returns
+        # per cell, visits of ``Stream.copy_reads``, which ``early`` completes
         self.first = array("q", [-1]) * size
-        self.early, self.late = array("q", self.first), array("q", self.first)
+        self.late = array("q", self.first)
+        self.stream = stream  # the stream folded, whose reads ``early`` scans
         self.assigned = array("q", self.first)  # per cell, its last assignment
         self.added: list = [None] * size  # per cell, the ADDs since, or None
         # (visit, key, target, reads, seen) per accumulation's record at a
@@ -439,113 +350,53 @@ class Dataflow:
         self.writes = 0  # applications that write a cell
         self.log: dict[int, int] = {}  # per application that writes, key -> cell
 
+    @cached_property
+    def early(self) -> array:
+        """Per cell, the first visit after ``first`` at which a read names
+        its copy, or -1: looked for on first use, a read at a time, only
+        for cells with such a read (``late``), which a sound plan banks."""
+        first, size = self.first, len(self.first)
+        early = array("q", [-1]) * size
+        wanted = {c + size for c, v in enumerate(self.late) if v >= 0}
+        if not wanted:  # also where no stream was folded: a replay's
+            return early
+        for visits, apps in self.stream._blocks():
+            for column in (column for app in apps for column in app.reads):
+                for v, r in zip(visits, column):
+                    if r in wanted and first[c := r - size] < v and (early[c] < 0 or v < early[c]):
+                        early[c] = v
+        return early
+
     def replay(self) -> Dataflow:
-        """The ``assigned``, ``added`` and ``own`` that the walk of the
+        """The ``assigned``, ``added`` and ``own`` that the fold of the
         reference stream, each rank's visit in rank order, gathers; only
-        for a walk whose ranks are a permutation of ``range(visits)``.
+        for a fold whose ranks are a permutation of ``range(visits)``.
 
         Lowering a point does not depend on visit order, so the reference
-        makes this walk's applications under the same keys, in key order.
+        makes this fold's applications under the same keys, in key order.
         Replaying the logged writes in that order gives each cell's last
         assignment (its largest ``ASSIGN`` key) and the ``ADD`` keys
         since, sorted, or None; an own read sees its target's last
         assignment before its key, or for a ``SKIP`` the last ``ADD``
         since.  Copy reads are not replayed: ``first``, ``early`` and
         ``late`` stay -1."""
-        log, stride = self.log, self.stride
-        flow = Dataflow(len(self.added), stride)
-        assigned, added, own = flow.assigned, flow.added, flow.own
-        asks = sorted(self.own, key=lambda o: o[1], reverse=True)  # next one last
-
-        def answer(upto: float) -> float:
-            """List the own reads keyed up to ``upto``; the next one's key."""
-            while asks and asks[-1][1] <= upto:
-                _, key, cell, reads, _ = asks.pop()
-                seen = assigned[cell]
-                if key & 3 == SKIP and (keys := added[cell]):
-                    seen = keys[-1]
-                own.append((key // stride, key, cell, reads, seen))
-            return asks[-1][1] if asks else math.inf
-
-        due = answer(-1)  # keys are 0 or more: the first own read's key
-        for key in sorted(log):
-            if due <= key:  # reads come before their own record's write
-                due = answer(key)
-            cell = log[key]
-            if key & 3 == ASSIGN:
-                assigned[cell] = key
-                added[cell] = None
-            elif (keys := added[cell]) is None:
-                added[cell] = [key]
-            else:
-                keys.append(key)
-        answer(math.inf)
+        log, size = self.log, len(self.added)
+        flow = Dataflow(size, self.stride)
+        assigned: dict[int, int] = {}  # as in ``Stream.dataflow``
+        added: dict[int, list[int]] = {}
+        keys, done = sorted(log), 0  # the keys replayed so far
+        for _, key, cell, reads, _ in sorted(self.own, key=itemgetter(1)):
+            upto = bisect_left(keys, key, done)  # reads come before their own record's write
+            _writes(assigned, added, map(log.get, keys[done:upto]), keys[done:upto])
+            seen, done = assigned.get(cell, -1), upto
+            if key & 3 == SKIP and cell in added:
+                seen = added[cell][-1]
+            flow.own.append((key // self.stride, key, cell, reads, seen))
+        _writes(assigned, added, map(log.get, keys[done:]), keys[done:])
+        flow.assigned = array("q", map(assigned.get, range(size), repeat(-1)))
+        flow.added = list(map(added.get, range(size)))
         flow.writes = len(log)
         return flow
-
-
-class PastBudget(Exception):
-    """A stream's polynomials grew past the budget they were given."""
-
-
-def first_difference(
-    ours: Stream, theirs: Stream, arrays: Mapping[str, tuple[int, ...]], budget: int
-) -> tuple[str, str, int, int] | None:
-    """Run both streams on ``polynomials`` over the cells of ``arrays``,
-    which both hold with these shapes, and compare those cells' final
-    polynomials.  None if every cell agrees; otherwise the first cell
-    that differs, in sorted-name row-major order, the first monomial in
-    graded order whose coefficients differ, both as text, and our and
-    their coefficient.  Raises ``PastBudget`` like ``polynomials``."""
-    want = theirs.polynomials(arrays, budget)
-    got = ours.polynomials(arrays, budget, like=want)
-    variables = Layout(arrays)  # the shared numbering
-    renames = _renaming(ours.layout, variables), _renaming(theirs.layout, variables)
-    same = renames == (None, None)  # both number the shared cells alike
-    finals = zip(_finals(ours.layout, got, variables), _finals(theirs.layout, want, variables))
-    for v, (p, q) in enumerate(finals):
-        if same and p == q:
-            continue
-        p, q = _polynomial(p, renames[0]), _polynomial(q, renames[1])
-        if p != q:
-            m = min((m for m in p.keys() | q.keys() if p.get(m, 0) != q.get(m, 0)),
-                    key=lambda m: (1, (m,)) if type(m) is int else (len(m), m))
-            text = variables.text(m) if type(m) is int else "*".join(map(variables.text, m))
-            return variables.text(v), text or "1", p.get(m, 0), q.get(m, 0)
-    return None
-
-
-def _renaming(layout: Layout, variables: Layout):
-    """Maps a layout's cell ids to variable ids, or None if they agree."""
-    shifts = sorted(
-        ((layout.offsets[name], first - layout.offsets[name])
-         for name, first in variables.offsets.items()),
-        reverse=True,
-    )
-    if not any(shift for _, shift in shifts):
-        return None
-    return lambda v: v + next(shift for start, shift in shifts if start <= v)
-
-
-def _finals(layout: Layout, mem: list, variables: Layout) -> Iterator:
-    """The ``polynomials`` entry of each variable's cell, in variable
-    order, an unwritten cell as its own variable."""
-    for name in variables.offsets:
-        span = layout.cells(name)
-        for cell in range(span.start, span.stop):
-            p = mem[cell]
-            yield cell if p is None else p
-
-
-def _polynomial(p, rename) -> dict:
-    """A ``polynomials`` entry as {monomial: coefficient}, its variables
-    renamed to the shared numbering."""
-    if rename is None:
-        return dict(_terms(p))
-    return {
-        rename(m) if type(m) is int else tuple(sorted(map(rename, m))): k
-        for m, k in _terms(p)
-    }
 
 
 def lower(
@@ -587,15 +438,14 @@ def lower(
         return rows
 
     body = compiled(spec.formulas, spec.index_names(), {f.result.name for f in spec.formulas})
-    codes = array("q")
+    blocks = []
     for start in range(0, len(points), BLOCK):
         n = min(BLOCK, len(points) - start)
         coords = [c[start:start + BLOCK] for c in points.columns]
-        codes.fromlist(_block(body, 0, coords, n, layout.size))
-    if epilogue:
-        codes.fromlist(_block(compiled(epilogue, (), set()), len(body), [], 1, layout.size))
+        blocks.append(_block(body, 0, coords, n, layout.size))
+    tail = _block(compiled(epilogue, (), set()), len(body), [], 1, layout.size) if epilogue else None
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    return Stream(spec, points, layout, codes, coefficients)
+    return Stream(spec, points, layout, blocks, tail, coefficients)
 
 
 BLOCK = 512  # points lowered together: every column is at most this long
@@ -647,17 +497,36 @@ def _dropped(term: tuple[int, ...]) -> tuple[int, ...]:
     return (0, len(kept), *kept)
 
 
-def _block(formulas, first: int, coords, n: int, size: int) -> list[int]:
-    """The records, flat, of one block of ``n`` visits at the points
-    whose coordinate columns are ``coords``; ``first`` is the position of
-    the first of the compiled ``formulas``, and ``size`` the offset of a
-    cell's copy."""
+class _Applications(NamedTuple):
+    """One formula's records over one block, a column per field; the
+    columns of cell ids are ``array('q')``, a fifth of a list's size."""
+
+    code: int  # its position << 2 | ASSIGN or ADD; a record off ``on`` is a SKIP
+    writes: array  # its target, -1 where off its array
+    applied: array  # its target where it writes, -1 elsewhere
+    keep: list[bool] | None  # where it has a record; None: at every visit
+    on: list[bool] | None  # where its record is no SKIP; None: wherever kept
+    # per term, its coefficient id, how many reads it has, and whether a
+    # visit has an operand off its array: there the term is ``_dropped``
+    terms: list[tuple[int, int, bool]]
+    reads: list[array]  # per read, in record order, its ids; -1 off its array or record
+
+
+def _block(formulas, first: int, coords, n: int, size: int) -> list[_Applications]:
+    """The columns of each formula with a record in one block of ``n``
+    visits at the points whose coordinate columns are ``coords``;
+    ``first`` is the position of the first of the compiled ``formulas``,
+    and ``size`` the offset of a cell's copy."""
     column = _Columns(coords, n)
     applied = {}  # per formula so far, its targets where it applied, -1 elsewhere
-    # Every piece is lazy, so each visit's tuples are freed before the next
-    # visit's are made: a block's worth of live tuples of one length would
-    # stay on CPython's free list for good.
-    pieces = []  # per formula, its head column, then a column per term
+    apps = []
+    packed: dict = {}  # per column kept, by id, the column (so the id stays its) and its array
+
+    def pack(col: list[int]) -> array:
+        if id(col) not in packed:
+            packed[id(col)] = col, array("q", col)
+        return packed[id(col)][1]
+
     for i, (when, accumulates, result, terms) in enumerate(formulas):
         writes = column(result)
         # where the formula is kept: its ``when`` holds, its target is on its array
@@ -689,16 +558,36 @@ def _block(formulas, first: int, coords, n: int, size: int) -> list[int]:
         else:
             applied[i] = [w if (keep is None or keep[v]) and (on is None or on[v]) else -1
                           for v, w in enumerate(writes)]
-        code, kind = (first + i) << 2, ADD if accumulates else ASSIGN
-        codes = repeat(code | kind, n) if on is None else [code | (kind if o else SKIP) for o in on]
-        row = [zip(codes, writes, repeat(len(terms), n))]
-        for (cid, _, _), cols, ws in zip(terms, reads, whole):
-            term = zip(repeat(cid, n), repeat(len(cols), n), *cols)
-            if ws is not None:  # some visit has an operand off its array
+        flat = [c for cols in reads for c in cols]
+        if keep is not None:  # no record, no read
+            flat = [[c if k else -1 for c, k in zip(col, keep)] for col in flat]
+        apps.append(_Applications(
+            (first + i) << 2 | (ADD if accumulates else ASSIGN), pack(writes), pack(applied[i]),
+            keep, on,
+            [(cid, len(cols), ws is not None) for (cid, _, _), cols, ws in zip(terms, reads, whole)],
+            [pack(col) for col in flat],
+        ))
+    return apps
+
+
+def _records(apps: list[_Applications], n: int) -> list[int]:
+    """The records, flat, of one block of ``n`` visits."""
+    # Every piece is lazy, so each visit's tuples are freed before the next
+    # visit's are made: a block's worth of live tuples of one length would
+    # stay on CPython's free list for good.
+    pieces = []  # per formula, its head column, then a column per term
+    for app in apps:
+        code = app.code
+        codes = repeat(code, n) if app.on is None else [code if o else code & ~3 | SKIP for o in app.on]
+        row = [zip(codes, app.writes, repeat(len(app.terms), n))]
+        reads = iter(app.reads)
+        for cid, count, dropping in app.terms:
+            term = zip(repeat(cid, n), repeat(count, n), *islice(reads, count))
+            if dropping:  # some visit has an operand off its array
                 term = (t if -1 not in t else _dropped(t) for t in term)
             row.append(term)
-        if keep is not None:
-            row = [(p if k else () for p, k in zip(piece, keep)) for piece in row]
+        if app.keep is not None:
+            row = [(p if k else () for p, k in zip(piece, app.keep)) for piece in row]
         pieces += row
     flat: list[int] = []
     for record in zip(repeat((VISIT,), n), *pieces):

@@ -822,13 +822,13 @@ def allocate_temporaries(
     ):
         return NO_PLAN
     stream = visit_order()
-    first, _, last = stream.copy_reads()
-    intervals = [(first[cell], end, cell) for cell, end in enumerate(last) if end >= 0]
+    flow = stream.copy_reads()
+    intervals = [(flow.first[cell], end, cell) for cell, end in enumerate(flow.late) if end >= 0]
     if not intervals:
         return NO_PLAN
     assigned = sorted(assign_slots(intervals))
     return TempPlan(
-        tuple(stream.layout.location(c) for c, _ in assigned),
+        tuple(stream.layout.locations([c for c, _ in assigned])),
         tuple(slot for _, slot in assigned),
     )
 

@@ -9,25 +9,27 @@ Coverage keys each visited point and each domain point (both index
 columns, ``formula.Points``) by its row-major position in the index
 box, or by its tuple outside the box, and compares the two multisets;
 the dependence check ranks visits by the same keys.  The other checks
-read the trace's one flat access stream
-(``VisitTrace.stream``, built by ``lower.py`` on first use): integer
-cell ids and formula applications in visit order, where a read that
-wants a cell's pre-pass value names the cell's untouched copy.  The
-snapshot plan is the certificate that the emitted schedule can serve
-those reads.  The dependency check walks the stream once
-(``Stream.dataflow``): it holds the plan to the stream's copy reads,
+read the trace's one lowered access stream (``VisitTrace.stream``,
+built by ``lower.py`` on first use): integer cell ids and formula
+applications in visit order, held as columns a block of visits at a
+time, where a read that wants a cell's pre-pass value names the cell's
+untouched copy.  The snapshot plan is the certificate that the emitted
+schedule can serve those reads.  The dependency check folds the
+stream's columns once (``Stream.dataflow``): it holds the plan to the
+stream's copy reads,
 and compares what each read sees (the cell's last write, an
 accumulation's own cell its last assignment, a copy or unwritten cell
 the pre-pass value) and each cell's finals with the reference's; a
 read or final that differs fails.  By the read rule only an
 accumulation's read of its own target can see a write of another
-visit, so those reads and the finals are all the walk keeps.  On a
+visit, so those reads and the finals are all the fold keeps.  On a
 trace that visits each domain point once, the reference's facts are
-the walk's own writes replayed in reference order
+the fold's own writes replayed in reference order
 (``Dataflow.replay``); only another trace has its reference lowered
-and walked too.
-Equivalence is exact: it runs both streams on polynomials over the
-input cells (``Stream.polynomials``) and compares the final polynomial
+and folded too.
+Equivalence is exact: it runs both streams' flat records, joined from
+the columns for it, on polynomials over the input cells
+(``polynomial.polynomials``) and compares the final polynomial
 of every cell of the reference's arrays but its temporaries; a
 schedule that lacks an array the reference writes, or names one the
 reference never names, fails outright.  Past ``EXACT_BUDGET`` live
@@ -248,17 +250,22 @@ def _plan_violations(trace: VisitTrace, flow: Dataflow) -> list[tuple[int, str]]
     while a cell the slot holds still has such reads to come."""
     stream, plan = trace.stream, trace.tree.plan
     layout, points = stream.layout, stream.points
-    first, early, late = flow.first, flow.early, flow.late
-    slot_of = {layout.cell(*loc): slot for loc, slot in zip(plan.snapshot_locs, plan.slots)}
+    first, late = flow.first, flow.late
+    slot_of = dict(zip(layout.ids(plan.snapshot_locs), plan.slots))
+    # ``early`` is looked for only where the plan leaves such a cell out
+    unbanked = [c for c, v in enumerate(late) if v >= 0 and c not in slot_of]
+    early = flow.early if unbanked else ()
     found = [
-        (v, f"{layout.text(c)} overwritten before its pre-pass read at point {points[v]}")
-        for c, v in enumerate(early) if v >= 0 and c not in slot_of
+        (early[c], f"{layout.text(c)} overwritten before its pre-pass read at point {points[early[c]]}")
+        for c in unbanked
     ]
     takers: dict[int, list[int]] = {}  # per slot, the banked cells overwritten
     for c, slot in slot_of.items():
         if first[c] >= 0:
             takers.setdefault(slot, []).append(c)
     for slot, cells in takers.items():
+        if len(cells) < 2:  # a slot's only taker keeps it
+            continue
         reach = holder = -1  # the last pending read of the slot so far, and its cell
         # of cells taking the slot at one visit the reader goes first, so
         # the others conflict with it: the visit's order of saves is not kept
@@ -303,12 +310,12 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
     is the trace spec's ``domain_points`` in order, with the tree's
     epilogue; ``points`` are those domain points, if already made.
 
-    The trace's stream is walked once (``Stream.dataflow``), an
+    The trace's stream is folded once (``Stream.dataflow``), an
     application keyed by its point's position in the reference and its
     code.  Where the trace visits each domain point once, the reference
     makes the same applications in key order, so its facts are a replay
-    of the walk's writes (``Dataflow.replay``); otherwise the reference
-    is lowered and walked too.  By the read rule a read at a point of
+    of the fold's writes (``Dataflow.replay``); otherwise the reference
+    is lowered and folded too.  By the read rule a read at a point of
     the reference sees the same as the reference's read there, unless it
     is an accumulation's read of its own target; a read at a point
     outside the reference wants nothing, so it fails wherever it sees a
@@ -460,7 +467,7 @@ def _compared_arrays(
 def _exact(ours: Stream, theirs: Stream, shared) -> EquivalenceReport | None:
     """Compare every cell of ``shared`` as a polynomial over the input cells;
     None when either stream grows past ``EXACT_BUDGET``."""
-    from .lower import PastBudget, first_difference
+    from .polynomial import PastBudget, first_difference
 
     try:
         difference = first_difference(ours, theirs, shared, EXACT_BUDGET)

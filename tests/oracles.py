@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 # one visit as the enumerator's ``VisitRecord`` states it
 Visit = namedtuple("Visit", "time_point lattice_point time_value level copy")
@@ -613,3 +615,100 @@ def dependency_report(stream, reference, plan, temps):
         elif gs != ws:
             commutes = True
     return tuple(violations), commutes, writes
+
+
+def flat_dataflow(stream, ranks):
+    """What visit order can change in a lowered stream (read by
+    attribute: ``codes``, ``points``, ``layout.size``, ``spec.formulas``
+    with their ``reads_own_target``), gathered in one walk of its flat
+    records, an integer at a time: a namespace of the fields
+    ``Stream.dataflow`` returns, ``first``, ``early``, ``late``,
+    ``assigned``, ``added``, ``own``, ``stray``, ``writes`` and ``log``.
+
+    The walk stops at the epilogue.  A visit's key base is ``ranks[visit]``
+    times four per formula, and a record's key is the base plus its
+    code.  A read of a copy (an id at or past ``layout.size``) of a cell
+    first written (kind 0 or 1) at an earlier visit sets the cell's
+    ``early`` once and its ``late`` each time.  At a visit of negative
+    rank every read of a cell that sees a write is listed in ``stray``:
+    an accumulation's read of its own target where the target has an
+    assignment, any other where the cell has one or contributions since.
+    At any other visit, an accumulation that reads its own target
+    (``reads_own_target``) lists how often a record reads it and the key
+    of the target's last assignment, or for a kind 2 record the last
+    contribution since, in ``own``.  Then a kind 0 record assigns its
+    target, a kind 1 adds to it, and both log their key and count as
+    writes."""
+    size, count = stream.layout.size, len(stream.points)
+    formulas = stream.spec.formulas
+    stride = 4 * len(formulas)
+    selfish = bytearray(stride)
+    for i, f in enumerate(formulas):
+        if f.reads_own_target:
+            selfish[i << 2 | 1] = selfish[i << 2 | 2] = 1
+    first = array("q", [-1]) * size
+    early, late, assigned = array("q", first), array("q", first), array("q", first)
+    added, own, stray, log = [None] * size, [], [], {}
+    writes = base = 0
+    outside = False
+    it = iter(stream.codes)
+    take = it.__next__
+    visit = -1
+    for code in it:
+        if code == -1:
+            if (visit := visit + 1) == count:
+                break
+            base = ranks[visit] * stride
+            outside = base < 0
+            continue
+        write, kind, key = take(), code & 3, base + code
+        if not (outside or selfish[code]):
+            for _ in range(take()):
+                take()
+                for _ in range(take()):
+                    if (c := take() - size) >= 0 and -1 < first[c] < visit:
+                        if early[c] < 0:
+                            early[c] = visit
+                        late[c] = visit
+        else:
+            mine = 0
+            for _ in range(take()):
+                take()
+                for _ in range(take()):
+                    if (c := take() - size) >= 0:
+                        if -1 < first[c] < visit:
+                            if early[c] < 0:
+                                early[c] = visit
+                            late[c] = visit
+                        continue
+                    r = c + size
+                    if not outside:
+                        mine += r == write
+                    elif r == write and kind == 1:
+                        if assigned[r] != -1:
+                            stray.append((visit, r, True))
+                    elif added[r] or assigned[r] != -1:
+                        stray.append((visit, r, False))
+            if mine:
+                seen = assigned[write]
+                if kind == 2 and (keys := added[write]):
+                    seen = keys[-1]
+                own.append((visit, key, write, mine, seen))
+        if kind == 0:
+            assigned[write] = key
+            added[write] = None
+        elif kind == 1:
+            if (keys := added[write]) is None:
+                added[write] = [key]
+            else:
+                keys.append(key)
+        else:
+            continue
+        log[key] = write
+        writes += 1
+        if first[write] < 0:
+            first[write] = visit
+    return SimpleNamespace(
+        first=first, early=early, late=late, assigned=assigned, added=added,
+        own=own, stray=stray, writes=writes, log=log,
+    )

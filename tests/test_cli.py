@@ -61,6 +61,22 @@ def test_parse_reports_problems(capsys, tmp_path):
     assert "problem:" in err
 
 
+def test_a_cycle_of_block_binds_is_refused_by_parse_and_transform(capsys, tmp_path):
+    """``parse`` lists the cycle as a problem and ``transform`` refuses
+    the spec, so no document is written that ``emit`` and ``verify``
+    could not read."""
+    bad = tmp_path / "cycle.spec"
+    bad.write_text("space I[4], T[2], U[2];\ndomain U = T / 2;\ndomain T = U / 2;\nb(I) = a(I);\n")
+    code, out, err = run(capsys, "parse", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "problem: block binds form a cycle: U = T / 2, T = U / 2\n"
+    out_path = tmp_path / "schedule.json"
+    code, out, err = run(capsys, "transform", str(bad), "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: block binds form a cycle: U = T / 2, T = U / 2\n"
+    assert not out_path.exists()
+
+
 def test_parse_syntax_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("space I[2]\n")

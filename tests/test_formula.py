@@ -163,6 +163,19 @@ def test_domain_points_binds_in_dependency_order():
         domain_points(cycle)
 
 
+@pytest.mark.parametrize("binds, cycle", [
+    ("domain U = T / 2;\ndomain T = U / 2;\n", "U = T / 2, T = U / 2"),
+    ("domain T = T / 2;\n", "T = T / 2"),
+    ("domain V = U / 2;\ndomain U = T / 2;\ndomain T = U / 2;\n", "U = T / 2, T = U / 2"),
+], ids=["two-binds", "one-bind", "a-chain-into-a-cycle"])
+def test_legality_refuses_a_cycle_of_block_binds(binds, cycle):
+    """No free index resolves a bind on a cycle: the cycle is named once."""
+    spec = parse_spec("space I[4], T[2], U[2], V[2];\n" + binds + "b(I) = a(I);\n")
+    assert check_legality(spec) == [f"block binds form a cycle: {cycle}"]
+    chained = parse_spec("space I[4], T[2], U[2];\ndomain U = T / 2;\ndomain T = I / 2;\nb(I) = a(I);\n")
+    assert check_legality(chained) == []
+
+
 def test_dependencies_matmul_self_accumulation():
     spec = parse_spec(MATMUL)
     edges = extract_dependencies(spec)

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from clocksched.formula import (
     ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, domain_points, infer_shapes, parse_spec,
 )
-from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, PastBudget, lower
+from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, lower
+from clocksched.polynomial import PastBudget, polynomials
 
 import cases
 import oracles
-from test_properties import rich_specs, self_reading_specs
+from test_properties import assert_the_fold_matches_the_flat_walk, rich_specs, self_reading_specs
 
 
 def test_lowered_cells_and_bounds():
@@ -24,8 +25,8 @@ def test_lowered_cells_and_bounds():
     layout = stream.layout
     assert layout.offsets == {"a": 0, "b": 16, "s": 32}
     assert layout.location(13) == ("a", (3, 1))
-    assert layout.cell("a", (3, 1)) == 13
-    assert layout.cell("a", (4, 0)) is None
+    assert layout.ids([("a", (3, 1)), ("a", (4, 0)), ("s", (0,)), ("z", ())]) == [13, None, 32, None]
+    assert layout.locations([13, 32, 33, 0]) == [("a", (3, 1)), ("s", (0,)), ("s", (1,)), ("a", (0, 0))]
     one, two = stream.coefficients.index(1), stream.coefficients.index(2)
     assert list(stream.codes) == [
         VISIT, ASSIGN, 25, 2, one, 1, 13, two, 1, 33,
@@ -66,7 +67,10 @@ def test_snapshot_cells_are_banked_at_their_first_overwrite():
     assert list(oracles.replay(stream)) == [skip, (1, ASSIGN, 1, [None]), (2, ASSIGN, 0, [None])]
     # a(1) is first overwritten at visit 1 and its copy read at visit 2;
     # a(2)'s only write drops its term, so it never loses its value
-    assert [list(facts) for facts in stream.copy_reads()] == [[2, 1, -1], [-1, 2, -1], [-1, 2, -1]]
+    flow = stream.copy_reads()
+    assert [list(facts) for facts in (flow.first, flow.early, flow.late)] == [
+        [2, 1, -1], [-1, 2, -1], [-1, 2, -1]
+    ]
     literal = [spec.formulas, ("I",), [(2,), (1,), (0,)], (), stream.layout.shapes]
     assert oracles.run_with_plan(*literal, [(("a", (1,)), 0)], {"a": [5, 7, 9]}) == {"a": [7, 9, 9]}
     assert oracles.run_with_plan(*literal, [], {"a": [5, 7, 9]}) == {"a": [9, 9, 9]}
@@ -81,8 +85,8 @@ def test_a_read_after_a_skip_of_its_cell_reads_the_copy():
     mem = stream.memory({"a": [10, 11], "b": [20, 21], "c": [0, 0]})
     stream.run(mem)
     assert mem[:6] == [21, 20, 20, 21, 21, 11]
-    first, early, late = stream.copy_reads()
-    assert (first[1], early[1], late[1]) == (0, 1, 1)  # a plan must bank a(1)
+    flow = stream.copy_reads()
+    assert (flow.first[1], flow.early[1], flow.late[1]) == (0, 1, 1)  # a plan must bank a(1)
 
 
 def test_an_accumulation_reading_its_own_cell_sees_the_last_assignment():
@@ -124,7 +128,7 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
     spec = replace(spec, formulas=(c, d, e, f))
     stream = lower(spec, cases.points([(0,)]))
     a, b, c, d, e = (stream.layout.offsets[n] for n in "abcde")
-    mem = stream.polynomials(["a", "b"], 100)
+    mem = polynomials(stream, ["a", "b"], 100)
 
     def polynomial(entry):
         pairs = iter(entry)
@@ -135,7 +139,7 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
     assert polynomial(mem[d]) == {(a, a): 1, (a, b): 2, (b, b): 1, (): 3}
     assert mem[e] == []
     with pytest.raises(PastBudget):
-        stream.polynomials(["a", "b"], 3)  # d holds 4 monomials
+        polynomials(stream, ["a", "b"], 3)  # d holds 4 monomials
 
 
 def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():
@@ -153,8 +157,8 @@ def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():
     mem = stream.memory({"a": [5, 7], "b": [1, 2]})
     stream.run(mem)
     assert mem[:2] == [7 + 1, 7 + 2]
-    first, early, late = stream.copy_reads()
-    assert (first[1], early[1], late[1]) == (BLOCK - 1, BLOCK, BLOCK)
+    flow = stream.copy_reads()
+    assert (flow.first[1], flow.early[1], flow.late[1]) == (BLOCK - 1, BLOCK, BLOCK)
 
 
 @st.composite
@@ -257,3 +261,31 @@ def test_a_read_sees_its_own_visit_unless_it_accumulates_into_its_target(case):
             assert written == visit or (
                 read == write and spec.formulas[code >> 2].op == "+="
             ), (visit, code, write, at)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(lowerings(), spec_orders()), st.integers(0, 2**16))
+def test_the_dataflow_fold_matches_the_flat_walk(case, seed):
+    """On points outside the box, targets and operands off their arrays,
+    ``when`` clauses, self-reading specs in any order, repeated visits
+    and epilogues, under ranks drawn at random, some of them negative."""
+    spec, points, epilogue = case
+    stream = lower(spec, cases.points(points, len(spec.indexes)), epilogue)
+    rng = random.Random(seed)
+    ranks = [rng.choice([-2, -3, rng.randrange(len(points) + 1)]) for _ in points]
+    assert_the_fold_matches_the_flat_walk(stream, ranks)
+    assert_the_fold_matches_the_flat_walk(stream, range(len(points)))
+
+
+@pytest.mark.parametrize("src", [
+    "space I[4], J[4];\nS += S*S*c(I,J);\n",
+    "space I[4], J[4];\na(I) += b(I,J);\nc(I,J) = a(I);\n",
+], ids=["accumulation-reads-its-running-sum", "later-formula-reads-the-sum"])
+def test_the_dataflow_fold_matches_the_flat_walk_on_running_sums(src):
+    """The two self-reading specs whose reads see running sums, their
+    domain points visited in the reverse order."""
+    spec = parse_spec(src)
+    points = list(domain_points(spec))[::-1]
+    stream = lower(spec, cases.points(points, len(spec.indexes)))
+    assert_the_fold_matches_the_flat_walk(stream, range(len(points))[::-1])
+    assert_the_fold_matches_the_flat_walk(stream, range(len(points)))

@@ -53,6 +53,7 @@ from clocksched.formula import (
 import clocksched.verify
 from clocksched import schedule
 from clocksched.lower import Layout, lower
+from clocksched.polynomial import polynomials
 from clocksched.schedule import (
     NO_PLAN,
     BuildError,
@@ -71,6 +72,7 @@ from clocksched.schedule import (
     unfold,
 )
 from clocksched.verify import (
+    _ranks,
     analyze,
     check_coverage,
     check_dependencies,
@@ -425,7 +427,7 @@ def test_built_snapshot_slots_match_the_rescan(case):
     plan = tree.plan
     assume(plan.snapshot_locs)
     layout = Layout(infer_shapes(tree.spec))
-    slots = {layout.cell(name, loc): slot for (name, loc), slot in zip(plan.snapshot_locs, plan.slots)}
+    slots = dict(zip(layout.ids(plan.snapshot_locs), plan.slots))
     assert_slots_fit(sweep.call_args.args[0], slots, plan.minimal)
 
 
@@ -449,9 +451,10 @@ def planned_trees(draw):
         except BuildError:
             reject()
     stream = enumerate_schedule(tree).stream
-    first, _, last = stream.copy_reads()
+    flow = stream.copy_reads()
+    first, last = flow.first, flow.late
     layout = stream.layout
-    plan = [(layout.cell(*loc), slot) for loc, slot in zip(tree.plan.snapshot_locs, tree.plan.slots)]
+    plan = list(zip(layout.ids(tree.plan.snapshot_locs), tree.plan.slots))
     banked = {c for c, _ in plan}
     choices = {
         "none": [None],
@@ -473,7 +476,7 @@ def planned_trees(draw):
         plan[how[1]] = (plan[how[1]][0], plan[how[0]][1])
     elif mutation == "unread":
         plan.append(how)
-    plan = TempPlan(tuple(layout.location(c) for c, _ in plan), tuple(slot for _, slot in plan))
+    plan = TempPlan(tuple(layout.locations([c for c, _ in plan])), tuple(slot for _, slot in plan))
     return replace(tree, plan=plan), mutation
 
 
@@ -629,7 +632,7 @@ def _matches_the_per_read_replay(trace) -> bool:
     reference = lower(spec, domain_points(spec), trace.tree.epilogue)
     with mock.patch("clocksched.lower.lower", wraps=lower) as lowering:
         report = check_dependencies(trace)
-    cells = [stream.layout.cell(*loc) for loc in plan.snapshot_locs]
+    cells = stream.layout.ids(plan.snapshot_locs)
     want = oracles.dependency_report(stream, reference, zip(cells, plan.slots), spec.temp_arrays)
     assert (report.violations, report.commutes, report.events) == want
     assert report.ok == (not want[0])
@@ -682,6 +685,51 @@ def test_the_dependence_check_matches_the_per_read_replay_on_checked_traces(trac
     visits of self-reading specs, whose accumulations read their own
     targets, some of them in ``SKIP`` records."""
     assert _matches_the_per_read_replay(trace) == (not check_coverage(trace).ok)
+
+
+# -- the dataflow fold, checked against the flat walk -------------------------
+
+DATAFLOW = ("first", "early", "late", "assigned", "added", "own", "stray", "writes", "log")
+
+
+def assert_the_fold_matches_the_flat_walk(stream, ranks) -> None:
+    """``Stream.dataflow``, folded from the block columns, gathers what
+    the walk of the flat records (``oracles.flat_dataflow``) gathers,
+    field by field."""
+    got = stream.dataflow(ranks)
+    want = oracles.flat_dataflow(stream, ranks)
+    for name in DATAFLOW:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _reference_ranks(trace):
+    """The ranks ``check_dependencies`` gives the trace's visits."""
+    spec = trace.spec
+    return _ranks(trace.points, domain_points(spec), tuple(spec.index_sizes().values()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_traces())
+def test_the_dataflow_fold_matches_the_flat_walk_on_mutated_traces(case):
+    """Shuffled, swapped, cut, repeated, and with points outside the
+    domain, whose negative ranks list every read that sees a write."""
+    trace, _ = case
+    assert_the_fold_matches_the_flat_walk(trace.stream, _reference_ranks(trace))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(checked_traces())
+def test_the_dataflow_fold_matches_the_flat_walk_on_checked_traces(trace):
+    assert_the_fold_matches_the_flat_walk(trace.stream, _reference_ranks(trace))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(built_schedules().map(lambda case: case[1]),
+                 planned_trees().map(lambda case: case[0])))
+def test_copy_reads_match_the_flat_walk(tree):
+    stream = enumerate_schedule(tree).stream
+    got, want = stream.copy_reads(), oracles.flat_dataflow(stream, range(len(stream.points)))
+    assert (got.first, got.early, got.late) == (want.first, want.early, want.late)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -840,7 +888,7 @@ def checked_trees(draw):
 
 
 def evaluate(polynomial, values: list[int]) -> int:
-    """A ``Stream.polynomials`` entry at the given cell values."""
+    """A ``polynomials`` entry at the given cell values."""
     if type(polynomial) is int:
         return values[polynomial]
     pairs = iter(polynomial)
@@ -862,10 +910,10 @@ def test_polynomials_evaluate_to_what_the_stream_computes(tree, seed):
         for name, shape in stream.layout.shapes.items()
     })
     start = list(mem)
-    polynomials = stream.polynomials(stream.layout.shapes, 1 << 20)
+    entries = polynomials(stream, stream.layout.shapes, 1 << 20)
     stream.run(mem)
     assert [start[i] if p is None else evaluate(p, start)
-            for i, p in enumerate(polynomials)] == mem[:stream.layout.size]
+            for i, p in enumerate(entries)] == mem[:stream.layout.size]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

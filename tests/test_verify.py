@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import time
 from dataclasses import replace
@@ -600,9 +601,11 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     a covered trace's writes as its reference, and equivalence follows
     from coverage and dependencies.  It makes the domain's points once,
     for coverage and the dependence check, only the document's own tree
-    is enumerated, and no stream runs on a store.  The reference is
-    lowered only where a trace misses a point, or for equivalence with a
-    rewrite."""
+    is enumerated, and no stream runs on a store or joins its block
+    columns into flat records.  The reference is lowered only where a
+    trace misses a point, or for equivalence with a rewrite, which joins
+    each side's records once.  `clocksched transform` plans the blocked
+    stencil's snapshots from the columns, joining no records either."""
     import clocksched.cli
     import clocksched.engine
     import clocksched.formula
@@ -636,12 +639,18 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     monkeypatch.setattr(
         clocksched.lower.Stream, "run", lambda *a: runs.append(1) or real_run(*a)
     )
+    joined = []  # the streams whose flat records are built
+    real_codes = clocksched.lower.Stream.codes.func
+    codes = functools.cached_property(lambda stream: joined.append(stream) or real_codes(stream))
+    codes.__set_name__(clocksched.lower.Stream, "codes")
+    monkeypatch.setattr(clocksched.lower.Stream, "codes", codes)
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
     assert len(calls) == 1
     assert len(domains) == 1
     assert enumerated == [document]
     assert runs == []  # equivalence is implied: no random store is run
+    assert joined == []
 
     trace = enumerate_schedule(tree())
     calls.clear()
@@ -656,8 +665,18 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
 
     rewrite = enumerate_schedule(cases.accumulator_tree())
     calls.clear()
+    joined.clear()
     assert verify_report(rewrite, trials=2)["ok"]
     assert len(calls) == 2  # the trace, then equivalence's reference
+    assert len(joined) == 2 and rewrite.stream in joined  # once per side
+
+    spec = tmp_path / "stencil.spec"
+    spec.write_text(cases.STENCIL)
+    joined.clear()
+    assert main(["transform", str(spec), "--clock", "4x2x2", "--map", "S=16,I=8,T=4,J=2",
+                 "-o", str(tmp_path / "blocked.json")]) == 0
+    assert schedule_from_json(json.loads((tmp_path / "blocked.json").read_text())).plan.snapshot_locs
+    assert joined == []
 
 
 @pytest.mark.parametrize(
