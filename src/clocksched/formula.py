@@ -515,17 +515,14 @@ def infer_shapes(spec: ComputationSpec) -> dict[str, tuple[int, ...]]:
 class DepEdge:
     """A def-use pair on one array.
 
-    ``vector`` is set when the read subscripts the same indexes in the
-    same positions as the write; it then holds the per-position
-    displacements.  ``permutation`` is set when the read permutes the
-    write's indexes with no displacement; entry i names the write
-    position supplying read position i.
+    ``permutation`` is set when the read permutes the write's indexes
+    with no displacement; entry i names the write position supplying
+    read position i.
     """
 
     array: str
     writer: int
     reader: int
-    vector: tuple[int, ...] | None = None
     permutation: tuple[int, ...] | None = None
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -553,25 +550,20 @@ def permutation_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _classify_read(write: ArrayAccess, read: ArrayAccess):
-    vector = None
-    permutation = None
-    if len(read.args) == len(write.args):
-        write_names = [a.index for a in write.args]
-        if all(
-            r.index is not None and r.index == w
-            for r, w in zip(read.args, write_names)
-        ):
-            vector = tuple(r.displacement for r in read.args)
-        read_names = [a.index for a in read.args]
-        if (
-            all(a.index is not None and a.displacement == 0 for a in read.args)
-            and None not in write_names
-            and len(set(write_names)) == len(write_names)
-            and sorted(read_names) == sorted(write_names)
-        ):
-            permutation = tuple(write_names.index(r) for r in read_names)
-    return vector, permutation
+def _permutation(write: ArrayAccess, read: ArrayAccess) -> tuple[int, ...] | None:
+    """Per read position, the write position whose index it names, where
+    the read permutes the write's distinct indexes with no displacement."""
+    write_names = [a.index for a in write.args]
+    read_names = [a.index for a in read.args]
+    if (
+        len(read_names) == len(write_names)
+        and all(a.index is not None and a.displacement == 0 for a in read.args)
+        and None not in write_names
+        and len(set(write_names)) == len(write_names)
+        and sorted(read_names) == sorted(write_names)
+    ):
+        return tuple(write_names.index(r) for r in read_names)
+    return None
 
 
 def extract_dependencies(spec: ComputationSpec) -> list[DepEdge]:
@@ -584,14 +576,12 @@ def extract_dependencies(spec: ComputationSpec) -> list[DepEdge]:
             if fr is fw and fw.op == "+=":
                 reads.append(fw.result)  # += reads its own target
             for access in reads:
-                vector, permutation = _classify_read(fw.result, access)
                 edges.append(
                     DepEdge(
                         array=array,
                         writer=w,
                         reader=r,
-                        vector=vector,
-                        permutation=permutation,
+                        permutation=_permutation(fw.result, access),
                     )
                 )
     return edges

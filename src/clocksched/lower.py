@@ -5,14 +5,13 @@ its terms read do not depend on what the cells hold, so every check
 works from this form, built once per (spec, ordered points, epilogue).
 Cells are numbered row-major within each array, arrays in sorted-name
 order.  Cell ``c``'s copy, id ``c + layout.size``, holds its pre-pass
-value: nothing writes it.  Flat, a stream is one ``array('q')`` of
-records (``Stream.codes``):
-
-* ``VISIT``: the next visit begins (one per point, then the epilogue).
-* ``code, write, terms``, then per term ``coefficient id, reads,
-  read...``: one formula application.  ``code >> 2`` is the formula's
-  position (the epilogue's follow the spec's) and ``code & 3`` is
-  ``ASSIGN``, ``ADD``, or ``SKIP`` when no term stays on its arrays.
+value: nothing writes it.  A stream is a sequence of records, one per
+formula application in visit order (``Stream.records``): its visit
+(the epilogue's follows the last point), its ``code``, the cell it
+writes, and per term its coefficient id and the ids it reads.
+``code >> 2`` is the formula's position (the epilogue's follow the
+spec's) and ``code & 3`` is ``ASSIGN``, ``ADD``, or ``SKIP`` when no
+term stays on its arrays.
 
 A term with an operand off its array adds nothing; it keeps its other
 reads under coefficient 0, so the checks still see every read the spec
@@ -41,9 +40,9 @@ block leaves the array.  A copy is a constant offset, only the two
 exceptions are compared per visit, and nothing carries between blocks;
 the epilogue is one more block of one visit.  Those columns
 (``_Applications``) are the stream: ``Stream.dataflow`` folds them, and
-the flat records are joined from them when ``Stream.run`` (integers)
-or ``polynomial.polynomials`` (polynomials over the input cells) first
-reads them.
+``Stream.records`` reads them a visit at a time for ``Stream.run``
+(integers) and ``polynomial.polynomials`` (polynomials over the input
+cells).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import ArrayAccess, ComputationSpec, Formula, Points, infer_shapes
 
-VISIT = -1
 ASSIGN, ADD, SKIP = 0, 1, 2
 
 
@@ -143,9 +141,7 @@ def _compile(access: ArrayAccess, names: tuple[str, ...], layout: Layout, copy: 
 class Stream:
     """One lowered visit order, held as its block columns: per ``BLOCK``
     visits, the ``_Applications`` of each formula with a record there,
-    and the epilogue's as one more block of one visit (``tail``).  The
-    flat records the module docstring gives, ``codes``, are joined from
-    them on first use, by ``run`` and ``polynomial.polynomials``."""
+    and the epilogue's as one more block of one visit (``tail``)."""
 
     def __init__(self, spec, points, layout, blocks, tail, coefficients):
         self.spec: ComputationSpec = spec
@@ -155,14 +151,18 @@ class Stream:
         self.tail: list[_Applications] | None = tail  # the epilogue's, or None without one
         self.coefficients: list[int] = coefficients
 
-    @cached_property
-    def codes(self) -> array:
-        codes = array("q")
-        for visits, apps in self._blocks():
-            codes.fromlist(_records(apps, len(visits)))
+    def records(self) -> Iterator[tuple[int, int, int, tuple[tuple[int, tuple[int, ...]], ...]]]:
+        """``(visit, code, write, terms)`` per record, in stream order,
+        ``terms`` holding per term its coefficient id and its reads.  Each
+        visit's tuples are made as it is reached and freed before the
+        next visit's: a block's worth of live tuples of one length would
+        stay on CPython's free list for good."""
+        blocks = self._blocks()
         if self.tail is not None:
-            codes.fromlist(_records(self.tail, 1))
-        return codes
+            blocks = chain(blocks, [(range(len(self.points), len(self.points) + 1), self.tail)])
+        for visits, apps in blocks:
+            for row in zip(*[_rows(app, visits) for app in apps]):
+                yield from filter(None, row)
 
     def memory(self, arrays: Mapping[str, list[int]]) -> list[int]:
         """Zeroed cells and copies, each given array loaded into both."""
@@ -173,26 +173,23 @@ class Stream:
             mem[span] = mem[span.start + size:span.stop + size] = values
         return mem
 
-    def run(self, mem: list[int]) -> None:
-        """Apply every record, in order, to a memory from ``memory``."""
+    def run(self, mem: list[int], modulus: int | None = None) -> None:
+        """Apply every record, in order, to a memory from ``memory``; with
+        a ``modulus``, each written value is reduced by it."""
         coefficients = self.coefficients
-        it = iter(self.codes)
-        take = it.__next__
-        for code in it:
-            if code == VISIT:
-                continue
-            write = take()
+        for _, code, write, terms in self.records():
             total = 0
-            for _ in range(take()):
-                value = coefficients[take()]
-                for _ in range(take()):
-                    value *= mem[take()]
+            for cid, reads in terms:
+                value = coefficients[cid]
+                for r in reads:
+                    value *= mem[r]
                 total += value
             kind = code & 3
             if kind == ADD:
-                mem[write] += total
-            elif kind == ASSIGN:
-                mem[write] = total
+                total += mem[write]
+            elif kind == SKIP:
+                continue
+            mem[write] = total if modulus is None else total % modulus
 
     def copy_reads(self) -> Dataflow:
         """The copy reads, which no ranks change: per cell, three visits,
@@ -491,12 +488,6 @@ class _Columns:
         return column
 
 
-def _dropped(term: tuple[int, ...]) -> tuple[int, ...]:
-    """A term with an operand off its array: coefficient 0, its other reads."""
-    kept = [r for r in term[2:] if r >= 0]
-    return (0, len(kept), *kept)
-
-
 class _Applications(NamedTuple):
     """One formula's records over one block, a column per field; the
     columns of cell ids are ``array('q')``, a fifth of a list's size."""
@@ -507,7 +498,8 @@ class _Applications(NamedTuple):
     keep: list[bool] | None  # where it has a record; None: at every visit
     on: list[bool] | None  # where its record is no SKIP; None: wherever kept
     # per term, its coefficient id, how many reads it has, and whether a
-    # visit has an operand off its array: there the term is ``_dropped``
+    # visit has an operand off its array: there it keeps under coefficient
+    # 0 the reads that are on theirs
     terms: list[tuple[int, int, bool]]
     reads: list[array]  # per read, in record order, its ids; -1 off its array or record
 
@@ -570,27 +562,20 @@ def _block(formulas, first: int, coords, n: int, size: int) -> list[_Application
     return apps
 
 
-def _records(apps: list[_Applications], n: int) -> list[int]:
-    """The records, flat, of one block of ``n`` visits."""
-    # Every piece is lazy, so each visit's tuples are freed before the next
-    # visit's are made: a block's worth of live tuples of one length would
-    # stay on CPython's free list for good.
-    pieces = []  # per formula, its head column, then a column per term
-    for app in apps:
-        code = app.code
-        codes = repeat(code, n) if app.on is None else [code if o else code & ~3 | SKIP for o in app.on]
-        row = [zip(codes, app.writes, repeat(len(app.terms), n))]
-        reads = iter(app.reads)
-        for cid, count, dropping in app.terms:
-            term = zip(repeat(cid, n), repeat(count, n), *islice(reads, count))
-            if dropping:  # some visit has an operand off its array
-                term = (t if -1 not in t else _dropped(t) for t in term)
-            row.append(term)
-        if app.keep is not None:
-            row = [(p if k else () for p, k in zip(piece, app.keep)) for piece in row]
-        pieces += row
-    flat: list[int] = []
-    for record in zip(repeat((VISIT,), n), *pieces):
-        for piece in record:
-            flat += piece
-    return flat
+def _rows(app: _Applications, visits: range) -> Iterator:
+    """Per visit of one block, the formula's ``Stream.records`` record,
+    or None where it has none; lazy, a visit at a time."""
+    n = len(visits)
+    code = app.code
+    codes = repeat(code, n) if app.on is None else [code if o else code & ~3 | SKIP for o in app.on]
+    reads = iter(app.reads)
+    terms = []
+    for cid, count, dropping in app.terms:
+        term = zip(repeat(cid, n), zip(*islice(reads, count)) if count else repeat((), n))
+        if dropping:  # some visit has an operand off its array
+            term = (t if -1 not in t[1] else (0, tuple(r for r in t[1] if r >= 0)) for t in term)
+        terms.append(term)
+    rows = zip(visits, codes, app.writes, zip(*terms) if terms else repeat((), n))
+    if app.keep is None:
+        return rows
+    return (row if k else None for row, k in zip(rows, app.keep))

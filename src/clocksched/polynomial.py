@@ -2,8 +2,8 @@
 
 Every formula is a sum of integer-coefficient products of reads, so a
 cell's final value is a polynomial over the input cells' values before
-the pass.  ``polynomials`` applies a stream's flat records
-(``lower.Stream.codes``) to such polynomials, and ``first_difference``
+the pass.  ``polynomials`` applies a stream's records
+(``lower.Stream.records``) to such polynomials, and ``first_difference``
 compares two streams' final polynomials cell by cell.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .lower import ADD, SKIP, VISIT, Layout, Stream
+from .lower import ADD, SKIP, Layout, Stream
 
 
 def _times(m, n):
@@ -85,16 +85,12 @@ def polynomials(stream: Stream, inputs: Iterable[str], budget: int, like: Sequen
     coefficients = stream.coefficients
     mem: list = [None] * (2 * size)  # a copy's entry is filled when first read
     live = 0
-    it = iter(stream.codes)
-    take = it.__next__
-    for code in it:
-        if code == VISIT:
-            continue
-        write, total = take(), {}
-        for _ in range(take()):
-            c, n = coefficients[take()], take()
-            if n == 1 and c:
-                r = take()
+    for _, code, write, terms in stream.records():
+        total = {}
+        for cid, reads in terms:
+            c = coefficients[cid]
+            if len(reads) == 1 and c:
+                r = reads[0]
                 if (p := mem[r]) is None:
                     if not variable[r]:
                         continue
@@ -107,7 +103,6 @@ def polynomials(stream: Stream, inputs: Iterable[str], budget: int, like: Sequen
                     for m, k in _terms(p):
                         total[m] = total.get(m, 0) + c * k
                 continue
-            reads = [take() for _ in range(n)]
             if not c:
                 continue
             factors, polys = [], []  # bare variables, other polynomials

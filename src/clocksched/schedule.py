@@ -35,7 +35,6 @@ from .formula import (
     ArrayAccess,
     BlockBind,
     ComputationSpec,
-    DepEdge,
     Factor,
     Formula,
     IndexDecl,
@@ -774,10 +773,11 @@ def assign_slots(intervals: Iterable[tuple[int, int, int]]) -> list[tuple[int, i
     busy: list[tuple[int, int, int]] = []  # heap of (end, order handed out, slot)
     assigned = []
     for order, (start, end, cell) in enumerate(sorted(intervals)):
-        ended = []
-        while busy and busy[0][0] < start:
-            ended.append(heapq.heappop(busy)[1:])
-        free += (slot for _, slot in sorted(ended))
+        if busy and busy[0][0] < start:
+            ended = []
+            while busy and busy[0][0] < start:
+                ended.append(heapq.heappop(busy)[1:])
+            free += [slot for _, slot in sorted(ended)]
         slot = free.pop() if free else len(busy)  # every slot made is busy
         heapq.heappush(busy, (end, order, slot))
         assigned.append((cell, slot))
@@ -803,7 +803,6 @@ def _within_budget(cells: int, budget: int | None) -> None:
 
 def allocate_temporaries(
     spec: ComputationSpec,
-    deps: Sequence[DepEdge],
     visit_order: Callable[[], Stream] | None = None,
 ) -> TempPlan:
     """Plan the cells a visit order banks.
@@ -813,12 +812,15 @@ def allocate_temporaries(
     banked from its first overwrite until its last such read.  Slots
     are shared by cells not live at once.  A spec with temp arrays keeps
     its scratch there and banks nothing.  ``visit_order`` returns the
-    visit order's stream; it is not called when every dependence is an
-    accumulation's read of its own cell.
+    visit order's stream; by the read rule (``lower``) only a term's
+    access of a written array can read a copy, unless an accumulation
+    reads its own target, so it is not called where no other such
+    access exists.
     """
-    if spec.temp_arrays or visit_order is None or all(
-        e.writer == e.reader and spec.formulas[e.reader].op == "+="
-        and e.vector is not None and not any(e.vector) for e in deps
+    written = {f.result.name for f in spec.formulas}
+    if spec.temp_arrays or visit_order is None or not any(
+        a.name in written and not (f.op == "+=" and a == f.result)
+        for f in spec.formulas for t in f.terms for a in t.accesses
     ):
         return NO_PLAN
     stream = visit_order()
@@ -873,9 +875,7 @@ def sequential_schedule(source: str | ComputationSpec) -> ScheduleTree:
     from .lower import lower
 
     # the nest visits domain_points in order
-    plan = allocate_temporaries(
-        spec1, extract_dependencies(spec1), lambda: lower(spec1, domain_points(spec1))
-    )
+    plan = allocate_temporaries(spec1, lambda: lower(spec1, domain_points(spec1)))
     return ScheduleTree(roots=(tuple(nodes),), spec=spec1, source=text, plan=plan)
 
 
@@ -920,9 +920,7 @@ def build_schedule(
         tree = apply_convolutions(tree, convolutions)
     from .engine import enumerate_schedule
 
-    tree = replace(tree, plan=allocate_temporaries(
-        spec1, extract_dependencies(spec1), lambda: enumerate_schedule(tree).stream
-    ))
+    tree = replace(tree, plan=allocate_temporaries(spec1, lambda: enumerate_schedule(tree).stream))
     if unfold_over is not None:
         tree = unfold(tree, unfold_over[0], unfold_over[1])
     _within_budget(scratch_cells(tree.spec, tree.plan), budget)

@@ -27,13 +27,14 @@ trace that visits each domain point once, the reference's facts are
 the fold's own writes replayed in reference order
 (``Dataflow.replay``); only another trace has its reference lowered
 and folded too.
-Equivalence is exact: it runs both streams' flat records, joined from
-the columns for it, on polynomials over the input cells
+Equivalence is exact: it runs both streams' records, read from the
+columns a visit at a time, on polynomials over the input cells
 (``polynomial.polynomials``) and compares the final polynomial
 of every cell of the reference's arrays but its temporaries; a
 schedule that lacks an array the reference writes, or names one the
 reference never names, fails outright.  Past ``EXACT_BUDGET`` live
-monomials it falls back to seeded random stores instead.
+monomials it falls back to seeded random stores instead, run modulo
+the prime ``MODULUS``.
 ``verify_report`` runs them all, in that order, but does not run
 equivalence where coverage and dependencies already imply it: on an
 own trace (the reference's padded spec, no epilogue) whose spec has no
@@ -391,6 +392,17 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
 # product may take, before ``equivalent`` falls back to random stores.
 EXACT_BUDGET = 1 << 16
 
+# The prime the random stores run modulo: a value stays a few words long
+# however often the stream squares it.
+MODULUS = (1 << 61) - 1
+
+
+def _residues(values: list[int]) -> list[int]:
+    """Values modulo ``MODULUS`` in the balanced range, so a value below
+    2**60 in magnitude is itself."""
+    half = MODULUS >> 1
+    return [(v + half) % MODULUS - half for v in values]
+
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -499,8 +511,9 @@ def equivalent(
     array the reference writes, or reads or writes one, not as a
     temporary, that the reference never names (``_compared_arrays``).  Past
     ``EXACT_BUDGET`` live monomials on either side, the check falls
-    back to ``trials`` seeded random stores instead.  Either side may be
-    given as a tree, its trace, or a lowered stream."""
+    back to ``trials`` seeded random stores instead, both sides run and
+    compared modulo ``MODULUS``.  Either side may be given as a tree,
+    its trace, or a lowered stream."""
     (ours, ours_write), (theirs, theirs_write) = _stream(candidate), _stream(reference)
     shared, problem = _compared_arrays(ours, ours_write, theirs, theirs_write)
     if problem is not None:
@@ -511,11 +524,11 @@ def equivalent(
     for trial in range(trials):
         inputs = _random_cells(shared, seed + trial)
         got, want = ours.memory(inputs), theirs.memory(inputs)
-        ours.run(got)
-        theirs.run(want)
+        ours.run(got, MODULUS)
+        theirs.run(want, MODULUS)
         for name in shared:
-            a = got[ours.layout.cells(name)]
-            b = want[theirs.layout.cells(name)]
+            a = _residues(got[ours.layout.cells(name)])
+            b = _residues(want[theirs.layout.cells(name)])
             if a != b:
                 i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
                 return EquivalenceReport(

@@ -25,6 +25,13 @@ STENCIL = (
 )
 MNPQ = "space M[2], N[2], P[2], Q[2];\nf(M,N) = g(M,N)*h(P,Q);\n"
 ACCUM = "space T[2], TX[2], TY[2];\nS += a(T,TX,TY);\n"
+# reads a running sum and squares it at every point: past the exact budget
+SQUARING = (
+    "space I[4], J[3];\n"
+    "b(I,J) = a;\n"
+    "a += 3*c(I,J)*b(I,J) + 2*a*a;\n"
+    "a = 2*c(J,I) + 3*c(I,J+1)*a;\n"
+)
 
 
 def skeleton_plain() -> ScheduleTree:
@@ -90,6 +97,10 @@ def transpose_sequential_tree() -> ScheduleTree:
 
 def accumulator_tree() -> ScheduleTree:
     return build_schedule(ACCUM, clock=make_clock(3), unfold_over=("TMP", 2))
+
+
+def squaring_tree() -> ScheduleTree:
+    return build_schedule(SQUARING, order=["J", "I"])
 
 
 def points(rows, width: int | None = None) -> Points:

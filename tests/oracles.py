@@ -18,6 +18,8 @@ from types import SimpleNamespace
 # one visit as the enumerator's ``VisitRecord`` states it
 Visit = namedtuple("Visit", "time_point lattice_point time_value level copy")
 
+VISIT = -1  # a visit's mark in a lowered stream laid out flat
+
 
 def subset_sum_points(graduations: list[int]) -> list[int]:
     """Every sum of a subset of graduations, in binary counting order."""
@@ -370,7 +372,7 @@ def lowered_records(formulas, names, points, epilogue, shapes):
     codes = []
 
     def visit(env, formulas, first, copied):
-        codes.append(-1)
+        codes.append(VISIT)
         applied = set()
         for position, f in enumerate(formulas, first):
             if any(env[n] != value for n, value in f.when):
@@ -402,6 +404,27 @@ def lowered_records(formulas, names, points, epilogue, shapes):
     if epilogue:
         visit({}, epilogue, len(formulas), set())
     return codes, coefficients
+
+
+def flat_records(stream):
+    """A lowered stream's ``records()`` (read by attribute, with
+    ``points`` and ``tail``) laid out flat, as ``lowered_records`` gives
+    them: ``VISIT`` before each visit's records, one per point and one
+    for the epilogue if the stream has one, then per record its code,
+    target and term count, and per term its coefficient id, read count
+    and reads."""
+    flat, records = [], iter(stream.records())
+    record = next(records, None)
+    for visit in range(len(stream.points) + (stream.tail is not None)):
+        flat.append(VISIT)
+        while record is not None and record[0] == visit:
+            _, code, write, terms = record
+            flat += [code, write, len(terms)]
+            for cid, reads in terms:
+                flat += [cid, len(reads), *reads]
+            record = next(records, None)
+    assert record is None, f"record {record} out of visit order"
+    return flat
 
 
 def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
@@ -470,11 +493,11 @@ def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
 
 def _applications(stream):
     """``(visit, code, write, reads)`` per formula application of a
-    lowered stream (read by attribute: ``codes``, ``points``) before its
-    epilogue, ``reads`` its read ids in record order."""
-    codes, at, visit = list(stream.codes), 0, -1
+    lowered stream (its ``flat_records``) before its epilogue, ``reads``
+    its read ids in record order."""
+    codes, at, visit = flat_records(stream), 0, -1
     while at < len(codes):
-        if codes[at] == -1:
+        if codes[at] == VISIT:
             visit += 1
             if visit == len(stream.points):
                 return
@@ -619,11 +642,12 @@ def dependency_report(stream, reference, plan, temps):
 
 def flat_dataflow(stream, ranks):
     """What visit order can change in a lowered stream (read by
-    attribute: ``codes``, ``points``, ``layout.size``, ``spec.formulas``
-    with their ``reads_own_target``), gathered in one walk of its flat
-    records, an integer at a time: a namespace of the fields
-    ``Stream.dataflow`` returns, ``first``, ``early``, ``late``,
-    ``assigned``, ``added``, ``own``, ``stray``, ``writes`` and ``log``.
+    attribute: ``records()``, ``points``, ``tail``, ``layout.size``,
+    ``spec.formulas`` with their ``reads_own_target``), gathered in one
+    walk of its ``flat_records``, an integer at a time: a namespace of
+    the fields ``Stream.dataflow`` returns, ``first``, ``early``,
+    ``late``, ``assigned``, ``added``, ``own``, ``stray``, ``writes``
+    and ``log``.
 
     The walk stops at the epilogue.  A visit's key base is ``ranks[visit]``
     times four per formula, and a record's key is the base plus its
@@ -651,11 +675,11 @@ def flat_dataflow(stream, ranks):
     added, own, stray, log = [None] * size, [], [], {}
     writes = base = 0
     outside = False
-    it = iter(stream.codes)
+    it = iter(flat_records(stream))
     take = it.__next__
     visit = -1
     for code in it:
-        if code == -1:
+        if code == VISIT:
             if (visit := visit + 1) == count:
                 break
             base = ranks[visit] * stride

@@ -722,6 +722,18 @@ def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):
     assert "verdict: FAIL" in out
 
 
+def test_verify_gives_a_verdict_past_the_exact_budget(tmp_path, capsys):
+    """A spec that squares a running sum at every point runs the random
+    stores, modulo a prime: a verdict, not integers too long to print."""
+    path = tmp_path / "squaring.json"
+    path.write_text(json.dumps(schedule_to_json(cases.squaring_tree())))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert re.fullmatch(r"equivalence: FAIL on trial 0 at a\(\): -?\d+ != -?\d+", lines[2])
+    assert lines[-1] == "verdict: FAIL"
+
+
 def test_verify_refuses_an_illegal_source(tmp_path, capsys):
     """The reference is lowered from the document's source, which must
     still pass the legality check the builder runs."""

@@ -12,7 +12,6 @@ from clocksched.engine import (
     parse_edge_list,
 )
 from clocksched.formula import domain_points
-from clocksched.lower import VISIT
 from clocksched.verify import analyze
 
 import cases
@@ -101,9 +100,9 @@ def test_epilogue_record_trails_the_trace():
     tree = cases.accumulator_tree()
     trace = enumerate_schedule(tree)
     (reduction,) = tree.epilogue
-    codes = list(trace.stream.codes)
-    assert codes.count(VISIT) == len(trace.records) + 1
-    last = len(codes) - 1 - codes[::-1].index(VISIT)
+    codes = oracles.flat_records(trace.stream)
+    assert codes.count(oracles.VISIT) == len(trace.records) + 1
+    last = len(codes) - 1 - codes[::-1].index(oracles.VISIT)
     code, write = codes[last + 1:last + 3]
     assert code >> 2 == len(tree.spec.formulas)  # the first formula past the spec's
     assert trace.stream.layout.location(write) == (reduction.result.name, ())

@@ -182,7 +182,6 @@ def test_dependencies_matmul_self_accumulation():
     (edge,) = edges
     assert edge.array == "a"
     assert edge.writer == edge.reader == 0
-    assert edge.vector == (0, 0)
 
 
 def test_dependencies_transpose_permutation():
@@ -196,15 +195,6 @@ def test_permutation_cycles():
     assert permutation_cycles((1, 0, 2)) == ((0, 1),)
     assert permutation_cycles((1, 2, 0)) == ((0, 1, 2),)
     assert permutation_cycles((0, 1)) == ()
-
-
-def test_stencil_vector_dependencies():
-    spec = parse_spec(
-        "space I[4], J[4];\n"
-        "a(I,J) = a(I,J) + a(I+1,J) + a(I,J+1) + a(I+1,J+1);\n"
-    )
-    vectors = {e.vector for e in extract_dependencies(spec)}
-    assert vectors == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def test_spec_construction_equivalence():

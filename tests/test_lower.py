@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from clocksched.formula import (
     ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, domain_points, infer_shapes, parse_spec,
 )
-from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, VISIT, lower
+from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, lower
 from clocksched.polynomial import PastBudget, polynomials
 
 import cases
 import oracles
+from oracles import VISIT, flat_records
 from test_properties import assert_the_fold_matches_the_flat_walk, rich_specs, self_reading_specs
 
 
@@ -28,7 +29,7 @@ def test_lowered_cells_and_bounds():
     assert layout.ids([("a", (3, 1)), ("a", (4, 0)), ("s", (0,)), ("z", ())]) == [13, None, 32, None]
     assert layout.locations([13, 32, 33, 0]) == [("a", (3, 1)), ("s", (0,)), ("s", (1,)), ("a", (0, 0))]
     one, two = stream.coefficients.index(1), stream.coefficients.index(2)
-    assert list(stream.codes) == [
+    assert flat_records(stream) == [
         VISIT, ASSIGN, 25, 2, one, 1, 13, two, 1, 33,
         # a(4,1) is off its array: that term keeps no read and adds nothing
         VISIT, ASSIGN, 29, 2, 0, 0, two, 1, 33,
@@ -37,10 +38,21 @@ def test_lowered_cells_and_bounds():
 
 def test_a_formula_with_every_term_off_its_arrays_stores_nothing():
     stream = lower(parse_spec("space I[2];\nb(I) = a(I+1);\n"), cases.points([(1,)]))
-    assert list(stream.codes) == [VISIT, SKIP, 3, 1, 0, 0]
+    assert flat_records(stream) == [VISIT, SKIP, 3, 1, 0, 0]
     mem = stream.memory({"a": [1, 2], "b": [5, 6]})
     stream.run(mem)
     assert mem[:4] == [1, 2, 5, 6]
+
+
+def test_run_reduces_each_write_by_a_modulus():
+    stream = lower(parse_spec("space I[3];\ns += s*s + b(I);\n"), cases.points([(0,), (1,), (2,)]))
+    exact = stream.memory({"b": [5, 6, 7], "s": [3]})
+    reduced = list(exact)
+    stream.run(exact)
+    stream.run(reduced, 11)
+    s = stream.layout.offsets["s"]
+    assert (exact[s], reduced[s]) == (97663, 97663 % 11)
+    assert reduced[:s] == exact[:s] == [5, 6, 7]  # never written: as loaded
 
 
 def test_snapshot_cells_are_banked_at_their_first_overwrite():
@@ -53,7 +65,7 @@ def test_snapshot_cells_are_banked_at_their_first_overwrite():
     stream = lower(spec, cases.points([(2,), (1,), (0,)]))
     one = stream.coefficients.index(1)
     assert stream.layout.size == 3
-    assert list(stream.codes) == [
+    assert flat_records(stream) == [
         VISIT, SKIP, 2, 1, 0, 0,
         VISIT, ASSIGN, 1, 1, one, 1, 3 + 2,
         VISIT, ASSIGN, 0, 1, one, 1, 3 + 1,  # a(1)'s copy, a(1) itself overwritten
@@ -107,7 +119,7 @@ def test_only_reads_of_written_arrays_before_the_epilogue_name_copies():
     stream = lower(spec, cases.points([(0,)]), epilogue)
     assert stream.layout.offsets == {"a": 0, "b": 2, "c": 4, "s": 6}
     size, one = stream.layout.size, stream.coefficients.index(1)
-    assert list(stream.codes) == [
+    assert flat_records(stream) == [
         VISIT,
         ASSIGN, 0, 2, one, 1, size + 0, one, 1, 2,
         1 << 2 | ASSIGN, 4, 1, one, 1, 0,  # a(0) was written at this visit
@@ -149,8 +161,8 @@ def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():
     stream = lower(spec, cases.points(points))
     one = stream.coefficients.index(1)
     assert stream.layout.offsets == {"a": 0, "b": 2} and stream.layout.size == 4
-    assert list(stream.codes[:10]) == [VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2]
-    assert list(stream.codes[-20:]) == [
+    assert flat_records(stream)[:10] == [VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2]
+    assert flat_records(stream)[-20:] == [
         VISIT, ASSIGN, 1, 2, one, 1, 4 + 1, one, 1, 3,
         VISIT, ASSIGN, 0, 2, one, 1, 4 + 1, one, 1, 2,  # a(1) from its copy
     ]
@@ -216,7 +228,7 @@ def lowerings(draw):
 def test_lowering_matches_the_literal_per_point_lowering(case):
     spec, points, epilogue = case
     stream = lower(spec, cases.points(points, len(spec.indexes)), epilogue)
-    assert (list(stream.codes), stream.coefficients) == oracles.lowered_records(
+    assert (flat_records(stream), stream.coefficients) == oracles.lowered_records(
         spec.formulas, spec.index_names(), points, epilogue, stream.layout.shapes
     )
 

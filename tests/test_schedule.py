@@ -6,6 +6,7 @@ import pytest
 
 from clocksched.clock import make_clock
 from clocksched.formula import BlockBind, LessThan, parse_spec
+from clocksched.lower import lower
 from clocksched.schedule import (
     NO_PLAN,
     Affine,
@@ -16,6 +17,7 @@ from clocksched.schedule import (
     ScheduleTree,
     TempBudgetError,
     UnsupportedRewriteError,
+    allocate_temporaries,
     apply_convolutions,
     build_schedule,
     mapping_from_assignment,
@@ -444,6 +446,29 @@ def test_matmul_needs_no_scratch():
     tree = cases.matmul_tree()
     assert tree.plan == NO_PLAN and not tree.spec.temp_arrays
     assert scratch_cells(tree.spec, tree.plan) == 0
+
+
+@pytest.mark.parametrize("text, lowers, banked", [
+    ("space I[4];\na(I) += a(I)*b(I);\n", False, 0),
+    ("space I[4];\na(I,0) += 2*a(I,0);\n", False, 0),
+    ("space I[4];\na(I) += a(I+1);\n", True, 2),
+    ("space I[4];\nb(I) = a(I);\na(I) += c(I);\n", True, 0),
+], ids=["own-target", "own-constant-subscript", "neighbour", "read-before-accumulated"])
+def test_temporaries_lower_only_where_a_read_can_name_a_copy(text, lowers, banked):
+    """By the read rule a copy is read only through a term's access of a
+    written array that is not an accumulation's access of its own
+    target; the visit order is lowered only where such an access exists.
+    In reverse order, ``a(I+1)`` is read after its overwrite, but for
+    a(3): a(4) is off the array, so a(3) is never overwritten."""
+    spec = parse_spec(text)
+    lowered = []
+
+    def reversed_order():
+        lowered.append(spec)
+        return lower(spec, cases.points([(i,) for i in reversed(range(4))]))
+
+    plan = allocate_temporaries(spec, reversed_order)
+    assert (bool(lowered), len(plan.snapshot_locs)) == (lowers, banked)
 
 
 # -- sequential reference ----------------------------------------------------

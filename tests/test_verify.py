@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import time
 from dataclasses import replace
@@ -368,6 +367,10 @@ def test_equivalence_counterexample_past_the_budget(monkeypatch):
     assert report.trials == c["trial"] + 1  # stops at the first bad store
     # the seeded stores, and so the counterexample, are part of the contract
     assert report.summary() == "equivalence: FAIL on trial 0 at a(0,0): 0 != 53"
+    # residues in the balanced range: a small negative value prints as itself
+    tripled = equivalent(sequential_schedule("space I[4];\nc(I) = 3*b(I);\n"),
+                         sequential_schedule("space I[4];\nc(I) = 2*b(I);\n"))
+    assert tripled.summary() == "equivalence: FAIL on trial 0 at c(0): -189 != -126"
 
 
 def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
@@ -415,6 +418,28 @@ def test_equivalence_past_the_budget_runs_the_trials():
     assert report["lines"][2] == (
         "equivalence: ok (4 random stores, past the exact budget of 65536 monomials)"
     )
+
+
+def test_the_random_stores_run_modulo_a_prime():
+    """``a`` is squared at every point, so past ``EXACT_BUDGET`` a trial's
+    integers would run to thousands of digits.  The stores run modulo
+    ``MODULUS``, and the counterexample holds the exact values' residues
+    in the balanced range."""
+    trace = enumerate_schedule(cases.squaring_tree())
+    report = verify_report(trace, trials=2)
+    assert not report["ok"]
+    eq = report["equivalence"]
+    assert (eq["exact"], eq["trials"]) == (False, 1)
+    c = eq["counterexample"]
+    assert report["lines"][2] == f"equivalence: FAIL on trial 0 at a(): {c['got']} != {c['want']}"
+    assert report["lines"][-1] == "verdict: FAIL"
+    store = random_store(trace.stream.layout.shapes, DEFAULT_SEED)
+    got = interpret(trace, store)["a"][()]
+    want = reference_interpret(parse_spec(cases.SQUARING), store)["a"][()]
+    assert got.bit_length() > 10**4 and want.bit_length() > 10**4  # exact: past str()'s limit
+    half = clocksched.verify.MODULUS >> 1
+    for exact, residue in (got, c["got"]), (want, c["want"]):
+        assert -half <= residue <= half and (exact - residue) % clocksched.verify.MODULUS == 0
 
 
 def test_equivalence_rejects_mismatched_shapes():
@@ -601,11 +626,11 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     a covered trace's writes as its reference, and equivalence follows
     from coverage and dependencies.  It makes the domain's points once,
     for coverage and the dependence check, only the document's own tree
-    is enumerated, and no stream runs on a store or joins its block
-    columns into flat records.  The reference is lowered only where a
-    trace misses a point, or for equivalence with a rewrite, which joins
-    each side's records once.  `clocksched transform` plans the blocked
-    stencil's snapshots from the columns, joining no records either."""
+    is enumerated, and no stream runs on a store or walks its records.
+    The reference is lowered only where a trace misses a point, or for
+    equivalence with a rewrite, which walks each side's records once.
+    `clocksched transform` plans the blocked stencil's snapshots from
+    the columns, walking no records either."""
     import clocksched.cli
     import clocksched.engine
     import clocksched.formula
@@ -637,20 +662,21 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     runs = []
     real_run = clocksched.lower.Stream.run
     monkeypatch.setattr(
-        clocksched.lower.Stream, "run", lambda *a: runs.append(1) or real_run(*a)
+        clocksched.lower.Stream, "run", lambda *a, **k: runs.append(1) or real_run(*a, **k)
     )
-    joined = []  # the streams whose flat records are built
-    real_codes = clocksched.lower.Stream.codes.func
-    codes = functools.cached_property(lambda stream: joined.append(stream) or real_codes(stream))
-    codes.__set_name__(clocksched.lower.Stream, "codes")
-    monkeypatch.setattr(clocksched.lower.Stream, "codes", codes)
+    walked = []  # the stream of each walk of records
+    real_records = clocksched.lower.Stream.records
+    monkeypatch.setattr(
+        clocksched.lower.Stream, "records",
+        lambda stream: walked.append(stream) or real_records(stream),
+    )
     assert main(["verify", str(path), "--trials", "2"]) == 0
     assert capsys.readouterr().out.endswith("verdict: pass\n")
     assert len(calls) == 1
     assert len(domains) == 1
     assert enumerated == [document]
     assert runs == []  # equivalence is implied: no random store is run
-    assert joined == []
+    assert walked == []
 
     trace = enumerate_schedule(tree())
     calls.clear()
@@ -665,18 +691,18 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
 
     rewrite = enumerate_schedule(cases.accumulator_tree())
     calls.clear()
-    joined.clear()
+    walked.clear()
     assert verify_report(rewrite, trials=2)["ok"]
     assert len(calls) == 2  # the trace, then equivalence's reference
-    assert len(joined) == 2 and rewrite.stream in joined  # once per side
+    assert len(walked) == 2 and rewrite.stream in walked  # once per side
 
     spec = tmp_path / "stencil.spec"
     spec.write_text(cases.STENCIL)
-    joined.clear()
+    walked.clear()
     assert main(["transform", str(spec), "--clock", "4x2x2", "--map", "S=16,I=8,T=4,J=2",
                  "-o", str(tmp_path / "blocked.json")]) == 0
     assert schedule_from_json(json.loads((tmp_path / "blocked.json").read_text())).plan.snapshot_locs
-    assert joined == []
+    assert walked == []
 
 
 @pytest.mark.parametrize(
