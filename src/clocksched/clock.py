@@ -17,6 +17,7 @@ the package relies on.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,10 +151,12 @@ def color_of(value: int, k: int) -> int:
 
 
 def color_histogram(values: Iterable[int], k: int) -> dict[int, int]:
-    """Count of each color over ``values``.  Keys 0..k, all present."""
-    hist = {c: 0 for c in range(k + 1)}
-    for v in values:
-        hist[color_of(v, k)] += 1
+    """Count of each color over ``values``.  Keys 0..k, all present.
+    Values are counted by their lowest set bit, which alone sets the
+    color, so each distinct bit is colored once."""
+    hist = dict.fromkeys(range(k + 1), 0)
+    for low, n in Counter([v & -v for v in values]).items():
+        hist[color_of(low, k)] += n
     return hist
 
 

@@ -21,10 +21,10 @@ document holds nothing derived: the guards are the spec's, a loop is
 converted when its lower bound names a variable, a group steps by its
 first member's step, and a plan is its banked cells and their slots,
 whose size ``TempPlan.minimal`` derives.  The reader ignores the
-``guards``, ``mapping``, ``converted`` and ``slot_step`` keys and the
-plan's ``kind``, ``locations`` and ``minimal`` that older documents
-carry.  It holds banked cells and epilogue reads to cells of the
-document's spec.
+``guards``, ``mapping``, ``converted``, ``synthetic`` and
+``slot_step`` keys and the plan's ``kind``, ``locations`` and
+``minimal`` that older documents carry.  It holds banked cells and
+epilogue reads to cells of the document's spec.
 """
 
 from __future__ import annotations
@@ -242,7 +242,6 @@ def _loop_to_json(node: EnumNode) -> dict:
         "step": node.step,
         "extent": node.extent,
         "lower": _affine_to_json(node.lower),
-        "synthetic": node.synthetic,
         "contributes": [[n, w] for n, w in node.contributes],
         "digit_base": node.digit_base,
         "body": [],
@@ -269,7 +268,6 @@ def _loop_from_json(doc: dict) -> EnumNode:
         step=_typed(doc["step"], int, "step"),
         extent=_typed(doc["extent"], int, "extent"),
         lower=_affine_from_json(doc["lower"]),
-        synthetic=_typed(doc["synthetic"], bool, "synthetic"),
         contributes=tuple(
             (_typed(n, str, "contributes index"), _typed(w, int, "contributes weight"))
             for n, w in doc["contributes"]
@@ -393,7 +391,7 @@ def _plan_from_json(p: dict) -> TempPlan:
 def _typed(value, kind: type, what: str):
     """``value`` if its type is exactly ``kind`` (a bool is no integer)."""
     if type(value) is not kind:
-        name = {int: "an integer", str: "text", bool: "true or false"}[kind]
+        name = {int: "an integer", str: "text"}[kind]
         raise TypeError(f"{what} must be {name}, got {value!r}")
     return value
 

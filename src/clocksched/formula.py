@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -509,27 +510,9 @@ def infer_shapes(spec: ComputationSpec) -> dict[str, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# dependence structure
-
-@dataclass(frozen=True)
-class DepEdge:
-    """A def-use pair on one array.
-
-    ``permutation`` is set when the read permutes the write's indexes
-    with no displacement; entry i names the write position supplying
-    read position i.
-    """
-
-    array: str
-    writer: int
-    reader: int
-    permutation: tuple[int, ...] | None = None
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        if self.permutation is None:
-            return ()
-        return permutation_cycles(self.permutation)
-
+# dependence structure: the in-place permutations ``schedule.normalize_spec``
+# unravels, a read that permutes its writer's indexes (``_permutation``) and
+# the swap cycles of that permutation
 
 def permutation_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Nontrivial cycles of a permutation, each starting at its least element."""
@@ -566,27 +549,6 @@ def _permutation(write: ArrayAccess, read: ArrayAccess) -> tuple[int, ...] | Non
     return None
 
 
-def extract_dependencies(spec: ComputationSpec) -> list[DepEdge]:
-    """Every def-use edge between formulas, including += self-reads."""
-    edges = []
-    for w, fw in enumerate(spec.formulas):
-        array = fw.result.name
-        for r, fr in enumerate(spec.formulas):
-            reads = [a for t in fr.terms for a in t.accesses if a.name == array]
-            if fr is fw and fw.op == "+=":
-                reads.append(fw.result)  # += reads its own target
-            for access in reads:
-                edges.append(
-                    DepEdge(
-                        array=array,
-                        writer=w,
-                        reader=r,
-                        permutation=_permutation(fw.result, access),
-                    )
-                )
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # the index domain
 
@@ -596,12 +558,12 @@ class Points:
     points there are, which a space without indexes needs.  Reading a
     point builds its tuple; the checks read the columns."""
 
-    __slots__ = ("columns", "count", "_keyed")
+    __slots__ = ("columns", "count", "_ranked")
 
     def __init__(self, columns: tuple[list[int], ...], count: int):
         self.columns = columns
         self.count = count
-        self._keyed: tuple | None = None  # the last sizes ``keys`` took, and its keys
+        self._ranked: tuple | None = None  # the last reference and sizes ``ranks`` took, and its ranks
 
     def __len__(self) -> int:
         return self.count
@@ -618,10 +580,7 @@ class Points:
         """One key per point: its row-major position in the box the index
         ranges ``sizes`` span, an integer, or, for a point with a
         coordinate outside its range, the point's tuple, which no integer
-        equals.  The keys of the last ``sizes`` asked for are kept, so
-        coverage and the dependence check key a point set once."""
-        if self._keyed is not None and self._keyed[0] == sizes:
-            return self._keyed[1]
+        equals."""
         columns = self.columns
         keys = columns[0] if columns else [0] * self.count
         for column, size in zip(columns[1:], sizes[1:]):
@@ -637,8 +596,27 @@ class Points:
                 for v, x in enumerate(column):
                     if not 0 <= x < size:
                         keys[v] = self[v]
-        self._keyed = sizes, keys
         return keys
+
+    def ranks(self, reference: Points, sizes: tuple[int, ...]) -> array:
+        """Each point's position in ``reference``, both keyed by ``keys``
+        over the index ranges ``sizes``; a point outside it gets a rank of
+        its own from -2 down, one per distinct point.  The ranks of the
+        last reference and sizes asked for are kept, so coverage and the
+        dependence check rank a trace once."""
+        ranked = self._ranked
+        if ranked is not None and ranked[0] is reference and ranked[1] == sizes:
+            return ranked[2]
+        index = dict(zip(reference.keys(sizes), range(len(reference))))
+        keys = self.keys(sizes)
+        ranks = array("q", map(index.get, keys, itertools.repeat(-1)))
+        if -1 in ranks:
+            outside: dict = {}
+            for v, k in enumerate(keys):
+                if ranks[v] == -1:
+                    ranks[v] = outside.setdefault(k, -2 - len(outside))
+        self._ranked = reference, sizes, ranks
+        return ranks
 
     def kept(self, mask: list[bool] | None) -> Points:
         """The points where ``mask`` holds; all of them for None."""

@@ -40,11 +40,12 @@ from .formula import (
     IndexDecl,
     LessThan,
     Term,
+    _permutation,
     domain_points,
-    extract_dependencies,
     infer_shapes,
     legal_spec,
     parse_spec,
+    permutation_cycles,
     print_spec,
 )
 
@@ -120,7 +121,6 @@ class EnumNode:
     step: int
     extent: int
     lower: Affine = Affine()
-    synthetic: bool = False  # invented time loop, not a spec index
     contributes: tuple[tuple[str, int], ...] = ()  # (spec index, weight)
     digit_base: int = 0  # first digit; nonzero after an unfold narrows the range
 
@@ -222,7 +222,7 @@ def time_skeleton(clock: Clock) -> ScheduleTree:
     chain = []
     step = clock.span // clock.rate
     for name in _level_names(clock.k, "T"):
-        chain.append(EnumNode(index=name, step=step, extent=step * clock.rate, synthetic=True))
+        chain.append(EnumNode(index=name, step=step, extent=step * clock.rate))
         step //= clock.rate
     return ScheduleTree(roots=(tuple(chain),), clock=clock)
 
@@ -298,7 +298,8 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
     """Set exactly ``levels`` loops (below the root) to ride on their
     parent's current value.
 
-    A converted synthetic loop is renamed with an ``N`` suffix so the
+    A converted time loop, one whose index is no spec index (every loop
+    of a tree without a spec), is renamed with an ``N`` suffix so the
     emitted nest marks which time indexes are convolved.  Lattice
     recovery is unchanged: a converted loop's offset is measured from
     its lower bound either way.
@@ -309,6 +310,7 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
     depth = len(chain)
     if not 0 <= levels <= depth - 1:
         raise BuildError(f"cannot convert {levels} levels in a nest of depth {depth}")
+    indexes = tree.spec.index_sizes() if tree.spec is not None else {}
     rebuilt: list[EnumNode] = []
     parent_name: str | None = None
     for i, node in enumerate(chain):
@@ -316,7 +318,7 @@ def apply_convolutions(tree: ScheduleTree, levels: int) -> ScheduleTree:
             raise BuildError("convolutions apply to a nest without form groups")
         convert = 1 <= i <= levels
         name = node.index
-        if convert and node.synthetic and not name.endswith("N"):
+        if convert and name not in indexes and not name.endswith("N"):
             name = name + "N"
         lower = Affine.var(parent_name) if convert and parent_name else Affine()
         rebuilt.append(replace(node, index=name, lower=lower))
@@ -350,7 +352,6 @@ def compose_skeleton(factors: Sequence[Clock]) -> ScheduleTree:
                     extent=step * clock.rate,
                     # each loop rides on the one before, across factors too
                     lower=Affine.var(nodes[-1].index) if nodes else Affine(),
-                    synthetic=True,
                 )
             )
             step //= clock.rate
@@ -506,7 +507,7 @@ def _build_mapping(
             weight = 1
             for p in pending:
                 synth = slots[p][0]
-                slots[p] = [replace(synth, synthetic=True, contributes=((name, weight),))]
+                slots[p] = [replace(synth, contributes=((name, weight),))]
                 weight *= synth.count
             pending.clear()
             bind = binds.get(name)
@@ -605,21 +606,29 @@ def normalize_spec(spec: ComputationSpec, budget: int | None = None) -> Computat
     cells ``budget`` leaves beside the declared temps, up to a row; a
     budget that leaves none is refused, naming the declared cells plus one.
     """
-    deps = extract_dependencies(spec)
-    cyclic = [e for e in deps if e.permutation is not None and e.cycles()]
+    # the swap cycles of each read that permutes a formula's target
+    cyclic = [
+        swaps
+        for writer in spec.formulas
+        for reader in spec.formulas
+        for term in reader.terms
+        for read in term.accesses
+        if read.name == writer.result.name
+        and (perm := _permutation(writer.result, read)) is not None
+        and (swaps := permutation_cycles(perm))
+    ]
     if not cyclic:
         return spec
     if len(spec.formulas) != 1 or len(cyclic) != 1:
         raise UnsupportedRewriteError(
             "in-place permutations are only unraveled for a single formula"
         )
-    edge = cyclic[0]
     formula = spec.formulas[0]
     if formula.op != "=":
         raise UnsupportedRewriteError("permutation cycle under accumulation")
     if formula.when or [(t.coefficient, len(t.accesses)) for t in formula.terms] != [(1, 1)]:
         raise UnsupportedRewriteError("only a bare permuted copy is unraveled")
-    cycles = edge.cycles()
+    (cycles,) = cyclic
     if len(cycles) != 1 or len(cycles[0]) != 2:
         order = max(len(c) for c in cycles)
         raise UnsupportedRewriteError(

@@ -5,12 +5,14 @@ to one meaning, ``reference_stream`` of its source: each domain point
 in declaration order runs its formulas in listed order, and a read
 sees the value an earlier formula at the same point wrote, or its
 accumulator's running value, and otherwise the pre-pass value.
-Coverage keys each visited point and each domain point (both index
-columns, ``formula.Points``) by its row-major position in the index
-box, or by its tuple outside the box, and compares the two multisets;
-the dependence check ranks visits by the same keys.  The other checks
-read the trace's one lowered access stream (``VisitTrace.stream``,
-built by ``lower.py`` on first use): integer cell ids and formula
+Coverage and the dependence check read one rank per visit, its
+point's position among the domain points (``Points.ranks``, made once
+per trace): both point sets, index columns, are keyed by row-major
+position in the index box, or by tuple outside it, and a visit of no
+domain point ranks below zero.  Coverage reads the points missed,
+repeated and outside off the ranks.  The other checks read the
+trace's one lowered access stream (``VisitTrace.stream``, built by
+``lower.py`` on first use): integer cell ids and formula
 applications in visit order, held as columns a block of visits at a
 time, where a read that wants a cell's pre-pass value names the cell's
 untouched copy.  The snapshot plan is the certificate that the emitted
@@ -65,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .clock import color_of, log2_exact
+from .clock import color_histogram, log2_exact
 from .engine import VisitTrace, enumerate_schedule
 from .formula import ComputationSpec, Points, domain_points, legal_spec
 from .schedule import ScheduleTree, pad_and_guard
@@ -183,46 +185,31 @@ class CoverageReport:
         return "coverage: FAIL, " + ", ".join(parts)
 
 
-def _point(key, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """The point of a ``Points.keys`` key."""
-    if type(key) is tuple:
-        return key
-    loc = []
-    for size in reversed(sizes):
-        key, x = divmod(key, size)
-        loc.append(x)
-    return tuple(reversed(loc))
+def _each_once(ranks: array, count: int) -> bool:
+    """Whether visits of ``ranks`` (``Points.ranks``) in a reference of
+    ``count`` points visit each of its points once: a permutation."""
+    return len(ranks) == count == len(set(ranks)) and min(ranks, default=0) >= 0
 
 
 def check_coverage(trace: VisitTrace, points: Points | None = None) -> CoverageReport:
-    """Every domain point exactly once, nothing outside the domain,
-    counted by one integer key per point (``Points.keys``).  ``points``
+    """Every domain point exactly once, nothing outside the domain, read
+    off each visit's rank in the domain (``Points.ranks``).  ``points``
     are the trace spec's ``domain_points``, if already made."""
     spec = trace.spec
     if spec is None:
         raise ValueError("coverage needs a spec-driven trace")
-    sizes = tuple(spec.index_sizes().values())
-    wanted_keys = (domain_points(spec) if points is None else points).keys(sizes)
-    got_keys = trace.points.keys(sizes)
-    wanted, got = set(wanted_keys), set(got_keys)
-    if wanted == got and len(got) == len(got_keys):  # each domain point once
-        return CoverageReport(ok=True, expected=len(wanted_keys), visited=len(got_keys))
-    wanted, got = Counter(wanted_keys), Counter(got_keys)
-
-    def listed(keys) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(_point(k, sizes) for k in keys))
-
-    missing = listed(k for k in wanted if k not in got)
-    duplicated = listed(k for k, n in got.items() if k in wanted and n > 1)
-    extra = listed(k for k in got if k not in wanted)
-    ok = not missing and not duplicated and not extra
+    points = domain_points(spec) if points is None else points
+    ranks = trace.points.ranks(points, tuple(spec.index_sizes().values()))
+    if _each_once(ranks, len(points)):
+        return CoverageReport(ok=True, expected=len(points), visited=len(ranks))
+    seen = Counter(ranks)
     return CoverageReport(
-        ok=ok,
-        expected=sum(wanted.values()),
-        visited=sum(got.values()),
-        missing=missing,
-        duplicated=duplicated,
-        extra=extra,
+        ok=False,
+        expected=len(points),
+        visited=len(ranks),
+        missing=tuple(sorted(points[r] for r in range(len(points)) if r not in seen)),
+        duplicated=tuple(sorted(points[r] for r, n in seen.items() if r >= 0 and n > 1)),
+        extra=tuple(sorted({trace.points[v] for v, r in enumerate(ranks) if r < 0})),
     )
 
 
@@ -281,21 +268,6 @@ def _plan_violations(trace: VisitTrace, flow: Dataflow) -> list[tuple[int, str]]
     return found
 
 
-def _ranks(points: Points, reference: Points, sizes: tuple[int, ...]) -> array:
-    """Each point's position in ``reference``, both keyed by
-    ``Points.keys`` over the index ranges ``sizes``; a point outside it
-    gets a rank of its own from -2 down."""
-    index = dict(zip(reference.keys(sizes), range(len(reference))))
-    keys = points.keys(sizes)
-    ranks = array("q", map(index.get, keys, itertools.repeat(-1)))
-    if -1 in ranks:
-        outside: dict = {}
-        for v, k in enumerate(keys):
-            if ranks[v] == -1:
-                ranks[v] = outside.setdefault(k, -2 - len(outside))
-    return ranks
-
-
 def check_dependencies(trace: VisitTrace, points: Points | None = None) -> DependencyReport:
     """Hold the trace's snapshot plan to its stream (``_plan_violations``),
     then compare which write each read sees in the trace and in the
@@ -327,12 +299,11 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
     stream = trace.stream  # refuses a trace without a spec
     spec = trace.spec
     points = domain_points(spec) if points is None else points
-    sizes = tuple(spec.index_sizes().values())
-    ranks = _ranks(stream.points, points, sizes)
+    ranks = stream.points.ranks(points, tuple(spec.index_sizes().values()))
     got = stream.dataflow(ranks)
     found = _plan_violations(trace, got)
-    if len(ranks) == len(points) == len(set(ranks)) and min(ranks, default=0) >= 0:
-        want = got.replay()  # each domain point once: ranks are a permutation
+    if _each_once(ranks, len(points)):
+        want = got.replay()
     else:
         want = lower(spec, points, trace.tree.epilogue).dataflow(range(len(points)))
     layout = stream.layout
@@ -615,12 +586,7 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
         bits, unit = max(max(times).bit_length(), 1), 1
     if unit != 1:
         times = [t // unit for t in times]
-    colors: dict[int, int] = {}
-    for low, n in Counter([t & -t for t in times]).items():
-        c = color_of(low, bits)
-        colors[c] = colors.get(c, 0) + n
-    for c in range(bits + 1):
-        colors.setdefault(c, 0)
+    colors = color_histogram(times, bits)
     measure = {c: Fraction(n, total) for c, n in colors.items()}
     key, units = None, set()
     for column in trace.points.columns:
@@ -664,7 +630,6 @@ def verify_report(
     points = domain_points(trace.spec)
     coverage = check_coverage(trace, points)
     dependencies = check_dependencies(trace, points)
-    del points  # before equivalence, the check that peaks in memory
     own = trace.spec == spec and not tree.epilogue
     if own and coverage.ok and dependencies.ok and not spec.reads_running_sum():
         # exact equivalence would hold: the module docstring says why; the
@@ -682,10 +647,7 @@ def verify_report(
         "coverage": {"ok": coverage.ok, "expected": coverage.expected, "visited": coverage.visited},
         "violations": list(dependencies.violations),
         "commutes": dependencies.commutes,
-        "widths": list(profile.widths),
-        "colors": {str(c): n for c, n in sorted(profile.colors.items())},
-        "measure": {str(c): str(m) for c, m in sorted(profile.measure.items())},
-        "locality": profile.locality,
+        **profile.to_json(),
         "ok": ok,
         "equivalence": {
             "ok": eq.ok, "exact": eq.exact, "trials": eq.trials, "counterexample": eq.counterexample,

@@ -250,6 +250,18 @@ def profile(records, clock):
     return widths, dict(colors), measure, locality, len(records)
 
 
+def coverage(trace, domain):
+    """The domain points a trace misses, the ones it visits twice or
+    more, and the points it visits outside the domain, each sorted, by
+    counting point tuples."""
+    wanted, got = Counter(domain), Counter(trace.points)
+    return (
+        tuple(sorted(p for p in wanted if p not in got)),
+        tuple(sorted(p for p, n in got.items() if p in wanted and n > 1)),
+        tuple(sorted(p for p in got if p not in wanted)),
+    )
+
+
 def edited_trace(trace, records):
     """A trace of ``trace``'s tree and class visiting ``records``, edited
     ``VisitRecord``s of it, as columns: per coordinate and per time

@@ -281,6 +281,17 @@ def _unrecovered_index() -> dict:
     return doc
 
 
+def _unrecovered_bind_source() -> dict:
+    """The document of ``b(I,J) = a(I,J,T)`` over ``I[4], J[2], T[2]``
+    with ``T = I / 2``, every loop's contribution to I struck out."""
+    doc = schedule_to_json(build_schedule("space I[4], J[2], T[2];\ndomain T = I / 2;\nb(I,J) = a(I,J,T);\n"))
+    node = doc["roots"][0]
+    while node["kind"] != "block":
+        node["contributes"] = [[n, w] for n, w in node["contributes"] if n != "I"]
+        (node,) = node["body"]
+    return doc
+
+
 def _convolved_matmul_starting(loop: str, terms: list) -> dict:
     """The document of matmul on ``--clock 3x2 --map K=8,I=4,J=2
     --convolutions 2``, where I starts at K and J at I, with ``loop``'s
@@ -316,14 +327,6 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         (
             lambda doc: _with_root(doc, digit_base=None),
             "field 'roots' is malformed: digit_base must be an integer, got None",
-        ),
-        (
-            lambda doc: _with_root(doc, synthetic="yes"),
-            "field 'roots' is malformed: synthetic must be true or false, got 'yes'",
-        ),
-        (
-            lambda doc: _with_root(doc, synthetic=7),
-            "field 'roots' is malformed: synthetic must be true or false, got 7",
         ),
         (
             lambda doc: {**doc, "roots": [{"kind": "group", "members": [], "body": doc["roots"][0]["body"]}]},
@@ -406,6 +409,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
             "a schedule without a spec has nothing to verify",
         ),
         (lambda doc: _unrecovered_index(), "error: index J is not recovered by any loop"),
+        (lambda doc: _unrecovered_bind_source(), "error: index T divides I, which no loop recovers"),
     ],
     ids=[
         "bare-header",
@@ -418,8 +422,6 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "loop-without-body",
         "weight-not-integer",
         "digit-base-null",
-        "synthetic-text",
-        "synthetic-integer",
         "group-without-members",
         "group-member-not-a-loop",
         "copy-inside-a-loop",
@@ -439,6 +441,7 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "lower-bound-names-an-inner-loop",
         "bare-time-skeleton",
         "no-loop-recovers-an-index",
+        "no-loop-recovers-a-bind-source",
     ],
 )
 def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
@@ -456,18 +459,15 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
 @pytest.mark.parametrize(
     "document, message",
     [
-        (
-            lambda: _with_root(schedule_to_json(build_schedule(cases.MATMUL)), synthetic="yes"),
-            "error: schedule field 'roots' is malformed: synthetic must be true or false, got 'yes'\n",
-        ),
+        (_unrecovered_bind_source, "error: index T divides I, which no loop recovers\n"),
         (_unrecovered_index, "error: index J is not recovered by any loop\n"),
     ],
-    ids=["synthetic-text", "no-loop-recovers-an-index"],
+    ids=["no-loop-recovers-a-bind-source", "no-loop-recovers-an-index"],
 )
 def test_emit_and_analyze_refuse_what_verify_refuses(tmp_path, capsys, command, document, message):
-    """A loop whose ``synthetic`` is no boolean, and a nest in which no
-    loop recovers J, end every command that reads the document, not
-    only ``verify``."""
+    """A nest in which no loop recovers the source I of T's block bind,
+    and one in which no loop recovers J, end every command that reads
+    the document, not only ``verify``."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document()))
     assert run(capsys, command, str(bad)) == (2, "", message)

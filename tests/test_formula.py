@@ -14,9 +14,9 @@ from clocksched.formula import (
     LessThan,
     SpecSyntaxError,
     Term,
+    _permutation,
     check_legality,
     domain_points,
-    extract_dependencies,
     infer_shapes,
     parse_spec,
     permutation_cycles,
@@ -177,18 +177,19 @@ def test_legality_refuses_a_cycle_of_block_binds(binds, cycle):
 
 
 def test_dependencies_matmul_self_accumulation():
-    spec = parse_spec(MATMUL)
-    edges = extract_dependencies(spec)
-    (edge,) = edges
-    assert edge.array == "a"
-    assert edge.writer == edge.reader == 0
+    """Matmul reads its target only as the accumulation's own cell,
+    which permutes nothing."""
+    (f,) = parse_spec(MATMUL).formulas
+    assert [a for t in f.terms for a in t.accesses if a.name == f.result.name] == []
+    assert _permutation(f.result, f.result) == (0, 1)
 
 
 def test_dependencies_transpose_permutation():
-    spec = parse_spec(TRANSPOSE)
-    (edge,) = extract_dependencies(spec)
-    assert edge.permutation == (1, 0)
-    assert edge.cycles() == ((0, 1),)
+    (f,) = parse_spec(TRANSPOSE).formulas
+    (read,) = f.terms[0].accesses
+    assert permutation_cycles(_permutation(f.result, read)) == ((0, 1),)
+    shifted = ArrayAccess("a", (Factor("J", 1), Factor("I")))
+    assert _permutation(f.result, shifted) is None  # a displacement is no permutation
 
 
 def test_permutation_cycles():

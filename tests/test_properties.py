@@ -72,7 +72,6 @@ from clocksched.schedule import (
     unfold,
 )
 from clocksched.verify import (
-    _ranks,
     analyze,
     check_coverage,
     check_dependencies,
@@ -705,7 +704,7 @@ def assert_the_fold_matches_the_flat_walk(stream, ranks) -> None:
 def _reference_ranks(trace):
     """The ranks ``check_dependencies`` gives the trace's visits."""
     spec = trace.spec
-    return _ranks(trace.points, domain_points(spec), tuple(spec.index_sizes().values()))
+    return trace.points.ranks(domain_points(spec), tuple(spec.index_sizes().values()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -721,6 +720,34 @@ def test_the_dataflow_fold_matches_the_flat_walk_on_mutated_traces(case):
 @given(checked_traces())
 def test_the_dataflow_fold_matches_the_flat_walk_on_checked_traces(trace):
     assert_the_fold_matches_the_flat_walk(trace.stream, _reference_ranks(trace))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_traces())
+def test_coverage_read_off_the_ranks_counts_like_the_point_tuples(case):
+    trace, mutation = case
+    domain = domain_points(trace.spec)
+    report = check_coverage(trace, domain)
+    faults = (report.missing, report.duplicated, report.extra)
+    assert faults == oracles.coverage(trace, domain)
+    assert report.ok == (faults == ((), (), ())) == (mutation in ("none", "shuffle", "swap"))
+    assert (report.expected, report.visited) == (len(domain), len(trace.points))
+
+
+@pytest.mark.parametrize("reverse, dependencies", [
+    (False, "dependencies: ok (1024 writes checked)"),
+    (True, "dependencies: FAIL, accumulation at a(0) gathered 1 of 0 contributions"),
+], ids=["in-order", "reversed"])
+def test_the_fold_drops_the_sums_of_an_assigning_block(reverse, dependencies):
+    """In order, the block of I=0 adds into every a(J) and the block of
+    I=1, one of assignments only, drops those sums; reversed, the sums
+    come after the assignments, which the reference does not keep."""
+    src = "space I[2], J[512];\na(J) += b(J) when I=0;\na(J) = c(J) when I=1;\n"
+    trace = enumerate_schedule(sequential_schedule(src))
+    if reverse:
+        trace = oracles.edited_trace(trace, list(trace.records)[::-1])
+    assert_the_fold_matches_the_flat_walk(trace.stream, _reference_ranks(trace))
+    assert check_dependencies(trace).summary() == dependencies
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -95,7 +95,7 @@ def test_time_skeleton_levels():
         ("TX", 2, 4),
         ("TY", 1, 2),
     ]
-    assert all(l.synthetic for l in loops)
+    assert tree.spec is None  # so every loop is a time loop
     assert all(l.lower == Affine() for l in loops)
 
 
@@ -221,7 +221,7 @@ def test_mapping_synthetic_split():
         spec, make_clock(4, 2, 2), {"S": 16, "I": 8, "T": 4, "J": 2}
     )
     loops = {l.index: l for l in nest_loops(chain)}
-    assert loops["S"].synthetic and loops["T"].synthetic
+    assert set(loops) - set(spec.index_sizes()) == {"S", "T"}  # the time loops
     assert loops["S"].contributes == (("I", 1),)
     assert loops["I"].contributes == (("I", 2),)
     assert loops["T"].contributes == (("J", 1),)
