@@ -160,7 +160,7 @@ def _cmd_transform(args) -> int:
         unfold_over=args.unfold,
         budget=args.budget,
     )
-    _write_text(args.output, json.dumps(schedule_to_json(tree), indent=2) + "\n")
+    _write_text(args.output, json.dumps(schedule_to_json(tree)) + "\n")
     return 0
 
 

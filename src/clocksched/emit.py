@@ -20,7 +20,14 @@ recursion, and refuses a body that does not hold exactly one node.  A
 document holds nothing derived: the guards are the spec's, a loop is
 converted when its lower bound names a variable, a group steps by its
 first member's step, and a plan is its banked cells and their slots,
-whose size ``TempPlan.minimal`` derives.  The reader ignores the
+whose size ``TempPlan.minimal`` derives.  Version 2 writes the banked
+cells as integer columns, ``[name, [position, ...]]`` per array with
+each cell's row-major position in it, and ``slots`` pairs with the
+columns' concatenation; ``clocksched transform`` writes a document
+without indentation, which keeps it small and lets the C encoder write
+it.  The reader
+still takes version 1, whose ``snapshot_locs`` lists ``[name,
+subscripts]`` per cell, and reads it as columns.  It ignores the
 ``guards``, ``mapping``, ``converted``, ``synthetic`` and
 ``slot_step`` keys and the plan's ``kind``, ``locations`` and
 ``minimal`` that older documents carry.  It holds banked cells and
@@ -29,6 +36,7 @@ epilogue reads to cells of the document's spec.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .clock import Clock
@@ -219,7 +227,7 @@ def emit(tree: ScheduleTree, notation: str = "for") -> str:
 # JSON round trip
 
 FORMAT = "clocksched-schedule"
-VERSION = 1
+VERSION = 2
 
 
 def _affine_to_json(a: Affine) -> dict:
@@ -372,20 +380,69 @@ def schedule_to_json(tree: ScheduleTree) -> dict:
     doc["spec"] = None if tree.spec is None else print_spec(tree.spec)
     doc["source"] = tree.source
     doc["plan"] = {
-        "snapshot_locs": [[n, list(loc)] for n, loc in tree.plan.snapshot_locs],
+        "banked": [[name, list(column)] for name, column in tree.plan.banked],
         "slots": list(tree.plan.slots),
     }
     return doc
 
 
-def _plan_from_json(p: dict) -> TempPlan:
-    locs = tuple((n, tuple(loc)) for n, loc in p["snapshot_locs"])
-    if not all(isinstance(n, str) and all(type(v) is int for v in loc) for n, loc in locs):
-        raise TypeError("snapshot cells need an array name and integer subscripts")
+def _plan_from_json(p: dict, spec: ComputationSpec | None) -> TempPlan:
+    """A plan's columns, each checked in one pass: every name is an
+    array of the spec, listed once, and every position an integer below
+    the array's size; one slot per banked cell, each below their count."""
+    shapes = infer_shapes(spec) if spec is not None and p["banked"] else {}
+    banked: dict[str, tuple[int, ...]] = {}
+    for name, column in p["banked"]:
+        shape = shapes.get(name) if type(name) is str else None
+        if shape is None:
+            raise ValueError(f"plan banks cells of {name!r}, no array of the spec")
+        if name in banked:
+            raise ValueError(f"plan lists {name} twice")
+        size = math.prod(shape)
+        for at in column:
+            if type(at) is not int:
+                raise ValueError(f"plan position {at!r} of {name} is not an integer")
+            if not 0 <= at < size:
+                raise ValueError(f"plan banks a position {at} of {name}, which has {size} cells")
+        banked[name] = tuple(column)
+    count = sum(map(len, banked.values()))
     slots = tuple(p["slots"])
-    if len(slots) != len(locs) or not all(type(s) is int and 0 <= s < len(locs) for s in slots):
-        raise ValueError("slots must pair one-to-one with snapshot cells, each below their count")
-    return TempPlan(locs, slots)
+    if len(slots) != count:
+        raise ValueError(f"plan has {len(slots)} slots for {count} banked cells")
+    for slot in slots:
+        if type(slot) is not int or not 0 <= slot < count:
+            raise ValueError(
+                f"plan gives a cell slot {slot!r}; its {count} banked cells take slots 0 to {count - 1}"
+            )
+    return TempPlan(tuple(banked.items()), slots)
+
+
+def _plan_from_v1(p: dict, spec: ComputationSpec | None) -> TempPlan:
+    """A version 1 plan, ``[name, subscripts]`` per banked cell in
+    ``snapshot_locs``, read as version 2 columns: each cell at its
+    row-major position, the arrays in the order they first appear, and
+    each slot moved with its cell."""
+    locs, slots = p["snapshot_locs"], p["slots"]
+    if len(locs) != len(slots):
+        raise ValueError(f"plan has {len(slots)} slots for {len(locs)} banked cells")
+    shapes = infer_shapes(spec) if spec is not None and locs else {}
+    columns: dict[str, tuple[list, list]] = {}
+    for (name, loc), slot in zip(locs, slots):
+        if type(name) is not str or not all(type(v) is int for v in loc):
+            raise TypeError("snapshot cells need an array name and integer subscripts")
+        shape = shapes.get(name)
+        if shape is None or len(loc) != len(shape) or not all(0 <= v < n for v, n in zip(loc, shape)):
+            raise ValueError(f"plan banks {name}{list(loc)}, no cell of the spec")
+        at = 0
+        for v, n in zip(loc, shape):
+            at = at * n + v
+        column, moved = columns.setdefault(name, ([], []))
+        column.append(at)
+        moved.append(slot)
+    return _plan_from_json({
+        "banked": [[name, column] for name, (column, _) in columns.items()],
+        "slots": [slot for _, moved in columns.values() for slot in moved],
+    }, spec)
 
 
 def _typed(value, kind: type, what: str):
@@ -396,44 +453,50 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-# ScheduleTree field -> parser of its JSON value
+# ScheduleTree field -> parser of its JSON value, given the fields read
+# before it (the plan's positions are held to the spec's shapes)
 _TREE_FIELDS = {
-    "roots": lambda roots: tuple(_chain_from_json(r) for r in roots),
-    "clock": lambda c: None if c is None else Clock(
+    "roots": lambda roots, _: tuple(_chain_from_json(r) for r in roots),
+    "clock": lambda c, _: None if c is None else Clock(
         tuple(c["graduations"]), c["rate"], c["span"]
     ),
-    "spec": lambda text: None if text is None else legal_spec(_typed(text, str, "spec")),
-    "source": lambda text: None if text is None else _typed(text, str, "source"),
-    "plan": _plan_from_json,
-    "epilogue": lambda formulas: tuple(_epilogue_formula_from_json(f) for f in formulas),
+    "spec": lambda text, _: None if text is None else legal_spec(_typed(text, str, "spec")),
+    "source": lambda text, _: None if text is None else _typed(text, str, "source"),
+    "plan": lambda p, fields: _plan_from_json(p, fields["spec"]),
+    "epilogue": lambda formulas, _: tuple(_epilogue_formula_from_json(f) for f in formulas),
 }
 
 
 def schedule_from_json(doc: dict) -> ScheduleTree:
-    """Rebuild a tree from a schedule document.  A malformed document
-    raises ValueError naming the field at fault."""
+    """Rebuild a tree from a schedule document of this or an older
+    version.  A malformed document raises ValueError naming the field
+    at fault."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError("not a schedule document")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported schedule version {doc.get('version')!r}")
-    fields = {}
-    for key, parse in _TREE_FIELDS.items():
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, VERSION):
+        raise ValueError(f"unsupported schedule version {version!r}")
+    parsers = _TREE_FIELDS if version == VERSION else {
+        **_TREE_FIELDS, "plan": lambda p, fields: _plan_from_v1(p, fields["spec"])
+    }
+    fields: dict = {}
+    for key, parse in parsers.items():
         if key not in doc:
             raise ValueError(f"schedule document has no {key!r} field")
         try:
-            fields[key] = parse(doc[key])
+            fields[key] = parse(doc[key], fields)
         except KeyError as exc:
             raise ValueError(f"schedule field {key!r} lacks key {exc}") from None
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"schedule field {key!r} is malformed: {exc}") from None
     tree = ScheduleTree(**fields)
-    cells = [("plan", "banks", cell) for cell in tree.plan.snapshot_locs] + [
-        ("epilogue", "reads", (a.name, tuple(x.displacement for x in a.args)))
+    reads = [
+        (a.name, tuple(x.displacement for x in a.args))
         for f in tree.epilogue for t in f.terms for a in t.accesses
     ]
-    shapes = infer_shapes(tree.spec) if tree.spec is not None and cells else {}
-    for key, verb, (name, at) in cells:
+    shapes = infer_shapes(tree.spec) if tree.spec is not None and reads else {}
+    for name, at in reads:
         shape = shapes.get(name)
         if shape is None or len(at) != len(shape) or not all(0 <= v < n for v, n in zip(at, shape)):
-            raise ValueError(f"schedule field {key!r} {verb} {name}{list(at)}, no cell of the spec")
+            raise ValueError(f"schedule field 'epilogue' reads {name}{list(at)}, no cell of the spec")
     return tree

@@ -52,7 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from functools import cached_property
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -76,40 +76,14 @@ class Layout:
         start = self.offsets[name]
         return slice(start, start + math.prod(self.shapes[name]))
 
-    def ids(self, locations: Iterable[tuple[str, tuple[int, ...]]]) -> list[int | None]:
-        """Each ``(name, loc)``'s id, None off its array: row-major sums,
-        a coordinate at a time over each run of one array's locations."""
-        ids: list[int | None] = []
-        for name, run in groupby(locations, key=itemgetter(0)):
-            locs = [loc for _, loc in run]
-            shape = self.shapes.get(name)
-            if shape is None:
-                ids += [None] * len(locs)
-                continue
-            flat = [0 if len(loc) == len(shape) else None for loc in locs]
-            for d, n in enumerate(shape):
-                flat = [None if f is None or not 0 <= loc[d] < n else f * n + loc[d]
-                        for f, loc in zip(flat, locs)]
-            start = self.offsets[name]
-            ids += [None if f is None else start + f for f in flat]
-        return ids
-
     def location(self, cell: int) -> tuple[str, tuple[int, ...]]:
-        return self.locations([cell])[0]
-
-    def locations(self, cells: Iterable[int]) -> list[tuple[str, tuple[int, ...]]]:
-        """Each cell's ``(name, loc)``, as ``ids`` computes them, inverted."""
-        names, starts = list(self.offsets), list(self.offsets.values())
-        found: list[tuple[str, tuple[int, ...]]] = []
-        for k, run in groupby(cells, key=lambda c: bisect_right(starts, c) - 1):
-            rest = [c - starts[k] for c in run]
-            digits = []  # the last coordinate first
-            for n in reversed(self.shapes[names[k]]):
-                digits.append([r % n for r in rest])
-                rest = [r // n for r in rest]
-            locs = zip(*reversed(digits)) if digits else repeat((), len(rest))
-            found += zip(repeat(names[k]), locs)
-        return found
+        """The cell's array, and its row-major position there as coordinates."""
+        name = list(self.offsets)[bisect_right(list(self.offsets.values()), cell) - 1]
+        rest, digits = cell - self.offsets[name], []  # the last coordinate first
+        for n in reversed(self.shapes[name]):
+            rest, digit = divmod(rest, n)
+            digits.append(digit)
+        return name, tuple(reversed(digits))
 
     def text(self, cell: int) -> str:
         name, loc = self.location(cell)

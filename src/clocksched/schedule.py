@@ -27,6 +27,7 @@ what a temporary budget bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -160,10 +161,17 @@ Chain = tuple[EnumNode | FormGroup, ...]  # one root: its loops and groups, oute
 
 @dataclass(frozen=True)
 class TempPlan:
-    """The cells banked at their first overwrite, each with its slot."""
+    """The cells banked at their first overwrite, each with its slot.
+    ``banked`` holds per array its banked cells' row-major positions;
+    ``slots`` pairs with those columns' concatenation."""
 
-    snapshot_locs: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    banked: tuple[tuple[str, tuple[int, ...]], ...] = ()
     slots: tuple[int, ...] = ()
+
+    @property
+    def snapshot_locs(self) -> tuple[tuple[str, int], ...]:
+        """Each banked cell as ``(array, position)``, in ``slots`` order."""
+        return tuple((name, p) for name, column in self.banked for p in column)
 
     @property
     def minimal(self) -> int:
@@ -686,7 +694,7 @@ def _add_accumulator(tree: ScheduleTree, name: str, copies: int) -> ScheduleTree
     target = _scalar_accumulator(spec)
     if target is None:
         raise UnsupportedRewriteError(f"no scalar accumulation to unfold over {name}")
-    if tree.plan.snapshot_locs:
+    if tree.plan.slots:
         # the copies' scratch array would take the place of the banked cells
         raise UnsupportedRewriteError("accumulator unfolding of a schedule that banks cells")
     root = tree.roots[0][0] if tree.roots[0] else None
@@ -838,10 +846,14 @@ def allocate_temporaries(
     if not intervals:
         return NO_PLAN
     assigned = sorted(assign_slots(intervals))
-    return TempPlan(
-        tuple(stream.layout.locations([c for c, _ in assigned])),
-        tuple(slot for _, slot in assigned),
-    )
+    cells = [c for c, _ in assigned]
+    banked, start = [], 0
+    for name, offset in stream.layout.offsets.items():
+        end = bisect_left(cells, stream.layout.cells(name).stop, start)
+        if end > start:
+            banked.append((name, tuple(c - offset for c in cells[start:end])))
+        start = end
+    return TempPlan(tuple(banked), tuple(slot for _, slot in assigned))
 
 
 # ---------------------------------------------------------------------------

@@ -442,9 +442,9 @@ def flat_records(stream):
 def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
     """Run a visit order and its snapshot plan the way the emitted
     schedule runs them, literally, on integers: ``values`` holds each
-    array's cells in row-major order, ``plan`` is ``(cell, slot)``
-    pairs as ``TempPlan`` lists them.  Returns every array's final
-    cells.
+    array's cells in row-major order, ``plan`` is ``((name, position),
+    slot)`` pairs as ``TempPlan.snapshot_locs`` and its slots list them.
+    Returns every array's final cells.
 
     Each point runs its formulas in order where their ``when`` holds
     and their target is on its array; a term with an operand off its
@@ -461,7 +461,8 @@ def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
     for name in shapes:
         for loc, v in zip(itertools.product(*map(range, shapes[name])), values[name]):
             mem[cell(name, loc)] = v
-    slot_of = {cell(name, loc): slot for (name, loc), slot in plan}
+    # a position counts row-major from the array's first cell
+    slot_of = {cell(name, [0] * len(shapes[name])) + at: slot for (name, at), slot in plan}
     slots, saved_at = {}, {}
 
     def visit(v, env, formulas, banking):
@@ -501,6 +502,21 @@ def run_with_plan(formulas, names, points, epilogue, shapes, plan, values):
         name: [mem[cell(name, loc)] for loc in itertools.product(*map(range, shapes[name]))]
         for name in shapes
     }
+
+
+def version_1_document(doc: dict, shapes) -> dict:
+    """A schedule document as version 1 wrote it: each banked cell of
+    the plan as ``[name, subscripts]``, its row-major position in the
+    array's shape spelled out as coordinates, beside its slot."""
+    locs = []
+    for name, column in doc["plan"]["banked"]:
+        for at in column:
+            loc = []
+            for n in reversed(shapes[name]):
+                at, v = divmod(at, n)
+                loc.append(v)
+            locs.append([name, loc[::-1]])
+    return {**doc, "version": 1, "plan": {"snapshot_locs": locs, "slots": list(doc["plan"]["slots"])}}
 
 
 def _applications(stream):

@@ -14,10 +14,11 @@ import pytest
 import clocksched
 from clocksched import build_schedule, make_clock, schedule_from_json, schedule_to_json
 from clocksched.cli import main
-from clocksched.formula import infer_shapes
+from clocksched.formula import infer_shapes, parse_spec
 from clocksched.schedule import NO_PLAN, scratch_cells, time_skeleton
 
 import cases
+import oracles
 
 TREE_EDGES = "0 1\n0 2\n1 3\n1 4\n2 5\n2 6\n"
 
@@ -315,8 +316,44 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         (lambda doc: {**doc, "roots": 5}, "field 'roots' is malformed"),
         (lambda doc: {**doc, "source": 7}, "field 'source' is malformed"),
         (
-            lambda doc: {**doc, "plan": {**doc["plan"], "snapshot_locs": [["a", ["x"]]]}},
-            "field 'plan' is malformed",
+            lambda doc: {**doc, "plan": {"banked": [["a", ["x"]]], "slots": [0]}},
+            "field 'plan' is malformed: plan position 'x' of a is not an integer",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["zz", [0]]], "slots": [0]}},
+            "field 'plan' is malformed: plan banks cells of 'zz', no array of the spec",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [0]], ["a", [1]]], "slots": [0, 1]}},
+            "field 'plan' is malformed: plan lists a twice",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [-1]]], "slots": [0]}},
+            "field 'plan' is malformed: plan banks a position -1 of a, which has 4 cells",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [4]]], "slots": [0]}},
+            "field 'plan' is malformed: plan banks a position 4 of a, which has 4 cells",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [True]]], "slots": [0]}},
+            "field 'plan' is malformed: plan position True of a is not an integer",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [1.0]]], "slots": [0]}},
+            "field 'plan' is malformed: plan position 1.0 of a is not an integer",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [0, 1]]], "slots": [0]}},
+            "field 'plan' is malformed: plan has 1 slots for 2 banked cells",
+        ),
+        (
+            lambda doc: {**doc, "plan": {"banked": [["a", [0]]], "slots": [0, 0]}},
+            "field 'plan' is malformed: plan has 2 slots for 1 banked cells",
+        ),
+        (
+            lambda doc: {**doc, "version": 1, "plan": {"snapshot_locs": [["a", [2, 0]]], "slots": [0]}},
+            "field 'plan' is malformed: plan banks a[2, 0], no cell of the spec",
         ),
         (lambda doc: _with_root_body(doc, 2), "loop I holds 2 nodes"),
         (lambda doc: _with_root_body(doc, 0), "loop I holds 0 nodes"),
@@ -418,6 +455,15 @@ def _convolved_matmul_starting(loop: str, terms: list) -> dict:
         "roots-not-a-list",
         "source-not-text",
         "snapshot-cell-not-integer",
+        "plan-banks-an-array-the-spec-lacks",
+        "plan-lists-an-array-twice",
+        "plan-position-below-the-array",
+        "plan-position-past-the-array",
+        "plan-position-true",
+        "plan-position-float",
+        "plan-cells-without-slots",
+        "plan-slots-without-cells",
+        "version-1-plan-cell-off-the-array",
         "loop-branches",
         "loop-without-body",
         "weight-not-integer",
@@ -452,7 +498,7 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, edit, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["emit", "analyze"])
@@ -566,11 +612,13 @@ def _keys(value) -> set[str]:
 
 
 def _with_derived_keys(doc: dict) -> dict:
-    """A copy of a document with the derived keys older documents wrote,
-    each contradicting the tree: the domain guarded by I < 2, a mapping
-    of nothing, a plan of an unknown kind sized -1 and "x", every loop
-    unconverted and every group stepping by 99."""
-    stale = json.loads(json.dumps(doc))
+    """A copy of a document as version 1 wrote it, with the derived keys
+    older documents wrote, each contradicting the tree: the domain
+    guarded by I < 2, a mapping of nothing, a plan of an unknown kind
+    sized -1 and "x", every loop unconverted and every group stepping
+    by 99."""
+    shapes = infer_shapes(parse_spec(doc["spec"]))
+    stale = json.loads(json.dumps(oracles.version_1_document(doc, shapes)))
     stale.update(guards=[["I", 2]], mapping={"span": 1, "slots": []})
     stale["plan"].update(kind="bogus", locations=-1, minimal="x")
     nodes = list(stale["roots"])
@@ -594,8 +642,8 @@ def test_a_transform_document_states_no_derived_fact(tmp_path, capsys):
     for doc in (chained, grouped):
         assert not _keys(doc) & DERIVED_KEYS
         # a plan is its banked cells and their slots; its size is derived
-        assert set(doc["plan"]) == {"snapshot_locs", "slots"}
-    assert chained["plan"]["snapshot_locs"] and not grouped["plan"]["snapshot_locs"]
+        assert set(doc["plan"]) == {"banked", "slots"}
+    assert chained["plan"]["banked"] == [["a", [6, 7, 11]]] and not grouped["plan"]["banked"]
 
 
 @pytest.mark.parametrize(
@@ -606,7 +654,7 @@ def test_a_transform_document_states_no_derived_fact(tmp_path, capsys):
 def test_an_older_document_reads_as_its_tree_whatever_its_derived_keys_say(tmp_path, capsys, build):
     clean = schedule_to_json(build())
     stale = _with_derived_keys(clean)
-    assert {"guards", "mapping", "converted"} <= _keys(stale)
+    assert stale["version"] == 1 and {"guards", "mapping", "converted"} <= _keys(stale)
     assert {"kind", "locations", "minimal"} <= set(stale["plan"])
     outputs = []
     for name, doc in (("clean", clean), ("stale", stale)):
@@ -714,8 +762,8 @@ def test_verify_fails_on_a_corrupted_schedule(tmp_path, capsys):
         "--map", "S=16,I=8,T=4,J=2",
     )
     doc = json.loads(Path(path).read_text())
-    doc["plan"] = {"kind": "none", "locations": 0, "width": 1,
-                   "array": None, "snapshot_locs": [], "slots": [], "minimal": 0}
+    assert doc["plan"]["banked"]
+    doc["plan"] = {"banked": [], "slots": []}
     Path(path).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", path, "--trials", "3")
     assert code == 1
@@ -786,7 +834,7 @@ def test_verify_holds_a_rewritten_document_to_its_source(tmp_path, capsys):
         outputs.add(out)
     (out,) = outputs
     lines = out.splitlines()
-    assert lines[1].startswith("dependencies: ok")
+    assert lines[1].startswith("dependencies: ok against the builder's rewrite (")
     assert lines[2] == "equivalence: FAIL at a(0,0): a(0,0) has 1, the reference 2"
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from clocksched.cli import main
 from clocksched.emit import schedule_from_json, schedule_to_json, value_texts
-from clocksched.formula import domain_points
+from clocksched.formula import domain_points, infer_shapes
 from clocksched.schedule import nest_loops
 
 import cases
@@ -37,10 +37,17 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def stencil_version_1() -> dict:
+    """The snapshot-banked stencil's document as version 1 wrote it."""
+    tree = cases.stencil_tree()
+    return oracles.version_1_document(schedule_to_json(tree), infer_shapes(tree.spec))
+
+
 @pytest.fixture(scope="module")
 def documents():
-    """A matmul, a snapshot-banked stencil, an unfolded transpose and an
-    unfolded accumulator, each as a schedule document."""
+    """A matmul, a snapshot-banked stencil, in both versions, an
+    unfolded transpose and an unfolded accumulator, each as a schedule
+    document."""
     return [
         schedule_to_json(t)
         for t in (
@@ -49,7 +56,7 @@ def documents():
             cases.transpose_unfold_tree(),
             cases.accumulator_tree(),
         )
-    ]
+    ] + [stencil_version_1()]
 
 
 def run(*argv: str) -> int:
@@ -181,7 +188,8 @@ def test_a_changed_step_or_extent_passes_only_if_the_domain_is_still_covered(scr
          "slot-past-the-cells", "negative-slot", "slot-not-integer", "slot-without-a-cell"],
 )
 def test_a_plan_banking_no_cell_of_the_spec_or_past_its_slots_exits_2(scratch, field, at, value):
-    doc = schedule_to_json(cases.stencil_tree())
+    """A version 1 plan's cells and slots are held to the spec."""
+    doc = stencil_version_1()
     plan = doc["plan"]
     if at is None:
         plan[field].append(value)
@@ -193,3 +201,40 @@ def test_a_plan_banking_no_cell_of_the_spec_or_past_its_slots_exits_2(scratch, f
     path = scratch / "plan.json"
     path.write_text(json.dumps(doc))
     assert run("verify", str(path), "--trials", "1") == 2
+
+
+def _put(items: list, at: int | None, value) -> None:
+    """``value`` at ``at`` in ``items``, or appended where ``at`` is None."""
+    if at is None:
+        items.append(value)
+    else:
+        items[at] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda plan: _put(plan["banked"][0], 0, "zz"), "plan banks cells of 'zz', no array of the spec"),
+        (lambda plan: _put(plan["banked"], None, ["a", []]), "plan lists a twice"),
+        (lambda plan: _put(plan["banked"][0][1], 0, -1), "plan banks a position -1 of a, which has 16 cells"),
+        (lambda plan: _put(plan["banked"][0][1], 3, 16), "plan banks a position 16 of a, which has 16 cells"),
+        (lambda plan: _put(plan["banked"][0][1], 1, True), "plan position True of a is not an integer"),
+        (lambda plan: _put(plan["banked"][0][1], 1, 8.0), "plan position 8.0 of a is not an integer"),
+        (lambda plan: plan["slots"].pop(), "plan has 6 slots for 7 banked cells"),
+        (lambda plan: plan["banked"][0][1].pop(), "plan has 7 slots for 6 banked cells"),
+        (lambda plan: _put(plan["slots"], 0, 7), "plan gives a cell slot 7; its 7 banked cells take slots 0 to 6"),
+    ],
+    ids=["unknown-array", "array-twice", "position-below-the-array", "position-past-the-array",
+         "position-true", "position-float", "cell-without-a-slot", "slot-without-a-cell", "slot-past-the-cells"],
+)
+def test_a_plan_column_off_the_spec_exits_2_with_one_line_giving_the_numbers(scratch, edit, message):
+    """The stencil's plan banks 7 of a's 16 cells, as one column."""
+    doc = schedule_to_json(cases.stencil_tree())
+    assert [(name, len(column)) for name, column in doc["plan"]["banked"]] == [("a", 7)]
+    edit(doc["plan"])
+    path = scratch / "columns.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["verify", str(path)]) == 2
+    assert err.getvalue() == f"error: schedule field 'plan' is malformed: {message}\n"

@@ -8,8 +8,10 @@ import pathlib
 import pytest
 
 from clocksched.emit import emit, schedule_from_json, schedule_to_json
+from clocksched.formula import infer_shapes
 
 import cases
+import oracles
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -112,6 +114,25 @@ def test_json_document_matches_golden(name, build):
     assert json.dumps(schedule_to_json(build()), indent=2) == golden(name)
 
 
+def test_a_version_1_document_reads_as_its_tree():
+    """The stencil's document as version 1 wrote it, each banked cell a
+    ``[name, subscripts]`` entry, reads as the tree version 2 writes."""
+    tree = cases.stencil_tree()
+    old = oracles.version_1_document(schedule_to_json(tree), infer_shapes(tree.spec))
+    assert json.dumps(old, indent=2) == golden("stencil_v1.json")
+    assert schedule_from_json(json.loads(golden("stencil_v1.json"))) == tree
+
+
+def test_a_version_1_plan_moves_each_slot_with_its_cell():
+    """Version 1 cells of two arrays, interleaved, read as one column
+    per array in the order the arrays first appear."""
+    doc = schedule_to_json(cases.matmul_tree())
+    cells = [["b", [1, 0]], ["a", [0, 1]], ["b", [0, 0]]]
+    doc.update(version=1, plan={"snapshot_locs": cells, "slots": [0, 1, 2]})
+    plan = schedule_from_json(doc).plan
+    assert (plan.banked, plan.slots) == ((("b", (2, 0)), ("a", (1,))), (0, 2, 1))
+
+
 def test_json_document_is_serializable():
     doc = schedule_to_json(cases.transpose_unfold_tree())
     text = json.dumps(doc)
@@ -121,7 +142,7 @@ def test_json_document_is_serializable():
 def test_json_header_fields():
     doc = schedule_to_json(cases.matmul_tree())
     assert doc["format"] == "clocksched-schedule"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["source"] == cases.MATMUL
     assert doc["clock"] == {"graduations": [4, 2, 1], "rate": 2, "span": 8}
 
@@ -130,5 +151,6 @@ def test_json_rejects_foreign_documents():
     doc = schedule_to_json(cases.matmul_tree())
     with pytest.raises(ValueError, match="not a schedule"):
         schedule_from_json({**doc, "format": "something-else"})
-    with pytest.raises(ValueError, match="version"):
-        schedule_from_json({**doc, "version": 2})
+    for version in (0, 3, None, True, 1.0):
+        with pytest.raises(ValueError, match="unsupported schedule version"):
+            schedule_from_json({**doc, "version": version})

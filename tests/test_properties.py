@@ -417,6 +417,24 @@ def snapshot_schedules(draw):
     return text, make_clock(2 * p, 2, 2), assignment
 
 
+def banked_cells(plan: TempPlan, layout: Layout) -> list[int]:
+    """The plan's banked cell ids off its columns: each array's first
+    id plus the cell's position in it."""
+    return [layout.offsets[name] + at for name, column in plan.banked for at in column]
+
+
+def plan_banking(layout: Layout, pairs) -> TempPlan:
+    """The plan that banks each ``(cell, slot)`` pair's cell in its slot."""
+    columns: dict[str, list[tuple[int, int]]] = {}
+    for cell, slot in pairs:
+        name = layout.location(cell)[0]
+        columns.setdefault(name, []).append((cell - layout.offsets[name], slot))
+    return TempPlan(
+        tuple((name, tuple(at for at, _ in cells)) for name, cells in columns.items()),
+        tuple(slot for cells in columns.values() for _, slot in cells),
+    )
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(snapshot_schedules())
 def test_built_snapshot_slots_match_the_rescan(case):
@@ -424,36 +442,51 @@ def test_built_snapshot_slots_match_the_rescan(case):
     with mock.patch.object(schedule, "assign_slots", wraps=assign_slots) as sweep:
         tree = build_schedule(text, clock=clock, assignment=assignment)
     plan = tree.plan
-    assume(plan.snapshot_locs)
-    layout = Layout(infer_shapes(tree.spec))
-    slots = dict(zip(layout.ids(plan.snapshot_locs), plan.slots))
+    assume(plan.slots)
+    slots = dict(zip(banked_cells(plan, Layout(infer_shapes(tree.spec))), plan.slots))
     assert_slots_fit(sweep.call_args.args[0], slots, plan.minimal)
 
 
 # -- snapshot plans, checked against banking them literally ------------------
 
 @st.composite
+def banking_trees(draw):
+    """A built tree: a blocked stencil from ``snapshot_schedules`` or a
+    self-reading spec in a random order."""
+    if draw(st.integers(0, 3)):  # mostly stencils: each one banks cells
+        text, clock, assignment = draw(snapshot_schedules())
+        return build_schedule(text, clock=clock, assignment=assignment)
+    spec = draw(self_reading_specs())
+    try:
+        return build_schedule(spec, order=draw(st.permutations([d.name for d in spec.indexes])))
+    except BuildError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(banking_trees())
+def test_a_version_1_document_reads_as_its_version_2_tree(tree):
+    """The plan written as version 1's ``[name, subscripts]`` cells
+    reads back as the columns version 2 writes, slots and all."""
+    assume(tree.plan.slots)
+    doc = schedule_to_json(tree)
+    old = oracles.version_1_document(doc, infer_shapes(tree.spec))
+    assert schedule_from_json(json.loads(json.dumps(old))) == schedule_from_json(doc) == tree
+
+
+@st.composite
 def planned_trees(draw):
-    """A built tree, a blocked stencil from ``snapshot_schedules`` or a
-    self-reading spec in a random order, and how its plan was mutated:
+    """A built tree from ``banking_trees`` and how its plan was mutated:
     ``drop`` a banked cell, ``share`` one slot between two banked cells
     whose spans (first overwrite to last pre-pass read) overlap, add an
     ``unread`` cell, overwritten while another cell's span holds its
     slot, to that slot, or ``none``."""
-    if draw(st.integers(0, 3)):  # mostly stencils: each one banks cells
-        text, clock, assignment = draw(snapshot_schedules())
-        tree = build_schedule(text, clock=clock, assignment=assignment)
-    else:
-        spec = draw(self_reading_specs())
-        try:
-            tree = build_schedule(spec, order=draw(st.permutations([d.name for d in spec.indexes])))
-        except BuildError:
-            reject()
+    tree = draw(banking_trees())
     stream = enumerate_schedule(tree).stream
     flow = stream.copy_reads()
     first, last = flow.first, flow.late
     layout = stream.layout
-    plan = list(zip(layout.ids(tree.plan.snapshot_locs), tree.plan.slots))
+    plan = list(zip(banked_cells(tree.plan, layout), tree.plan.slots))
     banked = {c for c, _ in plan}
     choices = {
         "none": [None],
@@ -475,8 +508,7 @@ def planned_trees(draw):
         plan[how[1]] = (plan[how[1]][0], plan[how[0]][1])
     elif mutation == "unread":
         plan.append(how)
-    plan = TempPlan(tuple(layout.locations([c for c, _ in plan])), tuple(slot for _, slot in plan))
-    return replace(tree, plan=plan), mutation
+    return replace(tree, plan=plan_banking(layout, plan)), mutation
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -631,7 +663,7 @@ def _matches_the_per_read_replay(trace) -> bool:
     reference = lower(spec, domain_points(spec), trace.tree.epilogue)
     with mock.patch("clocksched.lower.lower", wraps=lower) as lowering:
         report = check_dependencies(trace)
-    cells = stream.layout.ids(plan.snapshot_locs)
+    cells = banked_cells(plan, stream.layout)
     want = oracles.dependency_report(stream, reference, zip(cells, plan.slots), spec.temp_arrays)
     assert (report.violations, report.commutes, report.events) == want
     assert report.ok == (not want[0])

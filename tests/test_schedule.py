@@ -424,10 +424,22 @@ def test_unfold_accumulator_needs_scalar_target():
 
 def test_stencil_snapshot_plan():
     tree = cases.stencil_tree()
-    assert tree.plan.snapshot_locs and not tree.spec.temp_arrays
+    assert tree.plan.banked and not tree.spec.temp_arrays
     assert tree.plan.minimal == 5
     assert scratch_cells(tree.spec, tree.plan) == 5
-    assert all(name == "a" for name, _ in tree.plan.snapshot_locs)
+    ((name, column),) = tree.plan.banked
+    assert name == "a" and list(column) == sorted(set(column))
+    assert len(tree.plan.snapshot_locs) == len(column) == len(tree.plan.slots)
+
+
+def test_a_plan_banks_each_array_as_its_own_column():
+    """Banked cells of two arrays split at the layout's offsets: a
+    column per array, in layout order, of ascending row-major positions
+    (8, 12 and 13 are (2,0), (3,0) and (3,1))."""
+    text = "space I[4], J[4];\na(I,J) = a(J+1,I);\nb(I,J) = b(J+1,I);\n"
+    plan = build_schedule(text, order=["J", "I"]).plan
+    assert plan.banked == (("a", (8, 12, 13)), ("b", (8, 12, 13)))
+    assert len(plan.slots) == 6 and plan.snapshot_locs[3] == ("b", 8)
 
 
 def test_stencil_budget_below_minimum():
@@ -468,7 +480,7 @@ def test_temporaries_lower_only_where_a_read_can_name_a_copy(text, lowers, banke
         return lower(spec, cases.points([(i,) for i in reversed(range(4))]))
 
     plan = allocate_temporaries(spec, reversed_order)
-    assert (bool(lowered), len(plan.snapshot_locs)) == (lowers, banked)
+    assert (bool(lowered), len(plan.slots)) == (lowers, banked)
 
 
 # -- sequential reference ----------------------------------------------------

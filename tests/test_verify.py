@@ -384,7 +384,7 @@ def test_a_cell_rewritten_this_visit_is_read_live_not_from_its_bank():
     tree = build_schedule(
         src, clock=make_clock(4, 2, 2), assignment={"S": 16, "I": 8, "T": 4, "J": 2}
     )
-    assert tree.plan.snapshot_locs
+    assert tree.plan.banked
     trace = enumerate_schedule(tree)
     assert check_dependencies(trace).summary() == "dependencies: ok (32 writes checked)"
     report = equivalent(tree, sequential_schedule(src), trials=3)
@@ -400,7 +400,7 @@ def test_a_skipped_write_is_not_a_write():
     store = {"a": {(0,): 10, (1,): 11}, "b": {(0,): 20, (1,): 21}, "c": {(0,): 0, (1,): 0}}
     assert reference_interpret(parse_spec(src), store)["c"] == {(0,): 21, (1,): 11}
     tree = build_schedule(src)
-    assert tree.plan.snapshot_locs == (("a", (1,)),)
+    assert tree.plan.banked == (("a", (1,)),)
     assert verify_report(enumerate_schedule(tree), trials=2)["ok"]
 
 
@@ -527,7 +527,7 @@ def test_verify_report_runs_a_banking_baseline_with_its_bank():
     order a stream that banks nothing gives b(2,0) = a(2,2), the
     schedule and the reference a(1,2)."""
     src = "space I[4], J[4];\na(I,J) = a(I+1,J);\nb(I,J) = a(J+1,I);\n"
-    assert len(sequential_schedule(src).plan.snapshot_locs) == 3
+    assert len(sequential_schedule(src).plan.slots) == 3
     trace = enumerate_schedule(build_schedule(src, order=["J", "I"]))
     report = verify_report(trace, trials=3)
     assert report["lines"][2] == "equivalence: ok (follows from coverage and dependencies, 32 cells)"
@@ -585,7 +585,7 @@ def test_every_read_that_follows_an_overwrite_is_banked(src, order):
     written at an earlier point, are planned like displaced ones; only
     an accumulation's read of its own cell is not."""
     tree = sequential_schedule(src) if order is None else build_schedule(src, order=order)
-    assert tree.plan.snapshot_locs
+    assert tree.plan.banked
     report = verify_report(enumerate_schedule(tree), trials=3)
     assert report["ok"], report["lines"]
 
@@ -701,7 +701,7 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     walked.clear()
     assert main(["transform", str(spec), "--clock", "4x2x2", "--map", "S=16,I=8,T=4,J=2",
                  "-o", str(tmp_path / "blocked.json")]) == 0
-    assert schedule_from_json(json.loads((tmp_path / "blocked.json").read_text())).plan.snapshot_locs
+    assert schedule_from_json(json.loads((tmp_path / "blocked.json").read_text())).plan.banked
     assert walked == []
 
 
@@ -821,7 +821,7 @@ DOCUMENTS = {
     **{path.name: path for path in sorted(GOLDEN.glob("*.json")) if path.stem != "skeleton_convolved"},
 }
 OWN_AND_PASSING = {"mnpq_tree", "matmul_tree", "matmul_form_tree", "stencil_tree",
-                   "matmul_form.json", "stencil.json"}
+                   "matmul_form.json", "stencil.json", "stencil_v1.json"}
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["as-built", "step-doubled"])
