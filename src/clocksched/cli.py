@@ -184,14 +184,14 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sparse(args) -> int:
     graph = parse_edge_list(_read_text(args.edges))
-    unit = args.unit if args.unit is not None else make_clock(1)
-    records = enumerate_sparse(graph, unit, bfs=args.bfs)
-    lines = [
-        f"vertex {r.vertex} unit {r.unit_index} slot {r.slot} "
-        f"time {r.time_value} color {r.color}"
-        for r in records
-    ]
-    lines.append(f"vertexes {len(records)} units {records[-1].unit_index + 1}")
+    listing = enumerate_sparse(graph, args.unit or make_clock(1), bfs=args.bfs)
+    lines, step = [""] * len(listing), len(listing.slots)
+    for slot, (tick, color) in enumerate(listing.slots):  # one template per slot
+        vertices = listing.vertices[slot::step]
+        times = range(tick, tick + len(vertices) * listing.span, listing.span)
+        line = f"vertex %s unit %s slot {slot} time %s color {color}".__mod__
+        lines[slot::step] = map(line, zip(vertices, range(len(vertices)), times))
+    lines.append(f"vertexes {len(listing)} units {listing[-1].unit_index + 1}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -1,30 +1,22 @@
-"""Walk schedule trees and sparse graphs into visit traces.
+"""Walk schedule trees and sparse graphs into integer columns.
 
 A trace is the ground truth the verifier works from: the visits in
-order, as integer columns with one value per visit, of what
-enumeration decides: the recovered index point (a column per index),
-the time value, the loop offsets (a column per chain position), the
-convolution level and the unfolded copy.  Derived facts, such as a
-visit's 2-adic color, are ``analyze``'s to compute.
-
-Each root of a schedule tree is one chain, a tuple of loops and form
-groups outermost first, and each loop runs through a fixed count of
-digits whatever its lower bound, so the nest is a mixed-radix counter
-whose digit columns are runs of repeated values.  Index columns are
-weighted sums of them by ``schedule.recovery``, the same table
-``emit`` renders as text, so what is verified is what is emitted; a
-block bind divides its source's column, and the spec's guards (its
-``domain A < B`` lines) are one mask over every column.
+order, as columns with one value per visit, of what enumeration
+decides: the recovered index point (a column per index), the time
+value, the loop offsets (a column per chain position), the convolution
+level and the unfolded copy.  Derived facts, such as a visit's 2-adic
+color, are ``analyze``'s to compute.  A sparse graph is two id columns,
+and its listing a vertex column over a unit clock's slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .clock import Clock, clock_points, color_of, log2_exact
+from .clock import Clock, color_of, log2_exact
 from .formula import Points, counter_columns, guard_mask
 from .schedule import Chain, EnumNode, FormGroup, ScheduleTree, nest_loops, recovery
 
@@ -48,9 +40,7 @@ class VisitTrace:
     a tree without a spec each loop's digit plus its ``digit_base``;
     ``offsets`` holds per chain position each visit's time offset there.
     A root with fewer loops or chain positions than another has 0 in
-    the columns past its own (``shapes``).  ``records`` is a view of the
-    columns as ``VisitRecord`` tuples, kept for readers of single visits;
-    nothing in the checks reads it."""
+    the columns past its own (``shapes``)."""
 
     tree: ScheduleTree
     points: Points
@@ -107,9 +97,6 @@ class _Records:
         offsets = tuple(o[v] for o in t.offsets[:depth])
         return VisitRecord(offsets, t.points[v][:width], t.times[v], t.levels[v], t.copies[v])
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
 
 def _time_digits(chain: Chain):
     """Per loop of the chain, the time one unit of its digit adds (a
@@ -150,12 +137,16 @@ def _weighted(digits: list[list[int]], pairs, base: int, count: int) -> list[int
 def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
     """Count through each root's loop digits as one mixed-radix number.
 
-    A root is a chain of loops and groups.  Its visits run over its
-    digit ranges, outermost first and form-group members side by side,
-    so the innermost loop turns fastest.  The recovery table gives each
-    visit's index point, the spec's guards may drop it, and the loops'
-    offsets from their lower bounds give its time offsets.  A reduction
-    epilogue is the tree's, run after the last visit; it adds no visit.
+    A root is a chain of loops and groups, outermost first.  Each loop
+    runs through a fixed count of digits whatever its lower bound, and
+    form-group members side by side, so the innermost loop turns fastest
+    and each digit column is runs of repeated values.  Index columns are
+    weighted sums of them by ``schedule.recovery``, the table ``emit``
+    renders, so what is verified is what is emitted; a block bind
+    divides its source's column, and the spec's guards are one mask over
+    every column.  The loops' offsets from their lower bounds give the
+    time offsets.  A reduction epilogue is the tree's, run after the
+    last visit; it adds no visit.
     """
     spec = tree.spec
     names = spec.index_names() if spec else ()
@@ -212,33 +203,37 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
 
 @dataclass(frozen=True)
 class SparseGraph:
+    """Edge ``e`` runs from ``sources[e]`` to ``targets[e]``."""
+
     count: int
-    edges: tuple[tuple[int, int], ...]
+    sources: Sequence[int]
+    targets: Sequence[int]
 
 
 def parse_edge_list(text: str) -> SparseGraph:
     """One ``u v`` pair per line; ``#`` starts a comment; vertex 0 is
-    the origin."""
-    edges = []
-    top = 0
+    the origin.  A good list is read in bulk, a bad one line by line."""
+    lines = text.splitlines()
+    lines = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
+    try:
+        if set(map(len, map(str.split, lines))) <= {0, 2}:
+            # tokens die line by line: the parse never holds them all at once
+            ids = list(map(int, chain.from_iterable(map(str.split, lines))))
+            if ids and min(ids) >= 0:
+                return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
+    except ValueError:  # a token that is no integer
+        pass
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        parts = raw.split("#", 1)[0].split()
+        if parts and len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            ids = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"line {lineno}: vertex ids must be integers") from None
-        if u < 0 or v < 0:
+        if min(ids, default=0) < 0:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")
-        top = max(top, u, v)
-        edges.append((u, v))
-    if not edges:
-        raise ValueError("edge list is empty")
-    return SparseGraph(count=top + 1, edges=tuple(edges))
+    raise ValueError("edge list is empty")
 
 
 class SparseRecord(NamedTuple):
@@ -249,64 +244,68 @@ class SparseRecord(NamedTuple):
     color: int
 
 
-def enumerate_sparse(
-    graph: SparseGraph, unit: Clock, bfs: bool = False
-) -> tuple[SparseRecord, ...]:
-    """Assign discovery-ordered vertices to unit-clock slots.
+class SparseListing:
+    """The listed ``vertices`` and the (tick, colour) of each slot they
+    fill: with ``n`` slots, vertex ``i`` takes slot ``i % n`` of unit
+    ``i // n``, a ``span`` per unit later.  Indexing gives a ``SparseRecord``."""
 
-    One depth-first walk from the origin, vertex 0, children ascending,
-    lists the vertices in preorder, refuses an edge back onto its path
-    as a cycle, and marks what the origin reaches; a vertex it does not
-    reach is refused, and then an edge that names an id at or past the
-    graph's count, which only a graph built by hand can hold
-    (``parse_edge_list`` counts past every id).  Depth-first discovery
-    is the default order; breadth-first is the option.  Slots are consumed in ascending
-    reachable-time order, and a filled unit is followed by a fresh one a
-    full span later.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        adj.setdefault(u, []).append(v)
-    for u in adj:
-        adj[u].sort()
+    def __init__(self, vertices: list[int], slots: list[tuple[int, int]], span: int):
+        self.vertices, self.slots, self.span = vertices, slots, span
 
-    # explicit stacks, so a long chain cannot hit the recursion limit;
-    # a vertex without children is finished without a stack entry
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, i: int) -> SparseRecord:
+        unit_index, slot = divmod(range(len(self))[i], len(self.slots))
+        tick, color = self.slots[slot]
+        return SparseRecord(self.vertices[i], unit_index, slot, unit_index * self.span + tick, color)
+
+
+def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> SparseListing:
+    """List the vertices from 0 in first-discovery order, depth-first or
+    ``bfs``, children ascending, in unit-clock slots, a unit per span.
+    The depth-first walk refuses an edge back onto its path, then a
+    vertex it does not reach, then an edge naming an id at or past the count."""
     count = graph.count
+    if min(graph.sources, default=0) < 0 or min(graph.targets, default=0) < 0:  # ~v marks exits
+        raise ValueError("vertex ids must be non-negative")
+    adj: dict[int, list[int]] = {}
+    for u, v in zip(graph.sources, graph.targets):
+        adj.setdefault(u, []).append(v)
+    for children in adj.values():
+        children.sort(reverse=True)  # the stack pops the smallest first
+
+    # one int stack: a vertex's children lie above ~v, which finishes it
     order = [0]
     state = {0: 1}  # 1 = on the path, 2 = done
-    path, stack = [0], [iter(adj.get(0, ()))]
-    expanded = int(0 in adj)  # vertexes whose children the walk lists
+    stack = [~0, *adj.get(0, ())]
     past = None  # the first edge met that names an id at or past the count
     while stack:
-        for w in stack[-1]:
-            s = state.get(w)
-            if s == 1:
-                raise ValueError(f"graph has a cycle through edge {path[-1]} -> {w}")
-            if s is None:
-                if w >= count:  # a graph built by hand may name ids past its count
-                    past = past or (path[-1], w)
-                    continue
+        w = stack.pop()
+        if w < 0:
+            state[~w] = 2
+        elif w not in state:
+            if w < count:
                 order.append(w)
-                if w in adj:
+                if children := adj.get(w):
                     state[w] = 1
-                    path.append(w)
-                    stack.append(iter(adj[w]))
-                    expanded += 1
-                    break
-                state[w] = 2
-        else:
-            state[path.pop()] = 2
-            stack.pop()
+                    stack.append(~w)
+                    stack += children
+                else:
+                    state[w] = 2
+            elif past is None:  # the nearest marker is the edge's source
+                past = (~next(x for x in reversed(stack) if x < 0), w)
+        elif state[w] == 1:
+            u = ~next(x for x in reversed(stack) if x < 0)
+            raise ValueError(f"graph has a cycle through edge {u} -> {w}")
     missing = count - len(state)
     if missing > 0:
         first = next(v for v in range(count) if v not in state)
         raise ValueError(
             f"origin 0 does not reach {missing} of {count} vertexes; the first is {first}"
         )
-    if past is None and expanded < len(adj):  # an edge from an id past the count
-        u = next(u for u in adj if u not in state)
-        past = (u, adj[u][0])
+    if past is None and not adj.keys() <= state.keys():  # a source past the count
+        past = next((u, adj[u][-1]) for u in adj if u not in state)
     if past is not None:
         u, w = past
         raise ValueError(
@@ -317,16 +316,17 @@ def enumerate_sparse(
     if bfs:
         order, seen = [0], {0}
         for v in order:  # the list is the queue: the loop reads what it appends
-            for w in adj.get(v, ()):
+            for w in reversed(adj.get(v, ())):
                 if w not in seen:
                     seen.add(w)
                     order.append(w)
 
+    # slot s's tick sums the graduations of its set bits, outermost highest
+    ticks = [0]
+    for g in reversed(unit.graduations):
+        if len(ticks) >= len(order):
+            break
+        ticks += [t + g for t in ticks]
     bits = log2_exact(unit.states)
-    slots = [(tick, color_of(tick // unit.unit_scale, bits)) for tick in clock_points(unit)]
-    records = []
-    for pos, vertex in enumerate(order):
-        unit_index, slot = divmod(pos, len(slots))
-        tick, color = slots[slot]
-        records.append(SparseRecord(vertex, unit_index, slot, unit_index * unit.span + tick, color))
-    return tuple(records)
+    slots = [(t, color_of(t // unit.unit_scale, bits)) for t in ticks[: len(order)]]
+    return SparseListing(order, slots, unit.span)

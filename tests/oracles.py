@@ -72,35 +72,55 @@ def snapshot_stencil(grid: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def plain_dfs(edges: list[tuple[int, int]], start: int = 0) -> list[int]:
-    """Preorder with children taken in ascending order."""
-    adjacency: dict[int, list[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-    order = []
+def discovery(sources, targets, count: int, bfs: bool = False) -> list[int]:
+    """Vertices from 0 in first-discovery order, children ascending:
+    depth-first preorder, or breadth-first.  A recursive walk with a
+    seen set and an on-path set refuses the first edge back onto the
+    path, then (by id) the vertexes below ``count`` it never reached,
+    then the first edge it met that names an id at or past ``count``,
+    or else the first unreached source, in the words the enumerator
+    uses."""
+    children: dict[int, list[int]] = {}
+    for u, v in zip(sources, targets):
+        children.setdefault(u, []).append(v)
+    seen, on_path, order, past = set(), set(), [], []
 
     def walk(v: int) -> None:
+        seen.add(v)
+        on_path.add(v)
         order.append(v)
-        for w in sorted(adjacency.get(v, [])):
-            walk(w)
+        for w in sorted(children.get(v, [])):
+            if w in on_path:
+                raise ValueError(f"graph has a cycle through edge {v} -> {w}")
+            if w >= count:
+                past.append((v, w))
+            elif w not in seen:
+                walk(w)
+        on_path.remove(v)
 
-    walk(start)
-    return order
-
-
-def plain_bfs(edges: list[tuple[int, int]], start: int = 0) -> list[int]:
-    adjacency: dict[int, list[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-    seen = {start}
-    order = []
-    queue = deque([start])
+    walk(0)
+    unreached = [v for v in range(count) if v not in seen]
+    if unreached:
+        raise ValueError(
+            f"origin 0 does not reach {len(unreached)} of {count} vertexes; "
+            f"the first is {unreached[0]}"
+        )
+    past += [(u, min(children[u])) for u in sources if u not in seen]
+    if past:
+        u, w = past[0]
+        raise ValueError(
+            f"edge {u} -> {w} names vertex {u if u >= count else w}, "
+            f"at or past the graph's count {count}"
+        )
+    if not bfs:
+        return order
+    order, seen = [0], {0}
+    queue = deque([0])
     while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(adjacency.get(v, [])):
+        for w in sorted(children.get(queue.popleft(), [])):
             if w not in seen:
                 seen.add(w)
+                order.append(w)
                 queue.append(w)
     return order
 

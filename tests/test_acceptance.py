@@ -169,7 +169,7 @@ def test_criterion_10_sparse_tree():
     for r in records:
         units.setdefault(r.unit_index, []).append(r.vertex)
     ok = (
-        order == oracles.plain_dfs(graph.edges, 0)
+        order == oracles.discovery(graph.sources, graph.targets, graph.count)
         and sorted(order) == list(range(7))
         and units == {0: [0, 1, 3, 4], 1: [2, 5, 6]}
         and [r.slot for r in records] == [0, 1, 2, 3, 0, 1, 2]

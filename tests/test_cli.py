@@ -937,6 +937,51 @@ def test_sparse_bfs_flag(tmp_path, capsys):
     assert order == [0, 1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("flags, listing", [((), "dag_dfs.txt"), (("--bfs",), "dag_bfs.txt")])
+def test_sparse_lists_the_golden_dag(capsys, flags, listing):
+    """tests/golden/dag.edges hangs some vertexes off two or three
+    earlier ones, so each is listed where it is first discovered; the
+    listings were written by the per-edge walk the columns replaced."""
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run(capsys, "sparse", str(golden / "dag.edges"), "--unit", "2x2", *flags)
+    assert code == 0
+    assert out == (golden / listing).read_text()
+
+
+def test_sparse_makes_only_the_slots_it_fills(tmp_path, capsys):
+    """A 64-wheel unit has 2**64 slots; three vertexes take the first
+    three, whose ticks are the innermost graduations' sums."""
+    edges = tmp_path / "small.edges"
+    edges.write_text("0 1\n0 2\n")
+    code, out, _ = run(capsys, "sparse", str(edges), "--unit", "64x2")
+    assert code == 0
+    assert out == (
+        "vertex 0 unit 0 slot 0 time 0 color 64\n"
+        "vertex 1 unit 0 slot 1 time 1 color 0\n"
+        "vertex 2 unit 0 slot 2 time 2 color 1\n"
+        "vertexes 3 units 1\n"
+    )
+
+
+@pytest.mark.parametrize("unit", ["1x2", "2x2", "3x4x2", "5x2"])
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_sparse_text_lists_each_record_of_the_listing(tmp_path, capsys, unit, n):
+    """The listing is written a slot template at a time; line ``i``
+    still says what record ``i`` of ``enumerate_sparse`` says."""
+    edges = tmp_path / "star.edges"
+    edges.write_text("".join(f"{v // 3} {v}\n" for v in range(1, n)))
+    code, out, _ = run(capsys, "sparse", str(edges), "--unit", unit)
+    assert code == 0
+    graph = clocksched.parse_edge_list(edges.read_text())
+    k, rate, *scale = map(int, unit.split("x"))
+    listing = clocksched.enumerate_sparse(graph, make_clock(k, rate, *scale))
+    want = [
+        f"vertex {r.vertex} unit {r.unit_index} slot {r.slot} time {r.time_value} color {r.color}"
+        for r in listing
+    ]
+    assert out.splitlines() == want + [f"vertexes {n} units {listing[-1].unit_index + 1}"]
+
+
 def test_sparse_cycle_exits_2(tmp_path, capsys):
     edges = tmp_path / "c.edges"
     edges.write_text("0 1\n1 0\n")

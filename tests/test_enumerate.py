@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clocksched.clock import clock_point_tuples, make_clock
+from clocksched.clock import clock_point_tuples, color_of, log2_exact, make_clock
 from clocksched.engine import (
     SparseGraph,
     enumerate_schedule,
@@ -121,7 +122,7 @@ def test_trace_points_skip_the_epilogue():
 def test_parse_edge_list():
     graph = parse_edge_list("# balanced tree\n0 1\n\n0 2  # fan out\n1 3\n")
     assert graph.count == 4
-    assert graph.edges == ((0, 1), (0, 2), (1, 3))
+    assert (graph.sources, graph.targets) == ([0, 0, 1], [1, 2, 3])
 
 
 def test_parse_edge_list_rejects_garbage():
@@ -138,13 +139,16 @@ def test_parse_edge_list_rejects_garbage():
 def test_sparse_dfs_matches_preorder_oracle():
     graph = parse_edge_list(TREE_EDGES)
     records = enumerate_sparse(graph, make_clock(2))
-    assert [r.vertex for r in records] == oracles.plain_dfs(graph.edges, 0)
+    want = oracles.discovery(graph.sources, graph.targets, graph.count)
+    assert [r.vertex for r in records] == want
 
 
 def test_sparse_bfs_matches_level_oracle():
     graph = parse_edge_list(TREE_EDGES)
     records = enumerate_sparse(graph, make_clock(2), bfs=True)
-    assert [r.vertex for r in records] == oracles.plain_bfs(graph.edges, 0)
+    assert [r.vertex for r in records] == oracles.discovery(
+        graph.sources, graph.targets, graph.count, bfs=True
+    )
 
 
 def test_sparse_unit_packing():
@@ -165,13 +169,13 @@ def test_sparse_colors_follow_slot_ticks():
 
 
 def test_sparse_rejects_cycles():
-    graph = SparseGraph(count=3, edges=((0, 1), (1, 2), (2, 0)))
+    graph = SparseGraph(3, [0, 1, 2], [1, 2, 0])
     with pytest.raises(ValueError, match="cycle through edge 2 -> 0"):
         enumerate_sparse(graph, make_clock(1))
 
 
 def test_sparse_rejects_unreachable_vertexes():
-    graph = SparseGraph(count=4, edges=((0, 1), (2, 3)))
+    graph = SparseGraph(4, [0, 2], [1, 3])
     with pytest.raises(ValueError, match=r"reach 2 of 4 vertexes; the first is 2$"):
         enumerate_sparse(graph, make_clock(1))
 
@@ -187,7 +191,7 @@ def test_sparse_refuses_a_cycle_the_origin_does_not_reach_as_unreachable():
 def test_sparse_counts_only_ids_below_the_count_as_reached():
     """Vertex 5 of a hand-built 3-vertex graph stands in for no vertex,
     so vertex 2 is still unreached."""
-    graph = SparseGraph(count=3, edges=((0, 1), (1, 5)))
+    graph = SparseGraph(3, [0, 1], [1, 5])
     with pytest.raises(ValueError, match=r"reach 1 of 3 vertexes; the first is 2$"):
         enumerate_sparse(graph, make_clock(1))
 
@@ -201,10 +205,10 @@ def test_sparse_counts_unreached_vertexes_without_listing_them():
 
 def test_sparse_walks_a_long_path_without_recursion():
     n = 3000  # deeper than the interpreter's default recursion limit
-    path = tuple((v, v + 1) for v in range(n - 1))
-    records = enumerate_sparse(SparseGraph(count=n, edges=path), make_clock(2))
+    sources, targets = list(range(n - 1)), list(range(1, n))
+    records = enumerate_sparse(SparseGraph(n, sources, targets), make_clock(2))
     assert [r.vertex for r in records] == list(range(n))
-    looped = SparseGraph(count=n, edges=path + ((n - 1, 0),))
+    looped = SparseGraph(n, sources + [n - 1], targets + [0])
     with pytest.raises(ValueError, match=f"cycle through edge {n - 1} -> 0"):
         enumerate_sparse(looped, make_clock(2))
 
@@ -212,10 +216,175 @@ def test_sparse_walks_a_long_path_without_recursion():
 def test_sparse_refuses_an_edge_past_the_count():
     """Every vertex of these hand-built 2-vertex graphs is reached, but an
     edge names id 5 or starts at id 7, which are no vertexes."""
-    for edges, text in (
-        (((0, 1), (1, 5)), "edge 1 -> 5 names vertex 5"),
-        (((0, 1), (7, 8)), "edge 7 -> 8 names vertex 7"),
+    for sources, targets, text in (
+        ([0, 1], [1, 5], "edge 1 -> 5 names vertex 5"),
+        ([0, 7], [1, 8], "edge 7 -> 8 names vertex 7"),
     ):
         with pytest.raises(ValueError) as refused:
-            enumerate_sparse(SparseGraph(count=2, edges=edges), make_clock(1))
+            enumerate_sparse(SparseGraph(2, sources, targets), make_clock(1))
         assert str(refused.value) == f"{text}, at or past the graph's count 2"
+
+
+def test_sparse_lists_a_shared_child_where_it_is_first_discovered():
+    """Vertex 3 hangs off 1 and 2: depth-first meets it under 1 and
+    skips it under 2, breadth-first lists it after both."""
+    graph = parse_edge_list("2 3\n0 2\n3 4\n1 3\n0 1\n")
+    assert [r.vertex for r in enumerate_sparse(graph, make_clock(2))] == [0, 1, 3, 4, 2]
+    assert [r.vertex for r in enumerate_sparse(graph, make_clock(2), bfs=True)] == [0, 1, 2, 3, 4]
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A hand-built graph as columns: a DAG in which every later vertex
+    hangs off earlier ones, some of them shared, then bent into one of
+    the shapes the walk refuses: an edge back up, a vertex with no
+    parent, an edge into or out of an id at or past the count, or a
+    count too small for the ids."""
+    n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(["dag", "cycle", "unreached", "past", "source", "short"]))
+    edges = []
+    for v in range(1, n):
+        least = 0 if shape == "unreached" else 1
+        edges += [(u, v) for u in draw(st.sets(st.integers(0, v - 1), min_size=least, max_size=3))]
+    if shape == "cycle":
+        v = draw(st.integers(0, n - 1))
+        edges.append((v, draw(st.integers(0, v))))
+    if shape == "past":
+        into = st.tuples(st.integers(0, n + 2), st.integers(n, n + 3))
+        edges += draw(st.lists(into, min_size=1, max_size=2))
+    if shape == "source":  # edges out of ids past the count that nothing reaches
+        out_of = st.tuples(st.integers(n, n + 1), st.integers(0, n + 3))
+        edges += draw(st.lists(out_of, min_size=1, max_size=3))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []  # repeated edges
+    edges = draw(st.permutations(edges))
+    count = draw(st.integers(1, n)) if shape == "short" else n
+    return count, [u for u, _ in edges], [v for _, v in edges]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sparse_graphs(), st.booleans())
+def test_sparse_walk_matches_the_recursive_discovery_oracle(graph, bfs):
+    """The stack walk lists what a recursive first-discovery walk lists,
+    and refuses what it refuses in the same words."""
+    count, sources, targets = graph
+    try:
+        want = oracles.discovery(sources, targets, count, bfs)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as got:
+            enumerate_sparse(SparseGraph(count, sources, targets), make_clock(2), bfs)
+        assert str(got.value) == str(refused)
+    else:
+        listing = enumerate_sparse(SparseGraph(count, sources, targets), make_clock(2), bfs)
+        assert [r.vertex for r in listing] == want
+
+
+def test_sparse_refuses_negative_ids_of_a_hand_built_graph():
+    """The walk marks a vertex's exit as ``~v``, a negative int, so a
+    negative id is refused before the walk could read it as one."""
+    for sources, targets in (([0, -1], [1, 0]), ([0], [-2])):
+        with pytest.raises(ValueError, match="^vertex ids must be non-negative$"):
+            enumerate_sparse(SparseGraph(2, sources, targets), make_clock(1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from([2, 4]), st.sampled_from([1, 2]), st.integers(1, 80))
+def test_sparse_slots_follow_the_clock_points(k, rate, scale, n):
+    """Each listed vertex takes the tick and colour its slot has in the
+    full table of the unit's clock points, however few slots it fills."""
+    unit = make_clock(k, rate, scale)
+    table = [sum(p) for p in clock_point_tuples(unit)]
+    bits = log2_exact(unit.states)
+    listing = enumerate_sparse(SparseGraph(n, [0] * (n - 1), list(range(1, n))), unit)
+    assert len(listing) == n
+    for i, record in enumerate(listing):
+        unit_index, slot = divmod(i, len(table))
+        tick = table[slot]
+        color = color_of(tick // unit.unit_scale, bits)
+        assert record == (i, unit_index, slot, unit_index * unit.span + tick, color)
+    assert listing[-1] == listing[n - 1]
+
+
+def _per_line_parse(text: str) -> tuple[int, list[int], list[int]]:
+    """The per-line reader ``parse_edge_list`` was before it read in
+    bulk, kept to pin the bulk reader's answers and refusals."""
+    sources, targets, top = [], [], 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertex ids must be integers") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: vertex ids must be non-negative")
+        top = max(top, u, v)
+        sources.append(u)
+        targets.append(v)
+    if not sources:
+        raise ValueError("edge list is empty")
+    return top + 1, sources, targets
+
+
+# ids int() reads (signs, leading zeros, an Arabic-Indic three, an
+# underscore), ones it refuses or reads as negative; and line breaks
+# that str.splitlines knows
+GOOD_IDS = ["0", "1", "2", "12", "+3", "007", "\u0663", "1_0"]
+BAD_IDS = ["x", "1.5", "-1", "-07", "0x1", "\u00b2"]
+SPACES = [" ", "  ", "\t", " \t "]
+ENDS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def edge_texts(draw):
+    """Mostly good lines, some blank or commented, and now and then a
+    line with one, three or a refused token."""
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["blank", "comment", "tokens", "bad"]))
+        if kind == "blank":
+            words = []
+        elif kind == "tokens":
+            words = draw(st.lists(st.sampled_from(GOOD_IDS), min_size=1, max_size=4))
+        else:
+            words = [draw(st.sampled_from(GOOD_IDS)) for _ in range(2)]
+            if kind == "bad":
+                words[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_IDS))
+        line = draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(SPACES)).join(words)
+        if kind == "comment" or draw(st.integers(0, 5)) == 0:
+            line += draw(st.sampled_from(["#", " # a note", "#0 1"]))
+        lines.append(line + draw(st.sampled_from(ENDS)))
+    return "".join(lines)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(edge_texts())
+def test_bulk_edge_reader_matches_the_per_line_reader(text):
+    """Same columns from a good list; from a bad one the same refusal,
+    worded for the first bad line."""
+    try:
+        want = _per_line_parse(text)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(refused)
+    else:
+        graph = parse_edge_list(text)
+        assert (graph.count, graph.sources, graph.targets) == want
+
+
+def test_bulk_edge_reader_words_the_first_bad_line():
+    """A later line's fault never words the refusal of an earlier one."""
+    for text, words in (
+        ("0 1\n0 x\n0 1 2\n", "line 2: vertex ids must be integers"),
+        ("0 1\n2\n0 -1\n", "line 2: expected 'u v', got '2'"),
+        ("0 1\r\n0 -1\n0 x\n", "line 2: vertex ids must be non-negative"),
+        ("# only\n\n  \t\n", "edge list is empty"),
+        ("", "edge list is empty"),
+    ):
+        with pytest.raises(ValueError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == words
