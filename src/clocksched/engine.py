@@ -211,29 +211,39 @@ class SparseGraph:
 
 
 def parse_edge_list(text: str) -> SparseGraph:
-    """One ``u v`` pair per line; ``#`` starts a comment; vertex 0 is
-    the origin.  A good list is read in bulk, a bad one line by line."""
-    lines = text.splitlines()
-    lines = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
-    try:
-        if set(map(len, map(str.split, lines))) <= {0, 2}:
-            # tokens die line by line: the parse never holds them all at once
-            ids = list(map(int, chain.from_iterable(map(str.split, lines))))
-            if ids and min(ids) >= 0:
-                return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
-    except ValueError:  # a token that is no integer
-        pass
+    """One ``u v`` pair per line, each id ASCII digits; ``#`` starts a
+    comment; vertex 0 is the origin.  A list of ASCII text is read in
+    bulk, any other line by line."""
+    lines, body = text.splitlines(), text
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+        body = "\n".join(lines)
+    # on ASCII text, a token int() reads is digits unless it holds a sign or an underscore
+    if body.isascii() and not ("+" in body or "-" in body or "_" in body):
+        try:
+            if set(map(len, map(str.split, lines))) <= {0, 2}:
+                # tokens die line by line: the parse never holds them all at once
+                ids = list(map(int, chain.from_iterable(map(str.split, lines))))
+                if ids:
+                    return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
+        except ValueError:  # a token that is no integer
+            pass
+    sources, targets = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if parts and len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        try:
-            ids = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"line {lineno}: vertex ids must be integers") from None
-        if min(ids, default=0) < 0:
+        digits = [part[1:] if part[0] == "-" else part for part in parts]
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise ValueError(f"line {lineno}: vertex ids must be integers")
+        if digits != parts:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")
-    raise ValueError("edge list is empty")
+        if parts:
+            sources.append(int(parts[0]))
+            targets.append(int(parts[1]))
+    if not sources:
+        raise ValueError("edge list is empty")
+    return SparseGraph(max(max(sources), max(targets)) + 1, sources, targets)
 
 
 class SparseRecord(NamedTuple):

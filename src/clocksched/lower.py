@@ -39,10 +39,10 @@ cell ids, checking bounds only on a dimension whose range over the
 block leaves the array.  A copy is a constant offset, only the two
 exceptions are compared per visit, and nothing carries between blocks;
 the epilogue is one more block of one visit.  Those columns
-(``_Applications``) are the stream: ``Stream.dataflow`` folds them, and
-``Stream.records`` reads them a visit at a time for ``Stream.run``
-(integers) and ``polynomial.polynomials`` (polynomials over the input
-cells).
+(``_Applications``) are the stream: ``Stream.dataflow`` and
+``polynomial.polynomials`` fold them, and ``Stream.records`` reads them
+a visit at a time for ``Stream.run`` (integers) and for the
+polynomials of a spec that reads a running sum, or of the epilogue.
 """
 
 from __future__ import annotations
@@ -131,12 +131,11 @@ class Stream:
         visit's tuples are made as it is reached and freed before the
         next visit's: a block's worth of live tuples of one length would
         stay on CPython's free list for good."""
-        blocks = self._blocks()
-        if self.tail is not None:
-            blocks = chain(blocks, [(range(len(self.points), len(self.points) + 1), self.tail)])
-        for visits, apps in blocks:
-            for row in zip(*[_rows(app, visits) for app in apps]):
-                yield from filter(None, row)
+        return _records(chain(self._blocks(), self._epilogue()))
+
+    def epilogue_records(self) -> Iterator[tuple[int, int, int, tuple[tuple[int, tuple[int, ...]], ...]]]:
+        """The ``records`` of the epilogue's one visit alone."""
+        return _records(self._epilogue())
 
     def memory(self, arrays: Mapping[str, list[int]]) -> list[int]:
         """Zeroed cells and copies, each given array loaded into both."""
@@ -245,6 +244,19 @@ class Stream:
         count = len(self.points)
         for start, apps in zip(range(0, count, BLOCK), self.blocks):
             yield range(start, min(start + BLOCK, count)), apps
+
+    def _epilogue(self) -> list[tuple[range, list[_Applications]]]:
+        """The epilogue's visit and columns, as ``_blocks`` gives a block's;
+        none without an epilogue."""
+        end = len(self.points)
+        return [] if self.tail is None else [(range(end, end + 1), self.tail)]
+
+
+def _records(blocks: Iterable[tuple[range, list[_Applications]]]) -> Iterator:
+    """``Stream.records`` of the given blocks, a visit at a time."""
+    for visits, apps in blocks:
+        for row in zip(*[_rows(app, visits) for app in apps]):
+            yield from filter(None, row)
 
 
 def _major(columns: list[Sequence[int]]) -> Sequence[int]:

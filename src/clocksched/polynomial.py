@@ -1,17 +1,22 @@
-"""Exact equivalence: a lowered stream's records run on polynomials.
+"""Exact equivalence: a lowered stream run on polynomials.
 
 Every formula is a sum of integer-coefficient products of reads, so a
 cell's final value is a polynomial over the input cells' values before
-the pass.  ``polynomials`` applies a stream's records
-(``lower.Stream.records``) to such polynomials, and ``first_difference``
-compares two streams' final polynomials cell by cell.
+the pass.  ``polynomials`` gives each cell's final polynomial, and
+``first_difference`` compares two streams' finals cell by cell.  Where
+no read can see a running sum, each block is built from ``lower``'s
+columns a formula at a time (``_by_columns``); a spec that reads one,
+and the epilogue's visit, walk the records (``Stream.records``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from itertools import compress, islice, repeat
+from operator import eq, is_not
+from typing import Iterable, Mapping, Sequence
 
-from .lower import ADD, SKIP, Layout, Stream
+from .lower import ADD, SKIP, Layout, Stream, _major
 
 
 def _times(m, n):
@@ -73,29 +78,53 @@ def polynomials(stream: Stream, inputs: Iterable[str], budget: int, like: Sequen
     nonzero coefficient) pairs, never mutated.  An entry equal to the
     one ``like`` (an earlier result) holds at the same index is that
     very object, so alike streams share their memory.  Raises
-    ``PastBudget`` once more than ``budget`` monomials are live in the
-    entries, or a product would take more than ``budget`` steps."""
-    size = stream.layout.size
-    variable = bytearray(2 * size)
+    ``PastBudget`` once more than ``budget`` monomials are live, or a
+    product would take more than ``budget`` steps.
+
+    Where the spec reads no running sum, each block is built a formula
+    column at a time (``_by_columns``), and the monomials live are the
+    entries' and the block's value columns' together, counted as each
+    column is made; otherwise the records are walked one at a time
+    (``_by_records``), and they are the entries', counted at each write."""
+    if stream.spec.reads_running_sum():
+        return _by_records(stream, inputs, budget, like)
+    return _by_columns(stream, inputs, budget, like)
+
+
+def _variables(layout: Layout, inputs: Iterable[str]) -> list:
+    """Per id, the variable a cell or copy of the ``inputs`` arrays starts
+    as, its cell's id, else None; one more None for a read of id -1 (off
+    its array)."""
+    size = layout.size
+    held: list = [None] * (2 * size + 1)
     for name in inputs:
-        span = stream.layout.cells(name)
-        variable[span] = variable[span.start + size:span.stop + size] = (
-            b"\x01" * (span.stop - span.start)
-        )
-    coefficients = stream.coefficients
-    mem: list = [None] * (2 * size)  # a copy's entry is filled when first read
-    live = 0
-    for _, code, write, terms in stream.records():
+        span = layout.cells(name)
+        held[span] = held[span.start + size:span.stop + size] = range(span.start, span.stop)
+    return held
+
+
+def _by_records(stream: Stream, inputs: Iterable[str], budget: int, like: Sequence = ()) -> list:
+    """``polynomials`` by walking the stream's records one at a time."""
+    mem: list = [None] * (2 * stream.layout.size)  # a copy's entry is filled when first read
+    _run(stream.records(), mem, _variables(stream.layout, inputs), stream.coefficients, budget,
+         like, 0)
+    return _finish(mem, like)
+
+
+def _run(records, mem: list, held: list, coefficients: list[int], budget: int,
+         like: Sequence, live: int) -> None:
+    """Apply the records to ``mem``, cells then copies, which holds
+    ``live`` monomials; ``held`` is ``_variables``."""
+    for _, code, write, terms in records:
         total = {}
         for cid, reads in terms:
             c = coefficients[cid]
             if len(reads) == 1 and c:
                 r = reads[0]
                 if (p := mem[r]) is None:
-                    if not variable[r]:
+                    if (p := held[r]) is None:
                         continue
-                    # the same polynomial, as one shared int
-                    mem[r] = p = r if r < size else r - size
+                    mem[r] = p  # the same polynomial, as one shared int
                     live += 1
                 if type(p) is int:
                     total[p] = total.get(p, 0) + c
@@ -105,54 +134,213 @@ def polynomials(stream: Stream, inputs: Iterable[str], budget: int, like: Sequen
                 continue
             if not c:
                 continue
-            factors, polys = [], []  # bare variables, other polynomials
+            factors = []
             for r in reads:
                 if (p := mem[r]) is None:
-                    if not variable[r]:
+                    if (p := held[r]) is None:
                         break
-                    mem[r] = p = r if r < size else r - size
+                    mem[r] = p
                     live += 1
-                (factors if type(p) is int else polys).append(p)
+                factors.append(p)
             else:
-                factors.sort()
-                term = {factors[0] if len(factors) == 1 else tuple(factors): c}
-                for p in polys:
-                    if len(term) * _size(p) > budget:
-                        raise PastBudget
-                    product: dict = {}
-                    for m, k in term.items():
-                        for m2, k2 in _terms(p):
-                            m2 = _times(m, m2)
-                            product[m2] = product.get(m2, 0) + k * k2
-                    term = product
-                for m, k in term.items():
+                for m, k in _product(c, factors, budget).items():
                     total[m] = total.get(m, 0) + k
         kind = code & 3
         if kind == SKIP:
             continue
         old = mem[write]
         live -= _size(old)
-        if kind == ADD:  # accumulate in a dict until assigned
-            if old is None:
-                old = {write: 1} if variable[write] else {}
-            elif type(old) is not dict:
-                old = dict(_terms(old))
-            for m, k in total.items():
-                if k := old.get(m, 0) + k:
-                    old[m] = k
-                else:
-                    old.pop(m, None)
-            mem[write] = old
+        if kind == ADD:
+            mem[write] = _added(old, write, held, total)
         else:
             mem[write] = _shared(_flat(total), write, like)
         live += _size(mem[write])
         if live > budget:
             raise PastBudget
-    del mem[size:]
-    for i, p in enumerate(mem):
-        if type(p) is dict:
-            mem[i] = _shared(_flat(p), i, like)
+
+
+def _product(c: int, factors: list, budget: int) -> dict:
+    """``c`` times the product of the polynomials ``factors``; raises
+    ``PastBudget`` where a step would take more than ``budget`` steps."""
+    variables = sorted(p for p in factors if type(p) is int)
+    term = {variables[0] if len(variables) == 1 else tuple(variables): c}
+    for p in factors:
+        if type(p) is int:
+            continue
+        if len(term) * _size(p) > budget:
+            raise PastBudget
+        product: dict = {}
+        for m, k in term.items():
+            for m2, k2 in _terms(p):
+                m2 = _times(m, m2)
+                product[m2] = product.get(m2, 0) + k * k2
+        term = product
+    return term
+
+
+def _added(old, cell: int, held: list, total) -> dict:
+    """The accumulating entry of ``cell`` after adding the polynomial
+    ``total`` to its entry ``old``: a dict, mutated until assigned."""
+    if old is None:
+        old = {} if held[cell] is None else {cell: 1}
+    elif type(old) is not dict:
+        old = dict(_terms(old))
+    for m, k in _terms(total):
+        if k := old.get(m, 0) + k:
+            old[m] = k
+        else:
+            old.pop(m, None)
+    return old
+
+
+def _finish(mem: list, like: Sequence) -> list:
+    """The entries of the cells, not the copies, each accumulation flat."""
+    del mem[len(mem) // 2:]
+    for i in compress(range(len(mem)), map(eq, map(type, mem), repeat(dict))):
+        mem[i] = _shared(_flat(mem[i]), i, like)
     return mem
+
+
+_BARE = {int, type(None)}  # the types of entries that hold one monomial or none
+
+
+def _sizes(entries: list) -> int:
+    """Monomials in a list of entries: counted in bulk where each is a
+    bare variable or None."""
+    if set(map(type, entries)) <= _BARE:
+        return len(entries) - entries.count(None)
+    return sum(map(_size, entries))
+
+
+def _by_columns(stream: Stream, inputs: Iterable[str], budget: int, like: Sequence = ()) -> list:
+    """``polynomials`` of a stream whose spec reads no running sum, a
+    block's formula columns at a time.  By ``lower``'s read rule every
+    read of the visits then names a copy, whose value is its cell's
+    variable; a cell of an array no spec formula writes, likewise; or a
+    cell that an assignment earlier at the same visit wrote, whose value
+    is that application's.  So no read sees another visit's write: each
+    formula's value column (``_values``) is made from its read columns
+    alone, and the block's writes are folded in stream order after."""
+    layout, size = stream.layout, stream.layout.size
+    held = _variables(layout, inputs)
+    # per id, whether its first read makes its variable live: a
+    # written array's cell is read only where the visit wrote it
+    fresh = bytearray(map(is_not, held, repeat(None)))
+    for f in stream.spec.formulas:
+        span = layout.cells(f.result.name)
+        fresh[span] = bytes(span.stop - span.start)
+    counted = min(stream.coefficients) >= 0  # so no sum cancels
+    mem: list = [None] * (2 * size)
+    read: set[int] = set()  # the fresh ids read
+    live = 0  # monomials in the written entries
+    for visits, apps in stream._blocks():
+        values: list[list] = []  # per formula, its value where it applies, else None
+        made = live
+        for app in apps:
+            values.append(_values(app, apps, values, held, fresh, read, stream.coefficients, budget))
+            made += _sizes(values[-1])
+            if made + len(read) > budget:
+                raise PastBudget
+        cells = _major([app.applied for app in apps])
+        if len(apps) == 1 and apps[0].code & 3 == ADD and counted and (
+            (cell := cells[0]) >= 0 and cells.count(cell) == len(cells)
+            and set(map(type, values[0])) == {int}
+        ):  # every visit adds a bare variable to one cell: count them into its dict
+            live -= _size(mem[cell])
+            mem[cell] = new = _added(mem[cell], cell, held, ())
+            Counter.update(new, values[0])
+            live += len(new)
+        else:  # in stream order: an assignment sets its cell, an accumulation adds
+            adds = _major([[app.code & 3 == ADD] * len(visits) for app in apps])
+            for cell, p, add in zip(cells, _major(values), adds):
+                if cell >= 0:
+                    live -= _size(mem[cell])
+                    mem[cell] = _added(mem[cell], cell, held, p) if add else (
+                        _shared(p, cell, like) if like else p
+                    )
+                    live += _size(mem[cell])
+        if live + len(read) > budget:  # an input cell's first addition adds its variable
+            raise PastBudget
+    for r in filter(size.__gt__, read):  # a cell, as the records leave it: its variable
+        mem[r] = r
+    _run(stream.epilogue_records(), mem, held, stream.coefficients, budget, like,
+         live + len(read))
+    return _finish(mem, like)
+
+
+def _values(app, apps, values, held, fresh, read, coefficients, budget) -> list:
+    """The value column of ``app``, one of ``apps``, whose earlier
+    formulas' value columns ``values`` holds: at each visit where it
+    applies, the entry of the polynomial its terms sum to; elsewhere
+    None.  Adds to ``read`` the ``fresh`` ids its records read."""
+    n = len(app.writes)
+    reads = iter(app.reads)
+    total = None  # per visit the sum so far, None for nothing
+    entries = True  # whether total holds entries, not dicts
+    for cid, count, _ in app.terms:
+        columns = list(islice(reads, count))
+        c = coefficients[cid]
+        if not c:
+            continue
+        operands = []
+        for column in columns:
+            operand = list(map(held.__getitem__, column))
+            for earlier, written in zip(apps, values):  # a cell written at this visit
+                hits = list(map(eq, column, earlier.applied))
+                if True in hits:  # -1 meets -1 only where neither holds anything
+                    operand = [w if h else o for o, h, w in zip(operand, hits, written)]
+            operands.append(operand)
+        if count == 1:
+            read.update(filter(fresh.__getitem__, columns[0]))
+            term = operands[0]
+            if c != 1:
+                term = [None if p is None else {m: c * k for m, k in _terms(p)} for p in term]
+                entries = False
+        elif count:
+            term = []
+            for v, ids in enumerate(zip(*columns)):
+                if -1 in ids:  # an operand off its array: the records keep coefficient 0
+                    term.append(None)
+                    continue
+                factors = []
+                for r, operand in zip(ids, operands):
+                    if (p := operand[v]) is None:
+                        term.append(None)
+                        break
+                    if fresh[r]:
+                        read.add(r)
+                    factors.append(p)
+                else:
+                    term.append(_product(c, factors, budget))
+            entries = False
+        else:
+            term = [[(), c]] * n
+        if total is None:
+            total = term
+        else:
+            total = list(map(_plus, total, term))
+            entries = False
+    if total is None:
+        total = [[]] * n
+    applied = app.applied
+    if entries and None not in total and -1 not in applied:
+        return total
+    return [
+        None if a < 0 else [] if p is None else _flat(p) if type(p) is dict else p
+        for p, a in zip(total, applied)
+    ]
+
+
+def _plus(p, q):
+    """The sum of two polynomials, either None for nothing."""
+    if q is None:
+        return p
+    if p is None:
+        return q
+    total = dict(_terms(p))
+    for m, k in _terms(q):
+        total[m] = total.get(m, 0) + k
+    return total
 
 
 class PastBudget(Exception):
@@ -173,8 +361,10 @@ def first_difference(
     variables = Layout(arrays)  # the shared numbering
     renames = _renaming(ours.layout, variables), _renaming(theirs.layout, variables)
     same = renames == (None, None)  # both number the shared cells alike
-    finals = zip(_finals(ours.layout, got, variables), _finals(theirs.layout, want, variables))
-    for v, (p, q) in enumerate(finals):
+    finals = _finals(ours.layout, got, variables), _finals(theirs.layout, want, variables)
+    if same and finals[0] == finals[1]:
+        return None
+    for v, (p, q) in enumerate(zip(*finals)):
         if same and p == q:
             continue
         p, q = _polynomial(p, renames[0]), _polynomial(q, renames[1])
@@ -198,14 +388,17 @@ def _renaming(layout: Layout, variables: Layout):
     return lambda v: v + next(shift for start, shift in shifts if start <= v)
 
 
-def _finals(layout: Layout, mem: list, variables: Layout) -> Iterator:
+def _finals(layout: Layout, mem: list, variables: Layout) -> list:
     """The ``polynomials`` entry of each variable's cell, in variable
     order, an unwritten cell as its own variable."""
+    finals = []
     for name in variables.offsets:
         span = layout.cells(name)
-        for cell in range(span.start, span.stop):
-            p = mem[cell]
-            yield cell if p is None else p
+        part = mem[span]
+        if None in part:
+            part = [cell if p is None else p for cell, p in zip(range(span.start, span.stop), part)]
+        finals += part
+    return finals
 
 
 def _polynomial(p, rename) -> dict:

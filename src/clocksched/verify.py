@@ -29,12 +29,12 @@ trace that visits each domain point once, the reference's facts are
 the fold's own writes replayed in reference order
 (``Dataflow.replay``); only another trace has its reference lowered
 and folded too.
-Equivalence is exact: it runs both streams' records, read from the
-columns a visit at a time, on polynomials over the input cells
-(``polynomial.polynomials``) and compares the final polynomial
-of every cell of the reference's arrays but its temporaries; a
-schedule that lacks an array the reference writes, or names one the
-reference never names, fails outright.  Past ``EXACT_BUDGET`` live
+Equivalence is exact: it builds both streams' final polynomials over
+the input cells (``polynomial.polynomials``, a block's formula columns
+at a time where no read sees a running sum, else a record at a time)
+and compares them on every cell of the reference's arrays but its
+temporaries; a schedule that lacks an array the reference writes, or
+names one the reference never names, fails outright.  Past ``EXACT_BUDGET`` live
 monomials it falls back to seeded random stores instead, run modulo
 the prime ``MODULUS``.
 ``verify_report`` runs them all, in that order, but does not run

@@ -898,6 +898,16 @@ def test_the_package_runs_as_a_module(capsys):
     assert done.stdout == capsys.readouterr().out
 
 
+def test_verify_of_the_accumulator_golden_prints_its_text(capsys):
+    """tests/golden/accumulator.json is the one golden document whose
+    equivalence runs exact: a rewrite, folded by formula columns, with
+    an epilogue walked record by record."""
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run(capsys, "verify", str(golden / "accumulator.json"))
+    assert code == 0
+    assert out == (golden / "accumulator_verify.txt").read_text()
+
+
 def test_emit_notation_flag(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"

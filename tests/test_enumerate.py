@@ -306,7 +306,8 @@ def test_sparse_slots_follow_the_clock_points(k, rate, scale, n):
 
 def _per_line_parse(text: str) -> tuple[int, list[int], list[int]]:
     """The per-line reader ``parse_edge_list`` was before it read in
-    bulk, kept to pin the bulk reader's answers and refusals."""
+    bulk, kept to pin the bulk reader's answers and refusals; an id is
+    ASCII digits, a minus sign before them refused as negative."""
     sources, targets, top = [], [], 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -315,12 +316,12 @@ def _per_line_parse(text: str) -> tuple[int, list[int], list[int]]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: vertex ids must be integers") from None
-        if u < 0 or v < 0:
+        unsigned = [part[1:] if part.startswith("-") else part for part in parts]
+        if not all(part.isascii() and part.isdigit() for part in unsigned):
+            raise ValueError(f"line {lineno}: vertex ids must be integers")
+        if unsigned != parts:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")
+        u, v = int(parts[0]), int(parts[1])
         top = max(top, u, v)
         sources.append(u)
         targets.append(v)
@@ -329,12 +330,13 @@ def _per_line_parse(text: str) -> tuple[int, list[int], list[int]]:
     return top + 1, sources, targets
 
 
-# ids int() reads (signs, leading zeros, an Arabic-Indic three, an
-# underscore), ones it refuses or reads as negative; and line breaks
-# that str.splitlines knows
-GOOD_IDS = ["0", "1", "2", "12", "+3", "007", "\u0663", "1_0"]
-BAD_IDS = ["x", "1.5", "-1", "-07", "0x1", "\u00b2"]
-SPACES = [" ", "  ", "\t", " \t "]
+# ids of ASCII digits, leading zeros included; ones refused, among them
+# what int() reads (signs, an Arabic-Indic three, an underscore) and a
+# minus sign; whitespace and line breaks that str.split and
+# str.splitlines know, some outside ASCII
+GOOD_IDS = ["0", "1", "2", "12", "007"]
+BAD_IDS = ["x", "1.5", "-1", "-07", "-0", "0x1", "\u00b2", "+3", "\u0663", "1_0", "\uff11"]
+SPACES = [" ", "  ", "\t", " \t ", "\xa0", "\x1f", "\u3000"]
 ENDS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x85", "\u2028"]
 
 
@@ -382,6 +384,10 @@ def test_bulk_edge_reader_words_the_first_bad_line():
         ("0 1\n0 x\n0 1 2\n", "line 2: vertex ids must be integers"),
         ("0 1\n2\n0 -1\n", "line 2: expected 'u v', got '2'"),
         ("0 1\r\n0 -1\n0 x\n", "line 2: vertex ids must be non-negative"),
+        ("0 1\n0 -0\n", "line 2: vertex ids must be non-negative"),
+        ("0 1\n0 1_0\n", "line 2: vertex ids must be integers"),
+        ("0 1\n1 2\n+3 1\n", "line 3: vertex ids must be integers"),
+        ("0 \u0663\n", "line 1: vertex ids must be integers"),
         ("# only\n\n  \t\n", "edge list is empty"),
         ("", "edge list is empty"),
     ):

@@ -12,7 +12,7 @@ from clocksched.formula import (
     ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, domain_points, infer_shapes, parse_spec,
 )
 from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, lower
-from clocksched.polynomial import PastBudget, polynomials
+from clocksched.polynomial import PastBudget, _by_records, polynomials
 
 import cases
 import oracles
@@ -151,6 +151,84 @@ def test_polynomials_multiply_out_and_drop_what_cancels():
     assert mem[e] == []
     with pytest.raises(PastBudget):
         polynomials(stream, ["a", "b"], 3)  # d holds 4 monomials
+
+
+def _texts(stream, entries) -> dict:
+    """Each ``polynomials`` entry held, by its cell's text, as
+    {monomial text: coefficient}."""
+    text = stream.layout.text
+    polynomial = {}
+    for cell, p in enumerate(entries):
+        if p is not None:
+            pairs = [(p, 1)] if type(p) is int else zip(p[::2], p[1::2])
+            polynomial[text(cell)] = {
+                (text(m) if type(m) is int else "*".join(map(text, m))) or "1": k for m, k in pairs
+            }
+    return polynomial
+
+
+_EPILOGUE = parse_spec("space I[1];\nt = s(0) + s(1)*a(0);\n").formulas
+
+
+@pytest.mark.parametrize(
+    "src, visits, inputs, want",
+    [
+        ("space I[3];\na(I) = 2*a(I+1);\n", [0, 1, 2], "a",  # a(3) is off: a SKIP at I=2
+         {"a(0)": {"a(1)": 2}, "a(1)": {"a(2)": 2}}),
+        ("space I[2];\nb(I) = c(I) + c(0);\n", [0, 1], "bc",  # c is never written
+         {"b(0)": {"c(0)": 2}, "b(1)": {"c(1)": 1, "c(0)": 1}, "c(0)": {"c(0)": 1},
+          "c(1)": {"c(1)": 1}}),
+        ("space I[2];\nt(I) = t(I) + a(I);\nb(I) = t(I+1) + a(I);\n", [0, 1], "ab",  # t is no input
+         {"a(0)": {"a(0)": 1}, "a(1)": {"a(1)": 1}, "b(0)": {"a(0)": 1}, "b(1)": {"a(1)": 1},
+          "t(0)": {"a(0)": 1}, "t(1)": {"a(1)": 1}}),
+        ("space I[1];\nt(I) = a(I) + 1;\nb(I) = 3*t(I) + a(I)*t(I);\n", [0], "ab",
+         {"a(0)": {"a(0)": 1}, "b(0)": {"a(0)": 4, "1": 3, "a(0)*a(0)": 1},
+          "t(0)": {"a(0)": 1, "1": 1}}),
+        ("space I[2];\nb(I) = d(I)*a(I+1) + c(I);\n", [0, 1], "abcd",  # d(1) is dropped, unread
+         {"a(1)": {"a(1)": 1}, "b(0)": {"a(1)*d(0)": 1, "c(0)": 1}, "b(1)": {"c(1)": 1},
+          "c(0)": {"c(0)": 1}, "c(1)": {"c(1)": 1}, "d(0)": {"d(0)": 1}}),
+        # at I=1, b applies nothing and c's read of b(2) is off its array
+        ("space I[2];\nb(I) = 2*a(I) + 7 when I=0;\nc(I) = b(I+1) + 5;\nd(I) = b(I);\n", [0, 1],
+         "abcd",
+         {"a(0)": {"a(0)": 1}, "b(0)": {"a(0)": 2, "1": 7}, "c(0)": {"b(1)": 1, "1": 5},
+          "c(1)": {"1": 5}, "d(0)": {"a(0)": 2, "1": 7}, "d(1)": {"b(1)": 1}}),
+        ("space I[2];\nb(I) = a(I+1);\nc(I) = b(I);\n", [0, 1], "abc",  # b(1) is a SKIP
+         {"a(1)": {"a(1)": 1}, "b(0)": {"a(1)": 1}, "c(0)": {"a(1)": 1}, "c(1)": {"b(1)": 1}}),
+        # a(1) is first overwritten at the last visit of the first block
+        ("space I[2];\na(I) = a(1) + b(I);\n", [0] * (BLOCK - 1) + [1, 0], "ab",
+         {"a(0)": {"a(1)": 1, "b(0)": 1}, "a(1)": {"a(1)": 1, "b(1)": 1},
+          "b(0)": {"b(0)": 1}, "b(1)": {"b(1)": 1}}),
+        ("space I[2];\ns(I) = a(I);\n", [0, 1], "as",  # and the epilogue
+         {"a(0)": {"a(0)": 1}, "a(1)": {"a(1)": 1}, "s(0)": {"a(0)": 1}, "s(1)": {"a(1)": 1},
+          "t()": {"a(0)": 1, "a(0)*a(1)": 1}}),
+    ],
+    ids=["copy", "unwritten-input", "temporary-at-zero", "same-visit-assignment",
+         "dropped-operand", "when-guard", "skip", "across-a-block", "epilogue"],
+)
+def test_the_column_fold_reads_each_kind_of_read_as_the_records_do(src, visits, inputs, want):
+    """Where no read sees a running sum, ``polynomials`` builds a block a
+    formula column at a time; each kind of read gives the entries the
+    walk of the records does, cells read but never written included."""
+    spec = parse_spec(src)
+    assert not spec.reads_running_sum()
+    stream = lower(spec, cases.points([(i,) for i in visits]), _EPILOGUE if "s" in inputs else ())
+    # a block's value columns count against the budget together
+    entries = polynomials(stream, inputs, 4 * BLOCK)
+    assert entries == _by_records(stream, inputs, 4 * BLOCK)
+    assert _texts(stream, entries) == want
+
+
+def test_the_column_fold_holds_a_blocks_value_columns_together():
+    """A block's value columns are all held until its writes are folded,
+    so the budget counts them together with the entries: here 512
+    values of two monomials each, and the variables a(1) and b(0).  The
+    walk of the records holds one value at a time."""
+    stream = lower(parse_spec("space I[2];\na(I) = a(1) + b(I);\n"), cases.points([(0,)] * BLOCK))
+    assert polynomials(stream, "ab", 2 * BLOCK + 2) == _by_records(stream, "ab", 4)
+    with pytest.raises(PastBudget):
+        polynomials(stream, "ab", 2 * BLOCK + 1)
+    with pytest.raises(PastBudget):
+        _by_records(stream, "ab", 3)
 
 
 def test_a_cell_overwritten_in_one_block_is_read_from_its_copy_in_the_next():

@@ -53,7 +53,7 @@ from clocksched.formula import (
 import clocksched.verify
 from clocksched import schedule
 from clocksched.lower import Layout, lower
-from clocksched.polynomial import polynomials
+from clocksched.polynomial import PastBudget, _by_records, polynomials
 from clocksched.schedule import (
     NO_PLAN,
     BuildError,
@@ -973,6 +973,33 @@ def test_polynomials_evaluate_to_what_the_stream_computes(tree, seed):
     stream.run(mem)
     assert [start[i] if p is None else evaluate(p, start)
             for i, p in enumerate(entries)] == mem[:stream.layout.size]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checked_trees(), rich_specs(), st.data())
+def test_the_column_fold_builds_what_the_records_do(tree, rich, data):
+    """Where no read sees a running sum, ``polynomials`` builds each
+    block a formula column at a time; every entry is the one the walk
+    of the records (``_by_records``) leaves, on the schedule's stream,
+    on its source's, and on a spec's with ``when`` guards, constant
+    terms and reads off their arrays, for any set of input arrays.  Past
+    a budget the walk keeps to, the fold raises too: it counts what a
+    block holds at once."""
+    spec = tree.source if tree.source is not None else tree.spec
+    streams = [enumerate_schedule(tree).stream, reference_stream(spec)]
+    if not check_legality(rich):
+        streams.append(lower(rich, domain_points(rich)))
+    for stream in streams:
+        if stream.spec.reads_running_sum():
+            continue
+        inputs = data.draw(st.sets(st.sampled_from(sorted(stream.layout.shapes))))
+        assert polynomials(stream, inputs, 1 << 20) == _by_records(stream, inputs, 1 << 20)
+        budget = data.draw(st.integers(0, 64))
+        with contextlib.suppress(PastBudget):
+            _by_records(stream, inputs, budget)
+            continue
+        with pytest.raises(PastBudget):
+            polynomials(stream, inputs, budget)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

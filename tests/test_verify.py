@@ -628,13 +628,16 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     for coverage and the dependence check, only the document's own tree
     is enumerated, and no stream runs on a store or walks its records.
     The reference is lowered only where a trace misses a point, or for
-    equivalence with a rewrite, which walks each side's records once.
-    `clocksched transform` plans the blocked stencil's snapshots from
-    the columns, walking no records either."""
+    equivalence with a rewrite, which builds each side's polynomials
+    once, from the columns: neither side reads a running sum, so no
+    record is walked but the epilogue's.  `clocksched transform` plans
+    the blocked stencil's snapshots from the columns, walking no records
+    either."""
     import clocksched.cli
     import clocksched.engine
     import clocksched.formula
     import clocksched.lower
+    import clocksched.polynomial
     import clocksched.schedule
     import clocksched.verify
 
@@ -689,12 +692,19 @@ def test_verify_lowers_each_trace_once(monkeypatch, capsys, tmp_path, tree):
     check_dependencies(missing)
     assert len(calls) == 2  # the trace, then the reference it does not cover
 
+    folded = []  # the stream of each polynomial build
+    real_polynomials = clocksched.polynomial.polynomials
+    monkeypatch.setattr(
+        clocksched.polynomial, "polynomials",
+        lambda stream, *a, **k: folded.append(stream) or real_polynomials(stream, *a, **k),
+    )
     rewrite = enumerate_schedule(cases.accumulator_tree())
     calls.clear()
     walked.clear()
     assert verify_report(rewrite, trials=2)["ok"]
     assert len(calls) == 2  # the trace, then equivalence's reference
-    assert len(walked) == 2 and rewrite.stream in walked  # once per side
+    assert len(folded) == 2 and rewrite.stream in folded  # once per side
+    assert walked == []
 
     spec = tmp_path / "stencil.spec"
     spec.write_text(cases.STENCIL)
