@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .clock import Clock, color_of, log2_exact
@@ -212,8 +212,22 @@ class SparseGraph:
 
 def parse_edge_list(text: str) -> SparseGraph:
     """One ``u v`` pair per line, each id ASCII digits; ``#`` starts a
-    comment; vertex 0 is the origin.  A list of ASCII text is read in
-    bulk, any other line by line."""
+    comment; vertex 0 is the origin.  The plain layout, every line
+    ``digits SPACE digits`` and a newline, is read by the C JSON decoder
+    in one call; other ASCII text is split in bulk, and any other text
+    read line by line, to the same columns and the same refusals."""
+    if text.isascii():
+        # deleting the digits leaves " \n" per line only in the plain layout
+        layout = text.encode().translate(None, b"0123456789")
+        if layout == b" \n" * (len(layout) // 2):
+            import json  # here, so `import clocksched` never loads it
+
+            try:  # the decoder refuses an empty id and a leading zero, which str.split reads
+                ids = json.loads("[" + text.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+            except ValueError:
+                ids = None
+            if ids:
+                return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
     lines, body = text.splitlines(), text
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -274,8 +288,14 @@ class SparseListing:
 def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> SparseListing:
     """List the vertices from 0 in first-discovery order, depth-first or
     ``bfs``, children ascending, in unit-clock slots, a unit per span.
-    The depth-first walk refuses an edge back onto its path, then a
-    vertex it does not reach, then an edge naming an id at or past the count."""
+
+    A tree, ``count - 1`` edges below the count with every vertex but 0
+    the head of one and 0 of none, is walked with no walk state: from 0
+    it can reach no vertex twice, and no cycle, which would need a
+    vertex with two in-edges, so it can only leave vertexes unreached.
+    Any other graph is walked depth-first with exit markers, which
+    refuses an edge back onto its path, then a vertex it does not
+    reach, then an edge naming an id at or past the count."""
     count = graph.count
     if min(graph.sources, default=0) < 0 or min(graph.targets, default=0) < 0:  # ~v marks exits
         raise ValueError("vertex ids must be non-negative")
@@ -285,7 +305,57 @@ def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> Spar
     for children in adj.values():
         children.sort(reverse=True)  # the stack pops the smallest first
 
-    # one int stack: a vertex's children lie above ~v, which finishes it
+    if not _is_tree(graph):
+        order = _checked_order(adj, count, bfs)
+    elif bfs:
+        order = [0]
+        for v in order:  # the list is the queue: the loop reads what it appends
+            if children := adj.get(v):
+                order += children[::-1]
+    else:
+        order, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            if children := adj.get(v):
+                stack += children
+    if len(order) < count:  # only a tree's walk gets here short
+        raise _unreached(count, set(order))
+
+    # slot s's tick sums the graduations of its set bits, outermost highest
+    ticks = [0]
+    for g in reversed(unit.graduations):
+        if len(ticks) >= len(order):
+            break
+        ticks += [t + g for t in ticks]
+    bits = log2_exact(unit.states)
+    slots = [(t, color_of(t // unit.unit_scale, bits)) for t in ticks[: len(order)]]
+    return SparseListing(order, slots, unit.span)
+
+
+def _is_tree(graph: SparseGraph) -> bool:
+    """Whether every vertex but 0 is the head of exactly one edge, and 0
+    of none, every id below the count."""
+    count, targets = graph.count, graph.targets
+    if len(targets) != count - 1 or max(graph.sources, default=0) >= count:
+        return False
+    if max(targets, default=0) >= count:
+        return False
+    heads = bytearray(count)
+    any(map(heads.__setitem__, targets, repeat(1)))
+    return not heads[0] and heads.count(1) == count - 1
+
+
+def _unreached(count: int, reached) -> ValueError:
+    first = next(v for v in range(count) if v not in reached)
+    return ValueError(
+        f"origin 0 does not reach {count - len(reached)} of {count} vertexes; the first is {first}"
+    )
+
+
+def _checked_order(adj: dict[int, list[int]], count: int, bfs: bool) -> list[int]:
+    """The walk of any graph: one int stack, where a vertex's children
+    lie above ``~v``, which finishes it."""
     order = [0]
     state = {0: 1}  # 1 = on the path, 2 = done
     stack = [~0, *adj.get(0, ())]
@@ -308,12 +378,8 @@ def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> Spar
         elif state[w] == 1:
             u = ~next(x for x in reversed(stack) if x < 0)
             raise ValueError(f"graph has a cycle through edge {u} -> {w}")
-    missing = count - len(state)
-    if missing > 0:
-        first = next(v for v in range(count) if v not in state)
-        raise ValueError(
-            f"origin 0 does not reach {missing} of {count} vertexes; the first is {first}"
-        )
+    if count > len(state):
+        raise _unreached(count, state)
     if past is None and not adj.keys() <= state.keys():  # a source past the count
         past = next((u, adj[u][-1]) for u in adj if u not in state)
     if past is not None:
@@ -330,13 +396,4 @@ def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> Spar
                 if w not in seen:
                     seen.add(w)
                     order.append(w)
-
-    # slot s's tick sums the graduations of its set bits, outermost highest
-    ticks = [0]
-    for g in reversed(unit.graduations):
-        if len(ticks) >= len(order):
-            break
-        ticks += [t + g for t in ticks]
-    bits = log2_exact(unit.states)
-    slots = [(t, color_of(t // unit.unit_scale, bits)) for t in ticks[: len(order)]]
-    return SparseListing(order, slots, unit.span)
+    return order

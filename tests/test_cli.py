@@ -958,6 +958,23 @@ def test_sparse_lists_the_golden_dag(capsys, flags, listing):
     assert out == (golden / listing).read_text()
 
 
+@pytest.mark.parametrize("flags, listing", [((), "tree_dfs.txt"), (("--bfs",), "tree_bfs.txt")])
+@pytest.mark.parametrize("layout", ["plain", "tabs"])
+def test_sparse_lists_the_golden_tree(tmp_path, capsys, flags, listing, layout):
+    """tests/golden/tree.edges is a shuffled 40-vertex tree in the plain
+    layout, which the JSON decoder reads and the walk with no walk state
+    lists; the same tree with tabs and a comment line goes through the
+    split reader to the same listings, which the parent-tracking walk wrote."""
+    golden = Path(__file__).parent / "golden"
+    edges = golden / "tree.edges"
+    if layout == "tabs":
+        edges = tmp_path / "tree.edges"
+        edges.write_text("# tab-separated\n" + (golden / "tree.edges").read_text().replace(" ", "\t"))
+    code, out, _ = run(capsys, "sparse", str(edges), "--unit", "2x2", *flags)
+    assert code == 0
+    assert out == (golden / listing).read_text()
+
+
 def test_sparse_makes_only_the_slots_it_fills(tmp_path, capsys):
     """A 64-wheel unit has 2**64 slots; three vertexes take the first
     three, whose ticks are the innermost graduations' sums."""

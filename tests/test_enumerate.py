@@ -234,14 +234,45 @@ def test_sparse_lists_a_shared_child_where_it_is_first_discovered():
 
 
 @st.composite
+def sparse_trees(draw, n: int):
+    """A tree as edges, each vertex's one parent an earlier vertex, ids
+    relabelled and edges shuffled, or bent into what the tree walk
+    refuses or leaves to the general walk: a vertex whose only in-edge
+    is a self-loop or comes out of its own subtree, so nothing reaches
+    it; a head at or past the count; vertex 0 as a head, which closes a
+    cycle; or a count too small for the ids."""
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    bend = draw(st.sampled_from(["tree", "tree", "orphan", "past", "origin", "short"]))
+    edges = list(zip(parents, range(1, n)))
+    if n > 1 and bend == "orphan":
+        v = draw(st.integers(1, n - 1))
+        subtree = {v}
+        for u, w in edges[v:]:  # the children of v + 1 onwards
+            if u in subtree:
+                subtree.add(w)
+        edges[v - 1] = (draw(st.sampled_from(sorted(subtree))), v)
+    if n > 1 and bend == "past":
+        v = draw(st.integers(1, n - 1))
+        edges[v - 1] = (edges[v - 1][0], draw(st.integers(n, n + 2)))
+    if n > 1 and bend == "origin":  # n - 1 is a leaf: only it goes unreached, behind the cycle
+        edges[-1] = (draw(st.integers(0, n - 2)), 0)
+    labels = [0, *draw(st.permutations(range(1, n)))]
+    edges = draw(st.permutations([(labels[u], labels[v] if v < n else v) for u, v in edges]))
+    count = draw(st.integers(1, n)) if bend == "short" else n
+    return count, [u for u, _ in edges], [v for _, v in edges]
+
+
+@st.composite
 def sparse_graphs(draw):
-    """A hand-built graph as columns: a DAG in which every later vertex
-    hangs off earlier ones, some of them shared, then bent into one of
-    the shapes the walk refuses: an edge back up, a vertex with no
-    parent, an edge into or out of an id at or past the count, or a
-    count too small for the ids."""
+    """A hand-built graph as columns: a tree (``sparse_trees``), or a DAG
+    in which every later vertex hangs off earlier ones, some of them
+    shared, then bent into one of the shapes the walk refuses: an edge
+    back up, a vertex with no parent, an edge into or out of an id at or
+    past the count, or a count too small for the ids."""
     n = draw(st.integers(1, 14))
-    shape = draw(st.sampled_from(["dag", "cycle", "unreached", "past", "source", "short"]))
+    shape = draw(st.sampled_from(["tree"] * 3 + ["dag", "cycle", "unreached", "past", "source", "short"]))
+    if shape == "tree":
+        return draw(sparse_trees(n))
     edges = []
     for v in range(1, n):
         least = 0 if shape == "unreached" else 1
@@ -342,8 +373,17 @@ ENDS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x85", "\u2028"]
 
 @st.composite
 def edge_texts(draw):
-    """Mostly good lines, some blank or commented, and now and then a
-    line with one, three or a refused token."""
+    """Half the time the plain layout the JSON decoder reads, every
+    line ``u v`` and a newline, now and then with the last newline cut
+    or an id the decoder refuses (a leading zero, or none); otherwise
+    mostly good lines, some blank or commented, and now and then a line
+    with one, three or a refused token."""
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.sampled_from(["0", "1", "2", "12", "345"]), max_size=14))
+        if ids and draw(st.integers(0, 3)) == 0:
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(["007", ""]))
+        text = "".join(f"{u} {v}\n" for u, v in zip(ids[0::2], ids[1::2]))
+        return text[:-1] if draw(st.integers(0, 3)) == 0 else text
     lines = []
     for _ in range(draw(st.integers(0, 7))):
         kind = draw(st.sampled_from(["pair"] * 6 + ["blank", "comment", "tokens", "bad"]))

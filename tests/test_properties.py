@@ -1026,6 +1026,50 @@ def test_exact_equivalence_fails_whatever_the_trials_fail(tree, bump, seed):
         assert exact.counterexample["got"] != exact.counterexample["want"]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rich_specs(), st.integers(0, 2**16))
+def test_polynomials_evaluate_to_what_a_guarded_stream_computes(rich, seed):
+    """As on a checked tree's stream, so on a legal ``rich_specs`` spec
+    lowered with no builder, whose ``when`` guards give its records
+    ``keep`` masks, and whose constant terms and reads off their arrays
+    the polynomials must carry."""
+    assume(not check_legality(rich))
+    stream = lower(rich, domain_points(rich))
+    rng = random.Random(seed)
+    mem = stream.memory({
+        name: [rng.randint(-9, 9) for _ in range(math.prod(shape))]
+        for name, shape in stream.layout.shapes.items()
+    })
+    start = list(mem)
+    entries = polynomials(stream, stream.layout.shapes, 1 << 20)
+    stream.run(mem)
+    assert [start[i] if p is None else evaluate(p, start)
+            for i, p in enumerate(entries)] == mem[:stream.layout.size]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rich_specs(), st.booleans(), st.integers(0, 2**16))
+def test_exact_equivalence_of_a_guarded_spec_fails_whatever_the_trials_fail(rich, bump, seed):
+    """As on a checked tree, so on the sequential schedule of a legal
+    ``rich_specs`` spec, with ``when`` guards, constant terms and reads
+    off their arrays, held to its reference or to one whose first term's
+    coefficient is one more."""
+    assume(not check_legality(rich))
+    tree, spec = sequential_schedule(rich), rich
+    if bump:
+        f = spec.formulas[0]
+        t = replace(f.terms[0], coefficient=f.terms[0].coefficient + 1)
+        spec = replace(spec, formulas=(replace(f, terms=(t,) + f.terms[1:]),) + spec.formulas[1:])
+    reference = reference_stream(spec)
+    exact = equivalent(tree, reference)
+    with mock.patch.object(clocksched.verify, "_exact", lambda *args: None):
+        trials = equivalent(tree, reference, trials=3, seed=seed)
+    assert exact.exact and not trials.exact
+    assert not exact.ok or trials.ok, (exact.summary(), trials.summary())
+    if not exact.ok:
+        assert exact.counterexample["got"] != exact.counterexample["want"]
+
+
 @pytest.mark.parametrize("copies", [2, 4, 8], ids=["below", "equal", "above"])
 def test_transpose_unfold_around_the_scratch_width(copies):
     src = "space I[8], J[8];\na(I,J) = a(J,I);\n"
