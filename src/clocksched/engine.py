@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .clock import Clock, color_of, log2_exact
@@ -214,34 +214,20 @@ def parse_edge_list(text: str) -> SparseGraph:
     """One ``u v`` pair per line, each id ASCII digits; ``#`` starts a
     comment; vertex 0 is the origin.  The plain layout, every line
     ``digits SPACE digits`` and a newline, is read by the C JSON decoder
-    in one call; other ASCII text is split in bulk, and any other text
-    read line by line, to the same columns and the same refusals."""
+    in one call; any other text is read line by line, to the same
+    columns and the same refusals."""
     if text.isascii():
         # deleting the digits leaves " \n" per line only in the plain layout
         layout = text.encode().translate(None, b"0123456789")
         if layout == b" \n" * (len(layout) // 2):
             import json  # here, so `import clocksched` never loads it
 
-            try:  # the decoder refuses an empty id and a leading zero, which str.split reads
+            try:  # an empty id or a leading zero: the per-line reader words or reads it
                 ids = json.loads("[" + text.replace(" ", ",").replace("\n", ",")[:-1] + "]")
             except ValueError:
                 ids = None
             if ids:
                 return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
-    lines, body = text.splitlines(), text
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-        body = "\n".join(lines)
-    # on ASCII text, a token int() reads is digits unless it holds a sign or an underscore
-    if body.isascii() and not ("+" in body or "-" in body or "_" in body):
-        try:
-            if set(map(len, map(str.split, lines))) <= {0, 2}:
-                # tokens die line by line: the parse never holds them all at once
-                ids = list(map(int, chain.from_iterable(map(str.split, lines))))
-                if ids:
-                    return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
-        except ValueError:  # a token that is no integer
-            pass
     sources, targets = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()

@@ -964,7 +964,7 @@ def test_sparse_lists_the_golden_tree(tmp_path, capsys, flags, listing, layout):
     """tests/golden/tree.edges is a shuffled 40-vertex tree in the plain
     layout, which the JSON decoder reads and the walk with no walk state
     lists; the same tree with tabs and a comment line goes through the
-    split reader to the same listings, which the parent-tracking walk wrote."""
+    per-line reader to the same listings, which the parent-tracking walk wrote."""
     golden = Path(__file__).parent / "golden"
     edges = golden / "tree.edges"
     if layout == "tabs":

@@ -264,15 +264,13 @@ def sparse_trees(draw, n: int):
 
 @st.composite
 def sparse_graphs(draw):
-    """A hand-built graph as columns: a tree (``sparse_trees``), or a DAG
-    in which every later vertex hangs off earlier ones, some of them
-    shared, then bent into one of the shapes the walk refuses: an edge
-    back up, a vertex with no parent, an edge into or out of an id at or
-    past the count, or a count too small for the ids."""
+    """A hand-built graph as columns: a DAG in which every later vertex
+    hangs off earlier ones, some of them shared, then bent into one of
+    the shapes the walk refuses: an edge back up, a vertex with no
+    parent, an edge into or out of an id at or past the count, or a
+    count too small for the ids."""
     n = draw(st.integers(1, 14))
-    shape = draw(st.sampled_from(["tree"] * 3 + ["dag", "cycle", "unreached", "past", "source", "short"]))
-    if shape == "tree":
-        return draw(sparse_trees(n))
+    shape = draw(st.sampled_from(["dag", "cycle", "unreached", "past", "source", "short"]))
     edges = []
     for v in range(1, n):
         least = 0 if shape == "unreached" else 1
@@ -297,6 +295,19 @@ def sparse_graphs(draw):
 def test_sparse_walk_matches_the_recursive_discovery_oracle(graph, bfs):
     """The stack walk lists what a recursive first-discovery walk lists,
     and refuses what it refuses in the same words."""
+    _holds_to_the_discovery_oracle(graph, bfs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 14).flatmap(sparse_trees), st.booleans())
+def test_tree_walk_matches_the_recursive_discovery_oracle(graph, bfs):
+    """The walk with no walk state lists a tree as the recursive walk
+    does; a bent tree it refuses in the same words, or leaves to the
+    general walk, which does."""
+    _holds_to_the_discovery_oracle(graph, bfs)
+
+
+def _holds_to_the_discovery_oracle(graph, bfs):
     count, sources, targets = graph
     try:
         want = oracles.discovery(sources, targets, count, bfs)
@@ -337,8 +348,9 @@ def test_sparse_slots_follow_the_clock_points(k, rate, scale, n):
 
 def _per_line_parse(text: str) -> tuple[int, list[int], list[int]]:
     """The per-line reader ``parse_edge_list`` was before it read in
-    bulk, kept to pin the bulk reader's answers and refusals; an id is
-    ASCII digits, a minus sign before them refused as negative."""
+    bulk, kept to pin its answers and refusals whichever reader gives
+    them; an id is ASCII digits, a minus sign before them refused as
+    negative."""
     sources, targets, top = [], [], 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -372,18 +384,21 @@ ENDS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
+def plain_texts(draw):
+    """The plain layout the JSON decoder reads, every line ``u v`` and a
+    newline, now and then with the last newline cut or an id the decoder
+    refuses (a leading zero, or none)."""
+    ids = draw(st.lists(st.sampled_from(["0", "1", "2", "12", "345"]), max_size=14))
+    if ids and draw(st.integers(0, 3)) == 0:
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(["007", ""]))
+    text = "".join(f"{u} {v}\n" for u, v in zip(ids[0::2], ids[1::2]))
+    return text[:-1] if draw(st.integers(0, 3)) == 0 else text
+
+
+@st.composite
 def edge_texts(draw):
-    """Half the time the plain layout the JSON decoder reads, every
-    line ``u v`` and a newline, now and then with the last newline cut
-    or an id the decoder refuses (a leading zero, or none); otherwise
-    mostly good lines, some blank or commented, and now and then a line
-    with one, three or a refused token."""
-    if draw(st.booleans()):
-        ids = draw(st.lists(st.sampled_from(["0", "1", "2", "12", "345"]), max_size=14))
-        if ids and draw(st.integers(0, 3)) == 0:
-            ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(["007", ""]))
-        text = "".join(f"{u} {v}\n" for u, v in zip(ids[0::2], ids[1::2]))
-        return text[:-1] if draw(st.integers(0, 3)) == 0 else text
+    """Mostly good lines, some blank or commented, and now and then a
+    line with one, three or a refused token."""
     lines = []
     for _ in range(draw(st.integers(0, 7))):
         kind = draw(st.sampled_from(["pair"] * 6 + ["blank", "comment", "tokens", "bad"]))
@@ -407,6 +422,18 @@ def edge_texts(draw):
 def test_bulk_edge_reader_matches_the_per_line_reader(text):
     """Same columns from a good list; from a bad one the same refusal,
     worded for the first bad line."""
+    _reads_as_the_per_line_reader(text)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(plain_texts())
+def test_plain_edge_list_reads_as_the_per_line_reader_reads(text):
+    """The JSON decoder's columns are the per-line reader's; a text it
+    refuses reads line by line to the same columns or refusal."""
+    _reads_as_the_per_line_reader(text)
+
+
+def _reads_as_the_per_line_reader(text):
     try:
         want = _per_line_parse(text)
     except ValueError as refused:
