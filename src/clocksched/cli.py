@@ -51,6 +51,16 @@ def _parse_clock(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if trials < 1:  # no trial would run, and equivalence would read ok
+        raise argparse.ArgumentTypeError(f"trials {text!r} is not a count of at least 1")
+    return trials
+
+
 def _parse_map(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
     for chunk in text.split(","):
@@ -112,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("schedule", help="schedule JSON file, or - for stdin")
-    p.add_argument("--trials", type=int, default=10,
+    p.add_argument("--trials", type=_parse_trials, default=10,
                    help="random stores, used only past the exact budget")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed of those stores, used only past the exact budget")
@@ -183,16 +193,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
-    graph = parse_edge_list(_read_text(args.edges))
-    listing = enumerate_sparse(graph, args.unit or make_clock(1), bfs=args.bfs)
-    lines, step = [""] * len(listing), len(listing.slots)
-    for slot, (tick, color) in enumerate(listing.slots):  # one template per slot
-        vertices = listing.vertices[slot::step]
-        times = range(tick, tick + len(vertices) * listing.span, listing.span)
-        line = f"vertex %s unit %s slot {slot} time %s color {color}".__mod__
-        lines[slot::step] = map(line, zip(vertices, range(len(vertices)), times))
-    lines.append(f"vertexes {len(listing)} units {listing[-1].unit_index + 1}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    # the graph goes with the walk, and a refused graph opens no file
+    listing = enumerate_sparse(
+        parse_edge_list(_read_text(args.edges)), args.unit or make_clock(1), bfs=args.bfs
+    )
+    if args.output is None or args.output == "-":
+        listing.write(sys.stdout)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            listing.write(handle)
     return 0
 
 

@@ -21,6 +21,8 @@ from .formula import Points, counter_columns, guard_mask
 from .schedule import Chain, EnumNode, FormGroup, ScheduleTree, nest_loops, recovery
 
 if TYPE_CHECKING:
+    from typing import TextIO
+
     from .formula import ComputationSpec
     from .lower import Stream
 
@@ -259,6 +261,8 @@ class SparseListing:
     fill: with ``n`` slots, vertex ``i`` takes slot ``i % n`` of unit
     ``i // n``, a ``span`` per unit later.  Indexing gives a ``SparseRecord``."""
 
+    BATCH_UNITS = 1024  # units of text ``write`` builds before writing them
+
     def __init__(self, vertices: list[int], slots: list[tuple[int, int]], span: int):
         self.vertices, self.slots, self.span = vertices, slots, span
 
@@ -269,6 +273,25 @@ class SparseListing:
         unit_index, slot = divmod(range(len(self))[i], len(self.slots))
         tick, color = self.slots[slot]
         return SparseRecord(self.vertices[i], unit_index, slot, unit_index * self.span + tick, color)
+
+    def write(self, out: TextIO) -> None:
+        """Write one line per record, ``vertex V unit U slot S time T
+        color C``, then ``vertexes N units M``, to ``out``, ``BATCH_UNITS``
+        whole units at a time, so the text held at once is one batch's."""
+        step, span = len(self.slots), self.span
+        templates = [f"vertex %s unit %s slot {slot} time %s color {color}".__mod__
+                     for slot, (_, color) in enumerate(self.slots)]
+        size = self.BATCH_UNITS * step
+        for start in range(0, len(self), size):
+            batch = self.vertices[start:start + size]
+            text, first = [""] * (len(batch) + 1), start // step  # "" ends the last line
+            for slot, (tick, _) in enumerate(self.slots):
+                vertices = batch[slot::step]
+                units = range(first, first + len(vertices))
+                times = range(first * span + tick, units.stop * span + tick, span)
+                text[slot:-1:step] = map(templates[slot], zip(vertices, units, times))
+            out.write("\n".join(text))
+        out.write(f"vertexes {len(self)} units {self[-1].unit_index + 1}\n")
 
 
 def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> SparseListing:

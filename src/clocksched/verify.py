@@ -471,6 +471,11 @@ def _exact(ours: Stream, theirs: Stream, shared) -> EquivalenceReport | None:
     )
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def equivalent(
     candidate: VisitTrace | ScheduleTree | Stream,
     reference: VisitTrace | ScheduleTree | Stream,
@@ -486,8 +491,10 @@ def equivalent(
     temporary, that the reference never names (``_compared_arrays``).  Past
     ``EXACT_BUDGET`` live monomials on either side, the check falls
     back to ``trials`` seeded random stores instead, both sides run and
-    compared modulo ``MODULUS``.  Either side may be given as a tree,
-    its trace, or a lowered stream."""
+    compared modulo ``MODULUS``; fewer than one trial is refused, since
+    it would pass a comparison that never ran.  Either side may be given
+    as a tree, its trace, or a lowered stream."""
+    _check_trials(trials)
     (ours, ours_write), (theirs, theirs_write) = _stream(candidate), _stream(reference)
     shared, problem = _compared_arrays(ours, ours_write, theirs, theirs_write)
     if problem is not None:
@@ -625,7 +632,9 @@ def verify_report(
 ) -> dict:
     """Every check on one schedule, JSON-ready: coverage, dependencies,
     equivalence with ``reference_stream`` of the tree's source, and the
-    profile.  ``lines`` is the text ``clocksched verify`` prints."""
+    profile.  ``lines`` is the text ``clocksched verify`` prints.
+    ``trials`` below 1 is refused, as ``equivalent`` refuses it."""
+    _check_trials(trials)
     tree = trace.tree
     if tree.spec is None:
         raise ValueError("a schedule without a spec has nothing to verify")

@@ -782,6 +782,20 @@ def test_verify_gives_a_verdict_past_the_exact_budget(tmp_path, capsys):
     assert lines[-1] == "verdict: FAIL"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
+    """Past the exact budget, no trial would print ok for a comparison
+    that never ran: the count is refused before anything is read."""
+    path = tmp_path / "squaring.json"
+    path.write_text(json.dumps(schedule_to_json(cases.squaring_tree())))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", str(path), "--trials", trials])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"trials {trials!r} is not a count of at least 1" in err
+
+
 def test_verify_refuses_an_illegal_source(tmp_path, capsys):
     """The reference is lowered from the document's source, which must
     still pass the legality check the builder runs."""
@@ -999,14 +1013,72 @@ def test_sparse_text_lists_each_record_of_the_listing(tmp_path, capsys, unit, n)
     edges.write_text("".join(f"{v // 3} {v}\n" for v in range(1, n)))
     code, out, _ = run(capsys, "sparse", str(edges), "--unit", unit)
     assert code == 0
-    graph = clocksched.parse_edge_list(edges.read_text())
     k, rate, *scale = map(int, unit.split("x"))
-    listing = clocksched.enumerate_sparse(graph, make_clock(k, rate, *scale))
+    assert out.splitlines() == record_lines(edges, make_clock(k, rate, *scale))
+
+
+def record_lines(edges, unit, bfs=False) -> list[str]:
+    """What the listing of ``edges`` says, a ``SparseRecord`` a line."""
+    graph = clocksched.parse_edge_list(edges.read_text())
+    listing = clocksched.enumerate_sparse(graph, unit, bfs=bfs)
     want = [
         f"vertex {r.vertex} unit {r.unit_index} slot {r.slot} time {r.time_value} color {r.color}"
         for r in listing
     ]
-    assert out.splitlines() == want + [f"vertexes {n} units {listing[-1].unit_index + 1}"]
+    return want + [f"vertexes {len(listing)} units {listing[-1].unit_index + 1}"]
+
+
+@pytest.mark.parametrize("flags", [(), ("--bfs",)])
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@pytest.mark.parametrize("ends", ["mid-unit", "on a batch boundary", "in the first batch"])
+def test_sparse_writes_the_listing_a_batch_of_units_at_a_time(
+    tmp_path, capsys, monkeypatch, flags, batch, ends
+):
+    """With ``batch`` units of four slots a batch, a listing that ends
+    part-way into a unit, exactly where a batch ends, or before the first
+    batch is full reads as the records say, to stdout and to a file."""
+    monkeypatch.setattr(clocksched.engine.SparseListing, "BATCH_UNITS", batch)
+    n = {"mid-unit": 8 * batch + 2, "on a batch boundary": 8 * batch, "in the first batch": 4 * batch - 1}[ends]
+    edges = tmp_path / "tree.edges"
+    edges.write_text("".join(f"{v // 3} {v}\n" for v in range(1, n)))  # 3-ary: DFS and BFS differ
+    code, out, _ = run(capsys, "sparse", str(edges), "--unit", "2x2", *flags)
+    assert code == 0
+    assert out.splitlines() == record_lines(edges, make_clock(2, 2), bfs=bool(flags))
+    listing = tmp_path / "listing.txt"
+    assert run(capsys, "sparse", str(edges), "--unit", "2x2", *flags, "-o", str(listing))[0] == 0
+    assert listing.read_bytes() == out.encode()
+
+
+def test_sparse_peaks_at_its_walk_not_its_text(tmp_path, capsys):
+    """On a tree twenty batches long, the command holds at its peak no
+    more than one batch's text past what parsing and walking hold, where
+    building the whole text would about double that peak."""
+    import random
+    import tracemalloc
+
+    rng = random.Random(26)
+    ids = list(range(1, 50_000))
+    rng.shuffle(ids)
+    ids.insert(0, 0)  # each vertex hangs off one listed before it
+    edges = tmp_path / "tree.edges"
+    edges.write_text("".join(f"{ids[rng.randrange(i)]} {v}\n" for i, v in enumerate(ids) if i))
+    listing = tmp_path / "listing.txt"
+    unit = make_clock(1)
+    assert main(["sparse", str(edges), "-o", str(listing)]) == 0  # imports what it uses first
+    text = edges.read_text()
+    tracemalloc.start()
+    try:
+        clocksched.enumerate_sparse(clocksched.parse_edge_list(text), unit)
+        walk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["sparse", str(edges), "-o", str(listing)]) == 0
+        command = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = listing.read_text().splitlines(keepends=True)
+    batch = clocksched.engine.SparseListing.BATCH_UNITS * unit.states  # lines
+    assert len(lines) > 20 * batch
+    assert command - walk <= len("".join(lines[:batch]))
 
 
 def test_sparse_cycle_exits_2(tmp_path, capsys):
@@ -1015,6 +1087,15 @@ def test_sparse_cycle_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "sparse", str(edges))
     assert code == 2
     assert "cycle" in err
+
+
+def test_sparse_refused_graph_leaves_no_file(tmp_path, capsys):
+    edges, listing = tmp_path / "c.edges", tmp_path / "listing.txt"
+    edges.write_text("0 1\n1 2\n2 1\n")
+    code, out, err = run(capsys, "sparse", str(edges), "-o", str(listing))
+    assert (code, out) == (2, "")
+    assert "cycle" in err
+    assert not listing.exists()
 
 
 def test_bad_clock_argument(capsys, spec_file):

@@ -449,6 +449,19 @@ def test_equivalence_rejects_mismatched_shapes():
         equivalent(a, b, trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_trial_is_refused(trials):
+    """No trial would run, so ok would stand for a comparison never made:
+    past the exact budget, where trials are run, and on an implied trace,
+    where none are."""
+    squaring = cases.squaring_tree()
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        equivalent(squaring, squaring, trials=trials)
+    for tree in squaring, cases.matmul_tree():
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify_report(enumerate_schedule(tree), trials=trials)
+
+
 def test_equivalence_seed_changes_the_stores():
     report = equivalent(
         cases.matmul_tree(), sequential_schedule(cases.MATMUL), trials=2,
