@@ -1049,8 +1049,8 @@ def test_sparse_writes_the_listing_a_batch_of_units_at_a_time(
     assert listing.read_bytes() == out.encode()
 
 
-def test_sparse_peaks_at_its_walk_not_its_text(tmp_path, capsys):
-    """On a tree twenty batches long, the command holds at its peak no
+def test_sparse_peaks_at_its_walk_not_its_text(tmp_path):
+    """On a tree over twenty batches long, the command holds at its peak no
     more than one batch's text past what parsing and walking hold, where
     building the whole text would about double that peak."""
     import random
