@@ -74,12 +74,6 @@ class Formula:
     def arrays_read(self) -> set[str]:
         return {a.name for t in self.terms for a in t.accesses}
 
-    @property
-    def reads_own_target(self) -> bool:
-        """An accumulation that reads its target's array: such a read may
-        see the target's running sum, which visit order can change."""
-        return self.op == "+=" and self.result.name in self.arrays_read()
-
 
 @dataclass(frozen=True)
 class LessThan:
@@ -117,19 +111,6 @@ class ComputationSpec:
 
     def index_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.indexes)
-
-    def reads_running_sum(self) -> bool:
-        """Whether a formula reads an array that an accumulation at or
-        before it writes, itself included (``Formula.reads_own_target``):
-        a read at the visit the accumulation adds to the cell sees the
-        running sum, which visit order can change."""
-        summed: set[str] = set()
-        for f in self.formulas:
-            if f.reads_own_target or summed & f.arrays_read():
-                return True
-            if f.op == "+=":
-                summed.add(f.result.name)
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +539,14 @@ class Points:
     points there are, which a space without indexes needs.  Reading a
     point builds its tuple; the checks read the columns."""
 
-    __slots__ = ("columns", "count", "_ranked")
+    __slots__ = ("columns", "count", "box", "_ranked")
 
     def __init__(self, columns: tuple[list[int], ...], count: int):
         self.columns = columns
         self.count = count
+        # points known to be their free indexes' whole box in row-major order
+        # (``domain_points``): the index sizes, and per bound position (source, block)
+        self.box: tuple | None = None
         self._ranked: tuple | None = None  # the last reference and sizes ``ranks`` took, and its ranks
 
     def __len__(self) -> int:
@@ -576,45 +560,32 @@ class Points:
     def __iter__(self):
         return zip(*self.columns) if self.columns else iter([()] * self.count)
 
-    def keys(self, sizes: tuple[int, ...]) -> list:
-        """One key per point: its row-major position in the box the index
-        ranges ``sizes`` span, an integer, or, for a point with a
-        coordinate outside its range, the point's tuple, which no integer
-        equals."""
-        columns = self.columns
-        keys = columns[0] if columns else [0] * self.count
-        for column, size in zip(columns[1:], sizes[1:]):
-            keys = [k * size + x for k, x in zip(keys, column)]
-        off = []
-        for column, size in zip(columns, sizes):
-            values = set(column)  # few: a range check of them is cheap
-            if values and (min(values) < 0 or max(values) >= size):
-                off.append((column, size))
-        if off:
-            keys = list(keys)
-            for column, size in off:
-                for v, x in enumerate(column):
-                    if not 0 <= x < size:
-                        keys[v] = self[v]
-        return keys
-
     def ranks(self, reference: Points, sizes: tuple[int, ...]) -> array:
-        """Each point's position in ``reference``, both keyed by ``keys``
-        over the index ranges ``sizes``; a point outside it gets a rank of
-        its own from -2 down, one per distinct point.  The ranks of the
-        last reference and sizes asked for are kept, so coverage and the
-        dependence check rank a trace once."""
+        """Each point's position in ``reference``; a point outside it gets
+        a rank of its own from -2 down, one per distinct point.  In a
+        reference that is a ``box`` over the index ranges ``sizes``, a
+        point's row-major key over the free indexes is its rank, where
+        every point is in range and keeps every bind; otherwise a dict
+        from each reference point to its position gives it.  The ranks of
+        the last reference and sizes asked for are kept, so coverage and
+        the dependence check rank a trace once."""
         ranked = self._ranked
         if ranked is not None and ranked[0] is reference and ranked[1] == sizes:
             return ranked[2]
-        index = dict(zip(reference.keys(sizes), range(len(reference))))
-        keys = self.keys(sizes)
-        ranks = array("q", map(index.get, keys, itertools.repeat(-1)))
-        if -1 in ranks:
+        columns, (box, binds) = self.columns, reference.box or ((), {})
+        free = [(c, n) for p, (c, n) in enumerate(zip(columns, sizes)) if p not in binds]
+        if box == sizes and all(not c or 0 <= min(c) and max(c) < n for c, n in free) and all(
+                columns[p] == [x // block for x in columns[q]] for p, (q, block) in binds.items()):
+            keys = free[0][0] if free else [0] * self.count
+            for column, n in free[1:]:
+                keys = [k * n + x for k, x in zip(keys, column)]
+            ranks = array("q", keys)
+        else:
+            index = dict(zip(reference, range(len(reference))))
+            ranks = array("q", map(index.get, self, itertools.repeat(-1)))
             outside: dict = {}
-            for v, k in enumerate(keys):
-                if ranks[v] == -1:
-                    ranks[v] = outside.setdefault(k, -2 - len(outside))
+            for v in [v for v, r in enumerate(ranks) if r == -1]:
+                ranks[v] = outside.setdefault(self[v], -2 - len(outside))
         self._ranked = reference, sizes, ranks
         return ranks
 
@@ -684,4 +655,7 @@ def domain_points(spec: ComputationSpec) -> Points:
         for b in ready:
             column[b.index] = [v // b.block for v in column[b.source]]
         pending = [b for b in pending if b.index not in column]
-    return Points(tuple(column[n] for n in names), count).kept(guard_mask(spec.domain, column))
+    points = Points(tuple(column[n] for n in names), count)
+    points.box = tuple(sizes.values()), {
+        names.index(b.index): (names.index(b.source), b.block) for b in binds.values()}
+    return points.kept(guard_mask(spec.domain, column))  # a guard's mask makes points with no box

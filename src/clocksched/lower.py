@@ -17,20 +17,22 @@ A term with an operand off its array adds nothing; it keeps its other
 reads under coefficient 0, so the checks still see every read the spec
 names.  A ``SKIP`` record writes nothing, and no read sees it.
 
-Reads follow one rule.  A spec formula's read of an array that some
-spec formula writes names the cell's copy, except an accumulation's
-read of its own target and a read of a cell that an earlier formula
-applied (wrote, not as a ``SKIP``) at the same visit.  Every other
-read names the cell, and so does every read of the epilogue, which
-runs after the pass.  A stream so computes what its visit order
-computes when every read of an overwritten cell is served the cell's
-pre-pass value, as a snapshot plan must (``Stream.copy_reads``).  So a
-read of a copy sees the pre-pass value in every order, and any other
-read nothing or a write earlier at its own visit, except an
-accumulation's read of its own target: ``Stream.dataflow`` keeps those
-reads, the cells' finals and the copy reads.  Where the ranks keying
-its writes are a permutation, ``Dataflow.replay`` replays them as the
-reference's, so a visit order and its reference need one stream.
+Reads follow one rule, so each read's kind is the spec's alone
+(``ReadTable``).  A spec formula's read of an array that some spec
+formula writes names the cell's copy, except an accumulation's read of
+its own target and a read of a cell that an earlier formula applied
+(wrote, not as a ``SKIP``) at the same visit.  Every other read names
+the cell, and so does every read of the epilogue, which runs after the
+pass.  A stream so computes what its visit order computes when every
+read of an overwritten cell is served the cell's pre-pass value, as a
+snapshot plan must (``Stream.copy_reads``, which scans only the reads
+the table lets name a copy).  So a read of a copy sees the pre-pass
+value in every order, and any other read nothing or a write earlier at
+its own visit, except an accumulation's read of its own target (the
+table's ``own``): ``Stream.dataflow`` keeps those reads, the cells'
+finals and the copy reads.  Where the ranks keying its writes are a
+permutation, ``Dataflow.replay`` replays them as the reference's, so a
+visit order and its reference need one stream.
 
 ``lower`` works ``BLOCK`` points at a time from points given as columns
 (``formula.Points``).  A subscript is an index plus a displacement, so
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from functools import cached_property
@@ -59,6 +62,40 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .formula import ArrayAccess, ComputationSpec, Formula, Points, infer_shapes
 
 ASSIGN, ADD, SKIP = 0, 1, 2
+COPY, LIVE, SUM = 1, 2, 4  # read kinds (``ReadTable``), or'ed together
+
+
+class ReadTable:
+    """A spec's reads as the read rule fixes them, from the spec alone:
+    per formula, per term, per access, its kind and ``live``, the
+    formulas at or before it whose target it names instead of the copy
+    where that is its cell at the same visit.  A read of an array no
+    spec formula writes is kind 0.  Any other may name a copy (``COPY``),
+    unless it is an accumulation's read of its own target cell; it may
+    name a cell written earlier at its visit (``LIVE``) where ``live`` is
+    not empty; and that cell may hold a running sum (``SUM``) where an
+    accumulation at or before it writes its array."""
+
+    def __init__(self, spec: ComputationSpec):
+        formulas, summed = spec.formulas, set()
+        written = {f.result.name for f in formulas}
+        self.rows: list[list[list[tuple[int, tuple[int, ...]]]]] = []
+        for i, f in enumerate(formulas):
+            summed |= {f.result.name} if f.op == "+=" else set()
+            self.rows.append([[
+                (COPY * (a.name in written and not (f.op == "+=" and a == f.result))
+                 | LIVE * bool(live) | SUM * (a.name in summed), live)
+                for a in t.accesses
+                for live in [tuple(j for j, g in enumerate(formulas[:i + 1])
+                                   if g.result.name == a.name and (j < i or f.op == "+="))]
+            ] for t in f.terms])
+        self.kinds = [[kind for t in row for kind, _ in t] for row in self.rows]  # in record order
+        every = set().union(*self.kinds)
+        self.copies = any(kind & COPY for kind in every)  # whether some read may name a copy
+        # whether some read may see a running sum, which visit order can change
+        self.running_sum = any(kind & SUM for kind in every)
+        # the accumulations that may read their own target
+        self.own = {i for i, row in enumerate(self.rows) if any(i in live for t in row for _, live in t)}
 
 
 class Layout:
@@ -117,8 +154,9 @@ class Stream:
     visits, the ``_Applications`` of each formula with a record there,
     and the epilogue's as one more block of one visit (``tail``)."""
 
-    def __init__(self, spec, points, layout, blocks, tail, coefficients):
+    def __init__(self, spec, points, layout, blocks, tail, coefficients, reads):
         self.spec: ComputationSpec = spec
+        self.reads: ReadTable = reads  # the spec's
         self.points: Points = points  # visit i's index point
         self.layout: Layout = layout
         self.blocks: list[list[_Applications]] = blocks  # block k holds visits k * BLOCK on
@@ -176,18 +214,24 @@ class Stream:
         Records run visit-major, so a block's columns taken a visit at a
         time (``_major``) are its records in order: dict merges give each
         cell's first overwrite (the last write in reverse) and each copy's
-        last read, one merge at a time, each dict freed before the next."""
+        last read, one merge at a time, each dict freed before the next.
+        Only the columns of reads the read table lets name a copy are
+        merged, and none where no read may."""
         size = self.layout.size
         flow = Dataflow(size, 4 * len(self.spec.formulas), self)
         first: dict[int, int] = {}
         for visits, apps in reversed(list(self._blocks())):
             cells = _major([app.applied for app in apps])
             first.update(zip(reversed(cells), reversed(_major([visits] * len(apps)))))
-        flow.first = array("q", map(first.get, range(size), repeat(-1)))
+        _fill(flow.first, first)
         del first
+        if not self.reads.copies:
+            return flow
+        kinds = self.reads.kinds
         last: dict[int, int] = {}  # per id read, the last visit reading it
         for visits, apps in self._blocks():
-            reads = [column for app in apps for column in app.reads]
+            reads = [column for app in apps
+                     for column, kind in zip(app.reads, kinds[app.code >> 2]) if kind & COPY]
             last.update(zip(_major(reads), _major([visits] * len(reads))))
         read = map(last.get, range(size, 2 * size), repeat(-1))
         flow.late = array("q", [v if -1 < f < v else -1 for f, v in zip(flow.first, read)])
@@ -209,11 +253,11 @@ class Stream:
         flow = self.copy_reads()
         stride = flow.stride
         # the codes of the accumulations that may read their own target as
-        # the cell at an earlier visit (``Formula.reads_own_target``)
-        selfish = {i << 2 | ADD for i, f in enumerate(self.spec.formulas) if f.reads_own_target}
+        # the cell at an earlier visit (``ReadTable.own``)
+        selfish = {i << 2 | ADD for i in self.reads.own}
         log = flow.log
         assigned: dict[int, int] = {}  # per cell, its last assignment's key
-        added: dict[int, list[int]] = {}  # per cell, the ADD keys since, if any
+        added: defaultdict[int, list[int]] = defaultdict(list)  # per cell, the ADD keys since, if any
         for visits, apps in self._blocks():
             bases = [r * stride for r in ranks[visits.start:visits.stop]]
             keys = [list(map(add, bases, repeat(app.code, len(bases)))) for app in apps]
@@ -235,8 +279,8 @@ class Stream:
                         added.pop(cell, None)
             else:
                 _writes(assigned, added, cells, _major(keys))
-        flow.assigned = array("q", map(assigned.get, range(len(flow.first)), repeat(-1)))
-        flow.added = list(map(added.get, range(len(flow.first))))
+        _fill(flow.assigned, assigned)
+        _fill(flow.added, added)
         return flow
 
     def _blocks(self) -> Iterator[tuple[range, list[_Applications]]]:
@@ -266,20 +310,26 @@ def _major(columns: list[Sequence[int]]) -> Sequence[int]:
     return list(chain.from_iterable(zip(*columns)))
 
 
-def _writes(assigned: dict, added: dict, cells: Iterable[int], keys: Iterable[int]) -> None:
+def _fill(column: array | list, by_cell: dict) -> None:
+    """Set ``column``'s entry per cell of a dict by cell; -1 is no cell."""
+    for cell, value in by_cell.items():
+        if cell >= 0:
+            column[cell] = value
+
+
+def _writes(assigned: dict, added: defaultdict, cells: Iterable[int], keys: Iterable[int]) -> None:
     """Note writes in order: per cell its last assignment's key and the
-    ``ADD`` keys since.  A cell of -1 is no write; a key's low two bits
-    are its kind, as the stride is a multiple of four."""
+    ``ADD`` keys since (a ``defaultdict(list)``).  A cell of -1 is no
+    write; a key's low two bits are its kind, as the stride is a
+    multiple of four."""
     for cell, key in zip(cells, keys):
         if cell < 0:
             continue
         if key & 3 == ASSIGN:
             assigned[cell] = key
             added.pop(cell, None)
-        elif (since := added.get(cell)) is None:
-            added[cell] = [key]
         else:
-            since.append(key)
+            added[cell].append(key)
 
 
 def _record(app: _Applications, j: int, visit: int, base: int, selfish: bool, flow: Dataflow,
@@ -356,29 +406,41 @@ class Dataflow:
         for a fold whose ranks are a permutation of ``range(visits)``.
 
         Lowering a point does not depend on visit order, so the reference
-        makes this fold's applications under the same keys, in key order.
-        Replaying the logged writes in that order gives each cell's last
-        assignment (its largest ``ASSIGN`` key) and the ``ADD`` keys
-        since, sorted, or None; an own read sees its target's last
-        assignment before its key, or for a ``SKIP`` the last ``ADD``
-        since.  Copy reads are not replayed: ``first``, ``early`` and
-        ``late`` stay -1."""
+        makes this fold's applications under the same keys, in key order:
+        each cell's last assignment is its largest ``ASSIGN`` key, the
+        ``ADD`` keys since follow sorted, and an own read sees its target's
+        last assignment before its key, or for a ``SKIP`` the last ``ADD``
+        since.  Without accumulations that is one dict merge of the logged
+        writes in key order; else a cell with only ``ADD``s and no own read
+        takes this fold's keys, sorted, and only other cells are replayed.
+        Copy reads are not: ``first``, ``early`` and ``late`` stay -1."""
         log, size = self.log, len(self.added)
         flow = Dataflow(size, self.stride)
-        assigned: dict[int, int] = {}  # as in ``Stream.dataflow``
-        added: dict[int, list[int]] = {}
-        keys, done = sorted(log), 0  # the keys replayed so far
-        for _, key, cell, reads, _ in sorted(self.own, key=itemgetter(1)):
-            upto = bisect_left(keys, key, done)  # reads come before their own record's write
-            _writes(assigned, added, map(log.get, keys[done:upto]), keys[done:upto])
-            seen, done = assigned.get(cell, -1), upto
-            if key & 3 == SKIP and cell in added:
-                seen = added[cell][-1]
-            flow.own.append((key // self.stride, key, cell, reads, seen))
-        _writes(assigned, added, map(log.get, keys[done:]), keys[done:])
-        flow.assigned = array("q", map(assigned.get, range(size), repeat(-1)))
-        flow.added = list(map(added.get, range(size)))
         flow.writes = len(log)
+        if not any(f.op == "+=" for f in self.stream.spec.formulas):
+            keys = sorted(log)
+            _fill(flow.assigned, dict(zip(map(log.get, keys), keys)))
+            return flow
+        walked = {cell for _, _, cell, _, _ in self.own}
+        if max(self.assigned, default=-1) >= 0:
+            walked.update(compress(range(size), map((-1).__ne__, self.assigned)))
+        if walked:
+            keys = sorted(k for k, c in log.items() if c in walked)
+            assigned: dict[int, int] = {}  # as in ``Stream.dataflow``
+            added: defaultdict[int, list[int]] = defaultdict(list)
+            done = 0  # the keys replayed so far
+            for _, key, cell, reads, _ in sorted(self.own, key=itemgetter(1)):
+                upto = bisect_left(keys, key, done)  # reads come before their own record's write
+                _writes(assigned, added, map(log.get, keys[done:upto]), keys[done:upto])
+                seen, done = assigned.get(cell, -1), upto
+                if key & 3 == SKIP and cell in added:
+                    seen = added[cell][-1]
+                flow.own.append((key // self.stride, key, cell, reads, seen))
+            _writes(assigned, added, map(log.get, keys[done:]), keys[done:])
+            _fill(flow.assigned, assigned)
+            _fill(flow.added, added)
+        for c in set(compress(range(size), self.added)).difference(walked):
+            flow.added[c] = sorted(self.added[c])
         return flow
 
 
@@ -392,26 +454,21 @@ def lower(
     layout = Layout(infer_shapes(replace(spec, formulas=spec.formulas + epilogue)))
     coefficient_ids = {0: 0}
 
-    def compiled(formulas: tuple[Formula, ...], names: tuple[str, ...], copied: set[str]):
+    def compiled(formulas: tuple[Formula, ...], names: tuple[str, ...], table: ReadTable | None):
         """Per formula its ``when`` positions, whether it accumulates, its
-        target, and per term its coefficient id, its reads (of a
-        ``copied`` array, the copy), and per read the formulas whose
-        target it names instead of the copy where that is its cell: the
-        earlier ones where they applied, and its own if it accumulates."""
+        target, and per term its coefficient id, its reads (of a written
+        array, by the ``table``, the copy; every read without one), and
+        per read its ``live``: the earlier formulas' targets where they
+        applied, and its own if it accumulates."""
         rows = []
         for i, f in enumerate(formulas):
             terms = []
-            for t in f.terms:
-                accesses, live = [], []
-                for a in t.accesses:
-                    copy = a.name in copied
-                    accesses.append(_compile(a, names, layout, layout.size if copy else 0))
-                    live.append(tuple(
-                        j for j, g in enumerate(formulas[:i + 1])
-                        if copy and g.result.name == a.name and (j < i or f.op == "+=")
-                    ))
+            plain = [[(0, ())] * len(t.accesses) for t in f.terms]
+            for t, reads in zip(f.terms, table.rows[i] if table else plain):
+                accesses = [_compile(a, names, layout, layout.size if kind else 0)
+                            for a, (kind, _) in zip(t.accesses, reads)]
                 cid = coefficient_ids.setdefault(t.coefficient, len(coefficient_ids))
-                terms.append((cid, accesses, live))
+                terms.append((cid, accesses, [live for _, live in reads]))
             rows.append((
                 tuple((names.index(n), v) for n, v in f.when),
                 f.op == "+=",
@@ -420,15 +477,16 @@ def lower(
             ))
         return rows
 
-    body = compiled(spec.formulas, spec.index_names(), {f.result.name for f in spec.formulas})
+    table = ReadTable(spec)
+    body = compiled(spec.formulas, spec.index_names(), table)
     blocks = []
     for start in range(0, len(points), BLOCK):
         n = min(BLOCK, len(points) - start)
         coords = [c[start:start + BLOCK] for c in points.columns]
         blocks.append(_block(body, 0, coords, n, layout.size))
-    tail = _block(compiled(epilogue, (), set()), len(body), [], 1, layout.size) if epilogue else None
+    tail = _block(compiled(epilogue, (), None), len(body), [], 1, layout.size) if epilogue else None
     coefficients = sorted(coefficient_ids, key=coefficient_ids.__getitem__)
-    return Stream(spec, points, layout, blocks, tail, coefficients)
+    return Stream(spec, points, layout, blocks, tail, coefficients, table)
 
 
 BLOCK = 512  # points lowered together: every column is at most this long

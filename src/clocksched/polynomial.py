@@ -86,7 +86,7 @@ def polynomials(stream: Stream, inputs: Iterable[str], budget: int, like: Sequen
     entries' and the block's value columns' together, counted as each
     column is made; otherwise the records are walked one at a time
     (``_by_records``), and they are the entries', counted at each write."""
-    if stream.spec.reads_running_sum():
+    if stream.reads.running_sum:
         return _by_records(stream, inputs, budget, like)
     return _by_columns(stream, inputs, budget, like)
 

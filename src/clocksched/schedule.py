@@ -405,7 +405,8 @@ def mapping_from_order(
     """One loop per index, outermost first, each index at full extent
     and each loop below the first starting at the one above it.
 
-    The product of the extents must fill the clock's state set exactly.
+    The order names every free index, and the product of the extents
+    must fill the clock's state set exactly.
     """
     sizes = dict(spec.index_sizes())
     names = list(order) if order is not None else _free_names(spec)
@@ -418,6 +419,9 @@ def mapping_from_order(
     for name in names:
         if name in bound:
             raise BuildError(f"index {name} is derived by a block bind")
+    for name in _free_names(spec):
+        if name not in names:
+            raise BuildError(f"order leaves out index {name}")
     total = 1
     for name in names:
         if not is_power_of_two(sizes[name]):
@@ -829,16 +833,12 @@ def allocate_temporaries(
     banked from its first overwrite until its last such read.  Slots
     are shared by cells not live at once.  A spec with temp arrays keeps
     its scratch there and banks nothing.  ``visit_order`` returns the
-    visit order's stream; by the read rule (``lower``) only a term's
-    access of a written array can read a copy, unless an accumulation
-    reads its own target, so it is not called where no other such
-    access exists.
+    visit order's stream; it is not called where no read may name a
+    copy (``lower.ReadTable``).
     """
-    written = {f.result.name for f in spec.formulas}
-    if spec.temp_arrays or visit_order is None or not any(
-        a.name in written and not (f.op == "+=" and a == f.result)
-        for f in spec.formulas for t in f.terms for a in t.accesses
-    ):
+    from .lower import ReadTable
+
+    if spec.temp_arrays or visit_order is None or not ReadTable(spec).copies:
         return NO_PLAN
     stream = visit_order()
     flow = stream.copy_reads()

@@ -7,28 +7,30 @@ sees the value an earlier formula at the same point wrote, or its
 accumulator's running value, and otherwise the pre-pass value.
 Coverage and the dependence check read one rank per visit, its
 point's position among the domain points (``Points.ranks``, made once
-per trace): both point sets, index columns, are keyed by row-major
-position in the index box, or by tuple outside it, and a visit of no
-domain point ranks below zero.  Coverage reads the points missed,
-repeated and outside off the ranks.  The other checks read the
-trace's one lowered access stream (``VisitTrace.stream``, built by
-``lower.py`` on first use): integer cell ids and formula
-applications in visit order, held as columns a block of visits at a
-time, where a read that wants a cell's pre-pass value names the cell's
-untouched copy.  The snapshot plan is the certificate that the emitted
-schedule can serve those reads.  The dependency check folds the
-stream's columns once (``Stream.dataflow``): it holds the plan to the
-stream's copy reads,
-and compares what each read sees (the cell's last write, an
-accumulation's own cell its last assignment, a copy or unwritten cell
-the pre-pass value) and each cell's finals with the reference's; a
-read or final that differs fails.  By the read rule only an
-accumulation's read of its own target can see a write of another
-visit, so those reads and the finals are all the fold keeps.  On a
-trace that visits each domain point once, the reference's facts are
-the fold's own writes replayed in reference order
-(``Dataflow.replay``); only another trace has its reference lowered
-and folded too.
+per trace, a visit of no domain point below zero): where the domain is
+its free indexes' whole box, a visit's row-major key there; else the
+domain points' position by key.  Coverage reads the points missed,
+repeated and outside off the ranks.  The other checks read the trace's
+one lowered access stream (``VisitTrace.stream``, built by ``lower.py``
+on first use): integer cell ids and formula applications in visit
+order, held as columns a block of visits at a time, where a read that
+wants a cell's pre-pass value names the cell's untouched copy.  The
+snapshot plan is the certificate that the emitted schedule can serve
+those reads.  The spec's read table (``lower.ReadTable``) says which
+reads may name a copy, see a write of their visit or a running sum.
+The dependency check folds the stream's columns once
+(``Stream.dataflow``): it holds the plan to the stream's copy reads,
+looked for only where the table lets a read name a copy, and compares
+what each read sees (the cell's last write, an accumulation's own cell
+its last assignment, a copy or unwritten cell the pre-pass value) and
+each cell's finals with the reference's; a read or final that differs
+fails.  By the read rule only an accumulation's read of its own target
+can see a write of another visit, so those reads and the finals are
+all the fold keeps.  On a trace that visits each domain point once, the
+reference's facts are the fold's own writes replayed in reference
+order (``Dataflow.replay``), a cell that takes only ``ADD``s and no own
+read its fold's keys sorted; only another trace has its reference
+lowered and folded too.
 Equivalence is exact: it builds both streams' final polynomials over
 the input cells (``polynomial.polynomials``, a block's formula columns
 at a time where no read sees a running sum, else a record at a time)
@@ -39,11 +41,10 @@ monomials it falls back to seeded random stores instead, run modulo
 the prime ``MODULUS``.
 ``verify_report`` runs them all, in that order, but does not run
 equivalence where coverage and dependencies already imply it: on an
-own trace (the reference's padded spec, no epilogue) whose spec has no
-formula reading an array that an accumulation at or before it writes
-(``ComputationSpec.reads_running_sum``).  There, by the read rule,
-every read names a copy (the pre-pass value, which the plan check holds
-the schedule to), an input cell, or a cell an assignment earlier in the
+own trace (the reference's padded spec, no epilogue) where the table
+has no read of a running sum.  There, by the read rule, every read
+names a copy (the pre-pass value, which the plan check holds the
+schedule to), an input cell, or a cell an assignment earlier in the
 same visit wrote.  Each point is visited once, so by induction every
 application computes the reference's polynomial, and equal last
 assignments and contribution sets give every cell the reference's
@@ -244,7 +245,8 @@ def _plan_violations(trace: VisitTrace, flow: Dataflow) -> list[tuple[int, str]]
     banked = [layout.offsets[name] + p for name, column in plan.banked for p in column]
     slot_of = dict(zip(banked, plan.slots))
     # ``early`` is looked for only where the plan leaves such a cell out
-    unbanked = [c for c, v in enumerate(late) if v >= 0 and c not in slot_of]
+    read = itertools.compress(range(len(late)), map((-1).__lt__, late))
+    unbanked = [c for c in read if c not in slot_of]
     early = flow.early if unbanked else ()
     found = [
         (early[c], f"{layout.text(c)} overwritten before its pre-pass read at point {points[early[c]]}")
@@ -288,14 +290,9 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
 
     The trace's stream is folded once (``Stream.dataflow``), an
     application keyed by its point's position in the reference and its
-    code.  Where the trace visits each domain point once, the reference
-    makes the same applications in key order, so its facts are a replay
-    of the fold's writes (``Dataflow.replay``); otherwise the reference
-    is lowered and folded too.  By the read rule a read at a point of
-    the reference sees the same as the reference's read there, unless it
-    is an accumulation's read of its own target; a read at a point
-    outside the reference wants nothing, so it fails wherever it sees a
-    write.
+    code; the module docstring says what the fold keeps and how the
+    reference's facts are found.  A read at a point outside the
+    reference wants nothing, so it fails wherever it sees a write.
     """
     from .lower import ADD, lower
 
@@ -643,7 +640,7 @@ def verify_report(
     coverage = check_coverage(trace, points)
     dependencies = check_dependencies(trace, points)
     own = trace.spec == spec and not tree.epilogue
-    if own and coverage.ok and dependencies.ok and not spec.reads_running_sum():
+    if own and coverage.ok and dependencies.ok and not trace.stream.reads.running_sum:
         # exact equivalence would hold: the module docstring says why; the
         # trace runs the reference's spec on its cell layout
         cells = sum(

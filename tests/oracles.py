@@ -688,10 +688,41 @@ def dependency_report(stream, reference, plan, temps):
     return tuple(violations), commutes, writes
 
 
+def reads_own_target(formula) -> bool:
+    """An accumulation that reads its target's array: such a read may
+    see the target's running sum, which visit order can change."""
+    arrays = {a.name for t in formula.terms for a in t.accesses}
+    return formula.op == "+=" and formula.result.name in arrays
+
+
+def reads_running_sum(spec) -> bool:
+    """Whether a formula reads an array that an accumulation at or
+    before it writes, itself included (``reads_own_target``): a read at
+    the visit the accumulation adds to the cell sees the running sum,
+    which visit order can change."""
+    summed: set[str] = set()
+    for f in spec.formulas:
+        if reads_own_target(f) or summed & {a.name for t in f.terms for a in t.accesses}:
+            return True
+        if f.op == "+=":
+            summed.add(f.result.name)
+    return False
+
+
+def ranks(points, reference):
+    """Each point's position in ``reference``, both iterables of index
+    tuples, by a dict from every reference point to its position; a
+    point outside it gets a rank of its own from -2 down, one per
+    distinct point, in order of first appearance."""
+    index = {p: i for i, p in enumerate(reference)}
+    outside: dict = {}
+    return [index[p] if p in index else outside.setdefault(p, -2 - len(outside)) for p in points]
+
+
 def flat_dataflow(stream, ranks):
     """What visit order can change in a lowered stream (read by
     attribute: ``records()``, ``points``, ``tail``, ``layout.size``,
-    ``spec.formulas`` with their ``reads_own_target``), gathered in one
+    ``spec.formulas``, each read by ``reads_own_target``), gathered in one
     walk of its ``flat_records``, an integer at a time: a namespace of
     the fields ``Stream.dataflow`` returns, ``first``, ``early``,
     ``late``, ``assigned``, ``added``, ``own``, ``stray``, ``writes``
@@ -716,7 +747,7 @@ def flat_dataflow(stream, ranks):
     stride = 4 * len(formulas)
     selfish = bytearray(stride)
     for i, f in enumerate(formulas):
-        if f.reads_own_target:
+        if reads_own_target(f):
             selfish[i << 2 | 1] = selfish[i << 2 | 2] = 1
     first = array("q", [-1]) * size
     early, late, assigned = array("q", first), array("q", first), array("q", first)

@@ -78,6 +78,18 @@ def test_a_cycle_of_block_binds_is_refused_by_parse_and_transform(capsys, tmp_pa
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("clock", [["--clock", "2x2"], []], ids=["filled-clock", "default-clock"])
+def test_transform_refuses_an_order_that_leaves_out_an_index(capsys, tmp_path, clock):
+    """No document is written whose loops recover no value for ``J``,
+    which ``verify`` and ``emit`` would then refuse."""
+    spec = tmp_path / "o.spec"
+    spec.write_text("space I[4], J[4];\na(I,J) += b(I,J);\n")
+    out_path = tmp_path / "schedule.json"
+    code, out, err = run(capsys, "transform", str(spec), *clock, "--order", "I", "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: order leaves out index J\n")
+    assert not out_path.exists()
+
+
 def test_parse_syntax_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("space I[2]\n")
@@ -920,6 +932,16 @@ def test_verify_of_the_accumulator_golden_prints_its_text(capsys):
     code, out, _ = run(capsys, "verify", str(golden / "accumulator.json"))
     assert code == 0
     assert out == (golden / "accumulator_verify.txt").read_text()
+
+
+@pytest.mark.parametrize("doc", ["matmul_form", "stencil"])
+def test_verify_of_an_implied_golden_prints_its_text(capsys, doc):
+    """Own traces whose equivalence follows from coverage and
+    dependencies: the text pins the read table's shortcuts."""
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run(capsys, "verify", str(golden / f"{doc}.json"))
+    assert code == 0
+    assert out == (golden / f"{doc}_verify.txt").read_text()
 
 
 def test_emit_notation_flag(tmp_path, capsys):

@@ -210,7 +210,7 @@ def test_the_column_fold_reads_each_kind_of_read_as_the_records_do(src, visits, 
     formula column at a time; each kind of read gives the entries the
     walk of the records does, cells read but never written included."""
     spec = parse_spec(src)
-    assert not spec.reads_running_sum()
+    assert not oracles.reads_running_sum(spec)
     stream = lower(spec, cases.points([(i,) for i in visits]), _EPILOGUE if "s" in inputs else ())
     # a block's value columns count against the budget together
     entries = polynomials(stream, inputs, 4 * BLOCK)

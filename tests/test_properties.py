@@ -42,6 +42,7 @@ from clocksched.formula import (
     Formula,
     IndexDecl,
     LessThan,
+    Points,
     Term,
     check_legality,
     domain_points,
@@ -52,7 +53,7 @@ from clocksched.formula import (
 )
 import clocksched.verify
 from clocksched import schedule
-from clocksched.lower import Layout, lower
+from clocksched.lower import COPY, Layout, lower
 from clocksched.polynomial import PastBudget, _by_records, polynomials
 from clocksched.schedule import (
     NO_PLAN,
@@ -791,6 +792,64 @@ def test_copy_reads_match_the_flat_walk(tree):
     assert (got.first, got.early, got.late) == (want.first, want.early, want.late)
 
 
+def assert_the_read_table_bounds_the_reads(stream) -> None:
+    """A read the table rules out as a copy names no copy in any block
+    column, a spec with no read that may gets no copy read at all, and
+    the table's running sums and own reads are the spec's."""
+    table, size, formulas = stream.reads, stream.layout.size, stream.spec.formulas
+    for apps in stream.blocks:
+        for app in apps:
+            for column, kind in zip(app.reads, table.kinds[app.code >> 2]):
+                assert kind & COPY or max(column, default=-1) < size
+    if not table.copies:
+        walked = oracles.flat_dataflow(stream, range(len(stream.points)))
+        assert set(stream.copy_reads().late) <= {-1} and set(walked.late) <= {-1}
+    assert table.running_sum == oracles.reads_running_sum(stream.spec)
+    assert table.own == {i for i, f in enumerate(formulas) if oracles.reads_own_target(f)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rich_specs())
+def test_the_read_table_bounds_the_reads_of_rich_specs(spec):
+    assume(not check_legality(spec))
+    assert_the_read_table_bounds_the_reads(lower(spec, domain_points(spec)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(checked_traces())
+def test_the_read_table_bounds_the_reads_of_checked_traces(trace):
+    assert_the_read_table_bounds_the_reads(trace.stream)
+
+
+@st.composite
+def ranked_points(draw):
+    """A ``domain_specs`` spec, its domain points, and points drawn from
+    them with repeats, some with a coordinate moved anywhere from one
+    below its range to one past it, a bound one included."""
+    spec = draw(domain_specs())
+    domain, sizes = domain_points(spec), tuple(spec.index_sizes().values())
+    points = []
+    for _ in range(draw(st.integers(0, 12))):
+        point = list(draw(st.sampled_from(list(domain) or [(0,) * len(sizes)])))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(point) - 1))
+            point[k] = draw(st.integers(-1, sizes[k]))
+        points.append(tuple(point))
+    return spec, domain, sizes, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ranked_points())
+def test_ranks_are_positions_in_the_domain(case):
+    """``Points.ranks`` gives what a dict from domain point to position
+    gives, through a box's keys or not: a point outside, out of range or
+    breaking a bind, ranks below zero, one rank per distinct point."""
+    spec, domain, sizes, points = case
+    columns = tuple(map(list, zip(*points))) if points else tuple([] for _ in sizes)
+    got = Points(columns, len(points)).ranks(domain, sizes)
+    assert list(got) == oracles.ranks(points, domain)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(checked_traces())
 def test_implied_equivalence_agrees_with_the_exact_check(trace):
@@ -803,7 +862,7 @@ def test_implied_equivalence_agrees_with_the_exact_check(trace):
     spec = pad_and_guard(legal_spec(tree.source if tree.source is not None else tree.spec))
     own = trace.spec == spec and not tree.epilogue
     checked = report["coverage"]["ok"] and not report["violations"]
-    assert report["equivalence"]["implied"] == (own and checked and not spec.reads_running_sum())
+    assert report["equivalence"]["implied"] == (own and checked and not oracles.reads_running_sum(spec))
     if own:
         assert report["equivalence"]["ok"] == equivalent(trace, reference_stream(spec), trials=2).ok
 
@@ -1000,7 +1059,7 @@ def test_the_column_fold_builds_what_the_records_do(tree, rich, data):
     if not check_legality(rich):
         streams.append(lower(rich, domain_points(rich)))
     for stream in streams:
-        if stream.spec.reads_running_sum():
+        if oracles.reads_running_sum(stream.spec):
             continue
         inputs = data.draw(st.sets(st.sampled_from(sorted(stream.layout.shapes))))
         assert polynomials(stream, inputs, 1 << 20) == _by_records(stream, inputs, 1 << 20)

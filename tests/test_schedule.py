@@ -135,6 +135,14 @@ def test_convolutions_refuse_unfolded_tree():
         apply_convolutions(tree, 1)
 
 
+@pytest.mark.parametrize("clock", [make_clock(2, 2), None], ids=["filled-clock", "default-clock"])
+def test_an_order_that_leaves_out_a_free_index_is_refused(clock):
+    """Every free index needs a loop: an order without one would build a
+    tree that recovers no value for it, whatever the clock."""
+    with pytest.raises(BuildError, match="^order leaves out index J$"):
+        build_schedule("space I[4], J[4];\na(I,J) += b(I,J);\n", clock=clock, order=["I"])
+
+
 def test_composed_skeleton_chain():
     loops = cases.composed_6clock().roots[0]
     assert [l.index for l in loops] == ["TG", "TGXN", "TGYN", "T", "TXN", "TYN"]

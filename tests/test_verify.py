@@ -16,7 +16,7 @@ from clocksched.cli import main
 from clocksched.clock import make_clock
 from clocksched.emit import schedule_from_json, schedule_to_json
 from clocksched.engine import enumerate_schedule
-from clocksched.formula import ComputationSpec, infer_shapes, parse_spec, print_spec
+from clocksched.formula import infer_shapes, parse_spec, print_spec
 from clocksched.schedule import NO_PLAN, build_schedule, sequential_schedule
 from clocksched.verify import (
     DEFAULT_SEED,
@@ -257,6 +257,18 @@ def test_a_visit_outside_the_domain_fails_every_read_that_sees_a_write():
         "final value of e(3) does not come from its last write",
     )
     assert report.events == 20
+
+
+def test_a_covered_add_only_trace_with_reordered_sums_commutes():
+    """Every cell takes only ``ADD``s and no read sees a running sum, so
+    the reference's keys are the trace's, sorted; reversed, the sums are
+    gathered in another order, which the line still notes."""
+    trace = enumerate_schedule(sequential_schedule("space I[2], K[4];\na(I) += b(I,K);\n"))
+    reversed_trace = oracles.edited_trace(trace, trace.records[::-1])
+    assert check_dependencies(trace).summary() == "dependencies: ok (8 writes checked)"
+    assert check_dependencies(reversed_trace).summary() == (
+        "dependencies: ok (8 writes checked) (reordered sums commute)"
+    )
 
 
 def test_an_accumulation_reading_its_target_before_its_assignment_reads_too_early():
@@ -850,17 +862,18 @@ OWN_AND_PASSING = {"mnpq_tree", "matmul_tree", "matmul_form_tree", "stencil_tree
 @pytest.mark.parametrize("doubled", [False, True], ids=["as-built", "step-doubled"])
 @pytest.mark.parametrize("name", list(DOCUMENTS))
 def test_implied_equivalence_moves_only_the_wording(monkeypatch, name, doubled):
-    """Against the exact check, run by making every spec read a running
-    sum, implied equivalence keeps the verdict and every other line; an
-    own trace that passes coverage and dependencies reads the implied
-    equivalence line with the exact check's cell count."""
+    """Against the exact check, run by making the trace's read table
+    say a read sees a running sum, implied equivalence keeps the verdict
+    and every other line; an own trace that passes coverage and
+    dependencies reads the implied equivalence line with the exact
+    check's cell count."""
     made = DOCUMENTS[name]
     doc = json.loads(made.read_text()) if isinstance(made, Path) else schedule_to_json(made())
     if doubled:
         doc = _step_doubled(doc)
     trace = enumerate_schedule(schedule_from_json(doc))
     got = verify_report(trace, trials=2)
-    monkeypatch.setattr(ComputationSpec, "reads_running_sum", lambda self: True)
+    monkeypatch.setattr(trace.stream.reads, "running_sum", True)
     want = verify_report(trace, trials=2)
     implied = got["equivalence"].pop("implied")
     assert implied == (name in OWN_AND_PASSING and not doubled)
