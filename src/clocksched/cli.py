@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .clock import make_clock
@@ -179,15 +180,29 @@ def _cmd_emit(args) -> int:
     return 0
 
 
+def _enumerate(tree):
+    """``enumerate_schedule``; a tree whose visits do not fit in memory,
+    which fails its first allocation, is refused by their count."""
+    try:
+        return enumerate_schedule(tree)
+    except MemoryError:
+        from .schedule import nest_loops
+
+        visits = sum(math.prod(l.count for l in nest_loops(chain)) for chain in tree.roots)
+        raise ValueError(f"the schedule's loops count {visits} visits, too many to hold in memory") from None
+
+
 def _cmd_verify(args) -> int:
-    trace = enumerate_schedule(_load_tree(args.schedule))
-    report = verify_report(trace, trials=args.trials, seed=args.seed)
+    tree = _load_tree(args.schedule)
+    if tree.spec is None:  # refused before its loops are enumerated
+        raise ValueError("a schedule without a spec has nothing to verify")
+    report = verify_report(_enumerate(tree), trials=args.trials, seed=args.seed)
     print("\n".join(report["lines"]))
     return 0 if report["ok"] else 1
 
 
 def _cmd_analyze(args) -> int:
-    profile = analyze(enumerate_schedule(_load_tree(args.schedule)))
+    profile = analyze(_enumerate(_load_tree(args.schedule)))
     _write_text(args.output, json.dumps(profile.to_json(), indent=2) + "\n")
     return 0
 

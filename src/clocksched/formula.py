@@ -600,17 +600,22 @@ def counter_columns(counts: Sequence[int]) -> list[list[int]]:
     """Per digit of a mixed-radix counter over ``counts``, outermost
     first, its value at every count in turn, the innermost digit turning
     fastest: each value repeated as often as the digits inside it count
-    together, and that run repeated as often as the digits outside it."""
+    together, and that run repeated as often as the digits outside it.
+    Each run is allocated at its full length before any value is set,
+    so a count too large for memory fails at once."""
     total = 1
     for count in counts:
         total *= count
     columns, outer = [], 1
     for count in counts:
         inner = total // (outer * count) if total else 0
-        run: list[int] = []
-        for v in range(count):
-            run += [v] * inner
-        columns.append(run * outer)
+        if inner == 1:
+            run = list(range(count))
+        else:
+            run = [0] * (inner * count)
+            for v in range(1, count):
+                run[v * inner:(v + 1) * inner] = [v] * inner
+        columns.append(run * outer if outer > 1 else run)
         outer *= count
     return columns
 

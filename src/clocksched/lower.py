@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from functools import cached_property
@@ -59,7 +59,7 @@ from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .formula import ArrayAccess, ComputationSpec, Formula, Points, infer_shapes
+from .formula import ArrayAccess, BlockBind, ComputationSpec, Formula, Points, infer_shapes
 
 ASSIGN, ADD, SKIP = 0, 1, 2
 COPY, LIVE, SUM = 1, 2, 4  # read kinds (``ReadTable``), or'ed together
@@ -74,11 +74,24 @@ class ReadTable:
     unless it is an accumulation's read of its own target cell; it may
     name a cell written earlier at its visit (``LIVE``) where ``live`` is
     not empty; and that cell may hold a running sum (``SUM``) where an
-    accumulation at or before it writes its array."""
+    accumulation at or before it writes its array.
+
+    One fact is the writes': ``single_assignment``, whether each point
+    writes its own cells.  It holds where every written array has one
+    formula, an assignment whose target names every free index (a bound
+    index or a displacement may be there too): two points never write
+    one cell, so a visit order that visits each point once writes each
+    cell at most once."""
 
     def __init__(self, spec: ComputationSpec):
         formulas, summed = spec.formulas, set()
-        written = {f.result.name for f in formulas}
+        written = Counter(f.result.name for f in formulas)
+        free = set(spec.index_names()).difference(
+            g.index for g in spec.domain if isinstance(g, BlockBind))
+        self.single_assignment = all(
+            f.op == "=" and written[f.result.name] == 1 and free <= {a.index for a in f.result.args}
+            for f in formulas
+        )
         self.rows: list[list[list[tuple[int, tuple[int, ...]]]]] = []
         for i, f in enumerate(formulas):
             summed |= {f.result.name} if f.op == "+=" else set()
@@ -203,7 +216,8 @@ class Stream:
             mem[write] = total if modulus is None else total % modulus
 
     def copy_reads(self) -> Dataflow:
-        """The copy reads, which no ranks change: per cell, three visits,
+        """The copy reads, which no ranks change, and the count of
+        applications that write (``writes``): per cell, three visits,
         -1 where there is none, its first overwrite (a write that is not a
         SKIP, ``first``), and the first and the last later visit at which
         a read names its copy (``early``, found on first use, and
@@ -221,6 +235,7 @@ class Stream:
         flow = Dataflow(size, 4 * len(self.spec.formulas), self)
         first: dict[int, int] = {}
         for visits, apps in reversed(list(self._blocks())):
+            flow.writes += sum(len(visits) - app.applied.count(-1) for app in apps)
             cells = _major([app.applied for app in apps])
             first.update(zip(reversed(cells), reversed(_major([visits] * len(apps)))))
         _fill(flow.first, first)
@@ -249,22 +264,27 @@ class Stream:
         below zero must be -2 or lower, and at a visit of such a rank every
         read that sees a write is listed.  Each cell's last assignment is
         a dict merge; only the ``ADD`` keys, an accumulation reading its
-        own target and a visit of negative rank are taken one by one."""
+        own target and a visit of negative rank are taken one by one.  The
+        writes are logged by key (``Dataflow.log``) only where the replay
+        walks them: where some formula assigns or an accumulation reads
+        its own target."""
         flow = self.copy_reads()
         stride = flow.stride
         # the codes of the accumulations that may read their own target as
         # the cell at an earlier visit (``ReadTable.own``)
         selfish = {i << 2 | ADD for i in self.reads.own}
+        if not selfish and {f.op for f in self.spec.formulas} == {"+="}:
+            flow.log = None
         log = flow.log
         assigned: dict[int, int] = {}  # per cell, its last assignment's key
         added: defaultdict[int, list[int]] = defaultdict(list)  # per cell, the ADD keys since, if any
         for visits, apps in self._blocks():
             bases = [r * stride for r in ranks[visits.start:visits.stop]]
             keys = [list(map(add, bases, repeat(app.code, len(bases)))) for app in apps]
-            for app, column in zip(apps, keys):
-                flow.writes += len(bases) - app.applied.count(-1)
-                pairs = zip(column, app.applied)
-                log.update(compress(pairs, map((-1).__ne__, app.applied)) if -1 in app.applied else pairs)
+            if log is not None:
+                for app, column in zip(apps, keys):
+                    pairs = zip(column, app.applied)
+                    log.update(compress(pairs, map((-1).__ne__, app.applied)) if -1 in app.applied else pairs)
             cells = _major([app.applied for app in apps])
             if min(bases) < 0 or selfish.intersection(app.code for app in apps):
                 for j, base in enumerate(bases):
@@ -361,7 +381,7 @@ def _record(app: _Applications, j: int, visit: int, base: int, selfish: bool, fl
 
 class Dataflow:
     """What ``Stream.copy_reads`` and ``Stream.dataflow`` gather; the
-    first fills only ``first`` and ``late``.  A write is named by its
+    first fills only ``first``, ``late`` and ``writes``.  A write is named by its
     application's key, -1 by none; a key at a visit of negative rank is
     below -4."""
 
@@ -381,7 +401,8 @@ class Dataflow:
         # sees a write at a visit of negative rank, in stream order
         self.stray: list[tuple[int, int, bool]] = []
         self.writes = 0  # applications that write a cell
-        self.log: dict[int, int] = {}  # per application that writes, key -> cell
+        # per application that writes, key -> cell; None where not kept
+        self.log: dict[int, int] | None = {}
 
     @cached_property
     def early(self) -> array:
@@ -412,11 +433,12 @@ class Dataflow:
         last assignment before its key, or for a ``SKIP`` the last ``ADD``
         since.  Without accumulations that is one dict merge of the logged
         writes in key order; else a cell with only ``ADD``s and no own read
-        takes this fold's keys, sorted, and only other cells are replayed.
+        takes this fold's keys, sorted, and only other cells are replayed,
+        from the log (which a fold without them does not keep).
         Copy reads are not: ``first``, ``early`` and ``late`` stay -1."""
         log, size = self.log, len(self.added)
         flow = Dataflow(size, self.stride)
-        flow.writes = len(log)
+        flow.writes = self.writes
         if not any(f.op == "+=" for f in self.stream.spec.formulas):
             keys = sorted(log)
             _fill(flow.assigned, dict(zip(map(log.get, keys), keys)))

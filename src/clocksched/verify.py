@@ -30,7 +30,14 @@ all the fold keeps.  On a trace that visits each domain point once, the
 reference's facts are the fold's own writes replayed in reference
 order (``Dataflow.replay``), a cell that takes only ``ADD``s and no own
 read its fold's keys sorted; only another trace has its reference
-lowered and folded too.
+lowered and folded too.  Where, besides, each point writes its own
+cells (``ReadTable.single_assignment``: every written array has one
+formula, an assignment whose target names every free index), the check
+is the plan check alone, with no fold: the trace, like the reference,
+writes each cell at most once, so each cell's final is its one write on
+both sides, and no read is an accumulation's.  That is single-assignment
+form, which has no output dependences, so only the copy reads the plan
+serves can break it.
 Equivalence is exact: it builds both streams' final polynomials over
 the input cells (``polynomial.polynomials``, a block's formula columns
 at a time where no read sees a running sum, else a record at a time)
@@ -292,7 +299,12 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
     application keyed by its point's position in the reference and its
     code; the module docstring says what the fold keeps and how the
     reference's facts are found.  A read at a point outside the
-    reference wants nothing, so it fails wherever it sees a write.
+    reference wants nothing, so it fails wherever it sees a write.  On a
+    trace that visits each domain point once, of a spec where each
+    point writes its own cells (``ReadTable.single_assignment``), only
+    the plan check runs, over the stream's copy reads
+    (``Stream.copy_reads``): no cell takes two writes, here or in the
+    reference, so no final or read can differ.
     """
     from .lower import ADD, lower
 
@@ -300,9 +312,17 @@ def check_dependencies(trace: VisitTrace, points: Points | None = None) -> Depen
     spec = trace.spec
     points = domain_points(spec) if points is None else points
     ranks = stream.points.ranks(points, tuple(spec.index_sizes().values()))
+    each_once = _each_once(ranks, len(points))
+    if each_once and stream.reads.single_assignment:
+        # no cell takes two writes, here as in the reference: only the plan can fail
+        flow = stream.copy_reads()
+        found = sorted(_plan_violations(trace, flow), key=lambda item: item[0])
+        violations = tuple(text for _, text in found)
+        return DependencyReport(ok=not violations, violations=violations, commutes=False,
+                                events=flow.writes)
     got = stream.dataflow(ranks)
     found = _plan_violations(trace, got)
-    if _each_once(ranks, len(points)):
+    if each_once:
         want = got.replay()
     else:
         want = lower(spec, points, trace.tree.epilogue).dataflow(range(len(points)))
@@ -554,26 +574,20 @@ def _packed(key: list[int] | None, column: list[int], radix: int) -> list[int] |
     return [k * radix + x for k, x in zip(key, column)]
 
 
-def analyze(trace: VisitTrace) -> ParallelismProfile:
-    """Width per convolution level, color histogram with its exact
-    measure, and a locality score counting unit-distance transitions.
+def _widths_and_colors(trace: VisitTrace) -> tuple[tuple[int, ...], dict[int, int]]:
+    """``analyze``'s widths and color histogram, all of the profile that
+    ``verify_report`` prints.
 
     Visits sharing a copy and an outer time prefix form one parallel
     set; the width at level L is the largest set when the innermost L
     offsets are ignored.  A visit's color is the 2-adic color of its
     time value in clock units over the clock's log2(states) bits;
     without a clock, the unit is 1 and the bits are those of the
-    largest time value.  Locality compares the coordinates two visits
-    both have.
-
-    A prefix is one integer key per visit: the copy, then each offset
-    in mixed radix over its column's range r.  The coordinates make one
-    key in radix 2r - 1, so two keys differ by one coordinate's unit
-    exactly at distance 1 (balanced mixed radix is unique).
-    """
+    largest time value.  A prefix is one integer key per visit: the
+    copy, then each offset in mixed radix over its column's range."""
     total = len(trace.times)
     if not total:
-        return ParallelismProfile(widths=(1,))
+        return (1,), {}
     shapes, copies = trace.shapes, trace.copies
     depth = max(shapes[c][0] for c in set(copies))
     key, keys = _packed(None, copies, max(copies) - min(copies) + 1), []
@@ -593,7 +607,22 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
         bits, unit = max(max(times).bit_length(), 1), 1
     if unit != 1:
         times = [t // unit for t in times]
-    colors = color_histogram(times, bits)
+    return tuple(widths), color_histogram(times, bits)
+
+
+def analyze(trace: VisitTrace) -> ParallelismProfile:
+    """Width per convolution level, color histogram with its exact
+    measure (``_widths_and_colors``), and a locality score counting
+    unit-distance transitions.  Locality compares the coordinates two
+    visits both have: per coordinate column of range r they make one
+    key in radix 2r - 1, so two keys differ by one coordinate's unit
+    exactly at distance 1 (balanced mixed radix is unique).
+    """
+    widths, colors = _widths_and_colors(trace)
+    total = len(trace.times)
+    if not total:
+        return ParallelismProfile(widths=widths)
+    shapes, copies = trace.shapes, trace.copies
     measure = {c: Fraction(n, total) for c, n in colors.items()}
     key, units = None, set()
     for column in trace.points.columns:
@@ -616,7 +645,7 @@ def analyze(trace: VisitTrace) -> ParallelismProfile:
                 sum(abs(x - y) for x, y in zip(p, q)) == 1
             )
     return ParallelismProfile(
-        widths=tuple(widths),
+        widths=widths,
         colors=colors,
         measure=measure,
         locality=locality,
@@ -629,7 +658,8 @@ def verify_report(
 ) -> dict:
     """Every check on one schedule, JSON-ready: coverage, dependencies,
     equivalence with ``reference_stream`` of the tree's source, and the
-    profile.  ``lines`` is the text ``clocksched verify`` prints.
+    profile's widths and colors; only ``analyze`` gives its measure and
+    locality.  ``lines`` is the text ``clocksched verify`` prints.
     ``trials`` below 1 is refused, as ``equivalent`` refuses it."""
     _check_trials(trials)
     tree = trace.tree
@@ -650,7 +680,7 @@ def verify_report(
         eq = EquivalenceReport(ok=True, trials=0, exact=True, cells=cells, implied=True)
     else:
         eq = equivalent(trace, reference_stream(spec), trials=trials, seed=seed)
-    profile = analyze(trace)
+    widths, colors = _widths_and_colors(trace)
     ok = coverage.ok and dependencies.ok and eq.ok
     checked = dependencies.summary()
     if dependencies.ok and not own:
@@ -660,7 +690,8 @@ def verify_report(
         "coverage": {"ok": coverage.ok, "expected": coverage.expected, "visited": coverage.visited},
         "violations": list(dependencies.violations),
         "commutes": dependencies.commutes,
-        **profile.to_json(),
+        "widths": list(widths),
+        "colors": {str(c): n for c, n in sorted(colors.items())},
         "ok": ok,
         "equivalence": {
             "ok": eq.ok, "exact": eq.exact, "trials": eq.trials, "counterexample": eq.counterexample,
@@ -670,8 +701,8 @@ def verify_report(
             coverage.summary(),
             checked,
             eq.summary(),
-            f"widths: {list(profile.widths)}",
-            f"colors: {dict(sorted(profile.colors.items()))}",
+            f"widths: {list(widths)}",
+            f"colors: {dict(sorted(colors.items()))}",
             "verdict: " + ("pass" if ok else "FAIL"),
         ],
     }

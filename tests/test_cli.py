@@ -944,6 +944,86 @@ def test_verify_of_an_implied_golden_prints_its_text(capsys, doc):
     assert out == (golden / f"{doc}_verify.txt").read_text()
 
 
+@pytest.mark.parametrize("doc", ["matmul_form", "stencil", "accumulator"])
+def test_analyze_of_a_golden_prints_its_profile(capsys, doc):
+    """Only ``analyze`` gives the measure and the locality, so its whole
+    output is pinned on three goldens: a form-group matmul, the blocked
+    stencil and the accumulator's unfold."""
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run(capsys, "analyze", str(golden / f"{doc}.json"))
+    assert code == 0
+    assert out == (golden / f"{doc}_analyze.json").read_text()
+
+
+# Address space for a child that meets an absurd extent: it must fail
+# its first large allocation, never take the machine's memory.
+ADDRESS_SPACE = 1 << 30
+
+
+def _under_address_limit(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a child Python whose address space is capped at
+    ``ADDRESS_SPACE``, with this checkout's sources on its path."""
+    setup = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(clocksched.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-c", setup + code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _absurd_extent(tmp_path, doc: str) -> Path:
+    """The golden document with one loop's extent set to 2**40: matmul's
+    outermost ``K`` loop, or the skeleton's innermost loop."""
+    data = json.loads((Path(__file__).parent / "golden" / f"{doc}.json").read_text())
+    loop = data["roots"][0]
+    if doc == "skeleton_convolved":
+        while loop["body"][0]["kind"] == "loop":
+            loop = loop["body"][0]
+    loop["extent"] = 1 << 40
+    path = tmp_path / f"{doc}_absurd.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("doc", ["matmul_form", "skeleton_convolved"])
+def test_an_absurd_extent_exits_2_with_a_message(tmp_path, command, doc):
+    """Enumeration runs out of memory at once, and the command refuses
+    the document with its count of visits, or a tree without a spec
+    before it is enumerated; never a traceback."""
+    done = _under_address_limit(
+        "from clocksched.cli import main; sys.exit(main(sys.argv[1:]))",
+        command, str(_absurd_extent(tmp_path, doc)),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    if command == "verify" and doc == "skeleton_convolved":
+        assert done.stderr == "error: a schedule without a spec has nothing to verify\n"
+    else:
+        visits = {"matmul_form": 1 << 40, "skeleton_convolved": 1 << 42}[doc]
+        assert done.stderr == (
+            f"error: the schedule's loops count {visits} visits, too many to hold in memory\n"
+        )
+
+
+def test_a_lone_absurd_count_fails_at_its_first_allocation():
+    """A lone digit of 2**40 values (its run one value long) fails at its
+    column's first allocation, not after filling the address space one
+    value at a time: the child's resident peak stays far below it."""
+    done = _under_address_limit(
+        "from clocksched.formula import counter_columns\n"
+        "for counts in ([1 << 40], [1 << 40, 1], [1, 1 << 40], [1 << 40, 3]):\n"
+        "    try:\n"
+        "        counter_columns(counts)\n"
+        "    except MemoryError:\n"
+        "        print('refused')\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)\n"
+    )
+    *refused, peak = done.stdout.splitlines()
+    assert refused == ["refused"] * 4, done.stderr
+    assert int(peak) < ADDRESS_SPACE // 8
+
+
 def test_emit_notation_flag(tmp_path, capsys):
     path = transform(
         tmp_path, capsys, cases.MATMUL, "--clock", "3x2", "--map", "K=8,I=4,J=2"

@@ -6,13 +6,16 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from clocksched.engine import enumerate_schedule
 from clocksched.formula import (
-    ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, domain_points, infer_shapes, parse_spec,
+    ArrayAccess, ComputationSpec, Factor, Formula, IndexDecl, Term, check_legality, domain_points,
+    infer_shapes, parse_spec,
 )
-from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, lower
+from clocksched.lower import ADD, ASSIGN, BLOCK, SKIP, ReadTable, lower
 from clocksched.polynomial import PastBudget, _by_records, polynomials
+from clocksched.schedule import build_schedule
 
 import cases
 import oracles
@@ -378,3 +381,51 @@ def test_the_dataflow_fold_matches_the_flat_walk_on_running_sums(src):
     stream = lower(spec, cases.points(points, len(spec.indexes)))
     assert_the_fold_matches_the_flat_walk(stream, range(len(points))[::-1])
     assert_the_fold_matches_the_flat_walk(stream, range(len(points)))
+
+
+# -- each point writes its own cells ------------------------------------------
+
+@pytest.mark.parametrize("source", [
+    cases.STENCIL,
+    "space I[64], J[64];\na(I,J) = a(I,J) + a(I+1,J) + a(I,J+1) + a(I+1,J+1);\n",
+    cases.TRANSPOSE,
+    "space T[2], I[4];\ndomain T = I / 2;\nb(I,T) = a(I+1);\n",
+], ids=["stencil", "stencil-64", "transpose-in-place", "bound-index-and-displacement"])
+def test_each_point_writes_its_own_cells(source):
+    assert ReadTable(parse_spec(source)).single_assignment
+
+
+@pytest.mark.parametrize("tree", [
+    cases.stencil_tree,
+    lambda: build_schedule(cases.STENCIL, order=["I", "J"], convolutions=1),
+], ids=["blocked", "rows"])
+def test_the_stencil_traces_write_their_own_cells(tree):
+    """Both stencil builds, blocked and row-major convolved, run the
+    source's spec."""
+    assert enumerate_schedule(tree()).stream.reads.single_assignment
+
+
+@pytest.mark.parametrize("spec", [
+    parse_spec(cases.MATMUL),
+    cases.transpose_tree().spec,
+    parse_spec("space I[4];\na(I) = b(I);\na(I) = 2*a(I);\n"),
+    parse_spec("space I[4], J[4];\na(I) = b(I,J);\n"),
+    parse_spec("space T[2], I[4];\ndomain T = I / 2;\ntemp tmp;\ntmp(T) = a(I);\nb(I) = tmp(T);\n"),
+], ids=["accumulation", "transpose-rewrite", "two-formulas", "target-drops-an-index", "block-bound-target"])
+def test_a_point_may_write_another_points_cell(spec):
+    """``+=``; an array two formulas write (the transpose rewrite writes
+    ``a`` twice); a target without a free index, also a block-bound one."""
+    assert not ReadTable(spec).single_assignment
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rich_specs())
+def test_where_each_point_writes_its_own_cells_no_cell_is_written_twice(spec):
+    """The sequential stream's written cells, across every block and
+    formula, are distinct wherever the table says each point writes its
+    own cells."""
+    assume(not check_legality(spec))
+    stream = lower(spec, domain_points(spec))
+    assume(stream.reads.single_assignment)
+    written = [c for apps in stream.blocks for app in apps for c in app.applied if c >= 0]
+    assert len(written) == len(set(written))

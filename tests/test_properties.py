@@ -719,6 +719,19 @@ def test_the_dependence_check_matches_the_per_read_replay_on_checked_traces(trac
     assert _matches_the_per_read_replay(trace) == (not check_coverage(trace).ok)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checked_traces())
+def test_the_plan_check_alone_reports_what_the_fold_reports(trace):
+    """Where each point writes its own cells, the dependence check of a
+    trace is what it is with that fact withheld, so that the writes are
+    folded and replayed."""
+    report = check_dependencies(trace)
+    table = trace.stream.reads
+    if table.single_assignment:
+        table.single_assignment = False
+        assert check_dependencies(trace) == report
+
+
 # -- the dataflow fold, checked against the flat walk -------------------------
 
 DATAFLOW = ("first", "early", "late", "assigned", "added", "own", "stray", "writes", "log")
@@ -727,11 +740,16 @@ DATAFLOW = ("first", "early", "late", "assigned", "added", "own", "stray", "writ
 def assert_the_fold_matches_the_flat_walk(stream, ranks) -> None:
     """``Stream.dataflow``, folded from the block columns, gathers what
     the walk of the flat records (``oracles.flat_dataflow``) gathers,
-    field by field."""
+    field by field; the log of writes is kept, and compared, exactly
+    where the replay walks it: unless every formula accumulates and
+    none reads its own target."""
     got = stream.dataflow(ranks)
     want = oracles.flat_dataflow(stream, ranks)
+    ops = {f.op for f in stream.spec.formulas}
+    assert (got.log is None) == (ops == {"+="} and not any(map(oracles.reads_own_target, stream.spec.formulas)))
     for name in DATAFLOW:
-        assert getattr(got, name) == getattr(want, name), name
+        if name != "log" or got.log is not None:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def _reference_ranks(trace):
@@ -789,7 +807,7 @@ def test_the_fold_drops_the_sums_of_an_assigning_block(reverse, dependencies):
 def test_copy_reads_match_the_flat_walk(tree):
     stream = enumerate_schedule(tree).stream
     got, want = stream.copy_reads(), oracles.flat_dataflow(stream, range(len(stream.points)))
-    assert (got.first, got.early, got.late) == (want.first, want.early, want.late)
+    assert (got.first, got.early, got.late, got.writes) == (want.first, want.early, want.late, want.writes)
 
 
 def assert_the_read_table_bounds_the_reads(stream) -> None:
@@ -963,7 +981,8 @@ def profile_of(trace):
 def test_the_columns_and_the_profile_match_the_per_visit_walk(tree):
     """The columns hold, visit by visit, what the per-visit walk
     (``oracles.visit_records``) makes, and ``analyze`` of them gives
-    the profile the per-visit count (``oracles.profile``) gives."""
+    the profile the per-visit count (``oracles.profile``) gives; the
+    widths and colors ``verify_report`` gives are ``analyze``'s."""
     trace = enumerate_schedule(tree)
     records = oracles.visit_records(tree, schedule.recovery)
     assert list(trace.records) == records
@@ -972,6 +991,9 @@ def test_the_columns_and_the_profile_match_the_per_visit_walk(tree):
         want.points.columns, want.offsets, want.times, want.levels, want.copies
     )
     assert profile_of(trace) == oracles.profile(records, tree.clock)
+    if tree.spec is not None:
+        profile, report = analyze(trace).to_json(), verify_report(trace, trials=1)
+        assert (report["widths"], report["colors"]) == (profile["widths"], profile["colors"])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
