@@ -5,15 +5,22 @@ order, as columns with one value per visit, of what enumeration
 decides: the recovered index point (a column per index), the time
 value, the loop offsets (a column per chain position), the convolution
 level and the unfolded copy.  Derived facts, such as a visit's 2-adic
-color, are ``analyze``'s to compute.  A sparse graph is two id columns,
-and its listing a vertex column over a unit clock's slots.
+color, are ``analyze``'s to compute.  A sparse graph is two
+``array('q')`` id columns, read from the edge-list text a chunk at a
+time.  A tree is told by its parent column, one id per vertex, and
+walked over compressed sparse rows: ``starts``, a prefix sum of the
+child counts, and ``kids``, each vertex's children as one run.  The
+listing is a vertex column over a unit clock's slots.  Parsing and
+walking a random tree peaks at about 49 bytes a vertex (tracemalloc,
+5x10^4 vertexes): no Python object per vertex or edge.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .clock import Clock, color_of, log2_exact
@@ -205,32 +212,30 @@ def enumerate_schedule(tree: ScheduleTree) -> VisitTrace:
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Edge ``e`` runs from ``sources[e]`` to ``targets[e]``."""
+    """Edge ``e`` runs from ``sources[e]`` to ``targets[e]``.
+    ``parse_edge_list`` gives both columns as ``array('q')``; the walk
+    takes any integer sequences."""
 
     count: int
     sources: Sequence[int]
     targets: Sequence[int]
 
+    READ_CHUNK = 1 << 16  # characters of plain text decoded at once
+
 
 def parse_edge_list(text: str) -> SparseGraph:
-    """One ``u v`` pair per line, each id ASCII digits; ``#`` starts a
-    comment; vertex 0 is the origin.  The plain layout, every line
-    ``digits SPACE digits`` and a newline, is read by the C JSON decoder
-    in one call; any other text is read line by line, to the same
-    columns and the same refusals."""
-    if text.isascii():
-        # deleting the digits leaves " \n" per line only in the plain layout
-        layout = text.encode().translate(None, b"0123456789")
-        if layout == b" \n" * (len(layout) // 2):
-            import json  # here, so `import clocksched` never loads it
-
-            try:  # an empty id or a leading zero: the per-line reader words or reads it
-                ids = json.loads("[" + text.replace(" ", ",").replace("\n", ",")[:-1] + "]")
-            except ValueError:
-                ids = None
-            if ids:
-                return SparseGraph(max(ids) + 1, ids[0::2], ids[1::2])
-    sources, targets = [], []
+    """One ``u v`` pair per line, each id ASCII digits below 2^63; ``#``
+    starts a comment; vertex 0 is the origin.  Text in the plain layout,
+    every line ``digits SPACE digits`` and a newline, is read by the C
+    JSON decoder ``READ_CHUNK`` characters at a time, each chunk cut just
+    after a newline.  Any other text, or one with a chunk the decoder or
+    the columns refuse, is read line by line, to the same columns and
+    the same refusals."""
+    if text.isascii() and text.endswith("\n"):
+        graph = _decoded(text)
+        if graph is not None:
+            return graph
+    sources, targets = array("q"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if parts and len(parts) != 2:
@@ -241,11 +246,43 @@ def parse_edge_list(text: str) -> SparseGraph:
         if digits != parts:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")
         if parts:
-            sources.append(int(parts[0]))
-            targets.append(int(parts[1]))
+            try:
+                sources.append(int(parts[0]))
+                targets.append(int(parts[1]))
+            except (OverflowError, ValueError):  # past 8 bytes, or past int()'s digit limit
+                limit = (19, "9223372036854775807")  # 2^63 - 1 as digit count, then digits
+                big = next(p for p in parts if (len(d := p.lstrip("0")), d) > limit)
+                raise ValueError(f"line {lineno}: vertex id {big} is past 2^63 - 1") from None
     if not sources:
         raise ValueError("edge list is empty")
     return SparseGraph(max(max(sources), max(targets)) + 1, sources, targets)
+
+
+def _decoded(text: str) -> SparseGraph | None:
+    """``text``, ASCII and ending in a newline, read a chunk at a time;
+    None if a chunk is not in the plain layout or holds an id that the
+    decoder or an ``array('q')`` refuses."""
+    import json  # here, so `import clocksched` never loads it
+
+    sources, targets, top, start = array("q"), array("q"), 0, 0
+    while start < len(text):
+        stop = text.find("\n", start + SparseGraph.READ_CHUNK - 1) + 1 or len(text)
+        chunk = text[start:stop]
+        # deleting the digits leaves " \n" per line only in the plain layout
+        layout = chunk.encode().translate(None, b"0123456789")
+        if layout != b" \n" * (len(layout) // 2):
+            return None
+        # an empty id, a leading zero or one past 2^63 - 1: the per-line reader words or reads it
+        try:
+            ids = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+            pairs = array("q", ids)
+        except (ValueError, OverflowError):
+            return None
+        sources += pairs[0::2]
+        targets += pairs[1::2]
+        top = max(top, max(ids))
+        start = stop
+    return SparseGraph(top + 1, sources, targets)
 
 
 class SparseRecord(NamedTuple):
@@ -263,7 +300,7 @@ class SparseListing:
 
     BATCH_UNITS = 1024  # units of text ``write`` builds before writing them
 
-    def __init__(self, vertices: list[int], slots: list[tuple[int, int]], span: int):
+    def __init__(self, vertices: Sequence[int], slots: list[tuple[int, int]], span: int):
         self.vertices, self.slots, self.span = vertices, slots, span
 
     def __len__(self) -> int:
@@ -299,37 +336,42 @@ def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> Spar
     ``bfs``, children ascending, in unit-clock slots, a unit per span.
 
     A tree, ``count - 1`` edges below the count with every vertex but 0
-    the head of one and 0 of none, is walked with no walk state: from 0
-    it can reach no vertex twice, and no cycle, which would need a
-    vertex with two in-edges, so it can only leave vertexes unreached.
-    Any other graph is walked depth-first with exit markers, which
-    refuses an edge back onto its path, then a vertex it does not
-    reach, then an edge naming an id at or past the count."""
+    the head of one and 0 of none, is walked with no walk state over
+    its children runs: from 0 it can reach no vertex twice, and no
+    cycle, which would need a vertex with two in-edges, so it can only
+    leave vertexes unreached.  Any other graph is walked depth-first
+    with exit markers, which refuses an edge back onto its path, then a
+    vertex it does not reach, then an edge naming an id at or past the
+    count."""
     count = graph.count
     if min(graph.sources, default=0) < 0 or min(graph.targets, default=0) < 0:  # ~v marks exits
         raise ValueError("vertex ids must be non-negative")
-    adj: dict[int, list[int]] = {}
-    for u, v in zip(graph.sources, graph.targets):
-        adj.setdefault(u, []).append(v)
-    for children in adj.values():
-        children.sort(reverse=True)  # the stack pops the smallest first
-
-    if not _is_tree(graph):
+    runs = _tree_runs(graph)
+    if runs is None:
+        adj: dict[int, list[int]] = {}
+        for u, v in zip(graph.sources, graph.targets):
+            adj.setdefault(u, []).append(v)
+        for children in adj.values():
+            children.sort(reverse=True)  # the stack pops the smallest first
         order = _checked_order(adj, count, bfs)
-    elif bfs:
-        order = [0]
-        for v in order:  # the list is the queue: the loop reads what it appends
-            if children := adj.get(v):
-                order += children[::-1]
     else:
-        order, stack = [], [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if children := adj.get(v):
-                stack += children
-    if len(order) < count:  # only a tree's walk gets here short
-        raise _unreached(count, set(order))
+        starts, kids = runs
+        if bfs:
+            order = array("q", [0])
+            for v in order:  # the column is the queue: the loop reads what it appends
+                a, b = starts[v], starts[v + 1]
+                if a < b:
+                    order += kids[a:b][::-1]
+        else:
+            order, stack = array("q"), array("q", [0])
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                a, b = starts[v], starts[v + 1]
+                if a < b:
+                    stack += kids[a:b]
+        if len(order) < count:  # only a tree's walk gets here short
+            raise _unreached(count, set(order))
 
     # slot s's tick sums the graduations of its set bits, outermost highest
     ticks = [0]
@@ -342,17 +384,36 @@ def enumerate_sparse(graph: SparseGraph, unit: Clock, bfs: bool = False) -> Spar
     return SparseListing(order, slots, unit.span)
 
 
-def _is_tree(graph: SparseGraph) -> bool:
-    """Whether every vertex but 0 is the head of exactly one edge, and 0
-    of none, every id below the count."""
-    count, targets = graph.count, graph.targets
-    if len(targets) != count - 1 or max(graph.sources, default=0) >= count:
-        return False
-    if max(targets, default=0) >= count:
-        return False
-    heads = bytearray(count)
-    any(map(heads.__setitem__, targets, repeat(1)))
-    return not heads[0] and heads.count(1) == count - 1
+def _tree_runs(graph: SparseGraph) -> tuple[array, array] | None:
+    """A tree's children as compressed sparse rows: ``kids[starts[v]:
+    starts[v + 1]]`` are v's children, descending, so a stack that
+    pushes the run pops the smallest first.  None unless every vertex
+    but 0 is the head of exactly one edge, and 0 of none, every id below
+    the count."""
+    count, sources, targets = graph.count, graph.sources, graph.targets
+    if len(targets) != count - 1:
+        return None
+    parent, tally = array("q", [-1]) * count, array("q", bytes(8 * count))
+    try:  # an id at or past the count indexes neither column
+        any(map(parent.__setitem__, targets, sources))
+        for u in sources:
+            tally[u] += 1
+    except (IndexError, OverflowError):
+        return None
+    # count - 1 edges leave 0 the only -1 just when no two share a head and none ends at 0
+    if parent[0] != -1 or parent.count(-1) != 1:
+        return None
+    starts = array("q", accumulate(tally, initial=0))
+    del tally
+    kids = array("q", bytes(8 * (count - 1)))
+    for v, p in zip(range(count - 1, 0, -1), reversed(parent)):
+        i = starts[p]  # where p's next child goes
+        kids[i] = v
+        starts[p] = i + 1
+    # each run's cursor has reached where the next run starts: shift them back
+    starts.insert(0, 0)
+    starts.pop()
+    return starts, kids
 
 
 def _unreached(count: int, reached) -> ValueError:
@@ -362,10 +423,10 @@ def _unreached(count: int, reached) -> ValueError:
     )
 
 
-def _checked_order(adj: dict[int, list[int]], count: int, bfs: bool) -> list[int]:
+def _checked_order(adj: dict[int, list[int]], count: int, bfs: bool) -> array:
     """The walk of any graph: one int stack, where a vertex's children
     lie above ``~v``, which finishes it."""
-    order = [0]
+    order = array("q", [0])
     state = {0: 1}  # 1 = on the path, 2 = done
     stack = [~0, *adj.get(0, ())]
     past = None  # the first edge met that names an id at or past the count
@@ -399,8 +460,8 @@ def _checked_order(adj: dict[int, list[int]], count: int, bfs: bool) -> list[int
         )
 
     if bfs:
-        order, seen = [0], {0}
-        for v in order:  # the list is the queue: the loop reads what it appends
+        order, seen = array("q", [0]), {0}
+        for v in order:  # the column is the queue: the loop reads what it appends
             for w in reversed(adj.get(v, ())):
                 if w not in seen:
                     seen.add(w)

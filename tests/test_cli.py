@@ -1183,6 +1183,19 @@ def test_sparse_peaks_at_its_walk_not_its_text(tmp_path):
     assert command - walk <= len("".join(lines[:batch]))
 
 
+@pytest.mark.parametrize("layout", ["plain", "tabs"])
+def test_sparse_refuses_an_id_past_2_63(tmp_path, capsys, layout):
+    """An id past what an int64 column holds is refused with its line,
+    whichever reader reads the list, not left to the walk or a traceback."""
+    edges, listing = tmp_path / "big.edges", tmp_path / "listing.txt"
+    text = "0 1\n1 9223372036854775808\n0 2\n"
+    edges.write_text(text if layout == "plain" else text.replace(" ", "\t"))
+    code, out, err = run(capsys, "sparse", str(edges), "-o", str(listing))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: vertex id 9223372036854775808 is past 2^63 - 1\n"
+    assert not listing.exists()
+
+
 def test_sparse_cycle_exits_2(tmp_path, capsys):
     edges = tmp_path / "c.edges"
     edges.write_text("0 1\n1 0\n")

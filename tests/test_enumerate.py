@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,7 +126,7 @@ def test_trace_points_skip_the_epilogue():
 def test_parse_edge_list():
     graph = parse_edge_list("# balanced tree\n0 1\n\n0 2  # fan out\n1 3\n")
     assert graph.count == 4
-    assert (graph.sources, graph.targets) == ([0, 0, 1], [1, 2, 3])
+    assert (graph.sources, graph.targets) == (array("q", [0, 0, 1]), array("q", [1, 2, 3]))
 
 
 def test_parse_edge_list_rejects_garbage():
@@ -442,7 +446,7 @@ def _reads_as_the_per_line_reader(text):
         assert str(got.value) == str(refused)
     else:
         graph = parse_edge_list(text)
-        assert (graph.count, graph.sources, graph.targets) == want
+        assert (graph.count, list(graph.sources), list(graph.targets)) == want
 
 
 def test_bulk_edge_reader_words_the_first_bad_line():
@@ -455,9 +459,85 @@ def test_bulk_edge_reader_words_the_first_bad_line():
         ("0 1\n0 1_0\n", "line 2: vertex ids must be integers"),
         ("0 1\n1 2\n+3 1\n", "line 3: vertex ids must be integers"),
         ("0 \u0663\n", "line 1: vertex ids must be integers"),
+        ("0 1\n12", "line 2: expected 'u v', got '12'"),
+        ("12", "line 1: expected 'u v', got '12'"),
+        ("0 1\n1 09223372036854775808\n", "line 2: vertex id 09223372036854775808 is past 2^63 - 1"),
+        ("0 " + "9" * 5000 + " 1\n", "line 1: expected 'u v', got '0 " + "9" * 5000 + " 1'"),
+        ("0 " + "9" * 5000 + "\n", "line 1: vertex id " + "9" * 5000 + " is past 2^63 - 1"),
         ("# only\n\n  \t\n", "edge list is empty"),
         ("", "edge list is empty"),
     ):
         with pytest.raises(ValueError) as got:
             parse_edge_list(text)
         assert str(got.value) == words
+
+
+def test_edge_ids_fill_int64_columns():
+    """The largest id an ``array('q')`` holds reads in both layouts;
+    the ids are the per-line reader's."""
+    for text in ("0 1\n1 9223372036854775807\n", "0 1\n1\t9223372036854775807\n"):
+        graph = parse_edge_list(text)
+        assert graph.count == 2**63
+        assert graph.sources == array("q", [0, 1])
+        assert graph.targets == array("q", [1, 2**63 - 1])
+
+
+def _long_plain_text(lines: int) -> str:
+    """A random recursive tree's edges in the plain layout, in order."""
+    rng = random.Random(29)
+    return "".join(f"{rng.randrange(v)} {v}\n" for v in range(1, lines + 1))
+
+
+def test_plain_reader_hands_a_late_chunk_it_refuses_to_the_per_line_reader():
+    """A leading zero or an ``x`` past the first chunk sends the whole
+    text line by line: the columns are the per-line reader's, and the
+    refusal names the line the fault is on."""
+    text = _long_plain_text(15_000)
+    chunk = SparseGraph.READ_CHUNK
+    assert len(text) > 100_000 and len(text) > 2 * chunk
+    lineno = text.count("\n", 0, chunk) + 2  # a line of the second chunk
+    lines = text.splitlines(keepends=True)
+    u = lines[lineno - 1].split()[0]
+    for bad, refused in (("0 07\n", False), (f"{u} x\n", True)):
+        edited = "".join(lines[: lineno - 1] + [bad] + lines[lineno:])
+        if refused:
+            with pytest.raises(ValueError) as got:
+                parse_edge_list(edited)
+            assert str(got.value) == f"line {lineno}: vertex ids must be integers"
+        _reads_as_the_per_line_reader(edited)
+
+
+def test_plain_reader_reads_a_text_of_whole_chunks():
+    """Lines of eight characters fill two chunks exactly, so the last
+    cut falls on the text's end."""
+    text = "".join(f"{v % 10} {v}\n" for v in range(10_000, 10_000 + SparseGraph.READ_CHUNK // 4))
+    assert len(text) == 2 * SparseGraph.READ_CHUNK
+    _reads_as_the_per_line_reader(text)
+    _reads_as_the_per_line_reader(text[:-1])  # no final newline: the per-line reader's
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 64])
+def test_plain_reader_cuts_chunks_after_newlines_whatever_their_size(chunk, monkeypatch):
+    """However short the chunk, each is cut just after a newline, so no
+    line is split, and a refused id still names its own line."""
+    monkeypatch.setattr(SparseGraph, "READ_CHUNK", chunk)
+    for text in (TREE_EDGES, _long_plain_text(40), "0 1\n1 2\n2 03\n", "0 1\n1 2\n1 x\n0 3\n"):
+        _reads_as_the_per_line_reader(text)
+
+
+@pytest.mark.parametrize("bfs", [False, True])
+def test_sparse_holds_a_tree_in_int64_columns(bfs):
+    """Parsing and walking a 5x10^4-vertex tree peaks at no more than 80
+    bytes a vertex: columns of 8-byte ids, no per-vertex objects."""
+    n = 50_000
+    text = _long_plain_text(n - 1)
+    unit = make_clock(4, 2)
+    enumerate_sparse(parse_edge_list(TREE_EDGES), unit, bfs)  # imports what it uses first
+    tracemalloc.start()
+    try:
+        listing = enumerate_sparse(parse_edge_list(text), unit, bfs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(listing) == n
+    assert peak <= 80 * n
